@@ -36,14 +36,25 @@ DEFAULT_MATRIX = "k4,cycle:3,cycle:4,cycle:5,cycle:6,cycle:7,cycle:8,petersen,he
 ENV_MAX_VERTICES = "TREELIFT_MAX_VERTICES"
 
 
+def positive_int(text):
+    """argparse type for counts and caps: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def default_cap():
     value = os.environ.get(ENV_MAX_VERTICES)
     if value is None:
         return DEFAULT_MAX_VERTICES
     try:
-        return int(value)
-    except ValueError:
-        raise GraphError(f"{ENV_MAX_VERTICES} must be an integer, got {value!r}") from None
+        return positive_int(value)
+    except argparse.ArgumentTypeError as exc:
+        raise GraphError(f"{ENV_MAX_VERTICES}: {exc}") from None
 
 
 def parse_pairs_arg(text):
@@ -241,7 +252,7 @@ def build_parser():
     p.add_argument("--mapping", help="sidecar file: lifted_id base_vertex label_bits")
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--max-vertices", type=int, default=cap)
+    p.add_argument("--max-vertices", type=positive_int, default=cap)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("analyze", help="lift, embed, measure distortion, sweep verdicts")
@@ -251,9 +262,9 @@ def build_parser():
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--pairs", default="auto", help="auto|exhaustive|sample:COUNT")
-    p.add_argument("--sample-count", type=int, default=None)
+    p.add_argument("--sample-count", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-vertices", type=int, default=cap)
+    p.add_argument("--max-vertices", type=positive_int, default=cap)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the property battery over an instance matrix")
@@ -267,7 +278,7 @@ def build_parser():
     p.add_argument("--max-tries", type=int, default=10_000)
     p.add_argument("--oracle-pairs", type=int, default=2_000)
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
-    p.add_argument("--max-vertices", type=int, default=cap)
+    p.add_argument("--max-vertices", type=positive_int, default=cap)
     p.add_argument("--fault-inject", action="store_true", help="sabotage one matching bit; the battery must fail")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -11,7 +11,11 @@ is the even-parity-in-A side.
 
 Rows are packed as m-bit integers, so l1 distances are XOR popcounts.  The
 row map is affine-linear over the label group: row(u, f) = row(u, 0) ^
-column(f), which fills the whole table in O(n * 2^s + m) integer XORs.
+lin(f).  That form is the whole representation: n base rows plus 2^s label
+columns, with any row derived on demand; no n * 2^s table is built.  By
+linearity the row XOR across a lifted edge depends only on its base edge, so
+facts about all m * 2^s lifted edges (the cut partition, the Lipschitz
+constant) take one comparison per base edge.
 
 All Lipschitz quantities are exact rationals; there are no float tolerances
 anywhere in this module.
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import GraphError, tree_split
-from .lift import iter_orbit_reps, lifted_distance, representative_tables, sample_pair_list
+from .lift import iter_orbit_reps, lifted_distance, representative_tables
 
 
 class CutStructure:
@@ -77,19 +81,43 @@ def cut_side(g, td, eid, vertex, label, cuts=None):
 
 @dataclass(eq=False)
 class EmbeddingTable:
-    """One m-bit row per lifted vertex; row bit e is the vertex's side of cut e."""
+    """The embedding in affine form: row(u, f) = base_rows[u] ^ lin[f].
+
+    Row bit e is the vertex's side of cut e.  ``base_rows`` holds the n rows
+    of the zero-label fiber and ``lin`` the 2^s label columns; no table of
+    n * 2^s rows exists.
+    """
 
     lg: object
     m: int
-    rows: list
+    base_rows: list
+    lin: list
     cuts: CutStructure
 
     def row(self, x):
-        return self.rows[x]
+        return self.base_rows[x >> self.lg.s] ^ self.lin[x & self.lg.mask]
+
+    def l1(self, x, y):
+        """The l1 distance between two rows: a Hamming distance, all coordinates are bits."""
+        return (self.row(x) ^ self.row(y)).bit_count()
+
+    def edge_flips(self):
+        """Row XOR across the lifted edges over each base edge, by edge id.
+
+        Taken at label 0 as row(u, 0) ^ row(v, rule[e]).  By linearity the XOR
+        across ((u, f), (v, f ^ rule[e])) is the same at every label f, so
+        these m values describe all m * 2^s lifted edges.
+        """
+        base_rows = self.base_rows
+        lin = self.lin
+        return [
+            base_rows[u] ^ base_rows[v] ^ lin[rule]
+            for (u, v), rule in zip(self.lg.base.edges, self.lg.rule)
+        ]
 
 
 def embed(lg):
-    """The full embedding table of a lift, rows indexed by encoded vertex id."""
+    """The affine embedding of a lift: n base rows plus 2^s label columns."""
     g = lg.base
     td = lg.td
     cuts = CutStructure(g, td)
@@ -117,22 +145,23 @@ def embed(lg):
     for f in range(1, 1 << s):
         low = f & -f
         lin[f] = lin[f ^ low] ^ cols[low.bit_length() - 1]
-
-    rows = []
-    for u in range(g.n):
-        bu = base_rows[u]
-        rows.extend(bu ^ l for l in lin)
-    return EmbeddingTable(lg=lg, m=g.m, rows=rows, cuts=cuts)
+    return EmbeddingTable(lg=lg, m=g.m, base_rows=base_rows, lin=lin, cuts=cuts)
 
 
 def l1_distance(table, x, y):
-    """The l1 distance between two rows: a Hamming distance, all coordinates are bits."""
-    return (table.rows[x] ^ table.rows[y]).bit_count()
+    """The l1 distance between the rows of x and y."""
+    return table.l1(x, y)
 
 
 def assert_injective(table):
-    """Hard check that no two vertices share a row (distances would silently lie)."""
-    if len(set(table.rows)) != len(table.rows):
+    """Hard check that no two vertices share a row (distances would silently lie).
+
+    O(n): the cotree bits of row(u, f) are exactly the bits of f (the cotree
+    edge of coordinate i is cut by label bit i alone), and base rows have no
+    cotree bits.  Equal rows therefore have equal labels and equal base rows,
+    so distinct base rows mean distinct rows for the whole lift.
+    """
+    if len(set(table.base_rows)) != len(table.base_rows):
         raise RuntimeError("embedding is not injective: two lifted vertices share a row")
 
 
@@ -170,65 +199,65 @@ class DistortionReport:
     seed: int = None
 
 
-def _scan(pairs, rows, dist_of):
-    """Max h/d and d/h over pairs, exact via cross-multiplication."""
-    lip_n, lip_d = 0, 1
+def _scan(pairs, table, dist_of):
+    """Max d/h over pairs, exact via cross-multiplication."""
+    l1 = table.l1
     co_n, co_d = 0, 1
     witness = None
     count = 0
     for x, y in pairs:
         d = dist_of(x, y)
-        h = (rows[x] ^ rows[y]).bit_count()
+        h = l1(x, y)
         if h == 0:
             raise RuntimeError(
                 f"embedding collision between distinct vertices {x} and {y}: "
                 f"F must be injective; this indicates an implementation bug"
             )
         count += 1
-        if h * lip_d > lip_n * d:
-            lip_n, lip_d = h, d
         if d * co_d > co_n * h:
             co_n, co_d, witness = d, h, (x, y)
-    return (lip_n, lip_d), (co_n, co_d), witness, count
+    return (co_n, co_d), witness, count
 
 
-def distortion(lg, table, tables=None, mode="exhaustive", sample_count=None, seed=None):
+def distortion(lg, table, tables=None, pairs=None, sample_count=None, seed=None):
     """Exact distortion data of the embedding under a pair-examination policy.
 
-    mode "exhaustive" covers every unordered pair via canonical translation
-    orbits.  mode "sample" examines ``sample_count`` seeded uniform pairs plus
-    all adjacent pairs (they pin lip) plus the pair realizing the lifted
-    diameter (the likely colip witness).  Ratios are compared exactly;
-    witnesses tie-break toward the smallest encoded pair.
+    lip is exact at any lift size: a graph metric's Lipschitz constant is
+    attained on an edge, and every lifted edge over base edge e has the same
+    row XOR, so lip is the largest popcount of the m ``edge_flips``.  colip is
+    scanned.  With ``pairs`` None ("exhaustive") every unordered pair is
+    covered via canonical translation orbits.  Otherwise ``pairs`` is the
+    family built by ``sample_pair_list`` ("sample"), and ``sample_count`` and
+    ``seed``, the arguments it was drawn with, are recorded in the report.
+    Ratios are compared exactly; witnesses tie-break toward the smallest
+    encoded pair.
     """
     nn = lg.num_vertices
     if nn < 2:
         raise GraphError("distortion requires at least two lifted vertices")
-    if tables is None:
-        tables = representative_tables(lg)
-    rows = table.rows
-
-    if mode == "exhaustive":
-        reps = ((x, y) for x, y, _ in iter_orbit_reps(lg))
-        s = lg.s
-        lip_pair, co_pair, witness, orbits = _scan(reps, rows, lambda x, y: tables[x >> s][y])
-        examined = nn * (nn - 1) // 2
-        extra = {"orbits_examined": orbits}
-    elif mode == "sample":
-        ordered = sample_pair_list(lg, tables, sample_count, seed)
-        lip_pair, co_pair, witness, examined = _scan(
-            ordered, rows, lambda x, y: lifted_distance(lg, tables, x, y)
-        )
-        extra = {"sample_count": sample_count, "seed": seed}
-    else:
-        raise GraphError(f"unknown distortion mode {mode!r}")
-
-    lip = Fraction(*lip_pair)
-    colip = Fraction(*co_pair)
+    lip = Fraction(max(flip.bit_count() for flip in table.edge_flips()))
     if lip != 1:
         raise RuntimeError(
             f"embedding is not 1-Lipschitz (measured lip = {lip}); the cut partition is broken"
         )
+    if tables is None:
+        tables = representative_tables(lg)
+
+    if pairs is None:
+        mode = "exhaustive"
+        reps = ((x, y) for x, y, _ in iter_orbit_reps(lg))
+        s = lg.s
+        co_pair, witness, orbits = _scan(reps, table, lambda x, y: tables[x >> s][y])
+        examined = nn * (nn - 1) // 2
+        extra = {"orbits_examined": orbits}
+    else:
+        mode = "sample"
+        co_pair, witness, examined = _scan(
+            pairs, table, lambda x, y: lifted_distance(lg, tables, x, y)
+        )
+        extra = {"sample_count": sample_count, "seed": seed}
+
+    colip = Fraction(*co_pair)
     return DistortionReport(
         lip=lip,
         colip=colip,

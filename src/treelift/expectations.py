@@ -16,7 +16,7 @@ from pathlib import Path
 from .embedding import distortion, embed
 from .families import load_named
 from .graph import spanning_tree
-from .lift import build_lift, lifted_diameter, lifted_girth, representative_tables
+from .lift import build_lift, lifted_diameter, lifted_girth, representative_tables, sample_pair_list
 
 #: the sampled policy the Heawood constants are frozen under
 HEAWOOD_SAMPLE_COUNT = 100_000
@@ -52,11 +52,12 @@ def compute():
             "colip_exhaustive": str(rep.colip),
         }
         if name == "heawood":
+            pairs = sample_pair_list(lg, tables, HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED)
             sampled = distortion(
                 lg,
                 table,
                 tables=tables,
-                mode="sample",
+                pairs=pairs,
                 sample_count=HEAWOOD_SAMPLE_COUNT,
                 seed=HEAWOOD_SEED,
             )

@@ -378,7 +378,11 @@ def format_edge_list(g):
 
 def load_edge_list(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_edge_list(text)
 
 
 def save_edge_list(g, path):

@@ -21,6 +21,7 @@ from .lift import (
     lifted_diameter,
     lifted_girth,
     representative_tables,
+    sample_pair_list,
 )
 from .sweeps import (
     cut_partition_check,
@@ -33,12 +34,6 @@ from .sweeps import (
 AUTO_EXHAUSTIVE_LIMIT = 10_000
 #: sampled pairs used once the instance is above the exhaustive limit
 AUTO_SAMPLE_COUNT = 100_000
-
-#: full cut/partition scan limit (lifted edges); sampled above it
-CUT_SCAN_LIMIT = 200_000
-CUT_SAMPLE_COUNT = 10_000
-DEGREE_SCAN_LIMIT = 100_000
-DEGREE_SAMPLE_COUNT = 10_000
 
 
 def frac_str(fr):
@@ -67,7 +62,7 @@ def resolve_policy(num_lifted_vertices, pairs_arg, sample_count=None):
     if pairs_arg == "exhaustive":
         return "exhaustive", None
     if pairs_arg == "sample":
-        return "sample", sample_count if sample_count else AUTO_SAMPLE_COUNT
+        return "sample", AUTO_SAMPLE_COUNT if sample_count is None else sample_count
     raise GraphError(f"unknown pair policy {pairs_arg!r}")
 
 
@@ -201,9 +196,11 @@ def run_analysis(
     lifted_di = lifted_diameter(lg, tables)
     report["lift"] = lift_block(lg, lifted_gi, lifted_di, base_gi)
 
+    # one sampled family, shared by the distortion scan and the verdict sweep
+    pair_list = sample_pair_list(lg, tables, count, seed) if mode == "sample" else None
     dist_error = None
     try:
-        rep = distortion(lg, table, tables=tables, mode=mode, sample_count=count, seed=seed)
+        rep = distortion(lg, table, tables=tables, pairs=pair_list, sample_count=count, seed=seed)
         report["embedding"] = embedding_block(lg, rep)
         report["bound"] = bound_block(base_gi, base_di, rep)
     except RuntimeError as exc:  # injectivity / Lipschitz hard failures
@@ -211,17 +208,7 @@ def run_analysis(
         report["embedding"] = {"error": dist_error}
         report["bound"] = {"distortion_within_bound": False, "error": dist_error}
 
-    sw = verdict_sweep(
-        lg,
-        table,
-        tables,
-        base_gi,
-        base_di,
-        mode=mode,
-        sample_count=count,
-        seed=seed,
-        collect=collect,
-    )
+    sw = verdict_sweep(lg, table, tables, base_gi, base_di, pairs=pair_list, collect=collect)
     report["verdict_sweep"] = sweep_block(sw, mode, count, seed)
     report["all_pass"] = (
         dist_error is None
@@ -256,20 +243,10 @@ def run_verify_instance(
         fault=fault,
     )
     lg, table, tables = ctx.lg, ctx.table, ctx.tables
-    checks = {}
-
-    if lg.num_edges <= CUT_SCAN_LIMIT:
-        checks["cut_partition"] = cut_partition_check(lg, table)
-    else:
-        checks["cut_partition"] = cut_partition_check(
-            lg, table, sample_count=CUT_SAMPLE_COUNT, seed=seed
-        )
-    if lg.num_vertices <= DEGREE_SCAN_LIMIT:
-        checks["degree_preservation"] = degree_preservation_check(lg)
-    else:
-        checks["degree_preservation"] = degree_preservation_check(
-            lg, sample_count=DEGREE_SAMPLE_COUNT, seed=seed
-        )
+    checks = {
+        "cut_partition": cut_partition_check(lg, table),
+        "degree_preservation": degree_preservation_check(lg),
+    }
     l1_v, dist_v = oracle_equivalence_checks(lg, table, tables, oracle_pairs, seed)
     checks["oracle_l1_odd_multiplicity"] = l1_v
     checks["oracle_distance_table"] = dist_v

@@ -9,11 +9,14 @@ representatives directly and sampled mode funnels drawn pairs through an
 orbit cache.  Spot checks in the test suite re-derive sampled pairs directly
 to guard the reduction itself.
 
-The whole-lift checks certify the cut structure edge by edge: a lifted edge
-over base edge e must flip side bit e and nothing else, i.e. the XOR of its
-endpoint rows is exactly the one-hot vector of e.  That single comparison is the cut
-property, the disjoint-cut partition property, and the unit Lipschitz step at
-once.
+The whole-lift checks are certified exactly at every lift size, with no
+sampling.  A lifted edge over base edge e must flip side bit e and nothing
+else, i.e. the XOR of its endpoint rows is exactly the one-hot vector of e.
+The embedding is affine in the label, so that XOR is the same for all 2^s
+lifted edges over e: one comparison per base edge certifies the cut property,
+the disjoint-cut partition property and the unit Lipschitz step for the whole
+lift.  Degrees are likewise checked once per fiber and carried to every label
+by translation.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import GraphError
-from .lift import bfs_lifted, iter_orbit_reps, lifted_distance, orbit_rep, sample_pair_list
+from .lift import bfs_lifted, iter_orbit_reps, lifted_distance, orbit_rep
 from .walks import Verdict, analyze, forensic_text, shortest_lifted_path, verify_all, VERDICT_NAMES
 
 MAX_RECORDED_FAILURES = 5
@@ -53,19 +55,12 @@ def _run_verdicts(lg, table, tables, base_girth, base_diam, x, y, totals, failur
     return wa, verdicts, ok
 
 
-def verdict_sweep(
-    lg,
-    table,
-    tables,
-    base_girth,
-    base_diam,
-    mode="exhaustive",
-    sample_count=None,
-    seed=None,
-    collect=None,
-):
+def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs=None, collect=None):
     """Verdict battery over a pair policy.
 
+    With ``pairs`` None every translation orbit is analyzed once
+    (exhaustive); otherwise ``pairs`` is the family built by
+    ``sample_pair_list`` and drawn pairs go through an orbit cache.
     ``collect``, if given, is called with (x, y, covered, distance, l1,
     analysis, verdicts) for every examined orbit representative (exhaustive)
     or examined pair (sampled), in canonical order; the CSV export hangs off
@@ -75,10 +70,10 @@ def verdict_sweep(
     failures = []
     analyses = 0
     covered = 0
-    rows = table.rows
+    l1 = table.l1
     s = lg.s
 
-    if mode == "exhaustive":
+    if pairs is None:
         for x, y, cov in iter_orbit_reps(lg):
             wa, verdicts, _ = _run_verdicts(
                 lg, table, tables, base_girth, base_diam, x, y, totals, failures
@@ -86,11 +81,8 @@ def verdict_sweep(
             analyses += 1
             covered += cov
             if collect is not None:
-                d = tables[x >> s][y]
-                l1 = (rows[x] ^ rows[y]).bit_count()
-                collect(x, y, cov, d, l1, wa, verdicts)
-    elif mode == "sample":
-        pairs = sample_pair_list(lg, tables, sample_count, seed)
+                collect(x, y, cov, tables[x >> s][y], l1(x, y), wa, verdicts)
+    else:
         cache = {}
         for x, y in pairs:
             key = orbit_rep(lg, x, y)
@@ -105,11 +97,7 @@ def verdict_sweep(
                 wa, verdicts = hit
             covered += 1
             if collect is not None:
-                d = lifted_distance(lg, tables, x, y)
-                l1 = (rows[x] ^ rows[y]).bit_count()
-                collect(x, y, 1, d, l1, wa, verdicts)
-    else:
-        raise GraphError(f"unknown sweep mode {mode!r}")
+                collect(x, y, 1, lifted_distance(lg, tables, x, y), l1(x, y), wa, verdicts)
 
     all_pass = all(fail == 0 for _, fail in totals.values())
     return SweepResult(
@@ -121,61 +109,48 @@ def verdict_sweep(
     )
 
 
-def cut_partition_check(lg, table, sample_count=None, seed=None):
-    """Every (or a seeded sample of) lifted edge(s) must cross exactly its own cut.
+def cut_partition_check(lg, table):
+    """Every lifted edge must cross exactly its own cut.
 
-    For the lifted edge (x, y) over base edge e this is rows[x] ^ rows[y] ==
+    For a lifted edge (x, y) over base edge e this is row(x) ^ row(y) ==
     1 << e: bit e set certifies the fiber crosses its own cut, every other bit
     clear certifies the cuts are disjoint and partition the edge set, and the
     total popcount 1 is the unit embedding step between adjacent vertices.
+    The XOR is the same at every label (``EmbeddingTable.edge_flips``), so m
+    comparisons certify all m * 2^s lifted edges.
     """
-    rows = table.rows
-    s = lg.s
     m = lg.base.m
-    labels = 1 << s
-    if sample_count is None:
-        combos = ((eid, f) for eid in range(m) for f in range(labels))
-        checked = m * labels
-    else:
-        rng = random.Random(seed)
-        combos = [(rng.randrange(m), rng.randrange(labels)) for _ in range(sample_count)]
-        checked = sample_count
     bad = []
-    for eid, f in combos:
-        u, v = lg.base.edges[eid]
-        x = (u << s) | f
-        y = (v << s) | (f ^ lg.rule[eid])
-        got = rows[x] ^ rows[y]
+    for eid, got in enumerate(table.edge_flips()):
         if got != 1 << eid:
             crossed = [i for i in range(m) if (got >> i) & 1]
             bad.append(
-                f"lifted edge over base edge {eid} at label {lg.label_bits(f)} "
-                f"crosses cuts {crossed} instead of [{eid}]"
+                f"every lifted edge over base edge {eid} crosses cuts {crossed} instead of [{eid}]"
             )
             if len(bad) >= MAX_RECORDED_FAILURES:
                 break
-    return Verdict(name="cut_partition", passed=not bad, violations=bad, checked=checked)
+    return Verdict(name="cut_partition", passed=not bad, violations=bad, checked=lg.num_edges)
 
 
-def degree_preservation_check(lg, sample_count=None, seed=None):
-    """deg(u, f) == deg(u) for all (or a seeded sample of) lifted vertices."""
-    nn = lg.num_vertices
-    if sample_count is None:
-        vertices = range(nn)
-        checked = nn
-    else:
-        rng = random.Random(seed)
-        vertices = [rng.randrange(nn) for _ in range(sample_count)]
-        checked = sample_count
+def degree_preservation_check(lg):
+    """deg(u, f) == deg(u) for every lifted vertex.
+
+    Each fiber is checked at label 0.  Translation by g is an automorphism,
+    neighbors(x ^ g) == [y ^ g for y in neighbors(x)], so (u, 0) and (u, g)
+    have the same degree and one vertex per fiber covers the whole lift.
+    """
+    s = lg.s
     bad = []
-    for x in vertices:
-        want = lg.base.degree(lg.project_vertex(x))
-        got = len(lg.neighbors(x))
+    for u in range(lg.base.n):
+        want = lg.base.degree(u)
+        got = len(lg.neighbors(u << s))
         if got != want:
-            bad.append(f"lifted vertex {x} has degree {got}, base degree is {want}")
+            bad.append(f"lifted vertex {u << s} has degree {got}, base degree is {want}")
             if len(bad) >= MAX_RECORDED_FAILURES:
                 break
-    return Verdict(name="degree_preservation", passed=not bad, violations=bad, checked=checked)
+    return Verdict(
+        name="degree_preservation", passed=not bad, violations=bad, checked=lg.num_vertices
+    )
 
 
 def oracle_equivalence_checks(lg, table, tables, count, seed, source_pool=None):
@@ -203,7 +178,6 @@ def oracle_equivalence_checks(lg, table, tables, count, seed, source_pool=None):
         pairs.append((x, y))
         by_source.setdefault(x, []).append(y)
 
-    rows = table.rows
     bad_l1 = []
     for x, y in pairs:
         path = shortest_lifted_path(lg, x, y, tables)
@@ -214,7 +188,7 @@ def oracle_equivalence_checks(lg, table, tables, count, seed, source_pool=None):
             eid = lg.base.edge_between(a >> s, b >> s)
             counts[eid] = counts.get(eid, 0) + 1
         odd = sum(1 for c in counts.values() if c & 1)
-        l1 = (rows[x] ^ rows[y]).bit_count()
+        l1 = table.l1(x, y)
         if odd != l1:
             bad_l1.append(f"pair ({x}, {y}): l1={l1} but {odd} odd-multiplicity edges")
             if len(bad_l1) >= MAX_RECORDED_FAILURES:

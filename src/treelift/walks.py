@@ -234,11 +234,7 @@ def verify_counting(wa, table=None):
         repeated = [e for e, c in wa.multiplicity.items() if c != 1]
         if repeated:
             bad.append(f"no components but edges {repeated} are not singly used")
-        l1 = (
-            (table.rows[wa.x] ^ table.rows[wa.y]).bit_count()
-            if table is not None
-            else wa.odd_edges
-        )
+        l1 = table.l1(wa.x, wa.y) if table is not None else wa.odd_edges
         if wa.path_len != l1:
             bad.append(f"no components but path_len={wa.path_len} != l1 distance {l1}")
     return _verdict("counting", bad)
@@ -258,7 +254,7 @@ def verify_accounting(wa, table, base_girth, base_diam):
     """The identities tying the embedding to the counters, plus the two
     inequalities the distortion bound rests on."""
     bad = []
-    l1 = (table.rows[wa.x] ^ table.rows[wa.y]).bit_count()
+    l1 = table.l1(wa.x, wa.y)
     once_inside = wa.bridges_once + wa.component_edges
     if l1 != once_inside:
         bad.append(f"l1={l1} != bridges_once+component_edges={once_inside}")

@@ -13,7 +13,7 @@ from treelift.embedding import assert_injective, distortion, embed, distortion_b
 from treelift.expectations import HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED, load as load_expectations
 from treelift.families import FamilySpec, load_named, make, random_regular
 from treelift.graph import diameter, girth, spanning_tree
-from treelift.lift import build_lift, lifted_girth, representative_tables
+from treelift.lift import build_lift, lifted_girth, representative_tables, sample_pair_list
 from treelift.report import run_verify_instance
 from treelift.sweeps import cut_partition_check, verdict_sweep, oracle_equivalence_checks
 
@@ -97,7 +97,7 @@ def test_criterion_2_petersen_exhaustive(bundles, expectations):
         assert rep.distortion <= Fraction(17, 5)
         assert rep.distortion == Fraction(expectations["petersen"]["distortion_exhaustive"])
 
-        sweep = verdict_sweep(lg, b.table, b.tables, b.base_girth, b.base_diam, mode="exhaustive")
+        sweep = verdict_sweep(lg, b.table, b.tables, b.base_girth, b.base_diam)
         assert sweep.pairs_covered == 204480
         assert sweep.all_pass, "\n\n".join(sweep.failures)
         for name, (npass, nfail) in sweep.verdict_totals.items():
@@ -115,11 +115,12 @@ def test_criterion_3_heawood_sampled(bundles, expectations):
 
         frozen = expectations["heawood"]["sampled"]
         assert frozen["sample_count"] == HEAWOOD_SAMPLE_COUNT >= 100_000
+        pairs = sample_pair_list(lg, b.tables, HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED)
         rep = distortion(
             lg,
             b.table,
             tables=b.tables,
-            mode="sample",
+            pairs=pairs,
             sample_count=HEAWOOD_SAMPLE_COUNT,
             seed=HEAWOOD_SEED,
         )
@@ -139,9 +140,7 @@ def test_criterion_3_heawood_sampled(bundles, expectations):
             b.tables,
             b.base_girth,
             b.base_diam,
-            mode="sample",
-            sample_count=HEAWOOD_SAMPLE_COUNT,
-            seed=HEAWOOD_SEED,
+            pairs=pairs,
         )
         assert sweep.pairs_covered == rep.pairs_examined
         assert sweep.all_pass, "\n\n".join(sweep.failures)
@@ -151,7 +150,7 @@ def test_criterion_4_cut_partition_properties(bundles):
     with criterion(4, "cut/partition properties"):
         for label in MATRIX:
             b = bundles[label]
-            # rows[x]^rows[y] == 1<<e over every lifted edge certifies, at
+            # row(x)^row(y) == 1<<e over every lifted edge certifies, at
             # once: the fiber of e is exactly the h_e-crossing set, the m cuts
             # partition the lifted edge set, and adjacent rows differ in
             # exactly one coordinate

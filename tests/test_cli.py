@@ -183,3 +183,42 @@ def test_mcgee_gen_available(tmp_path):
     out = tmp_path / "m.txt"
     assert run(["gen", "--family", "mcgee", "-o", out]) == 0
     assert out.read_text().splitlines()[0] == "24 36"
+
+
+def test_non_utf8_input_is_usage_error(tmp_path, capsys):
+    base = tmp_path / "bad.txt"
+    base.write_bytes(b"2 1\n0 \xff1\n")
+    assert run(["analyze", base, "-o", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--pairs", "sample", "--sample-count", 0, "--seed", 1],
+        ["--pairs", "sample", "--sample-count", -3, "--seed", 1],
+        ["--max-vertices", -5],
+        ["--max-vertices", 0],
+    ],
+    ids=["sample-count-0", "sample-count-negative", "cap-negative", "cap-0"],
+)
+def test_numeric_flags_below_one_are_usage_errors(tmp_path, capsys, flags):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", base, "-o", tmp_path / "r.json", *flags])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_env_var_cap_below_one_is_usage_error(tmp_path, capsys, monkeypatch):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    monkeypatch.setenv("TREELIFT_MAX_VERTICES", "-5")
+    assert run(["analyze", base, "-o", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert "TREELIFT_MAX_VERTICES" in err and "must be at least 1" in err
+    assert "raise --max-vertices" not in err

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -21,7 +22,9 @@ from treelift.lift import (
     lifted_distance,
     orbit_rep,
     representative_tables,
+    sample_pair_list,
 )
+from treelift.sweeps import cut_partition_check, degree_preservation_check
 
 # --- independent oracle: 2-color the lift after deleting one fiber -----------
 
@@ -89,8 +92,8 @@ def test_triangle_rows_match_hand_values():
     t = embed(lg)
     # F(a,0) = (0,0,0) and F(a,1) = (1,1,1): the lone cotree edge crosses both
     # tree splits, so flipping its bit flips every coordinate at vertex a
-    assert t.rows[lg.encode(0, 0)] == 0b000
-    assert t.rows[lg.encode(0, 1)] == 0b111
+    assert t.row(lg.encode(0, 0)) == 0b000
+    assert t.row(lg.encode(0, 1)) == 0b111
     assert l1_distance(t, lg.encode(0, 0), lg.encode(0, 1)) == 3
 
 
@@ -100,7 +103,7 @@ def test_same_fiber_parity_specialization():
     t = embed(lg)
     cuts = t.cuts
     for u in range(10):
-        row = t.rows[lg.encode(u, 0)]
+        row = t.row(lg.encode(u, 0))
         for eid in lg.td.tree_edges:
             assert (row >> eid) & 1 == (cuts.in_b[eid] >> u) & 1
         for eid in lg.td.cotree:
@@ -157,7 +160,52 @@ def test_every_lifted_edge_crosses_exactly_its_own_cut():
             for f in range(1 << lg.s):
                 x = lg.encode(u, f)
                 y = lg.encode(v, f ^ rule)
-                assert t.rows[x] ^ t.rows[y] == 1 << eid
+                assert t.row(x) ^ t.row(y) == 1 << eid
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec.named("k4"), FamilySpec.cycle(5), FamilySpec.named("petersen")],
+    ids=["k4", "cycle5", "petersen"],
+)
+def test_rows_read_cut_sides_at_every_label(spec):
+    # ties the affine rows to the cut-side definition at every label, not
+    # only on the zero-label fiber
+    lg = lift_of(spec)
+    t = embed(lg)
+    cuts = CutStructure(lg.base, lg.td)
+    for x in range(lg.num_vertices):
+        u, f = lg.decode(x)
+        row = t.row(x)
+        for eid in range(lg.base.m):
+            assert (row >> eid) & 1 == cuts.side(eid, u, f)
+
+
+def test_every_broken_matching_is_named_by_the_cut_check():
+    g = make(FamilySpec.named("petersen"))
+    td = spanning_tree(g)
+    s = len(td.cotree)
+    for eid in range(g.m):
+        for extra in (1, 0b101, 1 << (s - 1), (1 << s) - 1):
+            lg = build_lift(g, td, fault=(eid, extra), check_connected=False)
+            t = embed(lg)
+            v = cut_partition_check(lg, t)
+            assert not v.passed
+            assert v.checked == lg.num_edges
+            assert len(v.violations) == 1
+            assert f"base edge {eid} crosses cuts" in v.violations[0]
+            with pytest.raises(RuntimeError, match="not 1-Lipschitz"):
+                distortion(lg, t)
+
+
+def test_whole_lift_checks_cover_large_lifts_exactly():
+    # McGee: 196,608 lifted vertices and 294,912 lifted edges, all certified
+    g = make(FamilySpec.named("mcgee"))
+    lg = build_lift(g, spanning_tree(g), check_connected=False)
+    cut = cut_partition_check(lg, embed(lg))
+    assert cut.passed and cut.checked == lg.num_edges == 294_912
+    deg = degree_preservation_check(lg)
+    assert deg.passed and deg.checked == lg.num_vertices == 196_608
 
 
 # --- distances and distortion ----------------------------------------------------
@@ -181,6 +229,19 @@ def test_l1_identity_and_antipodal():
 def test_injectivity():
     for spec in (FamilySpec.cycle(8), FamilySpec.named("petersen")):
         assert_injective(embed(lift_of(spec)))
+
+
+def test_assert_injective_agrees_with_brute_force():
+    for spec in (FamilySpec.named("k4"), FamilySpec.cycle(5), FamilySpec.named("petersen")):
+        t = embed(lift_of(spec))
+        nn = t.lg.num_vertices
+        assert len({t.row(x) for x in range(nn)}) == nn
+        assert_injective(t)
+        # give base vertex 0 the row of base vertex 1: both checks must see it
+        broken = dataclasses.replace(t, base_rows=[t.base_rows[1], *t.base_rows[1:]])
+        assert len({broken.row(x) for x in range(nn)}) < nn
+        with pytest.raises(RuntimeError, match="not injective"):
+            assert_injective(broken)
 
 
 def test_embedding_is_nonexpansive_everywhere():
@@ -238,7 +299,8 @@ def test_sampled_mode_contains_adjacent_and_diameter_pairs():
     lg = lift_of(FamilySpec.named("petersen"))
     t = embed(lg)
     tables = representative_tables(lg)
-    rep = distortion(lg, t, tables=tables, mode="sample", sample_count=50, seed=9)
+    pairs = sample_pair_list(lg, tables, 50, 9)
+    rep = distortion(lg, t, tables=tables, pairs=pairs, sample_count=50, seed=9)
     assert rep.lip == 1
     assert rep.pairs_examined >= 960 + 50
     # sampling can only see a subset: never exceeds the exhaustive value
@@ -248,18 +310,19 @@ def test_sampled_mode_contains_adjacent_and_diameter_pairs():
 def test_sampled_mode_deterministic():
     lg = lift_of(FamilySpec.named("k4"))
     t = embed(lg)
-    a = distortion(lg, t, mode="sample", sample_count=200, seed=4)
-    b = distortion(lg, t, mode="sample", sample_count=200, seed=4)
+    tables = representative_tables(lg)
+    a = distortion(lg, t, pairs=sample_pair_list(lg, tables, 200, 4), sample_count=200, seed=4)
+    b = distortion(lg, t, pairs=sample_pair_list(lg, tables, 200, 4), sample_count=200, seed=4)
     assert (a.colip, a.witness_pair, a.pairs_examined) == (b.colip, b.witness_pair, b.pairs_examined)
 
 
 def test_sample_mode_needs_count_and_seed():
     lg = lift_of(FamilySpec.named("k4"))
-    t = embed(lg)
+    tables = representative_tables(lg)
     with pytest.raises(GraphError):
-        distortion(lg, t, mode="sample", sample_count=0, seed=1)
+        sample_pair_list(lg, tables, 0, 1)
     with pytest.raises(GraphError):
-        distortion(lg, t, mode="sample", sample_count=5)
+        sample_pair_list(lg, tables, 5, None)
 
 
 # --- orbit machinery ---------------------------------------------------------------
