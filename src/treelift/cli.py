@@ -1,8 +1,9 @@
 """Command-line front end: generation, lifting, analysis and verification.
 
-Exit codes: 0 success, 1 verdict failure, 2 usage or input error.  Identical
-configurations (including seeds) produce byte-identical report files; nothing
-time- or host-dependent is ever written.
+Exit codes: 0 success, 1 verdict failure, 2 usage or input error, 3 internal
+error (an unexpected exception, i.e. a bug; its traceback goes to stderr).
+Identical configurations (including seeds) produce byte-identical report
+files; nothing time- or host-dependent is ever written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import traceback
 
 from .families import GenerationError, make, parse_family
 from .graph import GraphError, girth, load_edge_list, save_edge_list, spanning_tree
@@ -30,6 +32,7 @@ from .report import (
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 #: the named-graph matrix every default verify run covers
 DEFAULT_MATRIX = "k4,cycle:3,cycle:4,cycle:5,cycle:6,cycle:7,cycle:8,petersen,heawood"
@@ -44,6 +47,17 @@ def positive_int(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def nonnegative_int(text):
+    """argparse type for counts that may be zero: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -273,10 +287,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", default=DEFAULT_MATRIX)
     p.add_argument("--random-spec", default="random:20:3")
-    p.add_argument("--random-count", type=int, default=3)
+    p.add_argument("--random-count", type=nonnegative_int, default=3)
     p.add_argument("--girth-min", type=int, default=5)
     p.add_argument("--max-tries", type=int, default=10_000)
-    p.add_argument("--oracle-pairs", type=int, default=2_000)
+    p.add_argument("--oracle-pairs", type=nonnegative_int, default=2_000)
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--max-vertices", type=positive_int, default=cap)
     p.add_argument("--fault-inject", action="store_true", help="sabotage one matching bit; the battery must fail")
@@ -295,6 +309,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug: keep it apart from verdict failures (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

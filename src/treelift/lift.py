@@ -9,15 +9,19 @@ densely as ``base << s | label`` (bit i of the label is cotree coordinate i),
 so XOR with a label vector is both the matching rule and the translation
 automorphism.
 
-Adjacency is computed on demand from (base adjacency, rule masks); nothing of
-size n * 2^s is materialized except BFS/distance arrays, and an explicit cap
-guards those.
+Adjacency is computed on demand from (base adjacency, rule masks).  The only
+objects of size n * 2^s are the scalar BFS array of ``bfs_lifted`` and the
+distance rows of ``representative_tables``: n rows of n * 2^s entries, one
+byte each while the lifted diameter is under 256.  An explicit vertex cap
+guards both.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .graph import GraphError
@@ -170,14 +174,132 @@ def bfs_lifted(lg, source):
     return dist
 
 
+@dataclass(frozen=True, eq=False)
+class DistanceTables:
+    """Distances from the n representatives (u, 0), one compact row each.
+
+    ``rows[u][y]`` is d((u, 0), y) for every encoded vertex y, stored as
+    ``bytes`` when the row's largest entry is under 256 and as an unsigned
+    ``array`` otherwise; ``ecc[u]`` is that largest entry, the eccentricity
+    of (u, 0).  ``tables[u]`` is ``rows[u]``.
+    """
+
+    rows: tuple
+    ecc: tuple
+
+    def __getitem__(self, u):
+        return self.rows[u]
+
+
+def _flip_masks(s):
+    """M_i for each coordinate i: the 2^s-bit set of labels with bit i clear."""
+    full = (1 << (1 << s)) - 1
+    return [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(s)]
+
+
+#: row formats by the largest distance they must hold: (limit, array code)
+_ROW_CODES = ((1 << 8, None), (1 << 16, "H"), (1 << 32, "I"))
+
+
+def _fiber_planes(adj, steps, n, full, u):
+    """Label-parallel BFS from (u, 0).
+
+    The frontier and the visited set of fiber v are each one 2^s-bit int
+    (bit f = label f).  Crossing base edge e XORs every label by rule[e],
+    which ``steps[e]`` spells as one masked shift per set bit.  Level d is
+    OR-ed into bit-plane k of each fiber for every set bit k of d, so
+    plane k holds bit k of the distance.  Returns (planes, eccentricity);
+    raises GraphError if some label of some fiber is never reached.
+    """
+    seen = [0] * n
+    seen[u] = 1
+    frontier = {u: 1}
+    planes = []
+    level = 0
+    while frontier:
+        level += 1
+        if level == 1 << len(planes):
+            planes.append([0] * n)
+        reached = {}
+        for a, bits in frontier.items():
+            for b, eid in adj[a]:
+                moved = bits
+                for w, m in steps[eid]:
+                    moved = ((moved & m) << w) | ((moved >> w) & m)
+                reached[b] = reached.get(b, 0) | moved
+        frontier = {}
+        for b, bits in reached.items():
+            bits &= ~seen[b]
+            if bits:
+                seen[b] |= bits
+                frontier[b] = bits
+                for k, plane in enumerate(planes):
+                    if (level >> k) & 1:
+                        plane[b] |= bits
+    if any(bits != full for bits in seen):
+        raise GraphError("lift is not connected")
+    ecc = level - 1
+    return planes[: ecc.bit_length()], ecc
+
+
+def _whole_lift(plane, fiber):
+    """Per-fiber bitsets of ``fiber`` bits each, end to end as one int, fiber 0 lowest."""
+    if fiber % 8 == 0:
+        return int.from_bytes(
+            b"".join(bits.to_bytes(fiber >> 3, "little") for bits in plane), "little"
+        )
+    whole = 0
+    for bits in reversed(plane):
+        whole = (whole << fiber) | bits
+    return whole
+
+
+def _expand_row(planes, s, nn, ecc):
+    """One source's row of nn lanes: lane y is the sum of (bit y of plane k) << k.
+
+    Plane k supplies bit k % 8 of byte k // 8 of every lane.  With P the
+    plane over the whole lift, byte i of ``(P >> j) & ones`` is bit 8i + j
+    of P, i.e. the bit of lane 8i + j; OR-ing eight planes shifted by k % 8
+    gives that lane byte for every i at once, and one strided slice writes
+    it into the row.
+    """
+    code = next(code for limit, code in _ROW_CODES if ecc < limit)
+    width = array(code).itemsize if code else 1
+    nbytes = (nn + 7) >> 3
+    ones = int.from_bytes(b"\x01" * nbytes, "little")
+    whole = [_whole_lift(plane, 1 << s) for plane in planes]
+    out = bytearray(nbytes * 8 * width)
+    for first in range(0, len(whole), 8):
+        byte = first >> 3
+        off = byte if sys.byteorder == "little" else width - 1 - byte
+        for j in range(8):
+            lane = 0
+            for k, bits in enumerate(whole[first : first + 8]):
+                lane |= ((bits >> j) & ones) << k
+            out[j * width + off :: 8 * width] = lane.to_bytes(nbytes, "little")
+    del out[nn * width :]
+    return bytes(out) if code is None else array(code, out)
+
+
 def representative_tables(lg):
-    """BFS distance arrays from the n representatives (v, 0).
+    """Distances from the n representatives (v, 0), by label-parallel BFS.
 
     Together with the translation automorphism these determine every pairwise
-    distance: d((u,f),(v,h)) = tables[u][encode(v, f^h)].
+    distance: d((u,f),(v,h)) = tables[u][encode(v, f^h)].  Raises GraphError
+    if the lift is not connected.
     """
     s = lg.s
-    return [bfs_lifted(lg, u << s) for u in range(lg.base.n)]
+    n = lg.base.n
+    masks = _flip_masks(s)
+    steps = [[(1 << i, masks[i]) for i in range(s) if (rule >> i) & 1] for rule in lg.rule]
+    full = (1 << (1 << s)) - 1
+    rows = []
+    ecc = []
+    for u in range(n):
+        planes, far = _fiber_planes(lg.base.adj, steps, n, full, u)
+        rows.append(_expand_row(planes, s, lg.num_vertices, far))
+        ecc.append(far)
+    return DistanceTables(rows=tuple(rows), ecc=tuple(ecc))
 
 
 def lifted_distance(lg, tables, x, y):
@@ -324,29 +446,17 @@ def lifted_girth(lg):
 
 
 def lifted_diameter(lg, tables=None):
-    """Exact diameter of the lift from the representative tables."""
+    """Exact diameter of the lift: the largest representative eccentricity."""
     if tables is None:
         tables = representative_tables(lg)
-    best = 0
-    for table in tables:
-        far = max(table)
-        if min(table) < 0:
-            raise GraphError("lift is not connected")
-        best = max(best, far)
-    return best
+    return max(tables.ecc)
 
 
 def diameter_witness(lg, tables):
     """A pair realizing the lifted diameter, smallest encoded pair first."""
-    best = -1
-    pair = (0, 0)
-    for u, table in enumerate(tables):
-        x = u << lg.s
-        for y, d in enumerate(table):
-            if d > best:
-                best = d
-                pair = (x, y)
-    return pair
+    d = max(tables.ecc)
+    u = tables.ecc.index(d)
+    return (u << lg.s, tables.rows[u].index(d))
 
 
 # --- materialization ---------------------------------------------------------

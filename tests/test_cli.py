@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import treelift.cli as cli
 from treelift.cli import main
 
 
@@ -222,3 +223,31 @@ def test_env_var_cap_below_one_is_usage_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "TREELIFT_MAX_VERTICES" in err and "must be at least 1" in err
     assert "raise --max-vertices" not in err
+
+
+@pytest.mark.parametrize("flag", ["--oracle-pairs", "--random-count"])
+def test_negative_verify_counts_are_usage_errors(tmp_path, capsys, flag):
+    out = tmp_path / "v.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--instances", "k4", flag, -2, "-o", out])
+    assert exc.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+    # zero stays a valid count
+    assert run(["verify", "--instances", "k4", "--oracle-pairs", 0, "--random-count", 0]) == 0
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    capsys.readouterr()
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_analysis", crash)
+    assert run(["analyze", base, "-o", tmp_path / "r.json"]) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: boom\n")
+    assert "Traceback (most recent call last)" in err
+    assert not (tmp_path / "r.json").exists()

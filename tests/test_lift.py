@@ -14,6 +14,7 @@ from treelift.graph import (
 )
 from treelift.lift import (
     LiftTooLargeError,
+    _expand_row,
     bfs_lifted,
     build_lift,
     diameter_witness,
@@ -236,6 +237,105 @@ def test_diameter_witness_attains_diameter():
     d = lifted_diameter(lg, tables)
     x, y = diameter_witness(lg, tables)
     assert lifted_distance(lg, tables, x, y) == d
+
+
+# --- label-parallel distance engine vs scalar BFS -----------------------------------
+
+
+def assert_rows_match_bfs(lg):
+    tables = representative_tables(lg)
+    assert len(tables.rows) == len(tables.ecc) == lg.base.n
+    for u in range(lg.base.n):
+        want = bfs_lifted(lg, u << lg.s)
+        assert list(tables[u]) == want
+        assert tables.ecc[u] == max(want)
+    return tables
+
+
+ENGINE_SPECS = (
+    [FamilySpec.named("k4")]
+    + [FamilySpec.cycle(n) for n in range(3, 9)]
+    + [FamilySpec.named(name) for name in ("petersen", "heawood", "pappus")]
+    + [FamilySpec.random_regular(20, 3, seed=seed) for seed in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=lambda spec: spec.describe())
+def test_engine_rows_equal_scalar_bfs(spec):
+    g = make(spec)
+    tables = assert_rows_match_bfs(build_lift(g, spanning_tree(g)))
+    assert all(isinstance(row, bytes) for row in tables.rows)
+
+
+def test_engine_on_every_petersen_fault_with_a_multi_bit_mask():
+    g = load_named("petersen")
+    td = spanning_tree(g)
+    s = len(td.cotree)
+    connected = disconnected = 0
+    for eid in range(g.m):
+        for extra in (0b11, 0b101, 0b110, (1 << s) - 1):
+            lg = build_lift(g, td, fault=(eid, extra), check_connected=False)
+            if bfs_lifted(lg, 0).count(-1):
+                disconnected += 1
+                with pytest.raises(GraphError, match="lift is not connected"):
+                    representative_tables(lg)
+            else:
+                connected += 1
+                assert_rows_match_bfs(lg)
+    assert connected and disconnected
+
+
+def test_engine_rows_widen_past_a_byte():
+    # the lift of C_300 is C_600, diameter 300: rows need 16-bit lanes
+    lg = build_lift(cycle(300), spanning_tree(cycle(300)))
+    tables = assert_rows_match_bfs(lg)
+    assert all(row.typecode == "H" for row in tables.rows)
+    assert lifted_diameter(lg, tables) == 300
+
+
+@pytest.mark.parametrize("s, ecc", [(1, 200), (3, 200), (3, 300), (4, 70_000)])
+def test_planes_expand_to_lane_values(s, ecc):
+    # synthetic planes, since no testable lift has a diameter near 2^16
+    n = 3
+    fiber = 1 << s
+    rng = random.Random(ecc + s)
+    want = [rng.randrange(ecc + 1) for _ in range(n * fiber)]
+    planes = [
+        [sum(((want[(v << s) | h] >> k) & 1) << h for h in range(fiber)) for v in range(n)]
+        for k in range(ecc.bit_length())
+    ]
+    row = _expand_row(planes, s, n * fiber, ecc)
+    assert list(row) == want
+    assert getattr(row, "typecode", "bytes") == ("bytes" if ecc < 256 else "H" if ecc < 65536 else "I")
+
+
+def test_engine_rejects_disconnected_fault_lift():
+    g = load_named("petersen")
+    # the fault turns edge 2's coordinate-0 flip into a coordinate-1 flip; no
+    # edge flips coordinate 0 any more, so half the labels are never reached
+    lg = build_lift(g, spanning_tree(g), fault=(2, 0b11), check_connected=False)
+    assert bfs_lifted(lg, 0).count(-1) == lg.num_vertices // 2
+    with pytest.raises(GraphError, match="lift is not connected"):
+        representative_tables(lg)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    # random:20:3 seed 1 has unequal eccentricities, the first 29 at u = 6
+    [FamilySpec.named("k4"), FamilySpec.named("heawood"), FamilySpec.random_regular(20, 3, seed=1)],
+    ids=lambda spec: spec.describe(),
+)
+def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
+    g = make(spec)
+    lg = build_lift(g, spanning_tree(g))
+    tables = representative_tables(lg)
+    best, pair = -1, None
+    for u in range(g.n):
+        for y, d in enumerate(tables[u]):
+            if d > best:
+                best, pair = d, (u << lg.s, y)
+    assert lifted_diameter(lg, tables) == best
+    assert diameter_witness(lg, tables) == pair
 
 
 # --- materialization -------------------------------------------------------------------

@@ -1,0 +1,68 @@
+"""The distance oracle of the verify battery stays independent of the engine it checks."""
+
+import treelift.lift as lift_mod
+import treelift.sweeps as sweeps_mod
+import treelift.walks as walks_mod
+from treelift.embedding import embed
+from treelift.families import FamilySpec, make
+from treelift.graph import spanning_tree
+from treelift.lift import build_lift, representative_tables
+from treelift.sweeps import oracle_equivalence_checks
+
+
+def lift_of(spec):
+    g = make(spec)
+    return build_lift(g, spanning_tree(g))
+
+
+def raise_one_entry(lg, tables):
+    """Rows of ``tables`` as lists, with one entry of row 0 raised by 2.
+
+    The l1 half of the oracle rebuilds canonical paths backwards through the
+    tables, so the entry is one whose successors all keep another
+    predecessor: paths still rebuild and only the distance check can object.
+    """
+    rows = [list(row) for row in tables.rows]
+    row = rows[0]
+    for z in range(1, lg.num_vertices):
+        d = row[z]
+        up = [w for w in lg.neighbors(z) if row[w] == d + 1]
+        if up and all(sum(row[p] == d for p in lg.neighbors(w)) >= 2 for w in up):
+            row[z] = d + 2
+            return rows, z, d
+    raise AssertionError("no entry can be raised without breaking path rebuilding")
+
+
+def test_oracle_fails_tables_with_one_entry_changed():
+    lg = lift_of(FamilySpec.named("k4"))
+    table = embed(lg)
+    tables = representative_tables(lg)
+    _, good = oracle_equivalence_checks(lg, table, tables, 2000, 0)
+    assert good.passed and good.checked == 2000
+
+    rows, z, d = raise_one_entry(lg, tables)
+    _, bad = oracle_equivalence_checks(lg, table, rows, 2000, 0)
+    assert not bad.passed
+    assert all(f"table distance {d + 2}, direct BFS {d}" in line for line in bad.violations)
+
+
+def test_oracle_runs_one_direct_bfs_per_pooled_source(monkeypatch):
+    lg = lift_of(FamilySpec.named("petersen"))
+    sources = []
+    scalar_bfs = lift_mod.bfs_lifted
+
+    def counting_bfs(lg, source):
+        sources.append(source)
+        return scalar_bfs(lg, source)
+
+    for mod in (lift_mod, sweeps_mod, walks_mod):
+        monkeypatch.setattr(mod, "bfs_lifted", counting_bfs)
+
+    tables = representative_tables(lg)
+    assert sources == []  # the engine never runs the scalar BFS
+
+    # 200 pairs draw sources from a pool of max(32, 200 // 64) = 32 vertices
+    l1_v, dist_v = oracle_equivalence_checks(lg, embed(lg), tables, 200, 5)
+    assert l1_v.passed and dist_v.passed
+    assert len(sources) == 32
+    assert sources == sorted(set(sources))
