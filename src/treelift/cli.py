@@ -256,7 +256,7 @@ def build_parser():
     p.add_argument("--family", required=True, help="petersen|heawood|mcgee|pappus|tutte_coxeter|k4|cycle:N|complete:N|random:N:K")
     p.add_argument("--girth-min", type=int, default=3, help="girth floor for random families")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tries", type=int, default=10_000)
+    p.add_argument("--max-tries", type=positive_int, default=10_000)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -289,7 +289,7 @@ def build_parser():
     p.add_argument("--random-spec", default="random:20:3")
     p.add_argument("--random-count", type=nonnegative_int, default=3)
     p.add_argument("--girth-min", type=int, default=5)
-    p.add_argument("--max-tries", type=int, default=10_000)
+    p.add_argument("--max-tries", type=positive_int, default=10_000)
     p.add_argument("--oracle-pairs", type=nonnegative_int, default=2_000)
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--max-vertices", type=positive_int, default=cap)

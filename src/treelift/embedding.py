@@ -199,24 +199,28 @@ class DistortionReport:
     seed: int = None
 
 
-def _scan(pairs, table, dist_of):
-    """Max d/h over pairs, exact via cross-multiplication."""
+def _scan(entries, lg, table, tables):
+    """Max d/h over (x, y, covered) orbit entries, exact via cross-multiplication.
+
+    Returns (colip as (d, h), witness, pairs covered, entries scanned).
+    """
     l1 = table.l1
     co_n, co_d = 0, 1
     witness = None
-    count = 0
-    for x, y in pairs:
-        d = dist_of(x, y)
+    pairs = orbits = 0
+    for x, y, covered in entries:
+        d = lifted_distance(lg, tables, x, y)
         h = l1(x, y)
         if h == 0:
             raise RuntimeError(
                 f"embedding collision between distinct vertices {x} and {y}: "
                 f"F must be injective; this indicates an implementation bug"
             )
-        count += 1
+        orbits += 1
+        pairs += covered
         if d * co_d > co_n * h:
             co_n, co_d, witness = d, h, (x, y)
-    return (co_n, co_d), witness, count
+    return (co_n, co_d), witness, pairs, orbits
 
 
 def distortion(lg, table, tables=None, pairs=None, sample_count=None, seed=None):
@@ -225,12 +229,13 @@ def distortion(lg, table, tables=None, pairs=None, sample_count=None, seed=None)
     lip is exact at any lift size: a graph metric's Lipschitz constant is
     attained on an edge, and every lifted edge over base edge e has the same
     row XOR, so lip is the largest popcount of the m ``edge_flips``.  colip is
-    scanned.  With ``pairs`` None ("exhaustive") every unordered pair is
-    covered via canonical translation orbits.  Otherwise ``pairs`` is the
-    family built by ``sample_pair_list`` ("sample"), and ``sample_count`` and
-    ``seed``, the arguments it was drawn with, are recorded in the report.
-    Ratios are compared exactly; witnesses tie-break toward the smallest
-    encoded pair.
+    scanned over translation orbits, each weighted by the pairs it covers.
+    With ``pairs`` None ("exhaustive") those are the canonical orbit
+    representatives, which cover every unordered pair.  Otherwise ``pairs``
+    is the family built by ``sample_pair_list`` ("sample"), and
+    ``sample_count`` and ``seed``, the arguments it was drawn with, are
+    recorded in the report.  Ratios are compared exactly; witnesses
+    tie-break toward the smallest encoded pair.
     """
     nn = lg.num_vertices
     if nn < 2:
@@ -243,18 +248,13 @@ def distortion(lg, table, tables=None, pairs=None, sample_count=None, seed=None)
     if tables is None:
         tables = representative_tables(lg)
 
+    entries = iter_orbit_reps(lg) if pairs is None else pairs
+    co_pair, witness, examined, orbits = _scan(entries, lg, table, tables)
     if pairs is None:
         mode = "exhaustive"
-        reps = ((x, y) for x, y, _ in iter_orbit_reps(lg))
-        s = lg.s
-        co_pair, witness, orbits = _scan(reps, table, lambda x, y: tables[x >> s][y])
-        examined = nn * (nn - 1) // 2
         extra = {"orbits_examined": orbits}
     else:
         mode = "sample"
-        co_pair, witness, examined = _scan(
-            pairs, table, lambda x, y: lifted_distance(lg, tables, x, y)
-        )
         extra = {"sample_count": sample_count, "seed": seed}
 
     colip = Fraction(*co_pair)

@@ -109,10 +109,6 @@ class LiftedGraph:
         """Label as a binary string, coordinate 0 rightmost."""
         return format(label, f"0{self.s}b") if self.s else ""
 
-    def vertex_name(self, x):
-        u, f = self.decode(x)
-        return (u, self.label_bits(f))
-
 
 def build_lift(g, td, max_vertices=DEFAULT_MAX_VERTICES, fault=None, check_connected=True):
     """Build the lift of g along td, guarded by a vertex cap.
@@ -304,8 +300,7 @@ def representative_tables(lg):
 
 def lifted_distance(lg, tables, x, y):
     """Distance via the symmetry-reduced tables."""
-    u, f = lg.decode(x)
-    return tables[u][y ^ f]
+    return tables[x >> lg.s][y ^ (x & lg.mask)]
 
 
 def iter_orbit_reps(lg):
@@ -333,44 +328,51 @@ def orbit_rep(lg, x, y):
     if x == y:
         raise GraphError("orbit representative requires two distinct vertices")
     s = lg.s
-    u, f = lg.decode(x)
-    v, h = lg.decode(y)
-    delta = f ^ h
+    u, v = x >> s, y >> s
     if u > v:
         u, v = v, u
-    return (u << s, (v << s) | delta)
+    return (u << s, (v << s) | ((x ^ y) & lg.mask))
 
 
 def sample_pair_list(lg, tables, count, seed):
-    """The canonical sampled pair family: every adjacent pair, the pair
-    realizing the lifted diameter, and ``count`` seeded uniform pairs.
+    """The canonical sampled pair family, one (x, y, covered) entry per
+    translation orbit it meets, sorted.
 
-    Adjacent pairs pin the Lipschitz constant, the diameter pair is the likely
-    worst contraction witness.  Deduplicated and sorted, so reports iterate in
-    encoded-pair order regardless of draw order.
+    The family is every adjacent pair, the pair realizing the lifted diameter
+    and ``count`` seeded uniform pairs.  Adjacent pairs pin the Lipschitz
+    constant, the diameter pair is the likely worst contraction witness.
+    (x, y) is the family's smallest pair in the orbit and ``covered`` the
+    number of family pairs in it, so entries come in the order each orbit is
+    first met in sorted pair order, and the ``covered`` sum is the family
+    size.  The lifted edges over base edge e are one whole orbit of 2^s
+    pairs, whose smallest pair is its canonical representative, so they take
+    one entry per base edge and are never listed.
     """
     if not count or count < 1:
         raise GraphError("sample mode needs sample_count >= 1")
     if seed is None:
         raise GraphError("sample mode needs an explicit seed")
-    rng = random.Random(seed)
     nn = lg.num_vertices
-    s = lg.s
-    pairs = set()
-    for eid, (u, v) in enumerate(lg.base.edges):
-        rule = lg.rule[eid]
-        for f in range(1 << s):
-            x = (u << s) | f
-            y = (v << s) | (f ^ rule)
-            pairs.add((x, y) if x < y else (y, x))
-    pairs.add(tuple(sorted(diameter_witness(lg, tables))))
+    if nn < 2:
+        raise GraphError("distortion requires at least two lifted vertices")
+    rng = random.Random(seed)
+    drawn = {tuple(sorted(diameter_witness(lg, tables)))}
     for _ in range(count):
         x = rng.randrange(nn)
         y = rng.randrange(nn)
         while y == x:
             y = rng.randrange(nn)
-        pairs.add((x, y) if x < y else (y, x))
-    return sorted(pairs)
+        drawn.add((x, y) if x < y else (y, x))
+    orbits = {}
+    for x, y in sorted(drawn):
+        key = orbit_rep(lg, x, y)
+        x0, y0, covered = orbits.get(key, (x, y, 0))
+        orbits[key] = (x0, y0, covered + 1)
+    s = lg.s
+    for (u, v), rule in zip(lg.base.edges, lg.rule):
+        rep = orbit_rep(lg, u << s, (v << s) | rule)
+        orbits[rep] = (*rep, 1 << s)
+    return sorted(orbits.values())
 
 
 def lift_walk(g, td, walk, start):

@@ -169,7 +169,7 @@ def run_analysis(
 
     Returns an AnalysisContext whose ``report`` field is the JSON-ready dict.
     If ``csv_rows`` is a list, the sweep appends one flattened row per
-    examined pair/orbit to it (the CSV export).
+    examined translation orbit to it (the CSV export).
     """
     td = spanning_tree(g, tree_strategy, root)
     lg = build_lift(g, td, max_vertices=max_vertices, fault=fault)
@@ -292,7 +292,7 @@ CSV_COLUMNS = (
 
 
 def csv_collector(lg, out_rows):
-    """A verdict_sweep collect hook appending flattened per-pair CSV rows."""
+    """A verdict_sweep collect hook appending one flattened CSV row per orbit."""
 
     def collect(x, y, covered, d, l1, wa, verdicts):
         xb, xl = lg.decode(x)

@@ -4,10 +4,11 @@ The verdict sweep runs the full per-pair battery over a pair policy.  Distances,
 embedding rows and canonical shortest paths are all invariant under label
 translation (the canonical path of a translated pair is the translated
 canonical path), so each translation orbit is analyzed once and the verdicts
-cover every pair in it; exhaustive mode enumerates the canonical orbit
-representatives directly and sampled mode funnels drawn pairs through an
-orbit cache.  Spot checks in the test suite re-derive sampled pairs directly
-to guard the reduction itself.
+cover every pair in it.  Both pair policies arrive as the same stream of
+(x, y, covered) orbit entries: exhaustive mode enumerates the canonical orbit
+representatives and sampled mode takes ``sample_pair_list``, which weights
+each orbit by the family pairs it holds.  Spot checks in the test suite
+re-derive sampled pairs directly to guard the reduction itself.
 
 The whole-lift checks are certified exactly at every lift size, with no
 sampling.  A lifted edge over base edge e must flip side bit e and nothing
@@ -39,65 +40,41 @@ class SweepResult:
     all_pass: bool
 
 
-def _run_verdicts(lg, table, tables, base_girth, base_diam, x, y, totals, failures):
-    wa = analyze(lg, shortest_lifted_path(lg, x, y, tables))
-    verdicts = verify_all(lg, wa, table, base_girth, base_diam)
-    ok = True
-    for name, v in verdicts.items():
-        bucket = totals[name]
-        if v.passed:
-            bucket[0] += 1
-        else:
-            bucket[1] += 1
-            ok = False
-    if not ok and len(failures) < MAX_RECORDED_FAILURES:
-        failures.append(forensic_text(lg, wa, verdicts))
-    return wa, verdicts, ok
-
-
 def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs=None, collect=None):
-    """Verdict battery over a pair policy.
+    """Verdict battery over a pair policy, one analysis per translation orbit.
 
-    With ``pairs`` None every translation orbit is analyzed once
+    With ``pairs`` None the entries are the canonical orbit representatives
     (exhaustive); otherwise ``pairs`` is the family built by
-    ``sample_pair_list`` and drawn pairs go through an orbit cache.
+    ``sample_pair_list``.  Each entry (x, y, covered) is analyzed at the
+    canonical representative of its orbit and counts ``covered`` pairs.
     ``collect``, if given, is called with (x, y, covered, distance, l1,
-    analysis, verdicts) for every examined orbit representative (exhaustive)
-    or examined pair (sampled), in canonical order; the CSV export hangs off
-    this hook.
+    analysis, verdicts) for every entry, in canonical order; the CSV export
+    hangs off this hook.
     """
     totals = {name: [0, 0] for name in VERDICT_NAMES}
     failures = []
     analyses = 0
     covered = 0
     l1 = table.l1
-    s = lg.s
 
-    if pairs is None:
-        for x, y, cov in iter_orbit_reps(lg):
-            wa, verdicts, _ = _run_verdicts(
-                lg, table, tables, base_girth, base_diam, x, y, totals, failures
-            )
-            analyses += 1
-            covered += cov
-            if collect is not None:
-                collect(x, y, cov, tables[x >> s][y], l1(x, y), wa, verdicts)
-    else:
-        cache = {}
-        for x, y in pairs:
-            key = orbit_rep(lg, x, y)
-            hit = cache.get(key)
-            if hit is None:
-                wa, verdicts, _ = _run_verdicts(
-                    lg, table, tables, base_girth, base_diam, key[0], key[1], totals, failures
-                )
-                analyses += 1
-                cache[key] = (wa, verdicts)
+    for x, y, cov in iter_orbit_reps(lg) if pairs is None else pairs:
+        rx, ry = orbit_rep(lg, x, y)
+        wa = analyze(lg, shortest_lifted_path(lg, rx, ry, tables))
+        verdicts = verify_all(lg, wa, table, base_girth, base_diam)
+        ok = True
+        for name, v in verdicts.items():
+            bucket = totals[name]
+            if v.passed:
+                bucket[0] += 1
             else:
-                wa, verdicts = hit
-            covered += 1
-            if collect is not None:
-                collect(x, y, 1, lifted_distance(lg, tables, x, y), l1(x, y), wa, verdicts)
+                bucket[1] += 1
+                ok = False
+        if not ok and len(failures) < MAX_RECORDED_FAILURES:
+            failures.append(forensic_text(lg, wa, verdicts))
+        analyses += 1
+        covered += cov
+        if collect is not None:
+            collect(x, y, cov, lifted_distance(lg, tables, x, y), l1(x, y), wa, verdicts)
 
     all_pass = all(fail == 0 for _, fail in totals.values())
     return SweepResult(

@@ -106,6 +106,31 @@ def test_analyze_csv_rows_sorted_and_flat(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_sampled_csv_has_one_row_per_orbit(tmp_path):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    args = ["analyze", base, "--pairs", "sample:500", "--seed", 7]
+    assert run(args + ["--format", "csv", "-o", tmp_path / "r.csv"]) == 0
+    assert run(args + ["-o", tmp_path / "r.json"]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    rows = [ln.split(",") for ln in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+    assert len(rows) == report["verdict_sweep"]["analyses"]
+    assert sum(int(row[4]) for row in rows) == report["verdict_sweep"]["pairs_covered"]
+    # the 15 base edges each carry one whole orbit of 2^6 lifted edges
+    assert sum(row[5] == "1" for row in rows) == 15
+    assert all(row[4] == "64" for row in rows if row[5] == "1")
+
+
+@pytest.mark.parametrize("pairs", ["sample:10", "auto"])
+def test_one_vertex_lift_is_usage_error(tmp_path, capsys, pairs):
+    base = tmp_path / "one.txt"
+    base.write_text("1 0\n")
+    out = tmp_path / "r.json"
+    assert run(["analyze", base, "--pairs", pairs, "--seed", 1, "-o", out]) == 2
+    assert "at least two lifted vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_reduced_matrix_passes(tmp_path):
     report_path = tmp_path / "v.json"
     code = run(
@@ -213,6 +238,21 @@ def test_numeric_flags_below_one_are_usage_errors(tmp_path, capsys, flags):
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "command",
+    [["gen", "--family", "random:20:3"], ["verify", "--instances", "k4"]],
+    ids=["gen", "verify"],
+)
+def test_max_tries_below_one_is_usage_error(tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--max-tries", value, "-o", out])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_env_var_cap_below_one_is_usage_error(tmp_path, capsys, monkeypatch):

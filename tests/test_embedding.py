@@ -18,6 +18,7 @@ from treelift.graph import GraphError, build_graph, diameter, girth, spanning_tr
 from treelift.lift import (
     bfs_lifted,
     build_lift,
+    diameter_witness,
     iter_orbit_reps,
     lifted_distance,
     orbit_rep,
@@ -314,6 +315,69 @@ def test_sampled_mode_deterministic():
     a = distortion(lg, t, pairs=sample_pair_list(lg, tables, 200, 4), sample_count=200, seed=4)
     b = distortion(lg, t, pairs=sample_pair_list(lg, tables, 200, 4), sample_count=200, seed=4)
     assert (a.colip, a.witness_pair, a.pairs_examined) == (b.colip, b.witness_pair, b.pairs_examined)
+
+
+def explicit_family(lg, tables, count, seed):
+    """The sampled family spelled out pair by pair: every lifted edge, the
+    diameter pair and ``count`` seeded draws, deduplicated."""
+    s = lg.s
+    nn = lg.num_vertices
+    family = set()
+    for (u, v), rule in zip(lg.base.edges, lg.rule):
+        for f in range(1 << s):
+            x, y = (u << s) | f, (v << s) | (f ^ rule)
+            family.add((min(x, y), max(x, y)))
+    family.add(tuple(sorted(diameter_witness(lg, tables))))
+    rng = random.Random(seed)
+    for _ in range(count):
+        x = rng.randrange(nn)
+        y = rng.randrange(nn)
+        while y == x:
+            y = rng.randrange(nn)
+        family.add((min(x, y), max(x, y)))
+    return family
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec.named("k4"),
+        FamilySpec.cycle(5),
+        FamilySpec.named("petersen"),
+        FamilySpec.random_regular(20, 3, seed=1),
+    ],
+    ids=["k4", "cycle5", "petersen", "random20"],
+)
+def test_sample_entries_are_the_explicit_family_grouped_by_orbit(spec):
+    lg = lift_of(spec)
+    tables = representative_tables(lg)
+    family = explicit_family(lg, tables, 300, 11)
+    orbits = {}
+    for x, y in sorted(family):
+        orbits.setdefault(orbit_rep(lg, x, y), []).append((x, y))
+    want = sorted((*members[0], len(members)) for members in orbits.values())
+    got = sample_pair_list(lg, tables, 300, 11)
+    assert got == want
+    assert sum(covered for _, _, covered in got) == len(family)
+
+
+@pytest.mark.parametrize("name", ["petersen", "k4"])
+def test_sampled_distortion_matches_a_scan_of_the_explicit_family(name):
+    lg = lift_of(FamilySpec.named(name))
+    t = embed(lg)
+    tables = representative_tables(lg)
+    family = sorted(explicit_family(lg, tables, 200, 3))
+    best, witness = Fraction(0), None
+    rows = {}
+    for x, y in family:
+        if x not in rows:
+            rows[x] = bfs_lifted(lg, x)
+        ratio = Fraction(rows[x][y], l1_distance(t, x, y))
+        if ratio > best:
+            best, witness = ratio, (x, y)
+    pairs = sample_pair_list(lg, tables, 200, 3)
+    rep = distortion(lg, t, tables=tables, pairs=pairs, sample_count=200, seed=3)
+    assert (rep.colip, rep.witness_pair, rep.pairs_examined) == (best, witness, len(family))
 
 
 def test_sample_mode_needs_count_and_seed():

@@ -1,0 +1,79 @@
+"""Frozen sha256 digests of canonical reports.
+
+Each case builds a report with no file paths in it, so its bytes depend only
+on the code.  A digest that moves means a report changed: on purpose only
+together with a schema bump and a new digest.
+"""
+
+import hashlib
+
+import pytest
+
+from treelift.families import FamilySpec, make
+from treelift.graph import spanning_tree
+from treelift.report import run_analysis, run_verify_instance, to_csv_text, to_json_bytes
+
+
+def named(name):
+    return make(FamilySpec.named(name))
+
+
+def analysis_json(name, **kw):
+    return to_json_bytes(run_analysis(named(name), **kw).report)
+
+
+def exhaustive_csv(name):
+    rows = []
+    run_analysis(named(name), pairs="exhaustive", csv_rows=rows)
+    return to_csv_text(rows).encode("ascii")
+
+
+def fault_injected_petersen():
+    # the fault `verify --fault-inject` plants: the coordinate-0 cotree edge
+    # also flips coordinate 1
+    g = named("petersen")
+    fault = (spanning_tree(g).cotree[0], 1 << 1)
+    ctx = run_verify_instance(
+        "petersen[fault]", g, pairs="sample", sample_count=300, seed=5, fault=fault
+    )
+    return to_json_bytes(ctx.report)
+
+
+def random_cubic():
+    spec = FamilySpec.random_regular(20, 3, girth_min=5, seed=0)
+    ctx = run_verify_instance(
+        spec.describe(), make(spec), pairs="sample", sample_count=700, seed=0, oracle_pairs=400
+    )
+    return to_json_bytes(ctx.report)
+
+
+CASES = {
+    "petersen exhaustive": lambda: analysis_json("petersen", pairs="exhaustive"),
+    "petersen exhaustive csv": lambda: exhaustive_csv("petersen"),
+    "petersen sample:500 seed 7": lambda: analysis_json(
+        "petersen", pairs="sample", sample_count=500, seed=7
+    ),
+    "heawood sample:2000 seed 5": lambda: analysis_json(
+        "heawood", pairs="sample", sample_count=2000, seed=5
+    ),
+    "mcgee sample:2000 seed 3": lambda: analysis_json(
+        "mcgee", pairs="sample", sample_count=2000, seed=3
+    ),
+    "petersen fault-injected sample:300 seed 5": fault_injected_petersen,
+    "random:20:3 sample:700": random_cubic,
+}
+
+GOLDEN = {
+    "heawood sample:2000 seed 5": "d4f169447d10ea792503f900ccb85839f334462571171aed2bc9f0178da03191",
+    "mcgee sample:2000 seed 3": "74a8bacc4bf03397b48c27b88d4f76e5a3b05bf4f4d3fc2e16b33379f8f6a8b6",
+    "petersen exhaustive": "09ee51a59f1acdd8ef249f1f22ddc63593309bd55dcd834a44808db80141b66f",
+    "petersen exhaustive csv": "c54c38e69c7e211f72d9e745348c80d97e767344daefd0902718bafe0bab4b61",
+    "petersen fault-injected sample:300 seed 5": "4e1c47cf327d753971ea71c23670da70ea97d6a5e6ee44f74d70fe0dae71f892",
+    "petersen sample:500 seed 7": "232a88ba6c835258c5336118090ee4677f500945948f69d42e6eafc3decea6ba",
+    "random:20:3 sample:700": "4ecb85eb5bb629c6e786a9835a9b2455120120e9e5e874eb71102a16bd3879b1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_are_frozen(case):
+    assert hashlib.sha256(CASES[case]()).hexdigest() == GOLDEN[case]
