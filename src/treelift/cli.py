@@ -72,15 +72,14 @@ def default_cap():
 
 
 def parse_pairs_arg(text):
-    """--pairs accepts auto, exhaustive, or sample:COUNT."""
+    """--pairs accepts exactly auto, exhaustive, sample or sample:COUNT."""
     if text in ("auto", "exhaustive"):
         return text, None
-    if text.startswith("sample"):
-        parts = text.split(":")
-        if len(parts) == 1:
-            return "sample", None
-        if len(parts) == 2 and parts[1].isdigit() and int(parts[1]) >= 1:
-            return "sample", int(parts[1])
+    if text == "sample":
+        return "sample", None
+    count = text.removeprefix("sample:")
+    if count != text and count.isascii() and count.isdigit() and int(count) >= 1:
+        return "sample", int(count)
     raise GraphError(f"bad --pairs value {text!r}: expected auto, exhaustive or sample:COUNT")
 
 

@@ -46,7 +46,7 @@ def compute():
         rep = distortion(lg, table, tables=tables)
         entry = {
             "lift_vertices": lg.num_vertices,
-            "lift_girth": lifted_girth(lg),
+            "lift_girth": lifted_girth(lg, tables),
             "lift_diameter": lifted_diameter(lg, tables),
             "distortion_exhaustive": str(rep.distortion),
             "colip_exhaustive": str(rep.colip),

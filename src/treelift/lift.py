@@ -10,10 +10,12 @@ so XOR with a label vector is both the matching rule and the translation
 automorphism.
 
 Adjacency is computed on demand from (base adjacency, rule masks).  The only
-objects of size n * 2^s are the scalar BFS array of ``bfs_lifted`` and the
+objects of size n * 2^s are the array of the scalar ``bfs_lifted`` (used by
+``build_lift``'s connectivity check and by the verification oracle) and the
 distance rows of ``representative_tables``: n rows of n * 2^s entries, one
-byte each while the lifted diameter is under 256.  An explicit vertex cap
-guards both.
+byte each while the lifted diameter is under 256.  The same label-parallel
+BFS that fills the rows also measures the lifted girth.  An explicit vertex
+cap guards both.
 """
 
 from __future__ import annotations
@@ -177,11 +179,13 @@ class DistanceTables:
     ``rows[u][y]`` is d((u, 0), y) for every encoded vertex y, stored as
     ``bytes`` when the row's largest entry is under 256 and as an unsigned
     ``array`` otherwise; ``ecc[u]`` is that largest entry, the eccentricity
-    of (u, 0).  ``tables[u]`` is ``rows[u]``.
+    of (u, 0).  ``girth`` is the girth of the lift (math.inf if it is
+    acyclic).  ``tables[u]`` is ``rows[u]``.
     """
 
     rows: tuple
     ecc: tuple
+    girth: float
 
     def __getitem__(self, u):
         return self.rows[u]
@@ -204,13 +208,28 @@ def _fiber_planes(adj, steps, n, full, u):
     (bit f = label f).  Crossing base edge e XORs every label by rule[e],
     which ``steps[e]`` spells as one masked shift per set bit.  Level d is
     OR-ed into bit-plane k of each fiber for every set bit k of d, so
-    plane k holds bit k of the distance.  Returns (planes, eccentricity);
-    raises GraphError if some label of some fiber is never reached.
+    plane k holds bit k of the distance.
+
+    The cycle bound is 2d for the first level d at which a newly reached
+    label arrives over two different edges.  The two shortest paths to it
+    form a closed walk of length 2d that crosses its last edges once each,
+    so it contains a cycle and 2d is at least the girth.  If (u, 0) lies on
+    a shortest cycle of the lift, the vertex opposite it on that cycle is
+    reached that way at d = girth / 2, so the minimum over sources is the
+    girth.  Only even cycles need testing, because a connected lift is
+    bipartite: the voltage map from the base cycle space onto Z_2^s is onto
+    (that is what connectivity means) between spaces of equal dimension s,
+    hence one-to-one, so a closed lifted walk, whose projection has voltage
+    0, uses every base edge an even number of times.
+
+    Returns (planes, eccentricity, cycle bound or math.inf); raises
+    GraphError if some label of some fiber is never reached.
     """
     seen = [0] * n
     seen[u] = 1
     frontier = {u: 1}
     planes = []
+    cycle = 0  # none found yet
     level = 0
     while frontier:
         level += 1
@@ -222,7 +241,10 @@ def _fiber_planes(adj, steps, n, full, u):
                 moved = bits
                 for w, m in steps[eid]:
                     moved = ((moved & m) << w) | ((moved >> w) & m)
-                reached[b] = reached.get(b, 0) | moved
+                old = reached.get(b, 0)
+                if not cycle and old & moved & ~seen[b]:
+                    cycle = 2 * level
+                reached[b] = old | moved
         frontier = {}
         for b, bits in reached.items():
             bits &= ~seen[b]
@@ -235,7 +257,7 @@ def _fiber_planes(adj, steps, n, full, u):
     if any(bits != full for bits in seen):
         raise GraphError("lift is not connected")
     ecc = level - 1
-    return planes[: ecc.bit_length()], ecc
+    return planes[: ecc.bit_length()], ecc, cycle or math.inf
 
 
 def _whole_lift(plane, fiber):
@@ -278,11 +300,14 @@ def _expand_row(planes, s, nn, ecc):
 
 
 def representative_tables(lg):
-    """Distances from the n representatives (v, 0), by label-parallel BFS.
+    """Distances from the n representatives (v, 0), by label-parallel BFS,
+    and the lifted girth.
 
     Together with the translation automorphism these determine every pairwise
-    distance: d((u,f),(v,h)) = tables[u][encode(v, f^h)].  Raises GraphError
-    if the lift is not connected.
+    distance: d((u,f),(v,h)) = tables[u][encode(v, f^h)].  Label translations
+    act transitively on each fiber, so every cycle passes through the orbit
+    of some representative and the girth is the shortest cycle through any of
+    them.  Raises GraphError if the lift is not connected.
     """
     s = lg.s
     n = lg.base.n
@@ -291,11 +316,13 @@ def representative_tables(lg):
     full = (1 << (1 << s)) - 1
     rows = []
     ecc = []
+    girth = math.inf
     for u in range(n):
-        planes, far = _fiber_planes(lg.base.adj, steps, n, full, u)
+        planes, far, cycle = _fiber_planes(lg.base.adj, steps, n, full, u)
         rows.append(_expand_row(planes, s, lg.num_vertices, far))
         ecc.append(far)
-    return DistanceTables(rows=tuple(rows), ecc=tuple(ecc))
+        girth = min(girth, cycle)
+    return DistanceTables(rows=tuple(rows), ecc=tuple(ecc), girth=girth)
 
 
 def lifted_distance(lg, tables, x, y):
@@ -405,46 +432,12 @@ def lift_walk(g, td, walk, start):
     return out
 
 
-def lifted_girth(lg):
-    """Exact girth of the lift, or math.inf if it is acyclic.
-
-    BFS only from the n representatives (v, 0): label translations act
-    transitively on each fiber, so every cycle passes through the orbit of
-    some representative.
-    """
-    s = lg.s
-    adj = lg.base.adj
-    rule = lg.rule
-    nn = lg.num_vertices
-    best = math.inf
-    for u0 in range(lg.base.n):
-        src = u0 << s
-        dist = [-1] * nn
-        parent = [-1] * nn
-        dist[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            if 2 * d >= best:
-                break
-            nxt = []
-            for x in frontier:
-                u = x >> s
-                f = x ^ (u << s)
-                px = parent[x]
-                for v, eid in adj[u]:
-                    y = (v << s) | (f ^ rule[eid])
-                    if dist[y] < 0:
-                        dist[y] = d + 1
-                        parent[y] = x
-                        nxt.append(y)
-                    elif y != px:
-                        cand = d + dist[y] + 1
-                        if cand < best:
-                            best = cand
-            frontier = nxt
-            d += 1
-    return best
+def lifted_girth(lg, tables=None):
+    """Exact girth of the lift, or math.inf if it is acyclic, as measured by
+    the label-parallel BFS of ``representative_tables``."""
+    if tables is None:
+        tables = representative_tables(lg)
+    return tables.girth
 
 
 def lifted_diameter(lg, tables=None):

@@ -36,10 +36,6 @@ AUTO_EXHAUSTIVE_LIMIT = 10_000
 AUTO_SAMPLE_COUNT = 100_000
 
 
-def frac_str(fr):
-    return str(Fraction(fr))
-
-
 def frac_fields(name, fr):
     fr = Fraction(fr)
     return {name: str(fr), f"{name}_decimal": f"{float(fr):.6f}"}
@@ -192,7 +188,7 @@ def run_analysis(
         },
         "base": base_block(g),
     }
-    lifted_gi = lifted_girth(lg)
+    lifted_gi = lifted_girth(lg, tables)
     lifted_di = lifted_diameter(lg, tables)
     report["lift"] = lift_block(lg, lifted_gi, lifted_di, base_gi)
 

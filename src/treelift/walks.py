@@ -90,7 +90,7 @@ def shortest_lifted_path(lg, x, y, tables=None):
     the distance tables live), the path is rebuilt backwards choosing at each
     hop the predecessor with the smallest encoded id, and the result is
     translated back.  One deterministic shortest path per translation orbit,
-    which is exactly what lets sweeps cache analyses orbit-wide.
+    which is what lets the sweep analyse one representative pair per orbit.
     """
     if x == y:
         return [x]

@@ -291,3 +291,18 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: RuntimeError: boom\n")
     assert "Traceback (most recent call last)" in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "value", ["samplez", "samples", "sample_1", "sample:", "sample:1:2", "sample:²", "exhaustively"]
+)
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_malformed_pairs_values_are_usage_errors(tmp_path, capsys, command, value):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    target = [base] if command == "analyze" else ["--instances", "k4"]
+    assert run([command, *target, "--pairs", value, "--seed", 1, "-o", out]) == 2
+    assert f"bad --pairs value {value!r}" in capsys.readouterr().err
+    assert not out.exists()

@@ -61,6 +61,10 @@ CASES = {
     ),
     "petersen fault-injected sample:300 seed 5": fault_injected_petersen,
     "random:20:3 sample:700": random_cubic,
+    # 1,966,080 lifted vertices, lift girth 16, diameter 35
+    "tutte_coxeter sample:200 seed 1": lambda: analysis_json(
+        "tutte_coxeter", pairs="sample", sample_count=200, seed=1
+    ),
 }
 
 GOLDEN = {
@@ -71,6 +75,7 @@ GOLDEN = {
     "petersen fault-injected sample:300 seed 5": "4e1c47cf327d753971ea71c23670da70ea97d6a5e6ee44f74d70fe0dae71f892",
     "petersen sample:500 seed 7": "232a88ba6c835258c5336118090ee4677f500945948f69d42e6eafc3decea6ba",
     "random:20:3 sample:700": "4ecb85eb5bb629c6e786a9835a9b2455120120e9e5e874eb71102a16bd3879b1",
+    "tutte_coxeter sample:200 seed 1": "9d469148c9c9ef288b097a68f5307f6e62739b8638dc5b5e7cc5639cfb572e34",
 }
 
 

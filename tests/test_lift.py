@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import treelift.lift as lift_mod
 from treelift.families import FamilySpec, load_named, make
 from treelift.graph import (
     GraphError,
@@ -336,6 +337,58 @@ def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
                 best, pair = d, (u << lg.s, y)
     assert lifted_diameter(lg, tables) == best
     assert diameter_witness(lg, tables) == pair
+
+
+# --- lifted girth from the engine vs the materialised lift ---------------------------
+
+
+def assert_girth_matches_materialised_lift(lg):
+    assert lifted_girth(lg) == girth(parse_edge_list(lift_edge_list_text(lg)))
+
+
+GIRTH_CASES = (
+    [(FamilySpec.cycle(n), "bfs") for n in (*range(3, 9), 300)]  # C_300 lifts to girth 600
+    + [(FamilySpec.named("k4"), "bfs"), (FamilySpec.complete(5), "bfs")]
+    + [(FamilySpec.named(name), tree) for name in ("petersen", "heawood") for tree in ("bfs", "dfs")]
+    + [(FamilySpec.random_regular(20, 3, seed=seed), "bfs") for seed in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec, tree",
+    [pytest.param(spec, tree, id=f"{spec.describe()}-{tree}") for spec, tree in GIRTH_CASES],
+)
+def test_engine_girth_equals_girth_of_the_materialised_lift(spec, tree):
+    g = make(spec)
+    assert_girth_matches_materialised_lift(build_lift(g, spanning_tree(g, tree)))
+
+
+@pytest.mark.parametrize("extra", [0b11, 0b101])
+def test_engine_girth_on_every_connected_petersen_fault_lift(extra):
+    g = load_named("petersen")
+    td = spanning_tree(g)
+    connected = 0
+    for eid in range(g.m):
+        lg = build_lift(g, td, fault=(eid, extra), check_connected=False)
+        if bfs_lifted(lg, 0).count(-1) == 0:
+            connected += 1
+            assert_girth_matches_materialised_lift(lg)
+    assert connected
+
+
+def test_lifted_girth_runs_no_scalar_bfs(monkeypatch):
+    g = load_named("heawood")
+    lg = build_lift(g, spanning_tree(g))
+    calls = []
+
+    def counting_bfs(lg, source):
+        calls.append(source)
+        return bfs_lifted(lg, source)
+
+    monkeypatch.setattr(lift_mod, "bfs_lifted", counting_bfs)
+    tables = representative_tables(lg)
+    assert lifted_girth(lg, tables) == lifted_girth(lg) == 12
+    assert calls == []
 
 
 # --- materialization -------------------------------------------------------------------
