@@ -39,26 +39,23 @@ DEFAULT_MATRIX = "k4,cycle:3,cycle:4,cycle:5,cycle:6,cycle:7,cycle:8,petersen,he
 ENV_MAX_VERTICES = "TREELIFT_MAX_VERTICES"
 
 
-def positive_int(text):
-    """argparse type for counts and caps: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(low):
+    """argparse type for counts and caps: an integer >= low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
-def nonnegative_int(text):
-    """argparse type for counts that may be zero: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+positive_int = int_at_least(1)
+nonnegative_int = int_at_least(0)
 
 
 def default_cap():
@@ -73,10 +70,8 @@ def default_cap():
 
 def parse_pairs_arg(text):
     """--pairs accepts exactly auto, exhaustive, sample or sample:COUNT."""
-    if text in ("auto", "exhaustive"):
+    if text in ("auto", "exhaustive", "sample"):
         return text, None
-    if text == "sample":
-        return "sample", None
     count = text.removeprefix("sample:")
     if count != text and count.isascii() and count.isdigit() and int(count) >= 1:
         return "sample", int(count)
@@ -142,13 +137,13 @@ def cmd_analyze(args):
         root=args.root,
         max_vertices=args.max_vertices,
         pairs=pairs,
-        sample_count=count if count else args.sample_count,
+        sample_count=count,
         seed=args.seed,
         csv_rows=rows,
     )
     report = ctx.report
     report["config"]["input"] = args.input
-    report["schema"] = "treelift-report-v1"
+    report["schema"] = "treelift-report-v2"
     if args.format == "json":
         write_bytes(args.output, to_json_bytes(report))
     else:
@@ -217,7 +212,7 @@ def cmd_verify(args):
             detail = f" ({', '.join(failing)})" if failing else ""
         print(f"{'PASS' if ok else 'FAIL'} {label}{detail}")
     report = {
-        "schema": "treelift-verify-v1",
+        "schema": "treelift-verify-v2",
         "config": {
             "pair_policy_arg": args.pairs,
             "seed": args.seed,
@@ -274,15 +269,14 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--pairs", default="auto", help="auto|exhaustive|sample:COUNT")
-    p.add_argument("--sample-count", type=positive_int, default=None)
+    p.add_argument("--pairs", default="auto", help="verdict sweep pairs: auto|exhaustive|sample:COUNT")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-vertices", type=positive_int, default=cap)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the property battery over an instance matrix")
     p.add_argument("-o", "--output", help="JSON report file")
-    p.add_argument("--pairs", default="auto", help="auto|exhaustive|sample:COUNT")
+    p.add_argument("--pairs", default="auto", help="verdict sweep pairs: auto|exhaustive|sample:COUNT")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", default=DEFAULT_MATRIX)
     p.add_argument("--random-spec", default="random:20:3")

@@ -17,6 +17,11 @@ linearity the row XOR across a lifted edge depends only on its base edge, so
 facts about all m * 2^s lifted edges (the cut partition, the Lipschitz
 constant) take one comparison per base edge.
 
+The co-Lipschitz constant needs every pair.  Bit e of all rows is one bitset
+over the lift, so l1 from one vertex to all others is a bit-sliced sum of m
+bitsets, which ``lift.representative_tables`` folds into its BFS: the colip
+``distortion`` reads is exact at every lift size.
+
 All Lipschitz quantities are exact rationals; there are no float tolerances
 anywhere in this module.
 """
@@ -28,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import GraphError, tree_split
-from .lift import iter_orbit_reps, lifted_distance, representative_tables
 
 
 class CutStructure:
@@ -182,10 +186,9 @@ def distortion_bound(base_girth, base_diam):
 class DistortionReport:
     """Exact Lipschitz data of the embedding of one lift.
 
-    lip and colip are exact rationals; distortion = lip * colip.  In
-    exhaustive mode colip is the true maximum of d(x,y) over l1(x,y) (every
-    unordered pair is covered through its translation orbit); in sampled mode
-    it is a maximum over the examined pairs only.
+    lip and colip are exact rationals; distortion = lip * colip.  colip is
+    the true maximum of d(x,y) over l1(x,y) across all unordered pairs,
+    which cover ``orbits_examined`` translation orbits.
     """
 
     lip: Fraction
@@ -193,49 +196,19 @@ class DistortionReport:
     distortion: Fraction
     witness_pair: tuple
     pairs_examined: int
-    mode: str
-    orbits_examined: int = None
-    sample_count: int = None
-    seed: int = None
+    orbits_examined: int
 
 
-def _scan(entries, lg, table, tables):
-    """Max d/h over (x, y, covered) orbit entries, exact via cross-multiplication.
-
-    Returns (colip as (d, h), witness, pairs covered, entries scanned).
-    """
-    l1 = table.l1
-    co_n, co_d = 0, 1
-    witness = None
-    pairs = orbits = 0
-    for x, y, covered in entries:
-        d = lifted_distance(lg, tables, x, y)
-        h = l1(x, y)
-        if h == 0:
-            raise RuntimeError(
-                f"embedding collision between distinct vertices {x} and {y}: "
-                f"F must be injective; this indicates an implementation bug"
-            )
-        orbits += 1
-        pairs += covered
-        if d * co_d > co_n * h:
-            co_n, co_d, witness = d, h, (x, y)
-    return (co_n, co_d), witness, pairs, orbits
-
-
-def distortion(lg, table, tables=None, pairs=None, sample_count=None, seed=None):
-    """Exact distortion data of the embedding under a pair-examination policy.
+def distortion(lg, table, tables):
+    """Exact distortion data of the embedding, over every pair of the lift.
 
     lip is exact at any lift size: a graph metric's Lipschitz constant is
     attained on an edge, and every lifted edge over base edge e has the same
-    row XOR, so lip is the largest popcount of the m ``edge_flips``.  colip is
-    scanned over translation orbits, each weighted by the pairs it covers.
-    With ``pairs`` None ("exhaustive") those are the canonical orbit
-    representatives, which cover every unordered pair.  Otherwise ``pairs``
-    is the family built by ``sample_pair_list`` ("sample"), and
-    ``sample_count`` and ``seed``, the arguments it was drawn with, are
-    recorded in the report.  Ratios are compared exactly; witnesses
-    tie-break toward the smallest encoded pair.
+    row XOR, so lip is the largest popcount of the m ``edge_flips``.  colip
+    and its witness, the smallest encoded pair attaining it, come from the
+    bit-sliced fold in ``representative_tables``.  Every pair is covered
+    through the translation orbit of some ((u, 0), y) with y > (u, 0), so the
+    counts are arithmetic.
     """
     nn = lg.num_vertices
     if nn < 2:
@@ -245,25 +218,19 @@ def distortion(lg, table, tables=None, pairs=None, sample_count=None, seed=None)
         raise RuntimeError(
             f"embedding is not 1-Lipschitz (measured lip = {lip}); the cut partition is broken"
         )
-    if tables is None:
-        tables = representative_tables(lg)
-
-    entries = iter_orbit_reps(lg) if pairs is None else pairs
-    co_pair, witness, examined, orbits = _scan(entries, lg, table, tables)
-    if pairs is None:
-        mode = "exhaustive"
-        extra = {"orbits_examined": orbits}
-    else:
-        mode = "sample"
-        extra = {"sample_count": sample_count, "seed": seed}
-
-    colip = Fraction(*co_pair)
+    (d, h), (x, y) = tables.colip, tables.colip_witness
+    if h == 0:
+        raise RuntimeError(
+            f"embedding collision between distinct vertices {x} and {y}: "
+            f"F must be injective; this indicates an implementation bug"
+        )
+    n = lg.base.n
+    colip = Fraction(d, h)
     return DistortionReport(
         lip=lip,
         colip=colip,
         distortion=lip * colip,
-        witness_pair=witness,
-        pairs_examined=examined,
-        mode=mode,
-        **extra,
+        witness_pair=(x, y),
+        pairs_examined=nn * (nn - 1) // 2,
+        orbits_examined=n * (nn - 1) - ((n * (n - 1) // 2) << lg.s),
     )

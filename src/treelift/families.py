@@ -151,26 +151,17 @@ def random_regular(n, k, girth_min=3, seed=0, max_tries=10_000):
         rng.shuffle(stubs)
         pairs = []
         seen = set()
-        ok = True
         it = iter(stubs)
         for u, v in zip(it, it):
-            if u == v:
-                ok = False
-                break
             key = (u, v) if u < v else (v, u)
-            if key in seen:
-                ok = False
+            if u == v or key in seen:
                 break
             seen.add(key)
             pairs.append(key)
-        if not ok:
-            continue
-        g = build_graph(n, pairs)
-        if not is_connected(g):
-            continue
-        if girth(g) < girth_min:
-            continue
-        return g
+        else:
+            g = build_graph(n, pairs)
+            if is_connected(g) and girth(g) >= girth_min:
+                return g
     raise GenerationError(
         f"no {k}-regular graph on {n} vertices with girth >= {girth_min} "
         f"found in {max_tries} attempts (seed {seed})",

@@ -167,16 +167,18 @@ def girth(g):
     """Length of a shortest cycle, or math.inf for forests.
 
     Per-vertex BFS detecting the shortest cycle through the BFS root; overall
-    O(n*m) and exact on simple graphs.
+    O(n*m) and exact on simple graphs.  The arrays are allocated once, and
+    each search resets the distances of the vertices it queued.  A stale
+    ``via`` entry is never read: a vertex's is set when it is queued, and the
+    root's own is read only while all its neighbours are still unseen.
     """
     best = math.inf
+    dist = [-1] * g.n
+    via = [-1] * g.n  # edge id used to discover the vertex
     for src in range(g.n):
-        dist = [-1] * g.n
-        via = [-1] * g.n  # edge id used to discover the vertex
         dist[src] = 0
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
+        queue = [src]  # grows while it is read: a FIFO that keeps every vertex it saw
+        for v in queue:
             dv = dist[v]
             if 2 * dv >= best:
                 break  # no shorter cycle through src can appear deeper
@@ -189,6 +191,8 @@ def girth(g):
                     cand = dv + dist[w] + 1
                     if cand < best:
                         best = cand
+        for v in queue:
+            dist[v] = -1
     return best
 
 

@@ -13,9 +13,10 @@ Adjacency is computed on demand from (base adjacency, rule masks).  The only
 objects of size n * 2^s are the array of the scalar ``bfs_lifted`` (used by
 ``build_lift``'s connectivity check and by the verification oracle) and the
 distance rows of ``representative_tables``: n rows of n * 2^s entries, one
-byte each while the lifted diameter is under 256.  The same label-parallel
-BFS that fills the rows also measures the lifted girth.  An explicit vertex
-cap guards both.
+byte each while the lifted diameter is under 256, plus, while those rows are
+built, one n * 2^s-bit set per base edge.  The same label-parallel BFS that
+fills the rows also measures the lifted girth and the exact colip of the
+cut embedding.  An explicit vertex cap guards all of them.
 """
 
 from __future__ import annotations
@@ -180,12 +181,16 @@ class DistanceTables:
     ``bytes`` when the row's largest entry is under 256 and as an unsigned
     ``array`` otherwise; ``ecc[u]`` is that largest entry, the eccentricity
     of (u, 0).  ``girth`` is the girth of the lift (math.inf if it is
-    acyclic).  ``tables[u]`` is ``rows[u]``.
+    acyclic).  ``colip`` is (d, l1) of ``colip_witness``, the smallest pair
+    with the largest d / l1 (l1 is 0 only if the embedding collides).
+    ``tables[u]`` is ``rows[u]``.
     """
 
     rows: tuple
     ecc: tuple
     girth: float
+    colip: tuple
+    colip_witness: tuple
 
     def __getitem__(self, u):
         return self.rows[u]
@@ -272,8 +277,9 @@ def _whole_lift(plane, fiber):
     return whole
 
 
-def _expand_row(planes, s, nn, ecc):
-    """One source's row of nn lanes: lane y is the sum of (bit y of plane k) << k.
+def _expand_row(whole, nn, ecc):
+    """One source's row of nn lanes: lane y is the sum of (bit y of plane k) << k,
+    for the distance bit-planes ``whole`` over the whole lift.
 
     Plane k supplies bit k % 8 of byte k // 8 of every lane.  With P the
     plane over the whole lift, byte i of ``(P >> j) & ones`` is bit 8i + j
@@ -285,7 +291,6 @@ def _expand_row(planes, s, nn, ecc):
     width = array(code).itemsize if code else 1
     nbytes = (nn + 7) >> 3
     ones = int.from_bytes(b"\x01" * nbytes, "little")
-    whole = [_whole_lift(plane, 1 << s) for plane in planes]
     out = bytearray(nbytes * 8 * width)
     for first in range(0, len(whole), 8):
         byte = first >> 3
@@ -299,30 +304,102 @@ def _expand_row(planes, s, nn, ecc):
     return bytes(out) if code is None else array(code, out)
 
 
-def representative_tables(lg):
+def _cut_sides(table, masks, full):
+    """Bit e of every row, as one whole-lift bitset per base edge e: bit e of
+    base_rows[v] XOR the parity of the label over the coordinates whose
+    column has bit e, i.e. over the XOR of their label sets ``full ^ masks[i]``."""
+    cols = [table.lin[1 << i] for i in range(len(masks))]
+    sides = []
+    for e in range(table.m):
+        odd = 0
+        for col, mask in zip(cols, masks):
+            if (col >> e) & 1:
+                odd ^= full ^ mask
+        bits = [odd ^ full if (row >> e) & 1 else odd for row in table.base_rows]
+        sides.append(_whole_lift(bits, full.bit_length()))
+    return sides
+
+
+def _fold(whole, sides, row, x, nn):
+    """(d, smallest l1, smallest y attaining it) for each distance d from the
+    source x to the vertices x < y < nn.
+
+    ``whole`` and ``sides`` hold the distance planes and the cut sides of the
+    whole lift and ``row`` is row(x); the lanes below x are shifted out.  A
+    ripple-carry adder sums the m one-bit lanes "agrees with row on cut e"
+    into the planes of m - l1.  The lanes are split by distance, top plane
+    first, and a descending pass over the agreement planes keeps, whenever
+    some lanes of a part have bit k set, only those: the lanes of most
+    agreement, i.e. of least l1.
+    """
+    ones = (1 << (nn - x)) - 1
+    agree = []
+    for e, side in enumerate(sides):
+        carry = side >> x if (row >> e) & 1 else (side >> x) ^ ones
+        for k, plane in enumerate(agree):
+            agree[k], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            agree.append(carry)
+    sets = [(0, ones ^ 1)] if ones > 1 else []
+    for k in reversed(range(len(whole))):
+        split = []
+        plane = whole[k] >> x
+        for d, bits in sets:
+            high = bits & plane
+            if bits ^ high:
+                split.append((d, bits ^ high))
+            if high:
+                split.append((d | 1 << k, high))
+        sets = split
+    for d, bits in sets:
+        most = 0
+        for k in reversed(range(len(agree))):
+            if keep := bits & agree[k]:
+                bits = keep
+                most |= 1 << k
+        yield d, len(sides) - most, x + (bits & -bits).bit_length() - 1
+
+
+def representative_tables(lg, table):
     """Distances from the n representatives (v, 0), by label-parallel BFS,
-    and the lifted girth.
+    the lifted girth and the exact colip of the embedding ``table``.
 
     Together with the translation automorphism these determine every pairwise
     distance: d((u,f),(v,h)) = tables[u][encode(v, f^h)].  Label translations
     act transitively on each fiber, so every cycle passes through the orbit
     of some representative and the girth is the shortest cycle through any of
-    them.  Raises GraphError if the lift is not connected.
+    them.  Likewise every pair is a translate of some ((u, 0), y) with y >
+    (u, 0), with the same distance and l1, so the colip is the largest d / l1
+    over those: per source and distance d, the smallest l1 there, ties going
+    to the smallest pair.  Raises GraphError if the lift is not connected.
     """
     s = lg.s
     n = lg.base.n
+    nn = lg.num_vertices
     masks = _flip_masks(s)
     steps = [[(1 << i, masks[i]) for i in range(s) if (rule >> i) & 1] for rule in lg.rule]
     full = (1 << (1 << s)) - 1
+    sides = _cut_sides(table, masks, full)
     rows = []
     ecc = []
     girth = math.inf
+    colip, witness = (0, 1), None
     for u in range(n):
         planes, far, cycle = _fiber_planes(lg.base.adj, steps, n, full, u)
-        rows.append(_expand_row(planes, s, lg.num_vertices, far))
+        whole = [_whole_lift(plane, 1 << s) for plane in planes]
+        rows.append(_expand_row(whole, nn, far))
         ecc.append(far)
         girth = min(girth, cycle)
-    return DistanceTables(rows=tuple(rows), ecc=tuple(ecc), girth=girth)
+        x = u << s
+        for d, h, y in _fold(whole, sides, table.base_rows[u], x, nn):
+            ahead = d * colip[1] - colip[0] * h
+            if ahead > 0 or (ahead == 0 and (x, y) < witness):
+                colip, witness = (d, h), (x, y)
+    return DistanceTables(
+        rows=tuple(rows), ecc=tuple(ecc), girth=girth, colip=colip, colip_witness=witness
+    )
 
 
 def lifted_distance(lg, tables, x, y):
@@ -366,12 +443,10 @@ def sample_pair_list(lg, tables, count, seed):
     translation orbit it meets, sorted.
 
     The family is every adjacent pair, the pair realizing the lifted diameter
-    and ``count`` seeded uniform pairs.  Adjacent pairs pin the Lipschitz
-    constant, the diameter pair is the likely worst contraction witness.
-    (x, y) is the family's smallest pair in the orbit and ``covered`` the
-    number of family pairs in it, so entries come in the order each orbit is
-    first met in sorted pair order, and the ``covered`` sum is the family
-    size.  The lifted edges over base edge e are one whole orbit of 2^s
+    and ``count`` seeded uniform pairs.  (x, y) is the family's smallest pair
+    in the orbit and ``covered`` the number of family pairs in it, so entries
+    come in the order each orbit is first met in sorted pair order, and the
+    ``covered`` sum is the family size.  The lifted edges over base edge e are one whole orbit of 2^s
     pairs, whose smallest pair is its canonical representative, so they take
     one entry per base edge and are never listed.
     """
@@ -432,18 +507,14 @@ def lift_walk(g, td, walk, start):
     return out
 
 
-def lifted_girth(lg, tables=None):
+def lifted_girth(lg, tables):
     """Exact girth of the lift, or math.inf if it is acyclic, as measured by
     the label-parallel BFS of ``representative_tables``."""
-    if tables is None:
-        tables = representative_tables(lg)
     return tables.girth
 
 
-def lifted_diameter(lg, tables=None):
+def lifted_diameter(lg, tables):
     """Exact diameter of the lift: the largest representative eccentricity."""
-    if tables is None:
-        tables = representative_tables(lg)
     return max(tables.ecc)
 
 

@@ -30,7 +30,7 @@ from .sweeps import (
     verdict_sweep,
 )
 
-#: below this many lifted vertices the default pair policy is exhaustive
+#: below this many lifted vertices the default sweep pair policy is exhaustive
 AUTO_EXHAUSTIVE_LIMIT = 10_000
 #: sampled pairs used once the instance is above the exhaustive limit
 AUTO_SAMPLE_COUNT = 100_000
@@ -46,7 +46,7 @@ def verdict_dict(v):
 
 
 def resolve_policy(num_lifted_vertices, pairs_arg, sample_count=None):
-    """Map the CLI pair policy to (mode, sample_count).
+    """Map the CLI pair policy of the verdict sweep to (mode, sample_count).
 
     "auto" picks exhaustive below AUTO_EXHAUSTIVE_LIMIT lifted vertices and
     sample(AUTO_SAMPLE_COUNT) at or above it.
@@ -80,14 +80,13 @@ def base_block(g):
 
 
 def lift_block(lg, lifted_gi, lifted_diam, base_girth):
-    floor = base_girth if base_girth != math.inf else math.inf
     return {
         "vertices": lg.num_vertices,
         "edges": lg.num_edges,
         "coordinates": lg.s,
         "connected": True,  # build_lift asserts this
         "girth": None if lifted_gi == math.inf else lifted_gi,
-        "girth_at_least_base": lifted_gi >= floor,
+        "girth_at_least_base": lifted_gi >= base_girth,
         "diameter": lifted_diam,
         "fault": list(lg.fault) if lg.fault else None,
     }
@@ -97,11 +96,9 @@ def embedding_block(lg, rep):
     xb, xl = lg.decode(rep.witness_pair[0])
     yb, yl = lg.decode(rep.witness_pair[1])
     block = {
-        "mode": rep.mode,
+        "mode": "exhaustive",
         "pairs_examined": rep.pairs_examined,
         "orbits_examined": rep.orbits_examined,
-        "sample_count": rep.sample_count,
-        "seed": rep.seed,
         "witness_pair": {
             "x": {"base": xb, "label": lg.label_bits(xl)},
             "y": {"base": yb, "label": lg.label_bits(yl)},
@@ -163,14 +160,17 @@ def run_analysis(
 ):
     """Full pipeline on one base graph: lift, embed, measure, sweep.
 
-    Returns an AnalysisContext whose ``report`` field is the JSON-ready dict.
-    If ``csv_rows`` is a list, the sweep appends one flattened row per
-    examined translation orbit to it (the CSV export).
+    The embedding block is exact over every pair of the lift at any size;
+    the pair policy (``pairs``, ``sample_count``, ``seed``) picks only the
+    pairs of the verdict sweep.  Returns an AnalysisContext whose ``report``
+    field is the JSON-ready dict.  If ``csv_rows`` is a list, the sweep
+    appends one flattened row per examined translation orbit to it (the CSV
+    export).
     """
     td = spanning_tree(g, tree_strategy, root)
     lg = build_lift(g, td, max_vertices=max_vertices, fault=fault)
-    tables = representative_tables(lg)
     table = embed(lg)
+    tables = representative_tables(lg, table)
     base_gi = girth(g)
     base_di = diameter(g)
     mode, count = resolve_policy(lg.num_vertices, pairs, sample_count)
@@ -192,11 +192,9 @@ def run_analysis(
     lifted_di = lifted_diameter(lg, tables)
     report["lift"] = lift_block(lg, lifted_gi, lifted_di, base_gi)
 
-    # one sampled family, shared by the distortion scan and the verdict sweep
-    pair_list = sample_pair_list(lg, tables, count, seed) if mode == "sample" else None
     dist_error = None
     try:
-        rep = distortion(lg, table, tables=tables, pairs=pair_list, sample_count=count, seed=seed)
+        rep = distortion(lg, table, tables)
         report["embedding"] = embedding_block(lg, rep)
         report["bound"] = bound_block(base_gi, base_di, rep)
     except RuntimeError as exc:  # injectivity / Lipschitz hard failures
@@ -204,6 +202,7 @@ def run_analysis(
         report["embedding"] = {"error": dist_error}
         report["bound"] = {"distortion_within_bound": False, "error": dist_error}
 
+    pair_list = sample_pair_list(lg, tables, count, seed) if mode == "sample" else None
     sw = verdict_sweep(lg, table, tables, base_gi, base_di, pairs=pair_list, collect=collect)
     report["verdict_sweep"] = sweep_block(sw, mode, count, seed)
     report["all_pass"] = (
@@ -215,29 +214,10 @@ def run_analysis(
     return AnalysisContext(g, td, lg, table, tables, base_gi, base_di, sw, report)
 
 
-def run_verify_instance(
-    label,
-    g,
-    tree_strategy="bfs",
-    root=0,
-    max_vertices=DEFAULT_MAX_VERTICES,
-    pairs="auto",
-    sample_count=None,
-    seed=0,
-    oracle_pairs=2_000,
-    fault=None,
-):
-    """Analysis plus the deep whole-lift checks, for the verify battery."""
-    ctx = run_analysis(
-        g,
-        tree_strategy=tree_strategy,
-        root=root,
-        max_vertices=max_vertices,
-        pairs=pairs,
-        sample_count=sample_count,
-        seed=seed,
-        fault=fault,
-    )
+def run_verify_instance(label, g, seed=0, oracle_pairs=2_000, **options):
+    """Analysis plus the deep whole-lift checks, for the verify battery;
+    ``options`` are those of ``run_analysis``."""
+    ctx = run_analysis(g, seed=seed, **options)
     lg, table, tables = ctx.lg, ctx.table, ctx.tables
     checks = {
         "cut_partition": cut_partition_check(lg, table),
@@ -251,7 +231,6 @@ def run_verify_instance(
     report["label"] = label
     report["checks"] = {name: verdict_dict(v) for name, v in sorted(checks.items())}
     report["all_pass"] = report["all_pass"] and all(v.passed for v in checks.values())
-    ctx.report = report
     return ctx
 
 

@@ -156,11 +156,10 @@ def oracle_equivalence_checks(lg, table, tables, count, seed, source_pool=None):
         by_source.setdefault(x, []).append(y)
 
     bad_l1 = []
+    s = lg.s
     for x, y in pairs:
         path = shortest_lifted_path(lg, x, y, tables)
-        odd = 0
         counts = {}
-        s = lg.s
         for a, b in zip(path, path[1:]):
             eid = lg.base.edge_between(a >> s, b >> s)
             counts[eid] = counts.get(eid, 0) + 1

@@ -38,8 +38,8 @@ class Bundle:
         self.g = g
         self.td = spanning_tree(g)
         self.lg = build_lift(g, self.td)
-        self.tables = representative_tables(self.lg)
         self.table = embed(self.lg)
+        self.tables = representative_tables(self.lg, self.table)
         self.base_girth = girth(g)
         self.base_diam = diameter(g)
 
@@ -74,8 +74,10 @@ def test_criterion_1_cycle_double_cover():
             assert lg.num_vertices == 2 * n
             assert all(len(lg.neighbors(x)) == 2 for x in range(2 * n))
             # connected + 2-regular + 2n vertices + girth 2n pins C_{2n}
-            assert lifted_girth(lg) == 2 * n == 2 * girth(g)
-            rep = distortion(lg, embed(lg))
+            table = embed(lg)
+            tables = representative_tables(lg, table)
+            assert lifted_girth(lg, tables) == 2 * n == 2 * girth(g)
+            rep = distortion(lg, table, tables)
             assert rep.distortion == Fraction(1)
 
 
@@ -86,12 +88,12 @@ def test_criterion_2_petersen_exhaustive(bundles, expectations):
         assert lg.num_vertices == 640
         assert lg.num_edges == 960
         assert all(len(lg.neighbors(x)) == 3 for x in range(640))
-        gi = lifted_girth(lg)
+        gi = lifted_girth(lg, b.tables)
         assert gi >= 5
         assert gi == expectations["petersen"]["lift_girth"]
 
         assert_injective(b.table)
-        rep = distortion(lg, b.table, tables=b.tables)
+        rep = distortion(lg, b.table, b.tables)
         assert rep.lip == Fraction(1)
         assert rep.pairs_examined == 640 * 639 // 2 == 204480
         assert rep.distortion <= Fraction(17, 5)
@@ -109,31 +111,21 @@ def test_criterion_3_heawood_sampled(bundles, expectations):
         b = bundles["heawood"]
         lg = b.lg
         assert lg.num_vertices == 3584
-        gi = lifted_girth(lg)
+        gi = lifted_girth(lg, b.tables)
         assert gi >= 6
         assert gi == expectations["heawood"]["lift_girth"]
 
-        frozen = expectations["heawood"]["sampled"]
-        assert frozen["sample_count"] == HEAWOOD_SAMPLE_COUNT >= 100_000
-        pairs = sample_pair_list(lg, b.tables, HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED)
-        rep = distortion(
-            lg,
-            b.table,
-            tables=b.tables,
-            pairs=pairs,
-            sample_count=HEAWOOD_SAMPLE_COUNT,
-            seed=HEAWOOD_SEED,
-        )
-        # the examined family is 100k seeded draws, every adjacent pair and the
-        # diameter witness, deduplicated; draw collisions keep the distinct
-        # count near (not at) the sum
-        assert rep.sample_count == 100_000
-        assert rep.pairs_examined >= 100_000
-        assert rep.pairs_examined == frozen["pairs_examined"]
-        assert rep.distortion == Fraction(frozen["distortion"])
+        # distortion is exact whatever the sweep samples
+        rep = distortion(lg, b.table, b.tables)
+        assert rep.pairs_examined == 3584 * 3583 // 2
+        assert rep.distortion == Fraction(expectations["heawood"]["distortion_exhaustive"])
         assert rep.distortion <= 3
         assert rep.distortion <= distortion_bound(b.base_girth, b.base_diam) == Fraction(4)
 
+        frozen = expectations["heawood"]["sampled"]
+        assert frozen["sample_count"] == HEAWOOD_SAMPLE_COUNT >= 100_000
+        assert frozen["seed"] == HEAWOOD_SEED
+        pairs = sample_pair_list(lg, b.tables, HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED)
         sweep = verdict_sweep(
             lg,
             b.table,
@@ -142,7 +134,11 @@ def test_criterion_3_heawood_sampled(bundles, expectations):
             b.base_diam,
             pairs=pairs,
         )
-        assert sweep.pairs_covered == rep.pairs_examined
+        # the swept family is 100k seeded draws, every adjacent pair and the
+        # diameter witness, deduplicated; draw collisions keep the distinct
+        # count near (not at) the sum
+        assert sweep.pairs_covered >= 100_000
+        assert sweep.pairs_covered == frozen["pairs_covered"]
         assert sweep.all_pass, "\n\n".join(sweep.failures)
 
 

@@ -62,7 +62,7 @@ def test_analyze_json_report_contents(tmp_path):
     report_path = tmp_path / "r.json"
     assert run(["analyze", base, "-o", report_path]) == 0
     report = json.loads(report_path.read_text())
-    assert report["schema"] == "treelift-report-v1"
+    assert report["schema"] == "treelift-report-v2"
     assert report["base"]["n"] == 8 and report["base"]["regular"] == 2
     assert report["lift"]["vertices"] == 16
     assert report["embedding"]["distortion"] == "1"
@@ -104,6 +104,24 @@ def test_analyze_csv_rows_sorted_and_flat(tmp_path):
         keys.append((int(parts[0]), parts[1], int(parts[2]), parts[3]))
         assert parts[15] == "pass"
     assert keys == sorted(keys)
+
+
+def test_sampled_sweep_keeps_the_exact_embedding(tmp_path):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    reports = []
+    for pairs in ("exhaustive", "sample:500"):
+        out = tmp_path / f"{pairs.replace(':', '')}.json"
+        assert run(["analyze", base, "--pairs", pairs, "--seed", 7, "-o", out]) == 0
+        reports.append(json.loads(out.read_text()))
+    exhaustive, sampled = reports
+    assert sampled["embedding"] == exhaustive["embedding"]
+    assert sampled["embedding"]["mode"] == "exhaustive"
+    assert sampled["embedding"]["pairs_examined"] == 640 * 639 // 2
+    assert sampled["embedding"]["colip"] == "5/3"
+    assert "sample_count" not in sampled["embedding"]
+    assert sampled["verdict_sweep"]["mode"] == "sample"
+    assert sampled["verdict_sweep"]["pairs_covered"] < exhaustive["verdict_sweep"]["pairs_covered"]
 
 
 def test_sampled_csv_has_one_row_per_orbit(tmp_path):
@@ -223,12 +241,10 @@ def test_non_utf8_input_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--pairs", "sample", "--sample-count", 0, "--seed", 1],
-        ["--pairs", "sample", "--sample-count", -3, "--seed", 1],
         ["--max-vertices", -5],
         ["--max-vertices", 0],
     ],
-    ids=["sample-count-0", "sample-count-negative", "cap-negative", "cap-0"],
+    ids=["cap-negative", "cap-0"],
 )
 def test_numeric_flags_below_one_are_usage_errors(tmp_path, capsys, flags):
     base = tmp_path / "p.txt"
@@ -238,6 +254,16 @@ def test_numeric_flags_below_one_are_usage_errors(tmp_path, capsys, flags):
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_sample_count_flag_is_removed(tmp_path, capsys):
+    # --pairs sample:N is the one way to size the sampled sweep
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", base, "--pairs", "sample", "--sample-count", 5, "--seed", 1])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sample-count" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [0, -1])

@@ -72,6 +72,11 @@ def lift_of(spec_or_graph, strategy="bfs", root=0):
     return build_lift(g, spanning_tree(g, strategy, root))
 
 
+def exact_distortion(lg):
+    t = embed(lg)
+    return distortion(lg, t, representative_tables(lg, t))
+
+
 # --- h_e on the hand-traced triangle lift -------------------------------------
 
 
@@ -195,8 +200,10 @@ def test_every_broken_matching_is_named_by_the_cut_check():
             assert v.checked == lg.num_edges
             assert len(v.violations) == 1
             assert f"base edge {eid} crosses cuts" in v.violations[0]
+            # the Lipschitz check fails before the tables are read, so it
+            # needs none (some of these lifts are not even connected)
             with pytest.raises(RuntimeError, match="not 1-Lipschitz"):
-                distortion(lg, t)
+                distortion(lg, t, None)
 
 
 def test_whole_lift_checks_cover_large_lifts_exactly():
@@ -248,7 +255,7 @@ def test_assert_injective_agrees_with_brute_force():
 def test_embedding_is_nonexpansive_everywhere():
     lg = lift_of(FamilySpec.named("k4"))
     t = embed(lg)
-    tables = representative_tables(lg)
+    tables = representative_tables(lg, t)
     for x, y, _ in iter_orbit_reps(lg):
         assert l1_distance(t, x, y) <= tables[x >> lg.s][y]
 
@@ -256,7 +263,7 @@ def test_embedding_is_nonexpansive_everywhere():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_cycle_lifts_embed_isometrically(n):
     lg = lift_of(FamilySpec.cycle(n))
-    rep = distortion(lg, embed(lg))
+    rep = exact_distortion(lg)
     assert rep.lip == 1
     assert rep.colip == 1
     assert rep.distortion == Fraction(1)
@@ -266,13 +273,13 @@ def test_cycle_lifts_embed_isometrically(n):
 def test_single_edge_base_distortion_one():
     g = build_graph(2, [(0, 1)])
     lg = build_lift(g, spanning_tree(g))
-    rep = distortion(lg, embed(lg))
-    assert rep.distortion == 1 and rep.pairs_examined == 1
+    rep = exact_distortion(lg)
+    assert rep.distortion == 1 and rep.pairs_examined == 1 and rep.orbits_examined == 1
 
 
 def test_petersen_distortion_within_assembled_bound():
     lg = lift_of(FamilySpec.named("petersen"))
-    rep = distortion(lg, embed(lg))
+    rep = exact_distortion(lg)
     bound = distortion_bound(5, 2)
     assert bound == Fraction(17, 5)
     assert rep.lip == 1
@@ -292,29 +299,102 @@ def test_distortion_brute_force_cross_check():
             dist = bfs_lifted(lg, x)
             for y in range(x + 1, nn):
                 best = max(best, Fraction(dist[y], l1_distance(t, x, y)))
-        rep = distortion(lg, t)
+        rep = distortion(lg, t, representative_tables(lg, t))
         assert rep.colip == best
+
+
+def scan_colip(lg, table, tables):
+    """The plain pair scan: the largest d / l1 over every translation orbit
+    representative, compared exactly by cross-multiplication, ties to the
+    first pair met.  Returns ((d, l1), witness)."""
+    co_n, co_d, witness = 0, 1, None
+    for x, y, _ in iter_orbit_reps(lg):
+        d = lifted_distance(lg, tables, x, y)
+        h = table.l1(x, y)
+        if d * co_d > co_n * h:
+            co_n, co_d, witness = d, h, (x, y)
+    return (co_n, co_d), witness
+
+
+FOLD_SPECS = (
+    [FamilySpec.named("k4"), FamilySpec.complete(5)]
+    + [FamilySpec.cycle(n) for n in (3, 4, 5, 8)]
+    + [FamilySpec.named(name) for name in ("petersen", "heawood", "pappus")]
+    + [FamilySpec.random_regular(20, 3, seed=seed) for seed in (0, 1, 2)]
+)
+
+
+@pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda spec: spec.describe())
+def test_colip_fold_equals_the_plain_scan(spec):
+    g = make(spec)
+    for strategy in ("bfs", "dfs"):
+        for root in (0, g.n - 1):
+            lg = lift_of(g, strategy, root)
+            t = embed(lg)
+            tables = representative_tables(lg, t)
+            want = scan_colip(lg, t, tables)
+            assert (tables.colip, tables.colip_witness) == want, (strategy, root)
+            rep = distortion(lg, t, tables)
+            assert (rep.colip, rep.witness_pair) == (Fraction(*want[0]), want[1])
+
+
+@pytest.mark.parametrize("extra", [0b1, 0b11, 0b101])
+def test_colip_fold_equals_the_plain_scan_on_fault_lifts(extra):
+    # a broken matching changes the distances but not the rows, so l1 can
+    # exceed the distance; the fold must still agree with the scan, and never
+    # raise
+    g = load_named("petersen")
+    td = spanning_tree(g)
+    connected = 0
+    for eid in range(g.m):
+        lg = build_lift(g, td, fault=(eid, extra), check_connected=False)
+        if bfs_lifted(lg, 0).count(-1) == 0:
+            connected += 1
+            t = embed(lg)
+            tables = representative_tables(lg, t)
+            assert (tables.colip, tables.colip_witness) == scan_colip(lg, t, tables), eid
+    assert connected
+
+
+@pytest.mark.parametrize(
+    "spec, colip",
+    [
+        (FamilySpec.named("petersen"), Fraction(5, 3)),
+        (FamilySpec.named("heawood"), Fraction(5, 3)),
+        (FamilySpec.named("pappus"), Fraction(5, 3)),
+        (FamilySpec.named("mcgee"), Fraction(13, 7)),
+    ]
+    + [(FamilySpec.random_regular(20, 3, girth_min=5, seed=seed), Fraction(11, 5)) for seed in range(3)],
+    ids=lambda v: v.describe() if isinstance(v, FamilySpec) else str(v),
+)
+def test_exact_colip_does_not_depend_on_the_tree(spec, colip):
+    # a change of tree or root only relabels the lift; the witness may move
+    g = make(spec)
+    for strategy in ("bfs", "dfs"):
+        for root in (0, g.n - 1):
+            assert exact_distortion(lift_of(g, strategy, root)).colip == colip, (strategy, root)
 
 
 def test_sampled_mode_contains_adjacent_and_diameter_pairs():
     lg = lift_of(FamilySpec.named("petersen"))
     t = embed(lg)
-    tables = representative_tables(lg)
+    tables = representative_tables(lg, t)
     pairs = sample_pair_list(lg, tables, 50, 9)
-    rep = distortion(lg, t, tables=tables, pairs=pairs, sample_count=50, seed=9)
-    assert rep.lip == 1
-    assert rep.pairs_examined >= 960 + 50
-    # sampling can only see a subset: never exceeds the exhaustive value
-    assert rep.colip <= distortion(lg, t, tables=tables).colip
+    reps = {orbit_rep(lg, x, y) for x, y, _ in pairs}
+    assert orbit_rep(lg, *diameter_witness(lg, tables)) in reps
+    for (u, v), rule in zip(lg.base.edges, lg.rule):
+        assert orbit_rep(lg, u << lg.s, (v << lg.s) | rule) in reps
+    assert sum(covered for _, _, covered in pairs) >= 960 + 50
+    # the family is a subset of all pairs: its ratios never pass the exact colip
+    exact = distortion(lg, t, tables).colip
+    assert max(Fraction(lifted_distance(lg, tables, x, y), t.l1(x, y)) for x, y, _ in pairs) <= exact
 
 
 def test_sampled_mode_deterministic():
     lg = lift_of(FamilySpec.named("k4"))
-    t = embed(lg)
-    tables = representative_tables(lg)
-    a = distortion(lg, t, pairs=sample_pair_list(lg, tables, 200, 4), sample_count=200, seed=4)
-    b = distortion(lg, t, pairs=sample_pair_list(lg, tables, 200, 4), sample_count=200, seed=4)
-    assert (a.colip, a.witness_pair, a.pairs_examined) == (b.colip, b.witness_pair, b.pairs_examined)
+    tables = representative_tables(lg, embed(lg))
+    assert sample_pair_list(lg, tables, 200, 4) == sample_pair_list(lg, tables, 200, 4)
+    assert sample_pair_list(lg, tables, 200, 4) != sample_pair_list(lg, tables, 200, 5)
 
 
 def explicit_family(lg, tables, count, seed):
@@ -350,7 +430,7 @@ def explicit_family(lg, tables, count, seed):
 )
 def test_sample_entries_are_the_explicit_family_grouped_by_orbit(spec):
     lg = lift_of(spec)
-    tables = representative_tables(lg)
+    tables = representative_tables(lg, embed(lg))
     family = explicit_family(lg, tables, 300, 11)
     orbits = {}
     for x, y in sorted(family):
@@ -361,28 +441,9 @@ def test_sample_entries_are_the_explicit_family_grouped_by_orbit(spec):
     assert sum(covered for _, _, covered in got) == len(family)
 
 
-@pytest.mark.parametrize("name", ["petersen", "k4"])
-def test_sampled_distortion_matches_a_scan_of_the_explicit_family(name):
-    lg = lift_of(FamilySpec.named(name))
-    t = embed(lg)
-    tables = representative_tables(lg)
-    family = sorted(explicit_family(lg, tables, 200, 3))
-    best, witness = Fraction(0), None
-    rows = {}
-    for x, y in family:
-        if x not in rows:
-            rows[x] = bfs_lifted(lg, x)
-        ratio = Fraction(rows[x][y], l1_distance(t, x, y))
-        if ratio > best:
-            best, witness = ratio, (x, y)
-    pairs = sample_pair_list(lg, tables, 200, 3)
-    rep = distortion(lg, t, tables=tables, pairs=pairs, sample_count=200, seed=3)
-    assert (rep.colip, rep.witness_pair, rep.pairs_examined) == (best, witness, len(family))
-
-
 def test_sample_mode_needs_count_and_seed():
     lg = lift_of(FamilySpec.named("k4"))
-    tables = representative_tables(lg)
+    tables = representative_tables(lg, embed(lg))
     with pytest.raises(GraphError):
         sample_pair_list(lg, tables, 0, 1)
     with pytest.raises(GraphError):
@@ -402,7 +463,7 @@ def test_orbit_reps_cover_all_pairs_exactly():
 def test_orbit_invariance_of_distance_and_l1():
     lg = lift_of(FamilySpec.named("petersen"))
     t = embed(lg)
-    tables = representative_tables(lg)
+    tables = representative_tables(lg, t)
     rng = random.Random(21)
     for _ in range(200):
         x = rng.randrange(lg.num_vertices)

@@ -61,21 +61,21 @@ CASES = {
     ),
     "petersen fault-injected sample:300 seed 5": fault_injected_petersen,
     "random:20:3 sample:700": random_cubic,
-    # 1,966,080 lifted vertices, lift girth 16, diameter 35
+    # 1,966,080 lifted vertices, lift girth 16, diameter 35, exact colip 7/4
     "tutte_coxeter sample:200 seed 1": lambda: analysis_json(
         "tutte_coxeter", pairs="sample", sample_count=200, seed=1
     ),
 }
 
 GOLDEN = {
-    "heawood sample:2000 seed 5": "d4f169447d10ea792503f900ccb85839f334462571171aed2bc9f0178da03191",
-    "mcgee sample:2000 seed 3": "74a8bacc4bf03397b48c27b88d4f76e5a3b05bf4f4d3fc2e16b33379f8f6a8b6",
-    "petersen exhaustive": "09ee51a59f1acdd8ef249f1f22ddc63593309bd55dcd834a44808db80141b66f",
+    "heawood sample:2000 seed 5": "df68306f904e79f0f396dc73702e503ec8871a9d8883e6f14681673fd9df535e",
+    "mcgee sample:2000 seed 3": "244a505c3b199c1e7983dff143171de6bf2eb5b999e1ab7a49d4b300eb5ca341",
+    "petersen exhaustive": "9f5a326d0b48060090cacfedb45020c9112a0ed0c89665d6b5df059d9be36f97",
     "petersen exhaustive csv": "c54c38e69c7e211f72d9e745348c80d97e767344daefd0902718bafe0bab4b61",
     "petersen fault-injected sample:300 seed 5": "4e1c47cf327d753971ea71c23670da70ea97d6a5e6ee44f74d70fe0dae71f892",
-    "petersen sample:500 seed 7": "232a88ba6c835258c5336118090ee4677f500945948f69d42e6eafc3decea6ba",
-    "random:20:3 sample:700": "4ecb85eb5bb629c6e786a9835a9b2455120120e9e5e874eb71102a16bd3879b1",
-    "tutte_coxeter sample:200 seed 1": "9d469148c9c9ef288b097a68f5307f6e62739b8638dc5b5e7cc5639cfb572e34",
+    "petersen sample:500 seed 7": "9dbfbe185c241ae25f4d3b68aa9e97a64ac74991db938af030f4c086969c8571",
+    "random:20:3 sample:700": "21c7bc78315f950c5375d7026ff4822f27a9c8f8c722ea2c3718846fcaedba33",
+    "tutte_coxeter sample:200 seed 1": "d05b7018af71099a034a79781691850b526e0cb2604fb88e075f7a872615a92c",
 }
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treelift.families import random_regular
 from treelift.graph import (
     GraphError,
     bfs_distances,
@@ -255,6 +256,44 @@ def test_girth_matches_cycle_enumeration(seed):
     n = rng.randrange(4, 11)
     g = random_graph(rng, n, rng.randrange(n - 1, 2 * n))
     assert girth(g) == oracle_girth(g)
+
+
+def deletion_girth(g):
+    """Girth as the shortest detour: min over edges (u, v) of d_{G-e}(u, v) + 1,
+    math.inf if no edge lies on a cycle."""
+    best = math.inf
+    for eid, (u, v) in enumerate(g.edges):
+        rest = build_graph(g.n, [edge for i, edge in enumerate(g.edges) if i != eid])
+        d = bfs_distances(rest, u)[v]
+        if d >= 0:
+            best = min(best, d + 1)
+    return best
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for h in graphs:
+        edges.extend((u + offset, v + offset) for u, v in h.edges)
+        offset += h.n
+    return build_graph(offset, edges)
+
+
+def cycle_graph(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_regular(n, 3, seed=seed) for n, seed in ((12, 0), (20, 1), (30, 2), (40, 3))]
+    + [
+        build_graph(7, [(0, 1), (1, 2), (1, 3), (4, 5)]),  # a forest
+        # disconnected: the shortest cycle lies in the last component searched
+        disjoint_union(cycle_graph(9), random_regular(16, 3, girth_min=5, seed=4), cycle_graph(4)),
+    ],
+    ids=["cubic12", "cubic20", "cubic30", "cubic40", "forest", "disconnected"],
+)
+def test_girth_matches_edge_deletion_oracle(g):
+    assert girth(g) == deletion_girth(g)
 
 
 # --- spanning trees -----------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import treelift.lift as lift_mod
+from treelift.embedding import embed
 from treelift.families import FamilySpec, load_named, make
 from treelift.graph import (
     GraphError,
@@ -16,6 +17,7 @@ from treelift.graph import (
 from treelift.lift import (
     LiftTooLargeError,
     _expand_row,
+    _whole_lift,
     bfs_lifted,
     build_lift,
     diameter_witness,
@@ -37,6 +39,10 @@ def cycle(n):
     return make(FamilySpec.cycle(n))
 
 
+def tables_of(lg):
+    return representative_tables(lg, embed(lg))
+
+
 def petersen_lift():
     g = load_named("petersen")
     td = spanning_tree(g)
@@ -55,8 +61,8 @@ def test_triangle_lift_is_six_cycle():
     # connected + 2-regular + 6 vertices + girth 6 pins C6 exactly
     assert all(len(lg.neighbors(x)) == 2 for x in range(6))
     assert bfs_lifted(lg, 0).count(-1) == 0
-    assert lifted_girth(lg) == 6
-    assert lifted_diameter(lg) == 3
+    assert lifted_girth(lg, tables_of(lg)) == 6
+    assert lifted_diameter(lg, tables_of(lg)) == 3
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -66,7 +72,7 @@ def test_cycle_lift_doubles(n):
     assert lg.num_vertices == 2 * n
     assert all(len(lg.neighbors(x)) == 2 for x in range(2 * n))
     assert bfs_lifted(lg, 0).count(-1) == 0
-    assert lifted_girth(lg) == 2 * n
+    assert lifted_girth(lg, tables_of(lg)) == 2 * n
 
 
 def test_petersen_lift_counts():
@@ -209,7 +215,7 @@ def test_translate_is_automorphism_on_all_petersen_vertices():
 
 def test_symmetry_reduced_distances_match_direct_bfs():
     lg = petersen_lift()
-    tables = representative_tables(lg)
+    tables = tables_of(lg)
     rng = random.Random(11)
     for _ in range(60):
         x = rng.randrange(640)
@@ -221,7 +227,7 @@ def test_girth_never_drops_below_base():
     for spec in (FamilySpec.cycle(5), FamilySpec.named("petersen"), FamilySpec.named("k4")):
         g = make(spec)
         lg = build_lift(g, spanning_tree(g))
-        assert lifted_girth(lg) >= girth(g)
+        assert lifted_girth(lg, tables_of(lg)) >= girth(g)
 
 
 def test_lift_of_tree_is_itself():
@@ -229,12 +235,12 @@ def test_lift_of_tree_is_itself():
     td = spanning_tree(g)
     lg = build_lift(g, td)
     assert lg.s == 0 and lg.num_vertices == 4
-    assert lifted_girth(lg) == math.inf
+    assert lifted_girth(lg, tables_of(lg)) == math.inf
 
 
 def test_diameter_witness_attains_diameter():
     lg = petersen_lift()
-    tables = representative_tables(lg)
+    tables = tables_of(lg)
     d = lifted_diameter(lg, tables)
     x, y = diameter_witness(lg, tables)
     assert lifted_distance(lg, tables, x, y) == d
@@ -244,7 +250,7 @@ def test_diameter_witness_attains_diameter():
 
 
 def assert_rows_match_bfs(lg):
-    tables = representative_tables(lg)
+    tables = tables_of(lg)
     assert len(tables.rows) == len(tables.ecc) == lg.base.n
     for u in range(lg.base.n):
         want = bfs_lifted(lg, u << lg.s)
@@ -279,7 +285,7 @@ def test_engine_on_every_petersen_fault_with_a_multi_bit_mask():
             if bfs_lifted(lg, 0).count(-1):
                 disconnected += 1
                 with pytest.raises(GraphError, match="lift is not connected"):
-                    representative_tables(lg)
+                    tables_of(lg)
             else:
                 connected += 1
                 assert_rows_match_bfs(lg)
@@ -305,7 +311,7 @@ def test_planes_expand_to_lane_values(s, ecc):
         [sum(((want[(v << s) | h] >> k) & 1) << h for h in range(fiber)) for v in range(n)]
         for k in range(ecc.bit_length())
     ]
-    row = _expand_row(planes, s, n * fiber, ecc)
+    row = _expand_row([_whole_lift(plane, fiber) for plane in planes], n * fiber, ecc)
     assert list(row) == want
     assert getattr(row, "typecode", "bytes") == ("bytes" if ecc < 256 else "H" if ecc < 65536 else "I")
 
@@ -317,7 +323,7 @@ def test_engine_rejects_disconnected_fault_lift():
     lg = build_lift(g, spanning_tree(g), fault=(2, 0b11), check_connected=False)
     assert bfs_lifted(lg, 0).count(-1) == lg.num_vertices // 2
     with pytest.raises(GraphError, match="lift is not connected"):
-        representative_tables(lg)
+        tables_of(lg)
 
 
 @pytest.mark.parametrize(
@@ -329,7 +335,7 @@ def test_engine_rejects_disconnected_fault_lift():
 def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
     g = make(spec)
     lg = build_lift(g, spanning_tree(g))
-    tables = representative_tables(lg)
+    tables = tables_of(lg)
     best, pair = -1, None
     for u in range(g.n):
         for y, d in enumerate(tables[u]):
@@ -343,7 +349,7 @@ def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
 
 
 def assert_girth_matches_materialised_lift(lg):
-    assert lifted_girth(lg) == girth(parse_edge_list(lift_edge_list_text(lg)))
+    assert lifted_girth(lg, tables_of(lg)) == girth(parse_edge_list(lift_edge_list_text(lg)))
 
 
 GIRTH_CASES = (
@@ -386,8 +392,8 @@ def test_lifted_girth_runs_no_scalar_bfs(monkeypatch):
         return bfs_lifted(lg, source)
 
     monkeypatch.setattr(lift_mod, "bfs_lifted", counting_bfs)
-    tables = representative_tables(lg)
-    assert lifted_girth(lg, tables) == lifted_girth(lg) == 12
+    tables = tables_of(lg)
+    assert lifted_girth(lg, tables) == 12
     assert calls == []
 
 
@@ -417,4 +423,4 @@ def test_mapping_sidecar_format():
 def test_materialized_petersen_girth_matches_on_demand():
     lg = petersen_lift()
     h = parse_edge_list(lift_edge_list_text(lg))
-    assert girth(h) == lifted_girth(lg)
+    assert girth(h) == lifted_girth(lg, tables_of(lg))

@@ -36,7 +36,7 @@ def raise_one_entry(lg, tables):
 def test_oracle_fails_tables_with_one_entry_changed():
     lg = lift_of(FamilySpec.named("k4"))
     table = embed(lg)
-    tables = representative_tables(lg)
+    tables = representative_tables(lg, table)
     _, good = oracle_equivalence_checks(lg, table, tables, 2000, 0)
     assert good.passed and good.checked == 2000
 
@@ -58,11 +58,12 @@ def test_oracle_runs_one_direct_bfs_per_pooled_source(monkeypatch):
     for mod in (lift_mod, sweeps_mod, walks_mod):
         monkeypatch.setattr(mod, "bfs_lifted", counting_bfs)
 
-    tables = representative_tables(lg)
+    table = embed(lg)
+    tables = representative_tables(lg, table)
     assert sources == []  # the engine never runs the scalar BFS
 
     # 200 pairs draw sources from a pool of max(32, 200 // 64) = 32 vertices
-    l1_v, dist_v = oracle_equivalence_checks(lg, embed(lg), tables, 200, 5)
+    l1_v, dist_v = oracle_equivalence_checks(lg, table, tables, 200, 5)
     assert l1_v.passed and dist_v.passed
     assert len(sources) == 32
     assert sources == sorted(set(sources))

@@ -33,7 +33,8 @@ def triangle_lift():
 def petersen_bundle():
     g = load_named("petersen")
     lg = build_lift(g, spanning_tree(g))
-    return lg, embed(lg), representative_tables(lg), girth(g), diameter(g)
+    table = embed(lg)
+    return lg, table, representative_tables(lg, table), girth(g), diameter(g)
 
 
 # --- shortest paths -----------------------------------------------------------
@@ -229,7 +230,7 @@ def test_verify_all_on_k4_exhaustive():
     g = load_named("k4")
     lg = build_lift(g, spanning_tree(g))
     t = embed(lg)
-    tables = representative_tables(lg)
+    tables = representative_tables(lg, t)
     for x, y, _ in iter_orbit_reps(lg):
         wa = analyze(lg, shortest_lifted_path(lg, x, y, tables))
         for name, v in verify_all(lg, wa, t, 3, 1).items():
