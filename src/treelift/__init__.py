@@ -2,10 +2,8 @@
 exact distortion measurement, and structural verification sweeps."""
 
 from .embedding import (
-    CutStructure,
     DistortionReport,
     EmbeddingTable,
-    cut_side,
     distortion,
     embed,
     l1_distance,
@@ -26,7 +24,6 @@ from .graph import (
     parse_edge_list,
     save_edge_list,
     spanning_tree,
-    tree_split,
 )
 from .lift import (
     DEFAULT_MAX_VERTICES,

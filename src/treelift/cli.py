@@ -161,6 +161,9 @@ def cmd_analyze(args):
 
 def instance_graphs(args):
     """(label, graph, fault) triples for the verify battery."""
+    base = parse_family(args.random_spec)
+    if base.kind != "random_regular":
+        raise GraphError(f"bad --random-spec value {args.random_spec!r}: expected random:N:K")
     if args.fault_inject:
         g = make(parse_family("petersen"))
         td = spanning_tree(g, args.tree, 0)
@@ -171,7 +174,6 @@ def instance_graphs(args):
         return
     for label in args.instances.split(","):
         yield label, make(parse_family(label)), None
-    base = parse_family(args.random_spec)
     for i in range(args.random_count):
         spec = dataclasses.replace(
             base, girth_min=args.girth_min, seed=args.seed + i, max_tries=args.max_tries

@@ -9,6 +9,19 @@ lower-numbered endpoint), and the side of (v, f) is the parity of f over the
 cotree coordinates crossing the split, flipped when v lies in B; the 0-side
 is the even-parity-in-A side.
 
+That definition is read off the tree's root paths, with ``P(v)`` the set of
+tree edges from the root to v (``TreeDecomposition.root_paths``).  Tree edge
+e separates v from the root exactly when e is in ``P(v)``, so ``[v in B]`` is
+bit e of ``P(v)``, complemented when the lower endpoint is the child (then A
+is the child's subtree).  The cotree edge of coordinate i, ``c_i = (a, b)``,
+closes the fundamental cycle ``P(a) ^ P(b) ^ {c_i}``, and those are the cuts
+it crosses.  Hence, with ``flip`` the tree edges whose child is the lower
+endpoint:
+
+    row(u, 0)  = P(u) ^ flip
+    col_i      = {c_i} ^ P(a) ^ P(b)
+    row(u, f)  = row(u, 0) ^ XOR of col_i over the set bits i of f
+
 Rows are packed as m-bit integers, so l1 distances are XOR popcounts.  The
 row map is affine-linear over the label group: row(u, f) = row(u, 0) ^
 lin(f).  That form is the whole representation: n base rows plus 2^s label
@@ -32,55 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import GraphError, tree_split
-
-
-class CutStructure:
-    """Precomputed cut data for every base edge against one tree decomposition.
-
-    For tree edges, ``crossing[e]`` is the bitmask of cotree coordinates whose
-    edges cross the split of e, and ``in_b[e]`` is the vertex bitmask of the
-    B side, making each side lookup a popcount parity plus one bit test.
-    """
-
-    __slots__ = ("graph", "td", "crossing", "in_b")
-
-    def __init__(self, g, td):
-        self.graph = g
-        self.td = td
-        crossing = [0] * g.m
-        in_b = [0] * g.m
-        for eid in td.tree_edges:
-            a, b = tree_split(td, eid)
-            bmask = 0
-            for v in b:
-                bmask |= 1 << v
-            in_b[eid] = bmask
-            cmask = 0
-            for c in td.cotree:
-                cu, cv = g.edges[c]
-                if (cu in b) != (cv in b):
-                    cmask |= 1 << td.coord[c]
-            crossing[eid] = cmask
-        self.crossing = tuple(crossing)
-        self.in_b = tuple(in_b)
-
-    def side(self, eid, vertex, label):
-        """Cut side of the lifted vertex (vertex, label): 0 on the 0-side, else 1."""
-        i = self.td.coord.get(eid)
-        if i is not None:
-            return (label >> i) & 1
-        parity = (label & self.crossing[eid]).bit_count() & 1
-        return parity ^ ((self.in_b[eid] >> vertex) & 1)
-
-
-def cut_side(g, td, eid, vertex, label, cuts=None):
-    """One side query; build a CutStructure once for repeated use."""
-    if not (0 <= eid < g.m):
-        raise GraphError(f"edge id {eid} out of range")
-    if cuts is None:
-        cuts = CutStructure(g, td)
-    return cuts.side(eid, vertex, label)
+from .graph import GraphError
 
 
 @dataclass(eq=False)
@@ -96,7 +61,6 @@ class EmbeddingTable:
     m: int
     base_rows: list
     lin: list
-    cuts: CutStructure
 
     def row(self, x):
         return self.base_rows[x >> self.lg.s] ^ self.lin[x & self.lg.mask]
@@ -124,32 +88,21 @@ def embed(lg):
     """The affine embedding of a lift: n base rows plus 2^s label columns."""
     g = lg.base
     td = lg.td
-    cuts = CutStructure(g, td)
-    s = lg.s
-
-    # rows of the zero-label fiber: cotree bits are 0, tree bit e is [u in B]
-    base_rows = []
-    for u in range(g.n):
-        row = 0
-        for eid in td.tree_edges:
-            row |= ((cuts.in_b[eid] >> u) & 1) << eid
-        base_rows.append(row)
-
-    # flipping label bit i toggles the cotree-edge bit carrying coordinate i
-    # and every tree-edge bit whose split it crosses
-    cols = [1 << eid for eid in td.cotree]
-    for eid in td.tree_edges:
-        cmask = cuts.crossing[eid]
-        while cmask:
-            low = cmask & -cmask
-            cols[low.bit_length() - 1] |= 1 << eid
-            cmask ^= low
-
-    lin = [0] * (1 << s)
-    for f in range(1, 1 << s):
+    paths = td.root_paths
+    flip = 0
+    for child, link in enumerate(td.parent):
+        if link is not None and child < link[0]:
+            flip |= 1 << link[1]
+    base_rows = [path ^ flip for path in paths]
+    cols = []
+    for eid in td.cotree:
+        a, b = g.edges[eid]
+        cols.append(1 << eid | paths[a] ^ paths[b])
+    lin = [0] * (1 << lg.s)
+    for f in range(1, 1 << lg.s):
         low = f & -f
         lin[f] = lin[f ^ low] ^ cols[low.bit_length() - 1]
-    return EmbeddingTable(lg=lg, m=g.m, base_rows=base_rows, lin=lin, cuts=cuts)
+    return EmbeddingTable(lg=lg, m=g.m, base_rows=base_rows, lin=lin)
 
 
 def l1_distance(table, x, y):

@@ -91,7 +91,10 @@ class TreeDecomposition:
     ``cotree[i]`` is the edge id carrying coordinate ``i``; the ordering is by
     ascending edge id so the coordinate layout is reproducible from the input
     edge order alone.  ``parent[v]`` is ``(parent_vertex, tree_edge_id)`` and
-    ``None`` for the root.
+    ``None`` for the root.  ``root_paths[v]`` is the bitmask, by edge id, of
+    the tree edges on the path from the root to ``v``: bit e is set exactly
+    when ``T - e`` separates ``v`` from the root, and the tree path between
+    ``a`` and ``b`` is ``root_paths[a] ^ root_paths[b]``.
     """
 
     graph: Graph
@@ -101,6 +104,7 @@ class TreeDecomposition:
     cotree: tuple
     parent: tuple
     coord: dict  # edge id -> cotree coordinate index
+    root_paths: tuple
 
     @property
     def num_coords(self):
@@ -207,6 +211,7 @@ def spanning_tree(g, strategy="bfs", root=0):
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range")
     parent = [None] * g.n
+    paths = [0] * g.n
     seen = [False] * g.n
     seen[root] = True
     tree = set()
@@ -219,6 +224,7 @@ def spanning_tree(g, strategy="bfs", root=0):
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = (v, eid)
+                    paths[w] = paths[v] | 1 << eid
                     tree.add(eid)
                     count += 1
                     queue.append(w)
@@ -230,6 +236,7 @@ def spanning_tree(g, strategy="bfs", root=0):
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = (v, eid)
+                    paths[w] = paths[v] | 1 << eid
                     tree.add(eid)
                     count += 1
                     stack.append((w, iter(g.adj[w])))
@@ -248,32 +255,8 @@ def spanning_tree(g, strategy="bfs", root=0):
         cotree=cotree,
         parent=tuple(parent),
         coord=coord,
+        root_paths=tuple(paths),
     )
-
-
-def tree_split(td, tree_edge):
-    """The two vertex sets of T minus a tree edge.
-
-    A is the side containing the lower-numbered endpoint of the edge; this
-    orientation convention pins down the 0-side of every tree-edge cut.
-    """
-    if tree_edge not in td.tree_edges:
-        raise GraphError(f"edge {tree_edge} is not a tree edge")
-    g = td.graph
-    u, v = g.edges[tree_edge]
-    start = min(u, v)
-    in_a = [False] * g.n
-    in_a[start] = True
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y, eid in g.adj[x]:
-            if eid != tree_edge and eid in td.tree_edges and not in_a[y]:
-                in_a[y] = True
-                stack.append(y)
-    a = frozenset(x for x in range(g.n) if in_a[x])
-    b = frozenset(x for x in range(g.n) if not in_a[x])
-    return a, b
 
 
 def bridges_and_2ecc(g):

@@ -303,6 +303,18 @@ def test_negative_verify_counts_are_usage_errors(tmp_path, capsys, flag):
     assert run(["verify", "--instances", "k4", "--oracle-pairs", 0, "--random-count", 0]) == 0
 
 
+@pytest.mark.parametrize("spec", ["petersen", "cycle:5", "complete:4", "k4"])
+def test_verify_random_spec_must_be_random(tmp_path, capsys, spec):
+    # a non-random family would otherwise run --random-count times, ignoring
+    # --seed and --girth-min
+    out = tmp_path / "v.json"
+    assert run(["verify", "--random-spec", spec, "--random-count", 2, "--instances", "k4", "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert "expected random:N:K" in captured.err
+    assert captured.out == ""  # rejected before any instance runs
+    assert not out.exists()
+
+
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     base = tmp_path / "p.txt"
     run(["gen", "--family", "petersen", "-o", base])

@@ -5,9 +5,7 @@ from fractions import Fraction
 import pytest
 
 from treelift.embedding import (
-    CutStructure,
     assert_injective,
-    cut_side,
     distortion,
     embed,
     l1_distance,
@@ -86,11 +84,15 @@ def triangle_lift():
     return build_lift(g, td)
 
 
-def test_cut_side_cotree_reads_label_bit():
-    lg = triangle_lift()
-    g, td = lg.base, lg.td
-    assert cut_side(g, td, 2, 0, 0) == 0
-    assert cut_side(g, td, 2, 0, 1) == 1
+def test_cotree_row_bit_reads_label_bit():
+    # the cut of the cotree edge carrying coordinate i is label bit i, at
+    # every vertex
+    for lg in (triangle_lift(), lift_of(FamilySpec.named("petersen"))):
+        t = embed(lg)
+        for x in range(lg.num_vertices):
+            _, f = lg.decode(x)
+            for i, eid in enumerate(lg.td.cotree):
+                assert (t.row(x) >> eid) & 1 == (f >> i) & 1
 
 
 def test_triangle_rows_match_hand_values():
@@ -103,36 +105,29 @@ def test_triangle_rows_match_hand_values():
     assert l1_distance(t, lg.encode(0, 0), lg.encode(0, 1)) == 3
 
 
+def oracle_sides(lg, eid):
+    """The oracle's two classes for cut eid as sides 0/1, with side 0 the
+    class of (lower endpoint of eid, label 0)."""
+    color = oracle_cut_sides(lg, eid)
+    assert color is not None, f"fiber of edge {eid} is not a 2-sided cut"
+    zero = color[lg.encode(min(lg.base.edges[eid]), 0)]
+    return [c ^ zero for c in color]
+
+
 def test_same_fiber_parity_specialization():
-    # with label 0 the tree-edge bit is exactly [vertex in B]
+    # with label 0 the tree-edge bit is exactly [vertex in B], the oracle's
+    # side, and every cotree bit is 0
     lg = lift_of(FamilySpec.named("petersen"))
     t = embed(lg)
-    cuts = t.cuts
+    for eid in lg.td.tree_edges:
+        side = oracle_sides(lg, eid)
+        for u in range(10):
+            x = lg.encode(u, 0)
+            assert (t.row(x) >> eid) & 1 == side[x]
     for u in range(10):
         row = t.row(lg.encode(u, 0))
-        for eid in lg.td.tree_edges:
-            assert (row >> eid) & 1 == (cuts.in_b[eid] >> u) & 1
         for eid in lg.td.cotree:
             assert (row >> eid) & 1 == 0
-
-
-def test_same_crossing_labels_same_tree_bit():
-    lg = lift_of(FamilySpec.named("petersen"))
-    cuts = CutStructure(lg.base, lg.td)
-    rng = random.Random(3)
-    tree_edges = sorted(lg.td.tree_edges)
-    for _ in range(100):
-        eid = rng.choice(tree_edges)
-        u = rng.randrange(10)
-        f = rng.randrange(64)
-        flip_outside = rng.randrange(64) & ~cuts.crossing[eid]
-        assert cuts.side(eid, u, f) == cuts.side(eid, u, f ^ flip_outside)
-
-
-def test_cut_side_rejects_bad_edge():
-    lg = triangle_lift()
-    with pytest.raises(GraphError):
-        cut_side(lg.base, lg.td, 9, 0, 0)
 
 
 # --- the fiber of every edge is exactly the h_e cut ----------------------------
@@ -140,7 +135,13 @@ def test_cut_side_rejects_bad_edge():
 
 @pytest.mark.parametrize(
     "spec",
-    [FamilySpec.cycle(3), FamilySpec.cycle(5), FamilySpec.named("k4"), FamilySpec.complete(5)],
+    [
+        FamilySpec.cycle(3),
+        FamilySpec.cycle(5),
+        FamilySpec.named("k4"),
+        FamilySpec.complete(5),
+        FamilySpec.named("petersen"),
+    ],
 )
 def test_fibers_are_cuts_oracle(spec):
     lg = lift_of(spec)
@@ -151,8 +152,7 @@ def test_fibers_are_cuts_oracle(spec):
         # h_e constant per side and distinct across sides
         sides = {0: set(), 1: set()}
         for x in range(lg.num_vertices):
-            u, f = lg.decode(x)
-            sides[color[x]].add(t.cuts.side(eid, u, f))
+            sides[color[x]].add((t.row(x) >> eid) & 1)
         assert sides[0].isdisjoint(sides[1])
         assert len(sides[0]) == 1 and len(sides[1]) == 1
 
@@ -171,20 +171,27 @@ def test_every_lifted_edge_crosses_exactly_its_own_cut():
 
 @pytest.mark.parametrize(
     "spec",
-    [FamilySpec.named("k4"), FamilySpec.cycle(5), FamilySpec.named("petersen")],
-    ids=["k4", "cycle5", "petersen"],
+    [
+        FamilySpec.cycle(3),
+        FamilySpec.named("k4"),
+        FamilySpec.cycle(5),
+        FamilySpec.complete(5),
+        FamilySpec.named("petersen"),
+    ],
+    ids=["cycle3", "k4", "cycle5", "complete5", "petersen"],
 )
 def test_rows_read_cut_sides_at_every_label(spec):
-    # ties the affine rows to the cut-side definition at every label, not
-    # only on the zero-label fiber
-    lg = lift_of(spec)
-    t = embed(lg)
-    cuts = CutStructure(lg.base, lg.td)
-    for x in range(lg.num_vertices):
-        u, f = lg.decode(x)
-        row = t.row(x)
-        for eid in range(lg.base.m):
-            assert (row >> eid) & 1 == cuts.side(eid, u, f)
+    # ties the affine rows to the cut sides found by the 2-colouring oracle,
+    # at every label and under bfs and dfs trees at two roots
+    g = make(spec)
+    for strategy in ("bfs", "dfs"):
+        for root in (0, g.n - 1):
+            lg = lift_of(g, strategy, root)
+            t = embed(lg)
+            for eid in range(g.m):
+                side = oracle_sides(lg, eid)
+                for x in range(lg.num_vertices):
+                    assert (t.row(x) >> eid) & 1 == side[x], (strategy, root, eid, x)
 
 
 def test_every_broken_matching_is_named_by_the_cut_check():

@@ -15,7 +15,6 @@ from treelift.graph import (
     is_connected,
     parse_edge_list,
     spanning_tree,
-    tree_split,
 )
 
 # --- independent oracles -----------------------------------------------------
@@ -357,42 +356,67 @@ def test_spanning_tree_deterministic():
     assert a.tree_edges == b.tree_edges and a.cotree == b.cotree
 
 
-# --- tree_split ---------------------------------------------------------------
+# --- root paths ---------------------------------------------------------------
+
+
+def split_by_root_paths(td, eid):
+    """The two sides of T - e read off bit ``eid`` of the root paths, the side
+    holding the lower endpoint of ``eid`` first."""
+    far = {v for v in range(td.graph.n) if td.root_paths[v] >> eid & 1}
+    near = set(range(td.graph.n)) - far
+    return (near, far) if min(td.graph.edges[eid]) in near else (far, near)
 
 
 def test_tree_split_path():
     g = build_graph(3, [(0, 1), (1, 2)])
     td = spanning_tree(g)
-    a, b = tree_split(td, 0)
+    a, b = split_by_root_paths(td, 0)
     assert a == {0} and b == {1, 2}
 
 
 def test_tree_split_star_lower_endpoint_side():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     td = spanning_tree(g)
-    a, b = tree_split(td, 0)
+    a, b = split_by_root_paths(td, 0)
     assert a == {0, 2, 3} and b == {1}
-
-
-def test_tree_split_rejects_cotree_edge():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    td = spanning_tree(g)
-    (cot,) = td.cotree
-    with pytest.raises(GraphError):
-        tree_split(td, cot)
 
 
 def test_tree_split_matches_deletion_components():
     g = build_graph(10, PETERSEN_PAIRS)
     td = spanning_tree(g)
     for eid in sorted(td.tree_edges):
-        a, b = tree_split(td, eid)
-        assert a | b == set(range(10)) and not (a & b)
+        a, b = split_by_root_paths(td, eid)
+        assert a | b == set(range(10)) and not (a & b) and a and b
         tree_pairs = [g.edges[t] for t in td.tree_edges if t != eid]
         # the two sides are the components of T - e
         parts = oracle_2ecc_partition(build_graph(10, tree_pairs), set())
         assert {frozenset(a), frozenset(b)} == parts
         assert min(g.edges[eid]) in a
+
+
+def test_root_paths_match_deletion_components():
+    graphs = [
+        build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # path
+        build_graph(5, [(2, 0), (2, 1), (2, 3), (2, 4)]),  # star
+        build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        build_graph(10, PETERSEN_PAIRS),
+        random_regular(20, 3, seed=2),
+    ]
+    for g in graphs:
+        for strategy in ("bfs", "dfs"):
+            for root in (0, g.n - 1):
+                td = spanning_tree(g, strategy, root)
+                paths = td.root_paths
+                assert paths[root] == 0
+                for eid in range(g.m):
+                    if eid not in td.tree_edges:
+                        assert not any(p >> eid & 1 for p in paths)
+                        continue
+                    # the two sides of T - e, found by a plain search
+                    rest = [g.edges[t] for t in td.tree_edges if t != eid]
+                    (near,) = [c for c in oracle_2ecc_partition(build_graph(g.n, rest), set()) if root in c]
+                    for v in range(g.n):
+                        assert (paths[v] >> eid) & 1 == (v not in near), (strategy, root, eid, v)
 
 
 # --- bridges / 2ecc -----------------------------------------------------------
