@@ -161,22 +161,19 @@ def distortion(lg, table, tables):
     and its witness, the smallest encoded pair attaining it, come from the
     bit-sliced fold in ``representative_tables``.  Every pair is covered
     through the translation orbit of some ((u, 0), y) with y > (u, 0), so the
-    counts are arithmetic.
+    counts are arithmetic.  The rows are certified injective first
+    (``assert_injective``), so no pair has l1 0.
     """
     nn = lg.num_vertices
     if nn < 2:
         raise GraphError("distortion requires at least two lifted vertices")
+    assert_injective(table)
     lip = Fraction(max(flip.bit_count() for flip in table.edge_flips()))
     if lip != 1:
         raise RuntimeError(
             f"embedding is not 1-Lipschitz (measured lip = {lip}); the cut partition is broken"
         )
     (d, h), (x, y) = tables.colip, tables.colip_witness
-    if h == 0:
-        raise RuntimeError(
-            f"embedding collision between distinct vertices {x} and {y}: "
-            f"F must be injective; this indicates an implementation bug"
-        )
     n = lg.base.n
     colip = Fraction(d, h)
     return DistortionReport(

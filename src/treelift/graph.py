@@ -208,6 +208,8 @@ def spanning_tree(g, strategy="bfs", root=0):
     """
     if strategy not in ("bfs", "dfs"):
         raise GraphError(f"unknown spanning tree strategy {strategy!r}")
+    if g.n == 0:
+        raise GraphError("spanning tree of the empty graph is undefined")
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range")
     parent = [None] * g.n

@@ -23,6 +23,12 @@ no longer than the base diameter; and the accounting identities
 together with component_edges >= components*girth and bridges_twice <=
 bridge_paths*diameter.
 
+Bridge paths are counted without building them.  A join is a degree-2 vertex
+whose two edges are both bridges, and it glues them into one path.  Bridges
+lie on no cycle, so they form a forest and no chain of joins closes a loop:
+each join merges two paths, and bridge_paths = bridges - joins.  Only the
+lengths of the twice-used bridge paths need the paths themselves.
+
 Verdicts are data, never asserts: a sweep must be able to aggregate and dump
 failures for forensic replay instead of dying mid-run.
 """
@@ -48,7 +54,7 @@ class Verdict:
 
 
 def _verdict(name, violations):
-    return Verdict(name=name, passed=not violations, violations=list(violations))
+    return Verdict(name=name, passed=not violations, violations=violations)
 
 
 @dataclass(eq=False)
@@ -87,32 +93,39 @@ def shortest_lifted_path(lg, x, y, tables=None):
     """A canonical shortest path from x to y as encoded vertex ids.
 
     The pair is translated so the source sits at label 0 (that frame is where
-    the distance tables live), the path is rebuilt backwards choosing at each
-    hop the predecessor with the smallest encoded id, and the result is
-    translated back.  One deterministic shortest path per translation orbit,
-    which is what lets the sweep analyse one representative pair per orbit.
+    the distance tables live) and the path is rebuilt backwards, choosing at
+    each hop the predecessor with the smallest encoded id and translating it
+    back as it is appended.  One deterministic shortest path per translation
+    orbit, which is what lets the sweep analyse one representative pair per
+    orbit.
     """
     if x == y:
         return [x]
-    u, f = lg.decode(x)
+    s = lg.s
+    mask = lg.mask
+    f = x & mask
     x0 = x ^ f
     y0 = y ^ f
-    dist = tables[u] if tables is not None else bfs_lifted(lg, x0)
-    d = dist[y0]
-    if d < 0:
+    dist = tables[x >> s] if tables is not None else bfs_lifted(lg, x0)
+    if dist[y0] < 0:
         raise GraphError(f"no path between {x} and {y}")
-    back = [y0]
+    adj = lg.base.adj
+    rule = lg.rule
+    above = lg.num_vertices  # larger than every vertex id
+    path = [y]
     cur = y0
     while cur != x0:
         target = dist[cur] - 1
-        step = None
-        for w in lg.neighbors(cur):
-            if dist[w] == target and (step is None or w < step):
+        h = cur & mask
+        step = above
+        for v, eid in adj[cur >> s]:
+            w = (v << s) | (h ^ rule[eid])
+            if w < step and dist[w] == target:
                 step = w
-        back.append(step)
+        path.append(step ^ f)
         cur = step
-    back.reverse()
-    return [v ^ f for v in back]
+    path.reverse()
+    return path
 
 
 def analyze(lg, path):
@@ -138,42 +151,22 @@ def analyze(lg, path):
     bd = bridges_and_2ecc(induced)
 
     components = sum(1 for c in bd.component_edge_counts.values() if c)
-    once = twice = inside = 0
+    bridges = bd.bridge_ids
+    once = inside = 0
+    chains = {}  # twice-used bridge -> the bridges of its twice-used path
     for le, be in enumerate(induced_edges):
-        if le in bd.bridge_ids:
-            if mult[be] == 1:
-                once += 1
-            elif mult[be] == 2:
-                twice += 1
-        else:
+        if le not in bridges:
             inside += 1
-
-    def chain_sizes(edge_ok):
-        """Union bridges meeting at a degree-2 vertex; return class sizes."""
-        parent = {le: le for le in range(induced.m) if edge_ok(le)}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for w in range(induced.n):
-            if induced.degree(w) != 2:
-                continue
-            (n1, e1), (n2, e2) = induced.adj[w]
-            if e1 in parent and e2 in parent:
-                parent[find(e1)] = find(e2)
-        sizes = {}
-        for le in parent:
-            r = find(le)
-            sizes[r] = sizes.get(r, 0) + 1
-        return sizes
-
-    all_bridge_chains = chain_sizes(lambda le: le in bd.bridge_ids)
-    twice_chains = chain_sizes(
-        lambda le: le in bd.bridge_ids and mult[induced_edges[le]] == 2
-    )
+        elif mult[be] == 1:
+            once += 1
+        elif mult[be] == 2:
+            chains[le] = [le]
+    joins = [a for a in induced.adj if len(a) == 2 and a[0][1] in bridges and a[1][1] in bridges]
+    for (_, e1), (_, e2) in joins:
+        if e1 in chains and e2 in chains:
+            merged = chains[e1] + chains[e2]
+            for le in merged:
+                chains[le] = merged
 
     return WalkAnalysis(
         x=path[0],
@@ -187,11 +180,11 @@ def analyze(lg, path):
         induced_edges=induced_edges,
         bridge_info=bd,
         components=components,
-        bridge_paths=len(all_bridge_chains),
+        bridge_paths=len(bridges) - len(joins),
         bridges_once=once,
         component_edges=inside,
-        bridges_twice=twice,
-        segments=tuple(sorted(twice_chains.values(), reverse=True)),
+        bridges_twice=len(chains),
+        segments=tuple(sorted({c[0]: len(c) for c in chains.values()}.values(), reverse=True)),
     )
 
 
@@ -203,11 +196,16 @@ def verify_euler_parity(lg, wa):
     """In the multiplicity multigraph every degree is even except possibly the
     projected endpoints."""
     px, py = _endpoints(lg, wa)
-    bad = []
-    for i, v in enumerate(wa.induced_vertices):
-        deg = sum(wa.multiplicity[wa.induced_edges[eid]] for _, eid in wa.induced.adj[i])
-        if deg & 1 and v not in (px, py):
-            bad.append(f"vertex {v} has odd multigraph degree {deg}")
+    mult = wa.multiplicity
+    degs = [0] * len(wa.induced_vertices)
+    for (a, b), be in zip(wa.induced.edges, wa.induced_edges):
+        degs[a] += mult[be]
+        degs[b] += mult[be]
+    bad = [
+        f"vertex {v} has odd multigraph degree {deg}"
+        for v, deg in zip(wa.induced_vertices, degs)
+        if deg & 1 and v not in (px, py)
+    ]
     return _verdict("euler_parity", bad)
 
 
@@ -286,8 +284,8 @@ def verify_endpoint_degrees(lg, wa):
     px, py = _endpoints(lg, wa)
     bad = [
         f"vertex {v} has degree 1 in the induced subgraph but is not an endpoint"
-        for i, v in enumerate(wa.induced_vertices)
-        if wa.induced.degree(i) == 1 and v not in (px, py)
+        for v, a in zip(wa.induced_vertices, wa.induced.adj)
+        if len(a) == 1 and v not in (px, py)
     ]
     return _verdict("endpoint_degrees", bad)
 

@@ -139,6 +139,18 @@ def test_sampled_csv_has_one_row_per_orbit(tmp_path):
     assert all(row[4] == "64" for row in rows if row[5] == "1")
 
 
+@pytest.mark.parametrize("command", ["analyze", "lift"])
+def test_empty_graph_is_usage_error(tmp_path, capsys, command):
+    base = tmp_path / "empty.txt"
+    base.write_text("0 0\n")
+    out = tmp_path / "out"
+    assert run([command, base, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert "spanning tree of the empty graph is undefined" in err
+    assert "out of range" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pairs", ["sample:10", "auto"])
 def test_one_vertex_lift_is_usage_error(tmp_path, capsys, pairs):
     base = tmp_path / "one.txt"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import treelift.report as report
 from treelift.embedding import (
     assert_injective,
     distortion,
@@ -257,6 +258,21 @@ def test_assert_injective_agrees_with_brute_force():
         assert len({broken.row(x) for x in range(nn)}) < nn
         with pytest.raises(RuntimeError, match="not injective"):
             assert_injective(broken)
+
+
+def test_distortion_certifies_injectivity_before_the_fold(monkeypatch):
+    lg = lift_of(FamilySpec.named("petersen"))
+    t = embed(lg)
+    broken = dataclasses.replace(t, base_rows=[t.base_rows[1], *t.base_rows[1:]])
+    # no tables: the certificate must fail before the colip is read
+    with pytest.raises(RuntimeError, match="not injective"):
+        distortion(lg, broken, None)
+    monkeypatch.setattr(
+        report, "embed", lambda lg: dataclasses.replace(embed(lg), base_rows=broken.base_rows)
+    )
+    out = report.run_analysis(lg.base, pairs="sample", sample_count=20, seed=1).report
+    assert "not injective" in out["embedding"]["error"]
+    assert out["bound"]["distortion_within_bound"] is False and out["all_pass"] is False
 
 
 def test_embedding_is_nonexpansive_everywhere():

@@ -1,0 +1,258 @@
+"""The per-orbit analysis against a plain reference, and its call boundary.
+
+``reference_analyze`` keeps the straightforward form of ``walks.analyze``: a
+union-find that joins bridges meeting at a degree-2 vertex, once over all
+bridges for ``bridge_paths`` and once over the twice-used ones for
+``segments``.  The two degree verdicts are likewise kept as per-vertex sums.
+The inputs are seeded random lifted walks that are not shortest paths, so
+the counters and verdicts are exercised well outside what a sweep produces:
+backtracks, bridges used three or more times, repeated non-bridges, closed
+walks, and walks over a lift with a broken matching.
+"""
+
+import random
+
+import pytest
+
+import treelift.walks as walks
+from treelift.embedding import embed
+from treelift.families import load_named
+from treelift.graph import Graph, bridges_and_2ecc, spanning_tree
+from treelift.lift import build_lift
+from treelift.report import run_analysis, to_csv_text, to_json_bytes
+from treelift.walks import (
+    WalkAnalysis,
+    analyze,
+    verify_accounting,
+    verify_all,
+    verify_component_girth,
+    verify_counting,
+    verify_relift,
+    verify_repetitions,
+    verify_segments,
+)
+
+
+def reference_analyze(lg, path):
+    g = lg.base
+    mult = {}
+    projected = []
+    for a, b in zip(path, path[1:]):
+        eid = lg.project_edge(a, b)
+        projected.append(eid)
+        mult[eid] = mult.get(eid, 0) + 1
+    induced_edges = tuple(sorted(mult))
+    verts = sorted({v for eid in induced_edges for v in g.edges[eid]})
+    local = {v: i for i, v in enumerate(verts)}
+    induced = Graph(
+        len(verts), [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in induced_edges]
+    )
+    bd = bridges_and_2ecc(induced)
+
+    def chain_sizes(edge_ok):
+        """Union bridges meeting at a degree-2 vertex; return class sizes."""
+        parent = {le: le for le in range(induced.m) if edge_ok(le)}
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for w in range(induced.n):
+            if induced.degree(w) != 2:
+                continue
+            (_, e1), (_, e2) = induced.adj[w]
+            if e1 in parent and e2 in parent:
+                parent[find(e1)] = find(e2)
+        sizes = {}
+        for le in parent:
+            r = find(le)
+            sizes[r] = sizes.get(r, 0) + 1
+        return sizes
+
+    def is_bridge(le):
+        return le in bd.bridge_ids
+
+    def uses(le):
+        return mult[induced_edges[le]]
+
+    def counted(edge_ok):
+        return sum(1 for le in range(induced.m) if edge_ok(le))
+
+    twice = chain_sizes(lambda le: is_bridge(le) and uses(le) == 2)
+    return WalkAnalysis(
+        x=path[0],
+        y=path[-1],
+        path=tuple(path),
+        projected=tuple(projected),
+        path_len=len(path) - 1,
+        multiplicity=mult,
+        induced=induced,
+        induced_vertices=tuple(verts),
+        induced_edges=induced_edges,
+        bridge_info=bd,
+        components=sum(1 for c in bd.component_edge_counts.values() if c),
+        bridge_paths=len(chain_sizes(is_bridge)),
+        bridges_once=counted(lambda le: is_bridge(le) and uses(le) == 1),
+        component_edges=counted(lambda le: not is_bridge(le)),
+        bridges_twice=counted(lambda le: is_bridge(le) and uses(le) == 2),
+        segments=tuple(sorted(twice.values(), reverse=True)),
+    )
+
+
+def reference_euler_parity(lg, wa):
+    ends = (lg.project_vertex(wa.x), lg.project_vertex(wa.y))
+    bad = []
+    for i, v in enumerate(wa.induced_vertices):
+        deg = sum(wa.multiplicity[wa.induced_edges[eid]] for _, eid in wa.induced.adj[i])
+        if deg & 1 and v not in ends:
+            bad.append(f"vertex {v} has odd multigraph degree {deg}")
+    return bad
+
+
+def reference_endpoint_degrees(lg, wa):
+    ends = (lg.project_vertex(wa.x), lg.project_vertex(wa.y))
+    return [
+        f"vertex {v} has degree 1 in the induced subgraph but is not an endpoint"
+        for i, v in enumerate(wa.induced_vertices)
+        if wa.induced.degree(i) == 1 and v not in ends
+    ]
+
+
+def reference_verdicts(lg, wa, table, base_girth, base_diam):
+    """(passed, violations) per verdict name, for a reference analysis."""
+    out = {
+        "euler_parity": reference_euler_parity(lg, wa),
+        "endpoint_degrees": reference_endpoint_degrees(lg, wa),
+    }
+    for v in (
+        verify_repetitions(wa),
+        verify_counting(wa, table),
+        verify_segments(wa, base_diam),
+        verify_accounting(wa, table, base_girth, base_diam),
+        verify_component_girth(wa, base_girth),
+        verify_relift(lg, wa),
+    ):
+        out[v.name] = v.violations
+    return {name: (not bad, bad) for name, bad in out.items()}
+
+
+def random_walk(lg, rng):
+    """A seeded lifted walk: random steps, immediate backtracks, bursts of
+    back-and-forth over one edge, and, half the time, closed by retracing."""
+    walk = [rng.randrange(lg.num_vertices)]
+    for _ in range(rng.randrange(25)):
+        r = rng.random()
+        if r < 0.2 and len(walk) > 1:
+            walk.append(walk[-2])
+        elif r < 0.3 and len(walk) > 1:
+            walk.extend([walk[-2], walk[-1]] * rng.randrange(1, 3))
+        else:
+            walk.append(rng.choice(lg.neighbors(walk[-1])))
+    if rng.random() < 0.5:
+        walk.extend(reversed(walk[:-1]))
+    return walk
+
+
+def bundle(name):
+    """(lift, embedding, base girth, base diameter) of a named case."""
+    base = name.removesuffix("[fault]")
+    g = load_named(base)
+    td = spanning_tree(g)
+    # the fault `verify --fault-inject` plants; the lift stays connected
+    fault = (td.cotree[0], 1 << 1) if base != name else None
+    lg = build_lift(g, td, fault=fault)
+    return lg, embed(lg), *{"k4": (3, 1), "petersen": (5, 2)}[base]
+
+
+FIELDS = (
+    "x",
+    "y",
+    "path",
+    "projected",
+    "path_len",
+    "multiplicity",
+    "induced_vertices",
+    "induced_edges",
+    "components",
+    "bridge_paths",
+    "bridges_once",
+    "component_edges",
+    "bridges_twice",
+    "segments",
+)
+
+
+@pytest.mark.parametrize("name", ["k4", "petersen", "petersen[fault]"])
+def test_analyze_and_verdicts_match_the_reference_on_random_walks(name):
+    lg, table, base_girth, base_diam = bundle(name)
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(600):
+        walk = random_walk(lg, rng)
+        got = analyze(lg, walk)
+        want = reference_analyze(lg, walk)
+        for f in FIELDS:
+            assert getattr(got, f) == getattr(want, f), (f, walk)
+        assert got.induced.edges == want.induced.edges
+        assert got.bridge_info.bridge_ids == want.bridge_info.bridge_ids
+        verdicts = verify_all(lg, got, table, base_girth, base_diam)
+        assert {n: (v.passed, v.violations) for n, v in verdicts.items()} == reference_verdicts(
+            lg, want, table, base_girth, base_diam
+        ), walk
+        mult = want.multiplicity.values()
+        bridge_uses = [
+            want.multiplicity[want.induced_edges[le]] for le in want.bridge_info.bridge_ids
+        ]
+        seen.update(
+            tag
+            for tag, hit in (
+                ("closed", want.x == want.y and want.path_len > 0),
+                ("bridge 3+", any(c >= 3 for c in bridge_uses)),
+                ("repeated non-bridge", sum(c > 1 for c in mult) > sum(c > 1 for c in bridge_uses)),
+                ("long segment", max(want.segments, default=0) >= 2),
+                ("two segments", len(want.segments) >= 2),
+                ("bridge chains", want.bridge_paths >= 2),
+                ("failing verdict", not all(verdicts.values())),
+            )
+            if hit
+        )
+    assert seen >= {
+        "closed",
+        "bridge 3+",
+        "repeated non-bridge",
+        "long segment",
+        "two segments",
+        "bridge chains",
+        "failing verdict",
+    }, name
+
+
+def test_analyze_builds_one_graph_and_one_bridge_decomposition_per_orbit(monkeypatch):
+    # plain-function wrappers, as the benchmark's tracer installs them: the
+    # per-orbit boundary stays visible only while analyze calls both by name
+    g = load_named("k4")
+    rows = []
+    want = to_json_bytes(run_analysis(g, pairs="exhaustive", csv_rows=rows).report)
+    want_csv = to_csv_text(rows)
+    calls = {"Graph": 0, "bridges_and_2ecc": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(walks, "Graph", counting("Graph", walks.Graph))
+    monkeypatch.setattr(
+        walks, "bridges_and_2ecc", counting("bridges_and_2ecc", walks.bridges_and_2ecc)
+    )
+    rows = []
+    ctx = run_analysis(g, pairs="exhaustive", csv_rows=rows)
+    analyses = ctx.sweep.analyses
+    assert analyses == len(rows) > 0
+    assert calls == {"Graph": analyses, "bridges_and_2ecc": analyses}
+    assert to_json_bytes(ctx.report) == want
+    assert to_csv_text(rows) == want_csv
