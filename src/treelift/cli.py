@@ -14,7 +14,7 @@ import os
 import sys
 import traceback
 
-from .families import GenerationError, make, parse_family
+from .families import GenerationError, check_spec, make, parse_family
 from .graph import GraphError, girth, load_edge_list, save_edge_list, spanning_tree
 from .lift import (
     DEFAULT_MAX_VERTICES,
@@ -160,25 +160,30 @@ def cmd_analyze(args):
 
 
 def instance_graphs(args):
-    """(label, graph, fault) triples for the verify battery."""
+    """(label, graph, fault) triples for the verify battery.
+
+    Every label and the random spec are parsed and checked before the first
+    graph is built, so bad input exits 2 before any instance has run.
+    """
     base = parse_family(args.random_spec)
     if base.kind != "random_regular":
         raise GraphError(f"bad --random-spec value {args.random_spec!r}: expected random:N:K")
+    base = dataclasses.replace(base, girth_min=args.girth_min, max_tries=args.max_tries)
+    check_spec(base)
     if args.fault_inject:
         g = make(parse_family("petersen"))
         td = spanning_tree(g, args.tree, 0)
         # corrupt one matching: the coordinate-0 cotree edge additionally
         # flips coordinate 1, so its fiber crosses two cuts
         fault = (td.cotree[0], 1 << 1)
-        yield "petersen[fault]", g, fault
-        return
-    for label in args.instances.split(","):
-        yield label, make(parse_family(label)), None
+        return [("petersen[fault]", g, fault)]
+    specs = [(label, parse_family(label)) for label in args.instances.split(",")]
+    for _, spec in specs:
+        check_spec(spec)
     for i in range(args.random_count):
-        spec = dataclasses.replace(
-            base, girth_min=args.girth_min, seed=args.seed + i, max_tries=args.max_tries
-        )
-        yield f"{spec.describe()}", make(spec), None
+        spec = dataclasses.replace(base, seed=args.seed + i)
+        specs.append((spec.describe(), spec))
+    return ((label, make(spec), None) for label, spec in specs)
 
 
 def cmd_verify(args):
@@ -279,13 +284,25 @@ def build_parser():
     p = sub.add_parser("verify", help="run the property battery over an instance matrix")
     p.add_argument("-o", "--output", help="JSON report file")
     p.add_argument("--pairs", default="auto", help="verdict sweep pairs: auto|exhaustive|sample:COUNT")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", default=DEFAULT_MATRIX)
-    p.add_argument("--random-spec", default="random:20:3")
-    p.add_argument("--random-count", type=nonnegative_int, default=3)
-    p.add_argument("--girth-min", type=int, default=5)
-    p.add_argument("--max-tries", type=positive_int, default=10_000)
-    p.add_argument("--oracle-pairs", type=nonnegative_int, default=2_000)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the sampled pairs and the oracle; random instance i uses SEED+i",
+    )
+    p.add_argument(
+        "--instances", default=DEFAULT_MATRIX,
+        help="comma-separated families: petersen|heawood|mcgee|pappus|tutte_coxeter|k4|cycle:N|complete:N|random:N:K",
+    )
+    p.add_argument("--random-spec", default="random:20:3", help="random:N:K family of the random instances")
+    p.add_argument("--random-count", type=nonnegative_int, default=3, help="number of random instances")
+    p.add_argument("--girth-min", type=int, default=5, help="girth floor for the random instances")
+    p.add_argument(
+        "--max-tries", type=positive_int, default=10_000,
+        help="generation attempts per random instance before giving up",
+    )
+    p.add_argument(
+        "--oracle-pairs", type=nonnegative_int, default=2_000,
+        help="seeded random pairs cross-checked against the direct-search oracles",
+    )
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--max-vertices", type=positive_int, default=cap)
     p.add_argument("--fault-inject", action="store_true", help="sabotage one matching bit; the battery must fail")

@@ -112,21 +112,45 @@ def load_named(name):
     return g
 
 
+def check_spec(spec):
+    """Raise GraphError unless a FamilySpec's parameters describe a graph.
+
+    Builds nothing, so a batch of specs can be vetted before any is built;
+    only a random family can still fail later, by exhausting its tries.
+    """
+    if spec.kind in ("cycle", "complete"):
+        if spec.n < 3:
+            raise GraphError(f"{spec.kind} needs n >= 3, got {spec.n}")
+    elif spec.kind == "named":
+        if spec.name not in NAMED:
+            raise GraphError(f"unknown named graph {spec.name!r}")
+    elif spec.kind == "random_regular":
+        _check_random_regular(spec.n, spec.k, spec.girth_min)
+    else:
+        raise GraphError(f"unknown family kind {spec.kind!r}")
+
+
 def make(spec):
     """Build the graph described by a FamilySpec."""
+    check_spec(spec)
     if spec.kind == "cycle":
-        if spec.n < 3:
-            raise GraphError(f"cycle needs n >= 3, got {spec.n}")
         return build_graph(spec.n, [(i, (i + 1) % spec.n) for i in range(spec.n)])
     if spec.kind == "complete":
-        if spec.n < 3:
-            raise GraphError(f"complete needs n >= 3, got {spec.n}")
         return build_graph(spec.n, [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)])
     if spec.kind == "named":
         return load_named(spec.name)
-    if spec.kind == "random_regular":
-        return random_regular(spec.n, spec.k, spec.girth_min, spec.seed, spec.max_tries)
-    raise GraphError(f"unknown family kind {spec.kind!r}")
+    return random_regular(spec.n, spec.k, spec.girth_min, spec.seed, spec.max_tries)
+
+
+def _check_random_regular(n, k, girth_min):
+    if k < 3:
+        raise GraphError(f"degree must be >= 3, got {k}")
+    if n <= k:
+        raise GraphError(f"need n > k, got n={n}, k={k}")
+    if (n * k) % 2 != 0:
+        raise GraphError(f"n*k must be even, got n={n}, k={k}")
+    if girth_min < 3:
+        raise GraphError(f"girth_min must be >= 3, got {girth_min}")
 
 
 def random_regular(n, k, girth_min=3, seed=0, max_tries=10_000):
@@ -137,14 +161,7 @@ def random_regular(n, k, girth_min=3, seed=0, max_tries=10_000):
     raises GenerationError once max_tries attempts are exhausted rather than
     returning a weaker graph.
     """
-    if k < 3:
-        raise GraphError(f"degree must be >= 3, got {k}")
-    if n <= k:
-        raise GraphError(f"need n > k, got n={n}, k={k}")
-    if (n * k) % 2 != 0:
-        raise GraphError(f"n*k must be even, got n={n}, k={k}")
-    if girth_min < 3:
-        raise GraphError(f"girth_min must be >= 3, got {girth_min}")
+    _check_random_regular(n, k, girth_min)
     rng = random.Random(seed)
     for attempt in range(max_tries):
         stubs = [v for v in range(n) for _ in range(k)]

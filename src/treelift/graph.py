@@ -61,9 +61,6 @@ class Graph:
     def degree(self, v):
         return len(self.adj[v])
 
-    def endpoints(self, eid):
-        return self.edges[eid]
-
     def edge_between(self, u, v):
         """Edge id joining u and v, or None if they are not adjacent."""
         return self._index.get((u, v) if u < v else (v, u))

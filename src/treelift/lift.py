@@ -9,14 +9,17 @@ densely as ``base << s | label`` (bit i of the label is cotree coordinate i),
 so XOR with a label vector is both the matching rule and the translation
 automorphism.
 
-Adjacency is computed on demand from (base adjacency, rule masks).  The only
+Adjacency is computed on demand from (base adjacency, rule masks), which
+the step table ``LiftedGraph.hops`` pairs up once per lift.  The only
 objects of size n * 2^s are the array of the scalar ``bfs_lifted`` (used by
-``build_lift``'s connectivity check and by the verification oracle) and the
-distance rows of ``representative_tables``: n rows of n * 2^s entries, one
-byte each while the lifted diameter is under 256, plus, while those rows are
-built, one n * 2^s-bit set per base edge.  The same label-parallel BFS that
-fills the rows also measures the lifted girth and the exact colip of the
-cut embedding.  An explicit vertex cap guards all of them.
+``build_lift``'s connectivity check) and the distance rows of
+``representative_tables``: n rows of n * 2^s entries, one byte each while the
+lifted diameter is under 256, plus, while those rows are built, one
+n * 2^s-bit set per base edge.  The same label-parallel BFS that fills the
+rows also measures the lifted girth and the exact colip of the cut
+embedding.  An explicit vertex cap guards all of them.  The verification
+oracle answers its pairs with ``two_sided_distances``, a scalar search that
+only grows two small balls per pair.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import GraphError
 
@@ -52,6 +55,9 @@ class LiftedGraph:
     ``1 << coord`` for cotree edges).  ``fault``, if set, XORs an extra mask
     into one edge's rule; it exists solely so verification sweeps can prove
     they detect a broken matching, and is reported loudly by the CLI.
+    ``hops[u]`` holds, for each edge e = (u, v) in adjacency order, the pair
+    (v << s, rule[e]): (u, f) is adjacent to ``base | (f ^ rule)`` for each
+    ``(base, rule)`` in it.  It is built once, with the lift.
     """
 
     base: object
@@ -61,6 +67,12 @@ class LiftedGraph:
     rule: tuple
     coord_of: tuple
     fault: tuple = None  # (edge id, extra xor mask) test hook
+    hops: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        s = self.s
+        rule = self.rule
+        self.hops = tuple(tuple((v << s, rule[eid]) for v, eid in nbrs) for nbrs in self.base.adj)
 
     @property
     def num_vertices(self):
@@ -98,9 +110,6 @@ class LiftedGraph:
         s = self.s
         rule = self.rule
         return [(v << s) | (f ^ rule[eid]) for v, eid in self.base.adj[u]]
-
-    def degree(self, x):
-        return len(self.base.adj[x >> self.s])
 
     def translate(self, x, gvec):
         """Label translation (u, f) -> (u, f ^ gvec); a graph automorphism."""
@@ -152,8 +161,8 @@ def build_lift(g, td, max_vertices=DEFAULT_MAX_VERTICES, fault=None, check_conne
 def bfs_lifted(lg, source):
     """Exact BFS distances in the lift from one encoded vertex (-1 unreachable)."""
     s = lg.s
-    adj = lg.base.adj
-    rule = lg.rule
+    mask = lg.mask
+    hops = lg.hops
     dist = [-1] * lg.num_vertices
     dist[source] = 0
     frontier = [source]
@@ -162,15 +171,75 @@ def bfs_lifted(lg, source):
         d += 1
         nxt = []
         for x in frontier:
-            u = x >> s
-            f = x ^ (u << s)
-            for v, eid in adj[u]:
-                y = (v << s) | (f ^ rule[eid])
+            f = x & mask
+            for base, rule in hops[x >> s]:
+                y = base | (f ^ rule)
                 if dist[y] < 0:
                     dist[y] = d
                     nxt.append(y)
         frontier = nxt
     return dist
+
+
+def _grow(lg, ball, frontier, level, goal=()):
+    """Add the next level of a scalar BFS ball: every unseen neighbour of
+    ``frontier`` enters ``ball`` at ``level``; returns them as the new
+    frontier, or None as soon as one of them lies in ``goal``."""
+    s = lg.s
+    mask = lg.mask
+    hops = lg.hops
+    nxt = []
+    for x in frontier:
+        f = x & mask
+        for base, rule in hops[x >> s]:
+            y = base | (f ^ rule)
+            if y not in ball:
+                if y in goal:
+                    return None
+                ball[y] = level
+                nxt.append(y)
+    return nxt
+
+
+def two_sided_distances(lg, source, targets):
+    """Exact lifted distances from ``source`` to each of ``targets`` (-1 if
+    unreachable), by two-sided BFS on the lift's adjacency.
+
+    One ball around the source is grown lazily, a full level at a time, and
+    shared by all targets.  A target inside it is answered by its level.
+    Otherwise a fresh ball grows from the target, and each step adds one
+    level to whichever ball has the smaller frontier, until the new level
+    meets the other ball (the throwaway target ball stops at its first
+    vertex in the source ball); the answer is then the sum of the two radii.
+    This is exact: if the balls of radii (i - 1, j) are disjoint, then
+    d > i - 1 + j, while a meeting at radii (i, j) gives d <= i + j, so the
+    first meeting gives d = i + j.  If a frontier empties first, the target
+    lies in another component.
+    """
+    ball = {source: 0}
+    front = [source]
+    radius = 0
+    out = []
+    for y in targets:
+        d = ball.get(y, -1)
+        if d < 0:
+            other = {y: 0}
+            back = [y]
+            reach = 0
+            while front and back:
+                if len(front) <= len(back):
+                    radius += 1
+                    front = _grow(lg, ball, front, radius)
+                    met = not other.keys().isdisjoint(front)
+                else:
+                    reach += 1
+                    back = _grow(lg, other, back, reach, ball)
+                    met = back is None
+                if met:
+                    d = radius + reach
+                    break
+        out.append(d)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -327,6 +327,25 @@ def test_verify_random_spec_must_be_random(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--instances", "k4,bogus", "--random-count", 0], "unknown family 'bogus'"),
+        (["--instances", "k4,cycle:2", "--random-count", 0], "cycle needs n >= 3"),
+        (["--instances", "k4", "--random-count", 1, "--random-spec", "random:5:3"], "n*k must be even"),
+        (["--instances", "k4", "--random-count", 1, "--random-spec", "random:3:3"], "need n > k"),
+        (["--instances", "k4", "--random-count", 1, "--girth-min", 2], "girth_min must be >= 3"),
+    ],
+)
+def test_verify_checks_every_instance_before_the_first_runs(tmp_path, capsys, args, message):
+    out = tmp_path / "v.json"
+    assert run(["verify", *args, "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert not out.exists()
+
+
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     base = tmp_path / "p.txt"
     run(["gen", "--family", "petersen", "-o", base])

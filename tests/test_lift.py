@@ -5,9 +5,10 @@ import pytest
 
 import treelift.lift as lift_mod
 from treelift.embedding import embed
-from treelift.families import FamilySpec, load_named, make
+from treelift.families import FamilySpec, load_named, make, parse_family
 from treelift.graph import (
     GraphError,
+    bfs_distances,
     build_graph,
     girth,
     is_connected,
@@ -28,6 +29,7 @@ from treelift.lift import (
     lifted_distance,
     lifted_girth,
     representative_tables,
+    two_sided_distances,
 )
 
 
@@ -343,6 +345,91 @@ def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
                 best, pair = d, (u << lg.s, y)
     assert lifted_diameter(lg, tables) == best
     assert diameter_witness(lg, tables) == pair
+
+
+# --- scalar searches: step table, BFS and the two-sided oracle search ---------------
+
+
+def petersen_fault_lift():
+    # no edge flips coordinate 0 any more: labels split into two components
+    g = load_named("petersen")
+    return build_lift(g, spanning_tree(g), fault=(2, 0b11), check_connected=False)
+
+
+def test_hops_spell_the_neighbour_lists():
+    for lg in (petersen_lift(), petersen_fault_lift()):
+        for x in range(lg.num_vertices):
+            u, f = lg.decode(x)
+            assert [base | (f ^ rule) for base, rule in lg.hops[u]] == lg.neighbors(x)
+
+
+@pytest.mark.parametrize("tree", ["bfs", "dfs"])
+def test_scalar_bfs_equals_bfs_of_the_materialised_lift(tree):
+    g = load_named("petersen")
+    for lg in (build_lift(g, spanning_tree(g, tree)), petersen_fault_lift()):
+        h = parse_edge_list(lift_edge_list_text(lg))
+        for x in range(0, lg.num_vertices, 23):
+            assert bfs_lifted(lg, x) == bfs_distances(h, x)
+
+
+@pytest.mark.parametrize("tree", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", ["k4", "cycle:5", "petersen"])
+def test_two_sided_search_equals_bfs_on_every_ordered_pair(name, tree):
+    g = make(parse_family(name))
+    lg = build_lift(g, spanning_tree(g, tree))
+    rng = random.Random(name)
+    for x in range(lg.num_vertices):
+        targets = list(range(lg.num_vertices))
+        rng.shuffle(targets)
+        want = bfs_lifted(lg, x)
+        assert two_sided_distances(lg, x, targets) == [want[y] for y in targets]
+
+
+def seeded_targets(lg, x, dist, rng):
+    """Targets for source x: its neighbours, seeded draws, repeats of the
+    draws, and the draws again by rising distance, so later targets fall
+    inside the shared ball as it grows; x itself last."""
+    drawn = [rng.randrange(lg.num_vertices) for _ in range(10)]
+    rising = sorted(drawn, key=lambda y: dist[y])
+    return lg.neighbors(x) + drawn + drawn[:4] + rising + [x]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec.named("heawood")] + [FamilySpec.random_regular(20, 3, seed=seed) for seed in range(3)],
+    ids=lambda spec: spec.describe(),
+)
+def test_two_sided_search_equals_bfs_on_seeded_pools(spec, monkeypatch):
+    g = make(spec)
+    lg = build_lift(g, spanning_tree(g))
+    rng = random.Random(spec.describe())
+    grow = lift_mod._grow
+    shared = []  # levels added to the ball around the current source x
+
+    def spy(lg, ball, frontier, level, goal=()):
+        if ball.get(x) == 0:
+            shared.append(level)
+        return grow(lg, ball, frontier, level, goal)
+
+    monkeypatch.setattr(lift_mod, "_grow", spy)
+    for x in rng.sample(range(lg.num_vertices), 12):
+        want = bfs_lifted(lg, x)
+        # alone and after a far target that grows the shared ball first
+        for lead in ([], [want.index(max(want))]):
+            targets = lead + seeded_targets(lg, x, want, rng)
+            shared.clear()
+            assert two_sided_distances(lg, x, targets) == [want[y] for y in targets]
+            # one source ball for all targets, grown a level at a time
+            assert shared == list(range(1, len(shared) + 1)) and len(shared) >= 2
+
+
+def test_two_sided_search_finds_no_path_across_components():
+    lg = petersen_fault_lift()
+    for x in (0, 1, 77, 320, 639):
+        reached = bfs_lifted(lg, x)
+        assert reached.count(-1) == lg.num_vertices // 2
+        targets = list(range(lg.num_vertices))
+        assert two_sided_distances(lg, x, targets) == reached
 
 
 # --- lifted girth from the engine vs the materialised lift ---------------------------

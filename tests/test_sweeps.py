@@ -6,7 +6,7 @@ import treelift.walks as walks_mod
 from treelift.embedding import embed
 from treelift.families import FamilySpec, make
 from treelift.graph import spanning_tree
-from treelift.lift import build_lift, representative_tables
+from treelift.lift import bfs_lifted, build_lift, representative_tables
 from treelift.sweeps import oracle_equivalence_checks
 
 
@@ -46,24 +46,39 @@ def test_oracle_fails_tables_with_one_entry_changed():
     assert all(f"table distance {d + 2}, direct BFS {d}" in line for line in bad.violations)
 
 
-def test_oracle_runs_one_direct_bfs_per_pooled_source(monkeypatch):
+def test_oracle_searches_once_per_pooled_source_without_the_engine(monkeypatch):
     lg = lift_of(FamilySpec.named("petersen"))
-    sources = []
-    scalar_bfs = lift_mod.bfs_lifted
-
-    def counting_bfs(lg, source):
-        sources.append(source)
-        return scalar_bfs(lg, source)
-
-    for mod in (lift_mod, sweeps_mod, walks_mod):
-        monkeypatch.setattr(mod, "bfs_lifted", counting_bfs)
-
     table = embed(lg)
     tables = representative_tables(lg, table)
-    assert sources == []  # the engine never runs the scalar BFS
+
+    # neither the engine the oracle checks nor the scalar BFS may run
+    for attr in ("representative_tables", "_fiber_planes", "bfs_lifted"):
+        original = getattr(lift_mod, attr)
+
+        def refuse(*args, attr=attr, **kwargs):
+            raise AssertionError(f"the oracle called {attr}")
+
+        for mod in (lift_mod, sweeps_mod, walks_mod):
+            if getattr(mod, attr, None) is original:
+                monkeypatch.setattr(mod, attr, refuse)
+
+    searches = []
+    two_sided = sweeps_mod.two_sided_distances
+
+    def recording_search(lg, source, targets):
+        answers = two_sided(lg, source, targets)
+        searches.append((source, list(targets), answers))
+        return answers
+
+    monkeypatch.setattr(sweeps_mod, "two_sided_distances", recording_search)
 
     # 200 pairs draw sources from a pool of max(32, 200 // 64) = 32 vertices
     l1_v, dist_v = oracle_equivalence_checks(lg, table, tables, 200, 5)
     assert l1_v.passed and dist_v.passed
+    sources = [source for source, _, _ in searches]
     assert len(sources) == 32
     assert sources == sorted(set(sources))
+    assert sum(len(targets) for _, targets, _ in searches) == dist_v.checked == 200
+    for source, targets, answers in searches:
+        direct = bfs_lifted(lg, source)
+        assert answers == [direct[y] for y in targets]
