@@ -37,17 +37,13 @@ from .lift import (
     representative_tables,
 )
 from .walks import (
+    PathRebuildError,
     Verdict,
     WalkAnalysis,
     analyze,
     forensic_text,
     shortest_lifted_path,
-    verify_accounting,
     verify_all,
-    verify_counting,
-    verify_euler_parity,
-    verify_repetitions,
-    verify_segments,
 )
 
 __version__ = "0.1.0"

@@ -35,23 +35,24 @@ class Graph:
         edges = []
         index = {}
         adj = [[] for _ in range(n)]
-        for pair in pairs:
+        for eid, pair in enumerate(pairs):
             u, v = pair
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise GraphError(f"edge {pair!r} has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u} is not allowed")
-            key = (u, v) if u < v else (v, u)
-            if key in index:
-                raise GraphError(f"duplicate edge {pair!r} (already present as edge {index[key]})")
-            eid = len(edges)
+            # both endpoints in range and no self-loop
+            if u < v:
+                key = (u, v)
+                ok = 0 <= u and v < n
+            else:
+                key = (v, u)
+                ok = 0 <= v < u < n
+            if not ok or key in index:
+                raise _edge_error(n, pair, index)
             index[key] = eid
             edges.append((u, v))
             adj[u].append((v, eid))
             adj[v].append((u, eid))
         self.n = n
         self.edges = tuple(edges)
-        self.adj = tuple(tuple(a) for a in adj)
+        self.adj = tuple(map(tuple, adj))
         self._index = index
 
     @property
@@ -74,6 +75,18 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _edge_error(n, pair, index):
+    """The GraphError for the first rule ``pair`` breaks, checked in order:
+    endpoints in range, no self-loop, not already an edge."""
+    u, v = pair
+    if not (0 <= u < n) or not (0 <= v < n):
+        return GraphError(f"edge {pair!r} has an endpoint outside 0..{n - 1}")
+    if u == v:
+        return GraphError(f"self-loop at vertex {u} is not allowed")
+    key = (u, v) if u < v else (v, u)
+    return GraphError(f"duplicate edge {pair!r} (already present as edge {index[key]})")
 
 
 def build_graph(n, pairs):
@@ -259,44 +272,56 @@ def spanning_tree(g, strategy="bfs", root=0):
 
 
 def bridges_and_2ecc(g):
-    """Bridges plus 2-edge-connected component labels, via iterative lowlink DFS.
+    """Bridges plus 2-edge-connected component labels.
 
-    Works per connected component.  Component labels are assigned in order of
-    each component's smallest vertex; counts tally non-bridge edges only.
+    An edge is a bridge exactly when it lies on no cycle.  Every cycle is a
+    sum of fundamental cycles of a spanning forest, so the edges on some
+    cycle are the non-forest edges and the forest paths between their
+    endpoints.  One BFS per connected component builds the forest, and each
+    non-forest edge marks its forest path, climbing from the deeper endpoint;
+    a forest (the common case for the induced subgraph of a shortest path)
+    needs no second pass.  O(n + m + sum of the fundamental cycle lengths).
+    Component labels are assigned in order of each component's smallest
+    vertex; counts tally non-bridge edges only.
     """
     n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    bridges = set()
-    timer = 0
+    adj = g.adj
+    edges = g.edges
+    depth = [-1] * n
+    up = [-1] * n  # forest edge into each vertex
+    cross = []  # the edges off the forest, each once
     for root in range(n):
-        if disc[root] >= 0:
+        if depth[root] >= 0:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(g.adj[root]))]
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == in_edge:
-                    continue  # simple graph: at most one edge back to the parent
-                if disc[w] < 0:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eid, iter(g.adj[w])))
-                    advanced = True
-                    break
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] == disc[v]:
-                        bridges.add(in_edge)
+        depth[root] = 0
+        queue = [root]  # grows while it is read
+        for v in queue:
+            dv = depth[v] + 1
+            into = up[v]
+            for w, eid in adj[v]:
+                if depth[w] < 0:
+                    depth[w] = dv
+                    up[w] = eid
+                    queue.append(w)
+                elif w < v and eid != into:
+                    cross.append(eid)
+    if not cross:
+        return BridgeDecomposition(
+            bridge_ids=frozenset(range(len(edges))),
+            component_of=tuple(range(n)),
+            component_edge_counts=dict.fromkeys(range(n), 0),
+        )
+
+    cyclic = set(cross)
+    for eid in cross:
+        a, b = edges[eid]
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            e = up[a]
+            cyclic.add(e)
+            p, q = edges[e]
+            a = p if q == a else q
 
     # components of the graph minus its bridges
     comp = [-1] * n
@@ -308,17 +333,16 @@ def bridges_and_2ecc(g):
         stack = [v]
         while stack:
             x = stack.pop()
-            for y, eid in g.adj[x]:
-                if eid not in bridges and comp[y] < 0:
+            for y, eid in adj[x]:
+                if comp[y] < 0 and eid in cyclic:
                     comp[y] = labels
                     stack.append(y)
         labels += 1
-    counts = {label: 0 for label in range(labels)}
-    for eid, (u, v) in enumerate(g.edges):
-        if eid not in bridges:
-            counts[comp[u]] += 1
+    counts = dict.fromkeys(range(labels), 0)
+    for eid in cyclic:
+        counts[comp[edges[eid][0]]] += 1
     return BridgeDecomposition(
-        bridge_ids=frozenset(bridges),
+        bridge_ids=frozenset(range(len(edges))).difference(cyclic),
         component_of=tuple(comp),
         component_edge_counts=counts,
     )

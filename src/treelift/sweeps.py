@@ -26,7 +26,15 @@ import random
 from dataclasses import dataclass
 
 from .lift import iter_orbit_reps, lifted_distance, orbit_rep, two_sided_distances
-from .walks import Verdict, analyze, forensic_text, shortest_lifted_path, verify_all, VERDICT_NAMES
+from .walks import (
+    PathRebuildError,
+    Verdict,
+    analyze,
+    forensic_text,
+    shortest_lifted_path,
+    verify_all,
+    VERDICT_NAMES,
+)
 
 MAX_RECORDED_FAILURES = 5
 
@@ -50,39 +58,43 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs=None, collect=
     ``collect``, if given, is called with (x, y, covered, distance, l1,
     analysis, verdicts) for every entry, in canonical order; the CSV export
     hangs off this hook.
+
+    Every representative starts at (u, 0), and both policies list the
+    representatives of one u as one run (exhaustive entries come by u, and
+    sampled entries, sorted by x, have u = x >> s), so the predecessors of
+    one source's canonical-path tree are kept in one dict while its run lasts.
     """
-    totals = {name: [0, 0] for name in VERDICT_NAMES}
+    fails = dict.fromkeys(VERDICT_NAMES, 0)
     failures = []
     analyses = 0
     covered = 0
     l1 = table.l1
+    source = pred = None
 
     for x, y, cov in iter_orbit_reps(lg) if pairs is None else pairs:
         rx, ry = orbit_rep(lg, x, y)
-        wa = analyze(lg, shortest_lifted_path(lg, rx, ry, tables))
+        if rx != source:
+            source = rx
+            pred = {}
+        wa = analyze(lg, shortest_lifted_path(lg, rx, ry, tables, pred))
         verdicts = verify_all(lg, wa, table, base_girth, base_diam)
-        ok = True
-        for name, v in verdicts.items():
-            bucket = totals[name]
-            if v.passed:
-                bucket[0] += 1
-            else:
-                bucket[1] += 1
-                ok = False
-        if not ok and len(failures) < MAX_RECORDED_FAILURES:
-            failures.append(forensic_text(lg, wa, verdicts))
+        failed = [name for name, v in verdicts.items() if not v.passed]
+        if failed:
+            for name in failed:
+                fails[name] += 1
+            if len(failures) < MAX_RECORDED_FAILURES:
+                failures.append(forensic_text(lg, wa, verdicts))
         analyses += 1
         covered += cov
         if collect is not None:
             collect(x, y, cov, lifted_distance(lg, tables, x, y), l1(x, y), wa, verdicts)
 
-    all_pass = all(fail == 0 for _, fail in totals.values())
     return SweepResult(
         pairs_covered=covered,
         analyses=analyses,
-        verdict_totals=totals,
+        verdict_totals={name: [analyses - fail, fail] for name, fail in fails.items()},
         failures=failures,
-        all_pass=all_pass,
+        all_pass=not any(fails.values()),
     )
 
 
@@ -161,30 +173,37 @@ def oracle_equivalence_checks(lg, table, tables, count, seed, source_pool=None):
     bad_l1 = []
     s = lg.s
     for x, y in pairs:
-        path = shortest_lifted_path(lg, x, y, tables)
-        counts = {}
-        for a, b in zip(path, path[1:]):
-            eid = lg.base.edge_between(a >> s, b >> s)
-            counts[eid] = counts.get(eid, 0) + 1
-        odd = sum(1 for c in counts.values() if c & 1)
-        l1 = table.l1(x, y)
-        if odd != l1:
-            bad_l1.append(f"pair ({x}, {y}): l1={l1} but {odd} odd-multiplicity edges")
-            if len(bad_l1) >= MAX_RECORDED_FAILURES:
-                break
+        try:
+            path = shortest_lifted_path(lg, x, y, tables)
+        except PathRebuildError as exc:
+            bad_l1.append(f"pair ({x}, {y}): no canonical path: {exc}")
+        else:
+            counts = {}
+            for a, b in zip(path, path[1:]):
+                eid = lg.base.edge_between(a >> s, b >> s)
+                counts[eid] = counts.get(eid, 0) + 1
+            odd = sum(1 for c in counts.values() if c & 1)
+            l1 = table.l1(x, y)
+            if odd != l1:
+                bad_l1.append(f"pair ({x}, {y}): l1={l1} but {odd} odd-multiplicity edges")
+        if len(bad_l1) >= MAX_RECORDED_FAILURES:
+            break
     l1_verdict = Verdict(
         name="oracle_l1_odd_multiplicity", passed=not bad_l1, violations=bad_l1, checked=len(pairs)
     )
 
     bad_dist = []
-    for x in sorted(by_source):
-        targets = by_source[x]
-        for y, want in zip(targets, two_sided_distances(lg, x, targets)):
-            got = lifted_distance(lg, tables, x, y)
-            if got != want:
-                bad_dist.append(f"pair ({x}, {y}): table distance {got}, direct BFS {want}")
-        if len(bad_dist) >= MAX_RECORDED_FAILURES:
-            break
+    answers = (
+        (x, y, want)
+        for x in sorted(by_source)
+        for y, want in zip(by_source[x], two_sided_distances(lg, x, by_source[x]))
+    )
+    for x, y, want in answers:
+        got = lifted_distance(lg, tables, x, y)
+        if got != want:
+            bad_dist.append(f"pair ({x}, {y}): table distance {got}, direct BFS {want}")
+            if len(bad_dist) >= MAX_RECORDED_FAILURES:
+                break
     dist_verdict = Verdict(
         name="oracle_distance_table", passed=not bad_dist, violations=bad_dist, checked=len(pairs)
     )

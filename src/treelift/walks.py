@@ -21,7 +21,17 @@ no longer than the base diameter; and the accounting identities
     d(x, y)  = bridges_once + component_edges + 2*bridges_twice
 
 together with component_edges >= components*girth and bridges_twice <=
-bridge_paths*diameter.
+bridge_paths*diameter.  ``verify_all`` computes all eight verdicts in one
+pass over the induced edges and one over the induced vertices.
+
+Canonical paths form a tree per source.  In the frame of a source (u, 0),
+the canonical predecessor of a vertex is its smallest-id neighbour one level
+closer, so the predecessors are the parent pointers of a shortest-path tree
+rooted at (u, 0), and the canonical path to any vertex is its tree path.  A
+sweep that visits the pairs of one source in a run keeps those pointers in
+one dict (``pred`` of ``shortest_lifted_path``): each vertex's predecessor
+is found once per source, and rebuilding a path mostly follows pointers
+already found.  The dict holds only the vertices that paths visit.
 
 Bridge paths are counted without building them.  A join is a degree-2 vertex
 whose two edges are both bridges, and it glues them into one path.  Bridges
@@ -37,12 +47,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .graph import Graph, GraphError, bridges_and_2ecc
-from .lift import bfs_lifted, lift_walk
+from .lift import bfs_lifted
 
 
-@dataclass(eq=False)
+class PathRebuildError(RuntimeError):
+    """A distance row, or a predecessor dict, that does not lead back to the
+    source: no shortest path can be rebuilt through it."""
+
+
+@dataclass(eq=False, slots=True)
 class Verdict:
     name: str
     passed: bool
@@ -53,11 +69,7 @@ class Verdict:
         return self.passed
 
 
-def _verdict(name, violations):
-    return Verdict(name=name, passed=not violations, violations=violations)
-
-
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class WalkAnalysis:
     """Everything measurable about one shortest lifted path.
 
@@ -84,12 +96,8 @@ class WalkAnalysis:
     bridges_twice: int
     segments: tuple
 
-    @property
-    def odd_edges(self):
-        return sum(1 for c in self.multiplicity.values() if c & 1)
 
-
-def shortest_lifted_path(lg, x, y, tables=None):
+def shortest_lifted_path(lg, x, y, tables=None, pred=None):
     """A canonical shortest path from x to y as encoded vertex ids.
 
     The pair is translated so the source sits at label 0 (that frame is where
@@ -98,6 +106,12 @@ def shortest_lifted_path(lg, x, y, tables=None):
     back as it is appended.  One deterministic shortest path per translation
     orbit, which is what lets the sweep analyse one representative pair per
     orbit.
+
+    ``pred``, if given, maps vertices of that frame to their predecessors and
+    is filled as they are found; it must come only from calls whose source
+    lies in the same fiber as x.  Raises PathRebuildError if the distance row
+    gives some vertex of the path no neighbour one level closer, or if the
+    d(x, y) steps back from y do not end at x.
     """
     if x == y:
         return [x]
@@ -105,25 +119,38 @@ def shortest_lifted_path(lg, x, y, tables=None):
     mask = lg.mask
     f = x & mask
     x0 = x ^ f
-    y0 = y ^ f
+    cur = y ^ f
     dist = tables[x >> s] if tables is not None else bfs_lifted(lg, x0)
-    if dist[y0] < 0:
+    if dist[cur] < 0:
         raise GraphError(f"no path between {x} and {y}")
-    adj = lg.base.adj
-    rule = lg.rule
+    if pred is None:
+        pred = {}
+    hops = lg.hops
     above = lg.num_vertices  # larger than every vertex id
     path = [y]
-    cur = y0
-    while cur != x0:
-        target = dist[cur] - 1
-        h = cur & mask
-        step = above
-        for v, eid in adj[cur >> s]:
-            w = (v << s) | (h ^ rule[eid])
-            if w < step and dist[w] == target:
-                step = w
+    for _ in range(dist[cur]):
+        step = pred.get(cur)
+        if step is None:
+            target = dist[cur] - 1
+            h = cur & mask
+            step = above
+            for base, rule in hops[cur >> s]:
+                w = base | (h ^ rule)
+                if w < step and dist[w] == target:
+                    step = w
+            if step == above:
+                raise PathRebuildError(
+                    f"vertex {cur ^ f} has no neighbour one level closer to {x}: "
+                    f"the distance row of base vertex {x >> s} is inconsistent"
+                )
+            pred[cur] = step
         path.append(step ^ f)
         cur = step
+    if cur != x0:
+        raise PathRebuildError(
+            f"the path from {x} to {y} reaches {cur ^ f}, not {x}, at distance 0: "
+            f"the distance row of base vertex {x >> s} or the predecessors are inconsistent"
+        )
     path.reverse()
     return path
 
@@ -133,33 +160,39 @@ def analyze(lg, path):
     all counters for one path."""
     g = lg.base
     s = lg.s
+    mask = lg.mask
+    rule = lg.rule
+    index = g._index
     projected = []
     mult = {}
-    for a, b in zip(path, path[1:]):
-        eid = g.edge_between(a >> s, b >> s)
-        if eid is None or (a ^ b) & lg.mask != lg.rule[eid]:
+    a = path[0]
+    u = a >> s
+    for b in islice(path, 1, None):
+        v = b >> s
+        eid = index.get((u, v) if u < v else (v, u))
+        if eid is None or (a ^ b) & mask != rule[eid]:
             raise GraphError(f"({a}, {b}) is not an edge of the lift")
         projected.append(eid)
         mult[eid] = mult.get(eid, 0) + 1
+        a = b
+        u = v
 
     induced_edges = tuple(sorted(mult))
-    verts = sorted({v for eid in induced_edges for v in g.edges[eid]})
+    # the vertices of a walk with edges are the endpoints of its edges
+    verts = sorted({b >> s for b in path}) if projected else []
     local = {v: i for i, v in enumerate(verts)}
-    induced = Graph(
-        len(verts), [(local[g.edges[e][0]], local[g.edges[e][1]]) for e in induced_edges]
-    )
+    ends = map(g.edges.__getitem__, induced_edges)
+    induced = Graph(len(verts), [(local[p], local[q]) for p, q in ends])
     bd = bridges_and_2ecc(induced)
 
-    components = sum(1 for c in bd.component_edge_counts.values() if c)
     bridges = bd.bridge_ids
-    once = inside = 0
+    once = 0
     chains = {}  # twice-used bridge -> the bridges of its twice-used path
-    for le, be in enumerate(induced_edges):
-        if le not in bridges:
-            inside += 1
-        elif mult[be] == 1:
+    for le in bridges:
+        c = mult[induced_edges[le]]
+        if c == 1:
             once += 1
-        elif mult[be] == 2:
+        elif c == 2:
             chains[le] = [le]
     joins = [a for a in induced.adj if len(a) == 2 and a[0][1] in bridges and a[1][1] in bridges]
     for (_, e1), (_, e2) in joins:
@@ -179,141 +212,13 @@ def analyze(lg, path):
         induced_vertices=tuple(verts),
         induced_edges=induced_edges,
         bridge_info=bd,
-        components=components,
+        components=sum(1 for c in bd.component_edge_counts.values() if c),
         bridge_paths=len(bridges) - len(joins),
         bridges_once=once,
-        component_edges=inside,
+        component_edges=len(induced_edges) - len(bridges),
         bridges_twice=len(chains),
         segments=tuple(sorted({c[0]: len(c) for c in chains.values()}.values(), reverse=True)),
     )
-
-
-def _endpoints(lg, wa):
-    return lg.project_vertex(wa.x), lg.project_vertex(wa.y)
-
-
-def verify_euler_parity(lg, wa):
-    """In the multiplicity multigraph every degree is even except possibly the
-    projected endpoints."""
-    px, py = _endpoints(lg, wa)
-    mult = wa.multiplicity
-    degs = [0] * len(wa.induced_vertices)
-    for (a, b), be in zip(wa.induced.edges, wa.induced_edges):
-        degs[a] += mult[be]
-        degs[b] += mult[be]
-    bad = [
-        f"vertex {v} has odd multigraph degree {deg}"
-        for v, deg in zip(wa.induced_vertices, degs)
-        if deg & 1 and v not in (px, py)
-    ]
-    return _verdict("euler_parity", bad)
-
-
-def verify_repetitions(wa):
-    """Only bridges of the induced subgraph repeat, and never more than twice."""
-    bad = []
-    for le, be in enumerate(wa.induced_edges):
-        c = wa.multiplicity[be]
-        if c >= 2 and le not in wa.bridge_info.bridge_ids:
-            bad.append(f"non-bridge edge {be} used {c} times")
-        if c > 2:
-            bad.append(f"edge {be} used {c} times")
-    return _verdict("repetitions", bad)
-
-
-def verify_counting(wa, table=None):
-    """bridge_paths <= 2*components + 1; with no components every edge is used
-    once and the path length equals the embedding distance."""
-    bad = []
-    limit = 2 * wa.components + 1
-    if wa.bridge_paths > limit:
-        bad.append(f"bridge_paths={wa.bridge_paths} exceeds 2*components+1={limit}")
-    if wa.components == 0:
-        repeated = [e for e, c in wa.multiplicity.items() if c != 1]
-        if repeated:
-            bad.append(f"no components but edges {repeated} are not singly used")
-        l1 = table.l1(wa.x, wa.y) if table is not None else wa.odd_edges
-        if wa.path_len != l1:
-            bad.append(f"no components but path_len={wa.path_len} != l1 distance {l1}")
-    return _verdict("counting", bad)
-
-
-def verify_segments(wa, base_diam):
-    """No maximal twice-used bridge path is longer than the base diameter."""
-    bad = [
-        f"twice-used segment of length {length} exceeds diam {base_diam}"
-        for length in wa.segments
-        if length > base_diam
-    ]
-    return _verdict("segments", bad)
-
-
-def verify_accounting(wa, table, base_girth, base_diam):
-    """The identities tying the embedding to the counters, plus the two
-    inequalities the distortion bound rests on."""
-    bad = []
-    l1 = table.l1(wa.x, wa.y)
-    once_inside = wa.bridges_once + wa.component_edges
-    if l1 != once_inside:
-        bad.append(f"l1={l1} != bridges_once+component_edges={once_inside}")
-    if l1 != wa.odd_edges:
-        bad.append(f"l1={l1} != odd-multiplicity edge count {wa.odd_edges}")
-    if wa.path_len != once_inside + 2 * wa.bridges_twice:
-        bad.append(
-            f"path_len={wa.path_len} != "
-            f"bridges_once+component_edges+2*bridges_twice={once_inside + 2 * wa.bridges_twice}"
-        )
-    if wa.components > 0:
-        if base_girth == math.inf:
-            bad.append("induced subgraph has a 2-edge-connected component but the base is a forest")
-        elif wa.component_edges < wa.components * base_girth:
-            bad.append(
-                f"component_edges={wa.component_edges} < "
-                f"components*girth={wa.components * base_girth}"
-            )
-    if wa.bridges_twice > wa.bridge_paths * base_diam:
-        bad.append(
-            f"bridges_twice={wa.bridges_twice} > "
-            f"bridge_paths*diam={wa.bridge_paths * base_diam}"
-        )
-    return _verdict("accounting", bad)
-
-
-def verify_endpoint_degrees(lg, wa):
-    """Degree-1 vertices of the induced subgraph can only be the endpoints."""
-    px, py = _endpoints(lg, wa)
-    bad = [
-        f"vertex {v} has degree 1 in the induced subgraph but is not an endpoint"
-        for v, a in zip(wa.induced_vertices, wa.induced.adj)
-        if len(a) == 1 and v not in (px, py)
-    ]
-    return _verdict("endpoint_degrees", bad)
-
-
-def verify_component_girth(wa, base_girth):
-    """Every 2-edge-connected component with edges has at least girth-many."""
-    if base_girth == math.inf:
-        bad = [
-            f"component with {c} edges in the lift of a forest"
-            for c in wa.bridge_info.component_edge_counts.values()
-            if c
-        ]
-    else:
-        bad = [
-            f"component with only {c} edges (< girth {base_girth})"
-            for c in wa.bridge_info.component_edge_counts.values()
-            if c and c < base_girth
-        ]
-    return _verdict("component_girth", bad)
-
-
-def verify_relift(lg, wa):
-    """Re-lifting the projected walk from x must land exactly on y."""
-    u, f = lg.decode(wa.x)
-    end = lift_walk(lg.base, lg.td, wa.projected, (u, f))[-1]
-    v, h = lg.decode(wa.y)
-    bad = [] if end == (v, h) else [f"re-lifted walk ends at {end}, expected {(v, h)}"]
-    return _verdict("relift", bad)
 
 
 VERDICT_NAMES = (
@@ -329,16 +234,137 @@ VERDICT_NAMES = (
 
 
 def verify_all(lg, wa, table, base_girth, base_diam):
-    """All verdicts for one analysis, keyed by name."""
+    """All verdicts for one analysis, keyed by name in ``VERDICT_NAMES`` order.
+
+    euler_parity      -- in the multiplicity multigraph every degree is even
+                         except possibly at the projected endpoints;
+    repetitions       -- only bridges of the induced subgraph repeat, and
+                         never more than twice;
+    counting          -- bridge_paths <= 2*components + 1; with no components
+                         every edge is used once and the path length equals
+                         the embedding distance;
+    segments          -- no maximal twice-used bridge path is longer than the
+                         base diameter;
+    accounting        -- the identities tying the embedding to the counters,
+                         plus the two inequalities the distortion bound rests
+                         on;
+    endpoint_degrees  -- degree-1 vertices of the induced subgraph can only be
+                         the endpoints;
+    component_girth   -- every 2-edge-connected component with edges has at
+                         least girth-many;
+    relift            -- re-lifting the projected walk from x by the tree
+                         decomposition's rule lands exactly on y.
+
+    The re-lifted walk ends over the walk's last vertex, y's, and the group
+    Z_2^s is abelian, so its label is x's flipped once per cotree coordinate
+    of each edge the walk uses an odd number of times; ``coord_of`` comes
+    from the tree decomposition, not from the lift's rule.
+    """
+    s = lg.s
+    mask = lg.mask
+    px = wa.x >> s
+    py = wa.y >> s
+    mult = wa.multiplicity
+    bridges = wa.bridge_info.bridge_ids
+    induced = wa.induced
+    coord_of = lg.coord_of
+
+    repetitions = []
+    degs = [0] * induced.n
+    odd = 0
+    label = wa.x & mask
+    for le, ((a, b), be) in enumerate(zip(induced.edges, wa.induced_edges)):
+        c = mult[be]
+        degs[a] += c
+        degs[b] += c
+        if c & 1:
+            odd += 1
+            if coord_of[be] >= 0:
+                label ^= 1 << coord_of[be]
+        if c >= 2:
+            if le not in bridges:
+                repetitions.append(f"non-bridge edge {be} used {c} times")
+            if c > 2:
+                repetitions.append(f"edge {be} used {c} times")
+
+    euler = []
+    endpoint = []
+    for v, deg, nbrs in zip(wa.induced_vertices, degs, induced.adj):
+        if v != px and v != py:
+            if deg & 1:
+                euler.append(f"vertex {v} has odd multigraph degree {deg}")
+            if len(nbrs) == 1:
+                endpoint.append(
+                    f"vertex {v} has degree 1 in the induced subgraph but is not an endpoint"
+                )
+
+    l1 = table.l1(wa.x, wa.y)
+    components = wa.components
+    counting = []
+    limit = 2 * components + 1
+    if wa.bridge_paths > limit:
+        counting.append(f"bridge_paths={wa.bridge_paths} exceeds 2*components+1={limit}")
+    if components == 0:
+        repeated = [e for e, c in mult.items() if c != 1]
+        if repeated:
+            counting.append(f"no components but edges {repeated} are not singly used")
+        if wa.path_len != l1:
+            counting.append(f"no components but path_len={wa.path_len} != l1 distance {l1}")
+
+    segments = [
+        f"twice-used segment of length {length} exceeds diam {base_diam}"
+        for length in wa.segments
+        if length > base_diam
+    ]
+
+    accounting = []
+    once_inside = wa.bridges_once + wa.component_edges
+    if l1 != once_inside:
+        accounting.append(f"l1={l1} != bridges_once+component_edges={once_inside}")
+    if l1 != odd:
+        accounting.append(f"l1={l1} != odd-multiplicity edge count {odd}")
+    if wa.path_len != once_inside + 2 * wa.bridges_twice:
+        accounting.append(
+            f"path_len={wa.path_len} != "
+            f"bridges_once+component_edges+2*bridges_twice={once_inside + 2 * wa.bridges_twice}"
+        )
+    if components > 0:
+        if base_girth == math.inf:
+            accounting.append(
+                "induced subgraph has a 2-edge-connected component but the base is a forest"
+            )
+        elif wa.component_edges < components * base_girth:
+            accounting.append(
+                f"component_edges={wa.component_edges} < "
+                f"components*girth={components * base_girth}"
+            )
+    if wa.bridges_twice > wa.bridge_paths * base_diam:
+        accounting.append(
+            f"bridges_twice={wa.bridges_twice} > "
+            f"bridge_paths*diam={wa.bridge_paths * base_diam}"
+        )
+
+    counts = wa.bridge_info.component_edge_counts.values()
+    if base_girth == math.inf:
+        girth = [f"component with {c} edges in the lift of a forest" for c in counts if c]
+    else:
+        girth = [
+            f"component with only {c} edges (< girth {base_girth})"
+            for c in counts
+            if c and c < base_girth
+        ]
+
+    want = wa.y & mask
+    relift = []
+    if label != want:
+        relift.append(f"re-lifted walk ends at {(py, label)}, expected {(py, want)}")
+
     return {
-        "euler_parity": verify_euler_parity(lg, wa),
-        "repetitions": verify_repetitions(wa),
-        "counting": verify_counting(wa, table),
-        "segments": verify_segments(wa, base_diam),
-        "accounting": verify_accounting(wa, table, base_girth, base_diam),
-        "endpoint_degrees": verify_endpoint_degrees(lg, wa),
-        "component_girth": verify_component_girth(wa, base_girth),
-        "relift": verify_relift(lg, wa),
+        name: Verdict(name, not bad, bad)
+        for name, bad in zip(
+            VERDICT_NAMES,
+            (euler, repetitions, counting, segments, accounting, endpoint, girth, relift),
+        )
     }
 
 

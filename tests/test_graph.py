@@ -183,6 +183,27 @@ def test_build_rejects_self_loop_and_out_of_range():
         build_graph(2, [(-1, 0)])
 
 
+@pytest.mark.parametrize(
+    "n, pairs, message",
+    [
+        (3, [(0, 1), (0, 1)], "duplicate edge (0, 1) (already present as edge 0)"),
+        (3, [(0, 1), (1, 2), (1, 0)], "duplicate edge (1, 0) (already present as edge 0)"),
+        (4, [(2, 3), (0, 1), [3, 2]], "duplicate edge [3, 2] (already present as edge 0)"),
+        (3, [(0, 1), (0, 3)], "edge (0, 3) has an endpoint outside 0..2"),
+        (2, [(-1, 0)], "edge (-1, 0) has an endpoint outside 0..1"),
+        (3, [(3, 3)], "edge (3, 3) has an endpoint outside 0..2"),
+        (0, [(0, 0)], "edge (0, 0) has an endpoint outside 0..-1"),
+        (3, [(0, 1), (1, 1)], "self-loop at vertex 1 is not allowed"),
+        (3, [(0, 1), (1, 1), (1, 0)], "self-loop at vertex 1 is not allowed"),
+        (-1, [], "vertex count must be non-negative, got -1"),
+    ],
+)
+def test_graph_error_messages(n, pairs, message):
+    with pytest.raises(GraphError) as exc:
+        build_graph(n, pairs)
+    assert str(exc.value) == message
+
+
 def test_petersen_pair_list_is_cubic():
     g = build_graph(10, PETERSEN_PAIRS)
     assert g.n == 10 and g.m == 15
@@ -464,6 +485,30 @@ def test_bridges_match_deletion_oracle(seed):
         for label in set(bd.component_of)
     }
     assert parts == oracle_2ecc_partition(g, expected)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_bridges_labels_and_counts_on_sparse_graphs(seed):
+    # forests, one or a few cycles, several components: the shapes of the
+    # subgraphs a shortest path induces, and some it cannot
+    rng = random.Random(3000 + seed)
+    n = rng.randrange(1, 16)
+    m = max(0, n - 1 + rng.randrange(-3, 4))
+    g = random_graph(rng, n, m)
+    bd = bridges_and_2ecc(g)
+    bridges = oracle_bridges(g)
+    assert bd.bridge_ids == bridges
+    parts = sorted(oracle_2ecc_partition(g, bridges), key=min)
+    want = [0] * g.n
+    for label, part in enumerate(parts):
+        for v in part:
+            want[v] = label
+    assert bd.component_of == tuple(want)
+    counts = {label: 0 for label in range(len(parts))}
+    for eid, (u, _) in enumerate(g.edges):
+        if eid not in bridges:
+            counts[want[u]] += 1
+    assert list(bd.component_edge_counts.items()) == list(counts.items())
 
 
 # --- edge-list format ----------------------------------------------------------

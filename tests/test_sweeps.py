@@ -1,5 +1,7 @@
 """The distance oracle of the verify battery stays independent of the engine it checks."""
 
+import pytest
+
 import treelift.lift as lift_mod
 import treelift.sweeps as sweeps_mod
 import treelift.walks as walks_mod
@@ -7,7 +9,8 @@ from treelift.embedding import embed
 from treelift.families import FamilySpec, make
 from treelift.graph import spanning_tree
 from treelift.lift import bfs_lifted, build_lift, representative_tables
-from treelift.sweeps import oracle_equivalence_checks
+from treelift.sweeps import MAX_RECORDED_FAILURES, oracle_equivalence_checks
+from treelift.walks import PathRebuildError, shortest_lifted_path
 
 
 def lift_of(spec):
@@ -44,6 +47,28 @@ def test_oracle_fails_tables_with_one_entry_changed():
     _, bad = oracle_equivalence_checks(lg, table, rows, 2000, 0)
     assert not bad.passed
     assert all(f"table distance {d + 2}, direct BFS {d}" in line for line in bad.violations)
+    assert len(bad.violations) <= MAX_RECORDED_FAILURES
+
+
+def test_oracle_records_a_pair_whose_path_cannot_be_rebuilt():
+    # the largest entry of row 0, raised by 3, has no neighbour one level
+    # closer: the canonical path to it cannot be rebuilt
+    lg = lift_of(FamilySpec.named("k4"))
+    table = embed(lg)
+    tables = representative_tables(lg, table)
+    rows = [list(row) for row in tables.rows]
+    d = max(rows[0])
+    z = rows[0].index(d)
+    rows[0][z] = d + 3
+    with pytest.raises(PathRebuildError, match=f"vertex {z} has no neighbour one level closer to 0"):
+        shortest_lifted_path(lg, 0, z, rows)
+
+    l1_v, dist_v = oracle_equivalence_checks(lg, table, rows, 500, 0)
+    assert not l1_v.passed and not dist_v.passed
+    assert 0 < len(l1_v.violations) <= MAX_RECORDED_FAILURES
+    assert all(": no canonical path: vertex " in line for line in l1_v.violations)
+    assert 0 < len(dist_v.violations) <= MAX_RECORDED_FAILURES
+    assert all(f"table distance {d + 3}, direct BFS {d}" in line for line in dist_v.violations)
 
 
 def test_oracle_searches_once_per_pooled_source_without_the_engine(monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import treelift.sweeps as sweeps
 from treelift.embedding import embed, l1_distance
 from treelift.families import load_named, make, FamilySpec
 from treelift.graph import GraphError, build_graph, diameter, girth, spanning_tree
@@ -10,18 +11,15 @@ from treelift.lift import (
     build_lift,
     iter_orbit_reps,
     representative_tables,
+    sample_pair_list,
 )
 from treelift.walks import (
     VERDICT_NAMES,
+    PathRebuildError,
     analyze,
     forensic_text,
     shortest_lifted_path,
-    verify_accounting,
     verify_all,
-    verify_counting,
-    verify_euler_parity,
-    verify_repetitions,
-    verify_segments,
 )
 
 
@@ -30,11 +28,24 @@ def triangle_lift():
     return build_lift(g, spanning_tree(g, "dfs", 0))
 
 
-def petersen_bundle():
+def triangle_verdict(lg, wa, name, base_diam=1):
+    """One verdict of ``verify_all`` on the triangle lift (girth 3, diameter 1)."""
+    return verify_all(lg, wa, embed(lg), 3, base_diam)[name]
+
+
+def petersen_lift(strategy, root, faulty):
+    """(lift, embedding, tables) of Petersen; ``faulty`` plants the fault of
+    ``verify --fault-inject`` (the lift stays connected)."""
     g = load_named("petersen")
-    lg = build_lift(g, spanning_tree(g))
+    td = spanning_tree(g, strategy, root)
+    lg = build_lift(g, td, fault=(td.cotree[0], 1 << 1) if faulty else None)
     table = embed(lg)
-    return lg, table, representative_tables(lg, table), girth(g), diameter(g)
+    return lg, table, representative_tables(lg, table)
+
+
+def petersen_bundle():
+    lg, table, tables = petersen_lift("bfs", 0, False)
+    return lg, table, tables, girth(lg.base), diameter(lg.base)
 
 
 # --- shortest paths -----------------------------------------------------------
@@ -84,6 +95,70 @@ def test_path_deterministic_and_translation_covariant():
         assert p3 == [v ^ g for v in p1]
 
 
+@pytest.mark.parametrize("faulty", [False, True], ids=["lift", "fault lift"])
+@pytest.mark.parametrize("tree", [("bfs", 0), ("dfs", 5)], ids=["bfs0", "dfs5"])
+def test_paths_through_a_shared_per_source_memo_equal_fresh_paths(tree, faulty):
+    lg, _, tables = petersen_lift(*tree, faulty)
+    source = pred = None
+    for x, y, _ in iter_orbit_reps(lg):
+        if x != source:
+            source, pred, visited = x, {}, set()
+        path = shortest_lifted_path(lg, x, y, tables, pred)
+        assert path == shortest_lifted_path(lg, x, y, tables)
+        # the memo holds exactly the vertices the source's paths have visited
+        visited.update(path[1:])
+        assert pred.keys() == visited
+    # sources anywhere in one fiber share its memo: it lives in the label-0 frame
+    rng = random.Random(9)
+    for u in range(lg.base.n):
+        pred = {}
+        for _ in range(40):
+            x = lg.encode(u, rng.randrange(1 << lg.s))
+            y = rng.randrange(lg.num_vertices)
+            assert shortest_lifted_path(lg, x, y, tables, pred) == shortest_lifted_path(
+                lg, x, y, tables
+            )
+
+
+def test_paths_through_inconsistent_rows_or_memos_raise_a_named_error():
+    lg, _, tables = petersen_lift("bfs", 0, False)
+    rows = [list(row) for row in tables.rows]
+    z = lg.neighbors(0)[0]
+    rows[0][z] = 0  # a second vertex at distance 0 from (0, 0)
+    with pytest.raises(PathRebuildError, match=f"reaches {z}, not 0, at distance 0"):
+        shortest_lifted_path(lg, 0, z, rows)
+    # a memo of another source's tree leads the steps astray
+    pred = {}
+    for y in range(1, lg.num_vertices):
+        shortest_lifted_path(lg, 64, y, tables, pred)
+    with pytest.raises(PathRebuildError):
+        for y in range(1, lg.num_vertices):
+            shortest_lifted_path(lg, 0, y, tables, pred)
+
+
+@pytest.mark.parametrize("policy", ["exhaustive", "sample"])
+def test_sweep_keeps_one_memo_per_run_of_a_source(monkeypatch, policy):
+    lg, table, tables = petersen_lift("bfs", 0, False)
+    real = sweeps.shortest_lifted_path
+    calls = []
+
+    def recording(lg, x, y, tables, pred):
+        path = real(lg, x, y, tables, pred)
+        calls.append((x, pred, path == real(lg, x, y, tables)))
+        return path
+
+    monkeypatch.setattr(sweeps, "shortest_lifted_path", recording)
+    pairs = sample_pair_list(lg, tables, 300, 4) if policy == "sample" else None
+    result = sweeps.verdict_sweep(lg, table, tables, 5, 2, pairs=pairs)
+    assert result.all_pass and len(calls) == result.analyses
+    assert all(same for _, _, same in calls)
+    sources = [x for x, _, _ in calls]
+    runs = [x for i, x in enumerate(sources) if i == 0 or x != sources[i - 1]]
+    assert runs == sorted(set(sources)) and len(runs) == lg.base.n
+    for (x1, pred1, _), (x2, pred2, _) in zip(calls, calls[1:]):
+        assert (pred1 is pred2) == (x1 == x2)
+
+
 # --- analyze ---------------------------------------------------------------------
 
 
@@ -129,7 +204,7 @@ def test_euler_parity_closed_walk_all_even():
     lg = triangle_lift()
     path = shortest_lifted_path(lg, lg.encode(0, 0), lg.encode(0, 1))
     wa = analyze(lg, path)  # projected endpoints coincide
-    v = verify_euler_parity(lg, wa)
+    v = triangle_verdict(lg, wa, "euler_parity")
     assert v.passed
 
 
@@ -137,25 +212,25 @@ def test_euler_parity_single_edge_endpoints_odd():
     lg = triangle_lift()
     x = lg.encode(0, 0)
     wa = analyze(lg, [x, lg.neighbors(x)[0]])
-    assert verify_euler_parity(lg, wa).passed  # endpoints are exempt
+    assert triangle_verdict(lg, wa, "euler_parity").passed  # endpoints are exempt
 
 
 def test_counting_examples():
     lg = triangle_lift()
     x = lg.encode(0, 0)
     wa1 = analyze(lg, [x, lg.neighbors(x)[0]])
-    assert verify_counting(wa1).passed  # N=1 <= 1
+    assert triangle_verdict(lg, wa1, "counting").passed  # N=1 <= 1
     wa2 = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1)))
-    assert verify_counting(wa2).passed  # N=0 <= 3
+    assert triangle_verdict(lg, wa2, "counting").passed  # N=0 <= 3
 
 
 def test_segments_vacuous_and_bounded():
     lg = triangle_lift()
     x = lg.encode(0, 0)
     wa = analyze(lg, [x, lg.neighbors(x)[0]])
-    assert verify_segments(wa, 1).passed  # no twice-used edges at all
+    assert triangle_verdict(lg, wa, "segments").passed  # no twice-used edges at all
     fake = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1)))
-    assert verify_segments(fake, 1).passed
+    assert triangle_verdict(lg, fake, "segments").passed
 
 
 def test_accounting_triangle_antipodal():
@@ -163,7 +238,7 @@ def test_accounting_triangle_antipodal():
     t = embed(lg)
     x, y = lg.encode(0, 0), lg.encode(0, 1)
     wa = analyze(lg, shortest_lifted_path(lg, x, y))
-    v = verify_accounting(wa, t, base_girth=3, base_diam=1)
+    v = verify_all(lg, wa, t, base_girth=3, base_diam=1)["accounting"]
     assert v.passed, v.violations
     assert l1_distance(t, x, y) == 3 == wa.bridges_once + wa.component_edges
 
@@ -172,17 +247,17 @@ def test_repetitions_all_single_passes():
     lg = triangle_lift()
     x = lg.encode(0, 0)
     wa = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1)))
-    assert verify_repetitions(wa).passed
+    assert triangle_verdict(lg, wa, "repetitions").passed
 
 
 def test_verdict_failure_is_data_not_exception():
     lg = triangle_lift()
     x = lg.encode(0, 0)
     wa = analyze(lg, [x, lg.neighbors(x)[0]])
-    v = verify_segments(wa, 0)  # absurd diameter to force nothing: vacuous
+    v = triangle_verdict(lg, wa, "segments", base_diam=0)  # absurd diameter: still vacuous
     assert v.passed
-    bad = verify_counting(
-        analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1)))
+    bad = triangle_verdict(
+        lg, analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1))), "counting"
     )
     assert isinstance(bad.violations, list)
 
@@ -202,9 +277,10 @@ def test_a_twice_used_bridge_exists_in_petersen_lift_and_passes():
     lg, t, tables, base_g, base_d = petersen_bundle()
     wa = find_pair_with_repeats(lg, tables)
     assert wa is not None, "expected some shortest path to reuse a bridge"
-    assert verify_repetitions(wa).passed
-    assert verify_segments(wa, base_d).passed
-    assert verify_accounting(wa, t, base_g, base_d).passed
+    verdicts = verify_all(lg, wa, t, base_g, base_d)
+    assert verdicts["repetitions"].passed
+    assert verdicts["segments"].passed
+    assert verdicts["accounting"].passed
     assert wa.segments and max(wa.segments) <= base_d
 
 

@@ -3,13 +3,16 @@
 ``reference_analyze`` keeps the straightforward form of ``walks.analyze``: a
 union-find that joins bridges meeting at a degree-2 vertex, once over all
 bridges for ``bridge_paths`` and once over the twice-used ones for
-``segments``.  The two degree verdicts are likewise kept as per-vertex sums.
+``segments``.  ``reference_verdicts`` likewise keeps each of the eight checks
+that ``walks.verify_all`` fuses into one pass as a function of its own, the
+degree checks as per-vertex sums.
 The inputs are seeded random lifted walks that are not shortest paths, so
 the counters and verdicts are exercised well outside what a sweep produces:
 backtracks, bridges used three or more times, repeated non-bridges, closed
 walks, and walks over a lift with a broken matching.
 """
 
+import math
 import random
 
 import pytest
@@ -18,19 +21,9 @@ import treelift.walks as walks
 from treelift.embedding import embed
 from treelift.families import load_named
 from treelift.graph import Graph, bridges_and_2ecc, spanning_tree
-from treelift.lift import build_lift
+from treelift.lift import build_lift, lift_walk
 from treelift.report import run_analysis, to_csv_text, to_json_bytes
-from treelift.walks import (
-    WalkAnalysis,
-    analyze,
-    verify_accounting,
-    verify_all,
-    verify_component_girth,
-    verify_counting,
-    verify_relift,
-    verify_repetitions,
-    verify_segments,
-)
+from treelift.walks import VERDICT_NAMES, WalkAnalysis, analyze, verify_all
 
 
 def reference_analyze(lg, path):
@@ -111,6 +104,70 @@ def reference_euler_parity(lg, wa):
     return bad
 
 
+def reference_repetitions(wa):
+    bad = []
+    for le, be in enumerate(wa.induced_edges):
+        c = wa.multiplicity[be]
+        if c >= 2 and le not in wa.bridge_info.bridge_ids:
+            bad.append(f"non-bridge edge {be} used {c} times")
+        if c > 2:
+            bad.append(f"edge {be} used {c} times")
+    return bad
+
+
+def reference_counting(wa, table):
+    bad = []
+    limit = 2 * wa.components + 1
+    if wa.bridge_paths > limit:
+        bad.append(f"bridge_paths={wa.bridge_paths} exceeds 2*components+1={limit}")
+    if wa.components == 0:
+        repeated = [e for e, c in wa.multiplicity.items() if c != 1]
+        if repeated:
+            bad.append(f"no components but edges {repeated} are not singly used")
+        l1 = table.l1(wa.x, wa.y)
+        if wa.path_len != l1:
+            bad.append(f"no components but path_len={wa.path_len} != l1 distance {l1}")
+    return bad
+
+
+def reference_segments(wa, base_diam):
+    return [
+        f"twice-used segment of length {length} exceeds diam {base_diam}"
+        for length in wa.segments
+        if length > base_diam
+    ]
+
+
+def reference_accounting(wa, table, base_girth, base_diam):
+    bad = []
+    l1 = table.l1(wa.x, wa.y)
+    once_inside = wa.bridges_once + wa.component_edges
+    if l1 != once_inside:
+        bad.append(f"l1={l1} != bridges_once+component_edges={once_inside}")
+    odd = sum(1 for c in wa.multiplicity.values() if c & 1)
+    if l1 != odd:
+        bad.append(f"l1={l1} != odd-multiplicity edge count {odd}")
+    if wa.path_len != once_inside + 2 * wa.bridges_twice:
+        bad.append(
+            f"path_len={wa.path_len} != "
+            f"bridges_once+component_edges+2*bridges_twice={once_inside + 2 * wa.bridges_twice}"
+        )
+    if wa.components > 0:
+        if base_girth == math.inf:
+            bad.append("induced subgraph has a 2-edge-connected component but the base is a forest")
+        elif wa.component_edges < wa.components * base_girth:
+            bad.append(
+                f"component_edges={wa.component_edges} < "
+                f"components*girth={wa.components * base_girth}"
+            )
+    if wa.bridges_twice > wa.bridge_paths * base_diam:
+        bad.append(
+            f"bridges_twice={wa.bridges_twice} > "
+            f"bridge_paths*diam={wa.bridge_paths * base_diam}"
+        )
+    return bad
+
+
 def reference_endpoint_degrees(lg, wa):
     ends = (lg.project_vertex(wa.x), lg.project_vertex(wa.y))
     return [
@@ -120,21 +177,33 @@ def reference_endpoint_degrees(lg, wa):
     ]
 
 
+def reference_component_girth(wa, base_girth):
+    counts = [c for c in wa.bridge_info.component_edge_counts.values() if c]
+    if base_girth == math.inf:
+        return [f"component with {c} edges in the lift of a forest" for c in counts]
+    return [f"component with only {c} edges (< girth {base_girth})" for c in counts if c < base_girth]
+
+
+def reference_relift(lg, wa):
+    end = lift_walk(lg.base, lg.td, wa.projected, lg.decode(wa.x))[-1]
+    want = lg.decode(wa.y)
+    return [] if end == want else [f"re-lifted walk ends at {end}, expected {want}"]
+
+
 def reference_verdicts(lg, wa, table, base_girth, base_diam):
-    """(passed, violations) per verdict name, for a reference analysis."""
+    """(passed, violations) per verdict name, in ``VERDICT_NAMES`` order, for
+    a reference analysis."""
     out = {
         "euler_parity": reference_euler_parity(lg, wa),
+        "repetitions": reference_repetitions(wa),
+        "counting": reference_counting(wa, table),
+        "segments": reference_segments(wa, base_diam),
+        "accounting": reference_accounting(wa, table, base_girth, base_diam),
         "endpoint_degrees": reference_endpoint_degrees(lg, wa),
+        "component_girth": reference_component_girth(wa, base_girth),
+        "relift": reference_relift(lg, wa),
     }
-    for v in (
-        verify_repetitions(wa),
-        verify_counting(wa, table),
-        verify_segments(wa, base_diam),
-        verify_accounting(wa, table, base_girth, base_diam),
-        verify_component_girth(wa, base_girth),
-        verify_relift(lg, wa),
-    ):
-        out[v.name] = v.violations
+    assert tuple(out) == VERDICT_NAMES
     return {name: (not bad, bad) for name, bad in out.items()}
 
 
@@ -198,9 +267,10 @@ def test_analyze_and_verdicts_match_the_reference_on_random_walks(name):
         assert got.induced.edges == want.induced.edges
         assert got.bridge_info.bridge_ids == want.bridge_info.bridge_ids
         verdicts = verify_all(lg, got, table, base_girth, base_diam)
-        assert {n: (v.passed, v.violations) for n, v in verdicts.items()} == reference_verdicts(
-            lg, want, table, base_girth, base_diam
-        ), walk
+        assert [(n, v.passed, v.violations) for n, v in verdicts.items()] == [
+            (n, *verdict)
+            for n, verdict in reference_verdicts(lg, want, table, base_girth, base_diam).items()
+        ], walk
         mult = want.multiplicity.values()
         bridge_uses = [
             want.multiplicity[want.induced_edges[le]] for le in want.bridge_info.bridge_ids
