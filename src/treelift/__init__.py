@@ -6,7 +6,6 @@ from .embedding import (
     EmbeddingTable,
     distortion,
     embed,
-    l1_distance,
     distortion_bound,
 )
 from .families import FamilySpec, GenerationError, girth_diam_ratio, load_named, make, random_regular

@@ -14,8 +14,8 @@ import os
 import sys
 import traceback
 
-from .families import GenerationError, check_spec, make, parse_family
-from .graph import GraphError, girth, load_edge_list, save_edge_list, spanning_tree
+from .families import FORMS, GenerationError, check_spec, make, parse_family
+from .graph import GraphError, diameter, girth, load_edge_list, save_edge_list, spanning_tree
 from .lift import (
     DEFAULT_MAX_VERTICES,
     build_lift,
@@ -23,6 +23,7 @@ from .lift import (
     lift_mapping_text,
 )
 from .report import (
+    base_block,
     run_analysis,
     run_verify_instance,
     to_csv_text,
@@ -102,13 +103,10 @@ def cmd_gen(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     save_edge_list(g, args.output)
-    from .families import girth_diam_ratio
-    from .graph import diameter
-
-    ratio = girth_diam_ratio(g)
+    base = base_block(g, girth(g), diameter(g))
     print(
-        f"{spec.describe()}: n={g.n} m={g.m} girth={girth(g)} diameter={diameter(g)} "
-        f"girth/diameter={ratio} ({float(ratio):.6f})"
+        f"{spec.describe()}: n={g.n} m={g.m} girth={base['girth']} diameter={base['diameter']} "
+        f"girth/diameter={base['girth_diameter_ratio']} ({base['girth_diameter_ratio_decimal']})"
     )
     return EXIT_OK
 
@@ -254,7 +252,7 @@ def build_parser():
     cap = default_cap()
 
     p = sub.add_parser("gen", help="generate a base graph as an edge-list file")
-    p.add_argument("--family", required=True, help="petersen|heawood|mcgee|pappus|tutte_coxeter|k4|cycle:N|complete:N|random:N:K")
+    p.add_argument("--family", required=True, help="|".join(FORMS))
     p.add_argument("--girth-min", type=int, default=3, help="girth floor for random families")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-tries", type=positive_int, default=10_000)
@@ -290,7 +288,7 @@ def build_parser():
     )
     p.add_argument(
         "--instances", default=DEFAULT_MATRIX,
-        help="comma-separated families: petersen|heawood|mcgee|pappus|tutte_coxeter|k4|cycle:N|complete:N|random:N:K",
+        help="comma-separated families: " + "|".join(FORMS),
     )
     p.add_argument("--random-spec", default="random:20:3", help="random:N:K family of the random instances")
     p.add_argument("--random-count", type=nonnegative_int, default=3, help="number of random instances")

@@ -58,7 +58,6 @@ class EmbeddingTable:
     """
 
     lg: object
-    m: int
     base_rows: list
     lin: list
 
@@ -102,12 +101,7 @@ def embed(lg):
     for f in range(1, 1 << lg.s):
         low = f & -f
         lin[f] = lin[f ^ low] ^ cols[low.bit_length() - 1]
-    return EmbeddingTable(lg=lg, m=g.m, base_rows=base_rows, lin=lin)
-
-
-def l1_distance(table, x, y):
-    """The l1 distance between the rows of x and y."""
-    return table.l1(x, y)
+    return EmbeddingTable(lg=lg, base_rows=base_rows, lin=lin)
 
 
 def assert_injective(table):

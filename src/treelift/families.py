@@ -14,6 +14,8 @@ from importlib import resources
 from .graph import Graph, GraphError, build_graph, diameter, girth, is_connected, parse_edge_list
 
 NAMED = ("petersen", "heawood", "mcgee", "pappus", "tutte_coxeter", "k4")
+#: every family string ``parse_family`` accepts, by form
+FORMS = (*NAMED, "cycle:N", "complete:N", "random:N:K")
 
 #: documented (degree, n, m, girth, diameter) per named graph; the test suite
 #: re-derives every entry with the graph_core oracles rather than trusting it.
@@ -96,9 +98,7 @@ def parse_family(text):
             return FamilySpec.random_regular(int(parts[1]), int(parts[2]))
     except ValueError:
         raise GraphError(f"bad family parameters in {text!r}") from None
-    raise GraphError(
-        f"unknown family {text!r}: expected one of {', '.join(NAMED)}, cycle:N, complete:N, random:N:K"
-    )
+    raise GraphError(f"unknown family {text!r}: expected one of {', '.join(FORMS)}")
 
 
 def load_named(name):

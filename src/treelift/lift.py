@@ -105,11 +105,9 @@ class LiftedGraph:
         return eid
 
     def neighbors(self, x):
-        """Neighbor list of x, ordered by base edge id."""
-        u, f = self.decode(x)
-        s = self.s
-        rule = self.rule
-        return [(v << s) | (f ^ rule[eid]) for v, eid in self.base.adj[u]]
+        """Neighbor list of x, ordered by base edge id (the order of ``hops``)."""
+        f = x & self.mask
+        return [base | (f ^ rule) for base, rule in self.hops[x >> self.s]]
 
     def translate(self, x, gvec):
         """Label translation (u, f) -> (u, f ^ gvec); a graph automorphism."""
@@ -379,7 +377,7 @@ def _cut_sides(table, masks, full):
     column has bit e, i.e. over the XOR of their label sets ``full ^ masks[i]``."""
     cols = [table.lin[1 << i] for i in range(len(masks))]
     sides = []
-    for e in range(table.m):
+    for e in range(table.lg.base.m):
         odd = 0
         for col, mask in zip(cols, masks):
             if (col >> e) & 1:

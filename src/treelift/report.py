@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .embedding import distortion, distortion_bound, embed
@@ -45,7 +46,7 @@ def verdict_dict(v):
     return {"pass": v.passed, "violations": list(v.violations), "checked": v.checked}
 
 
-def resolve_policy(num_lifted_vertices, pairs_arg, sample_count=None):
+def resolve_policy(num_lifted_vertices, pairs_arg, sample_count):
     """Map the CLI pair policy of the verdict sweep to (mode, sample_count).
 
     "auto" picks exhaustive below AUTO_EXHAUSTIVE_LIMIT lifted vertices and
@@ -62,20 +63,20 @@ def resolve_policy(num_lifted_vertices, pairs_arg, sample_count=None):
     raise GraphError(f"unknown pair policy {pairs_arg!r}")
 
 
-def base_block(g):
-    gi = girth(g)
+def base_block(g, gi, diam):
+    """The base graph's facts, from its measured girth ``gi`` and diameter ``diam``."""
     block = {
         "n": g.n,
         "m": g.m,
         "regular": g.regularity(),
         "girth": None if gi == math.inf else gi,
-        "diameter": diameter(g),
+        "diameter": diam,
     }
-    if gi == math.inf or block["diameter"] == 0:
+    if gi == math.inf or diam == 0:
         block["girth_diameter_ratio"] = None
         block["girth_diameter_ratio_decimal"] = None
     else:
-        block.update(frac_fields("girth_diameter_ratio", Fraction(gi, block["diameter"])))
+        block.update(frac_fields("girth_diameter_ratio", Fraction(gi, diam)))
     return block
 
 
@@ -132,19 +133,18 @@ def sweep_block(sw, mode, sample_count, seed):
     }
 
 
+@dataclass(eq=False)
 class AnalysisContext:
-    """Everything the pipeline built, for callers that need more than the dict."""
+    """Everything the pipeline built, for callers that need more than the dict;
+    the base graph and its tree are ``lg.base`` and ``lg.td``."""
 
-    def __init__(self, g, td, lg, table, tables, base_girth, base_diam, sweep, report):
-        self.g = g
-        self.td = td
-        self.lg = lg
-        self.table = table
-        self.tables = tables
-        self.base_girth = base_girth
-        self.base_diam = base_diam
-        self.sweep = sweep
-        self.report = report
+    lg: object
+    table: object
+    tables: object
+    base_girth: float
+    base_diam: int
+    sweep: object
+    report: dict
 
 
 def run_analysis(
@@ -186,7 +186,7 @@ def run_analysis(
             "pair_policy": mode if mode == "exhaustive" else f"sample:{count}",
             "seed": seed,
         },
-        "base": base_block(g),
+        "base": base_block(g, base_gi, base_di),
     }
     lifted_gi = lifted_girth(lg, tables)
     lifted_di = lifted_diameter(lg, tables)
@@ -211,7 +211,7 @@ def run_analysis(
         and report["lift"]["girth_at_least_base"]
         and sw.all_pass
     )
-    return AnalysisContext(g, td, lg, table, tables, base_gi, base_di, sw, report)
+    return AnalysisContext(lg, table, tables, base_gi, base_di, sw, report)
 
 
 def run_verify_instance(label, g, seed=0, oracle_pairs=2_000, **options):
@@ -219,18 +219,15 @@ def run_verify_instance(label, g, seed=0, oracle_pairs=2_000, **options):
     ``options`` are those of ``run_analysis``."""
     ctx = run_analysis(g, seed=seed, **options)
     lg, table, tables = ctx.lg, ctx.table, ctx.tables
-    checks = {
-        "cut_partition": cut_partition_check(lg, table),
-        "degree_preservation": degree_preservation_check(lg),
-    }
-    l1_v, dist_v = oracle_equivalence_checks(lg, table, tables, oracle_pairs, seed)
-    checks["oracle_l1_odd_multiplicity"] = l1_v
-    checks["oracle_distance_table"] = dist_v
-
+    checks = (
+        cut_partition_check(lg, table),
+        degree_preservation_check(lg),
+        *oracle_equivalence_checks(lg, table, tables, oracle_pairs, seed),
+    )
     report = ctx.report
     report["label"] = label
-    report["checks"] = {name: verdict_dict(v) for name, v in sorted(checks.items())}
-    report["all_pass"] = report["all_pass"] and all(v.passed for v in checks.values())
+    report["checks"] = {v.name: verdict_dict(v) for v in sorted(checks, key=lambda v: v.name)}
+    report["all_pass"] = report["all_pass"] and all(v.passed for v in checks)
     return ctx
 
 

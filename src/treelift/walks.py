@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .graph import Graph, GraphError, bridges_and_2ecc
-from .lift import bfs_lifted
 
 
 class PathRebuildError(RuntimeError):
@@ -97,7 +96,7 @@ class WalkAnalysis:
     segments: tuple
 
 
-def shortest_lifted_path(lg, x, y, tables=None, pred=None):
+def shortest_lifted_path(lg, x, y, tables, pred=None):
     """A canonical shortest path from x to y as encoded vertex ids.
 
     The pair is translated so the source sits at label 0 (that frame is where
@@ -105,7 +104,7 @@ def shortest_lifted_path(lg, x, y, tables=None, pred=None):
     each hop the predecessor with the smallest encoded id and translating it
     back as it is appended.  One deterministic shortest path per translation
     orbit, which is what lets the sweep analyse one representative pair per
-    orbit.
+    orbit.  ``tables`` are the rows of ``lift.representative_tables``.
 
     ``pred``, if given, maps vertices of that frame to their predecessors and
     is filled as they are found; it must come only from calls whose source
@@ -120,9 +119,7 @@ def shortest_lifted_path(lg, x, y, tables=None, pred=None):
     f = x & mask
     x0 = x ^ f
     cur = y ^ f
-    dist = tables[x >> s] if tables is not None else bfs_lifted(lg, x0)
-    if dist[cur] < 0:
-        raise GraphError(f"no path between {x} and {y}")
+    dist = tables[x >> s]
     if pred is None:
         pred = {}
     hops = lg.hops
@@ -368,7 +365,7 @@ def verify_all(lg, wa, table, base_girth, base_diam):
     }
 
 
-def forensic_text(lg, wa, verdicts=None):
+def forensic_text(lg, wa, verdicts):
     """Human-readable dump of one analysis for failure replay."""
     px, fx = lg.decode(wa.x)
     py, fy = lg.decode(wa.y)
@@ -385,13 +382,10 @@ def forensic_text(lg, wa, verdicts=None):
         f"components={wa.components} bridge_paths={wa.bridge_paths} "
         f"bridges_once={wa.bridges_once} component_edges={wa.component_edges} "
         f"bridges_twice={wa.bridges_twice} segments={list(wa.segments)}",
+        "verdicts: "
+        + "; ".join(
+            f"{name} {'PASS' if v.passed else 'FAIL ' + '; '.join(v.violations)}"
+            for name, v in verdicts.items()
+        ),
     ]
-    if verdicts:
-        lines.append(
-            "verdicts: "
-            + "; ".join(
-                f"{name} {'PASS' if v.passed else 'FAIL ' + '; '.join(v.violations)}"
-                for name, v in verdicts.items()
-            )
-        )
     return "\n".join(lines)

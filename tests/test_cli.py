@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 import treelift.cli as cli
+import treelift.graph as graph_mod
+import treelift.report as report_mod
 from treelift.cli import main
 
 
@@ -224,6 +227,55 @@ def test_verify_fault_injection_fails_with_cut_violation(tmp_path, capsys):
     assert cp["pass"] is False
     assert any("crosses cuts" in v for v in cp["violations"])
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_base_girth_and_diameter_run_once_per_gen_and_per_analysis(tmp_path, monkeypatch):
+    calls = []
+    for name in ("girth", "diameter"):
+        real = getattr(graph_mod, name)
+
+        def counted(g, real=real, name=name):
+            calls.append(name)
+            return real(g)
+
+        for mod in (cli, report_mod):
+            monkeypatch.setattr(mod, name, counted)
+    base = tmp_path / "p.txt"
+    assert run(["gen", "--family", "petersen", "-o", base]) == 0
+    assert sorted(calls) == ["diameter", "girth"]
+    calls.clear()
+    assert run(["analyze", base, "-o", tmp_path / "r.json"]) == 0
+    assert sorted(calls) == ["diameter", "girth"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_a_row_no_path_rebuilds_through_fails_the_run(tmp_path, capsys, monkeypatch, command):
+    # row 0's largest entry raised by 3: no vertex is one level closer to it,
+    # so the canonical path to it cannot be rebuilt
+    real = report_mod.representative_tables
+
+    def corrupted(lg, table):
+        tables = real(lg, table)
+        row = list(tables.rows[0])
+        row[row.index(max(row))] += 3
+        return dataclasses.replace(tables, rows=(row, *tables.rows[1:]))
+
+    monkeypatch.setattr(report_mod, "representative_tables", corrupted)
+    base = tmp_path / "k4.txt"
+    run(["gen", "--family", "k4", "-o", base])
+    out = tmp_path / "r.json"
+    if command == "analyze":
+        argv = ["analyze", base, "-o", out]
+    else:
+        argv = ["verify", "--instances", "k4", "--random-count", 0, "-o", out]
+    assert run(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    sweep = (report if command == "analyze" else report["instances"][0])["verdict_sweep"]
+    assert not sweep["all_pass"]
+    for totals in sweep["verdicts"].values():
+        assert totals["fail"] >= 1 and totals["pass"] + totals["fail"] == sweep["analyses"]
+    assert any(": no canonical path: vertex " in line for line in sweep["failures"])
 
 
 def test_env_var_cap_override(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,6 @@ from treelift.embedding import (
     assert_injective,
     distortion,
     embed,
-    l1_distance,
     distortion_bound,
 )
 from treelift.families import FamilySpec, load_named, make
@@ -103,7 +102,7 @@ def test_triangle_rows_match_hand_values():
     # tree splits, so flipping its bit flips every coordinate at vertex a
     assert t.row(lg.encode(0, 0)) == 0b000
     assert t.row(lg.encode(0, 1)) == 0b111
-    assert l1_distance(t, lg.encode(0, 0), lg.encode(0, 1)) == 3
+    assert t.l1(lg.encode(0, 0), lg.encode(0, 1)) == 3
 
 
 def oracle_sides(lg, eid):
@@ -232,14 +231,14 @@ def test_adjacent_rows_differ_in_one_coordinate():
     t = embed(lg)
     for x in range(lg.num_vertices):
         for y in lg.neighbors(x):
-            assert l1_distance(t, x, y) == 1
+            assert t.l1(x, y) == 1
 
 
 def test_l1_identity_and_antipodal():
     lg = triangle_lift()
     t = embed(lg)
-    assert l1_distance(t, 3, 3) == 0
-    assert l1_distance(t, lg.encode(0, 0), lg.encode(0, 1)) == 3
+    assert t.l1(3, 3) == 0
+    assert t.l1(lg.encode(0, 0), lg.encode(0, 1)) == 3
 
 
 def test_injectivity():
@@ -280,7 +279,7 @@ def test_embedding_is_nonexpansive_everywhere():
     t = embed(lg)
     tables = representative_tables(lg, t)
     for x, y, _ in iter_orbit_reps(lg):
-        assert l1_distance(t, x, y) <= tables[x >> lg.s][y]
+        assert t.l1(x, y) <= tables[x >> lg.s][y]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -321,7 +320,7 @@ def test_distortion_brute_force_cross_check():
         for x in range(nn):
             dist = bfs_lifted(lg, x)
             for y in range(x + 1, nn):
-                best = max(best, Fraction(dist[y], l1_distance(t, x, y)))
+                best = max(best, Fraction(dist[y], t.l1(x, y)))
         rep = distortion(lg, t, representative_tables(lg, t))
         assert rep.colip == best
 
@@ -495,7 +494,7 @@ def test_orbit_invariance_of_distance_and_l1():
             continue
         rx, ry = orbit_rep(lg, x, y)
         assert lifted_distance(lg, tables, x, y) == tables[rx >> lg.s][ry]
-        assert l1_distance(t, x, y) == l1_distance(t, rx, ry)
+        assert t.l1(x, y) == t.l1(rx, ry)
 
 
 def test_distortion_bound_values():

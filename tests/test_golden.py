@@ -56,6 +56,19 @@ def random_cubic():
     return to_json_bytes(ctx.report)
 
 
+def petersen_dfs_verify():
+    ctx = run_verify_instance(
+        "petersen",
+        named("petersen"),
+        tree_strategy="dfs",
+        root=5,
+        pairs="exhaustive",
+        seed=3,
+        oracle_pairs=500,
+    )
+    return to_json_bytes(ctx.report)
+
+
 CASES = {
     "petersen exhaustive": lambda: analysis_json("petersen", pairs="exhaustive"),
     "petersen exhaustive csv": lambda: exhaustive_csv(named("petersen")),
@@ -73,6 +86,8 @@ CASES = {
         "mcgee", pairs="sample", sample_count=2000, seed=3
     ),
     "petersen fault-injected sample:300 seed 5": fault_injected_petersen,
+    # the only digest on a depth-first spanning tree
+    "petersen dfs root 5 exhaustive verify": petersen_dfs_verify,
     "random:20:3 sample:700": random_cubic,
     # 1,966,080 lifted vertices, lift girth 16, diameter 35, exact colip 7/4
     "tutte_coxeter sample:200 seed 1": lambda: analysis_json(
@@ -85,6 +100,7 @@ GOLDEN = {
     "heawood sample:2000 seed 5": "df68306f904e79f0f396dc73702e503ec8871a9d8883e6f14681673fd9df535e",
     "mcgee sample:2000 seed 3": "244a505c3b199c1e7983dff143171de6bf2eb5b999e1ab7a49d4b300eb5ca341",
     "petersen exhaustive": "9f5a326d0b48060090cacfedb45020c9112a0ed0c89665d6b5df059d9be36f97",
+    "petersen dfs root 5 exhaustive verify": "9b4fc091eeb10eea0c488e74741bf34c353500784692893a5b8b9f71999f191b",
     "petersen exhaustive csv": "c54c38e69c7e211f72d9e745348c80d97e767344daefd0902718bafe0bab4b61",
     "petersen fault-injected exhaustive csv": "3042e27756d1ef03b90e71dc16cf433fa831a88b2546ba7f3675be53825555fb",
     "petersen fault-injected sample:300 seed 5": "4e1c47cf327d753971ea71c23670da70ea97d6a5e6ee44f74d70fe0dae71f892",

@@ -50,16 +50,22 @@ def test_oracle_fails_tables_with_one_entry_changed():
     assert len(bad.violations) <= MAX_RECORDED_FAILURES
 
 
-def test_oracle_records_a_pair_whose_path_cannot_be_rebuilt():
-    # the largest entry of row 0, raised by 3, has no neighbour one level
-    # closer: the canonical path to it cannot be rebuilt
-    lg = lift_of(FamilySpec.named("k4"))
-    table = embed(lg)
-    tables = representative_tables(lg, table)
+def raise_largest_entry(tables):
+    """(rows of ``tables`` as lists, z, d): row 0's largest entry d, at z,
+    raised by 3.  No neighbour of z is one level closer, so the canonical
+    path to z cannot be rebuilt."""
     rows = [list(row) for row in tables.rows]
     d = max(rows[0])
     z = rows[0].index(d)
     rows[0][z] = d + 3
+    return rows, z, d
+
+
+def test_oracle_records_a_pair_whose_path_cannot_be_rebuilt():
+    lg = lift_of(FamilySpec.named("k4"))
+    table = embed(lg)
+    tables = representative_tables(lg, table)
+    rows, z, d = raise_largest_entry(tables)
     with pytest.raises(PathRebuildError, match=f"vertex {z} has no neighbour one level closer to 0"):
         shortest_lifted_path(lg, 0, z, rows)
 
@@ -69,6 +75,24 @@ def test_oracle_records_a_pair_whose_path_cannot_be_rebuilt():
     assert all(": no canonical path: vertex " in line for line in l1_v.violations)
     assert 0 < len(dist_v.violations) <= MAX_RECORDED_FAILURES
     assert all(f"table distance {d + 3}, direct BFS {d}" in line for line in dist_v.violations)
+
+
+def test_sweep_counts_an_orbit_no_path_rebuilds_through_as_failed():
+    lg = lift_of(FamilySpec.named("k4"))
+    table = embed(lg)
+    tables = representative_tables(lg, table)
+    rows, z, _ = raise_largest_entry(tables)
+    clean = sweeps_mod.verdict_sweep(lg, table, tables, 3, 1)
+    assert clean.all_pass
+    result = sweeps_mod.verdict_sweep(lg, table, rows, 3, 1)
+    # the sweep goes on past the orbit, which fails under every verdict
+    assert (result.analyses, result.pairs_covered) == (clean.analyses, clean.pairs_covered)
+    assert not result.all_pass
+    assert all(totals == [clean.analyses - 1, 1] for totals in result.verdict_totals.values())
+    assert result.failures == [
+        f"pair (0, {z}): no canonical path: vertex {z} has no neighbour one level closer to 0: "
+        "the distance row of base vertex 0 is inconsistent"
+    ]
 
 
 def test_oracle_searches_once_per_pooled_source_without_the_engine(monkeypatch):

@@ -3,11 +3,10 @@ import random
 import pytest
 
 import treelift.sweeps as sweeps
-from treelift.embedding import embed, l1_distance
+from treelift.embedding import embed
 from treelift.families import load_named, make, FamilySpec
 from treelift.graph import GraphError, build_graph, diameter, girth, spanning_tree
 from treelift.lift import (
-    bfs_lifted,
     build_lift,
     iter_orbit_reps,
     representative_tables,
@@ -26,6 +25,10 @@ from treelift.walks import (
 def triangle_lift():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     return build_lift(g, spanning_tree(g, "dfs", 0))
+
+
+def tables_of(lg):
+    return representative_tables(lg, embed(lg))
 
 
 def triangle_verdict(lg, wa, name, base_diam=1):
@@ -53,16 +56,16 @@ def petersen_bundle():
 
 def test_path_trivial_and_adjacent():
     lg = triangle_lift()
-    assert shortest_lifted_path(lg, 4, 4) == [4]
+    assert shortest_lifted_path(lg, 4, 4, tables_of(lg)) == [4]
     x = lg.encode(0, 0)
     y = lg.neighbors(x)[0]
-    assert shortest_lifted_path(lg, x, y) == [x, y]
+    assert shortest_lifted_path(lg, x, y, tables_of(lg)) == [x, y]
 
 
 def test_triangle_antipodal_path_length():
     lg = triangle_lift()
     x, y = lg.encode(0, 0), lg.encode(0, 1)
-    path = shortest_lifted_path(lg, x, y)
+    path = shortest_lifted_path(lg, x, y, tables_of(lg))
     assert len(path) == 4  # distance 3 on the 6-cycle
 
 
@@ -175,7 +178,7 @@ def test_analyze_single_edge():
 
 def test_analyze_triangle_antipodal():
     lg = triangle_lift()
-    path = shortest_lifted_path(lg, lg.encode(0, 0), lg.encode(0, 1))
+    path = shortest_lifted_path(lg, lg.encode(0, 0), lg.encode(0, 1), tables_of(lg))
     wa = analyze(lg, path)
     assert wa.path_len == 3
     assert set(wa.multiplicity.values()) == {1}
@@ -202,7 +205,7 @@ def test_multiplicities_sum_to_path_len_everywhere():
 
 def test_euler_parity_closed_walk_all_even():
     lg = triangle_lift()
-    path = shortest_lifted_path(lg, lg.encode(0, 0), lg.encode(0, 1))
+    path = shortest_lifted_path(lg, lg.encode(0, 0), lg.encode(0, 1), tables_of(lg))
     wa = analyze(lg, path)  # projected endpoints coincide
     v = triangle_verdict(lg, wa, "euler_parity")
     assert v.passed
@@ -220,7 +223,7 @@ def test_counting_examples():
     x = lg.encode(0, 0)
     wa1 = analyze(lg, [x, lg.neighbors(x)[0]])
     assert triangle_verdict(lg, wa1, "counting").passed  # N=1 <= 1
-    wa2 = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1)))
+    wa2 = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1), tables_of(lg)))
     assert triangle_verdict(lg, wa2, "counting").passed  # N=0 <= 3
 
 
@@ -229,7 +232,7 @@ def test_segments_vacuous_and_bounded():
     x = lg.encode(0, 0)
     wa = analyze(lg, [x, lg.neighbors(x)[0]])
     assert triangle_verdict(lg, wa, "segments").passed  # no twice-used edges at all
-    fake = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1)))
+    fake = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1), tables_of(lg)))
     assert triangle_verdict(lg, fake, "segments").passed
 
 
@@ -237,16 +240,16 @@ def test_accounting_triangle_antipodal():
     lg = triangle_lift()
     t = embed(lg)
     x, y = lg.encode(0, 0), lg.encode(0, 1)
-    wa = analyze(lg, shortest_lifted_path(lg, x, y))
+    wa = analyze(lg, shortest_lifted_path(lg, x, y, tables_of(lg)))
     v = verify_all(lg, wa, t, base_girth=3, base_diam=1)["accounting"]
     assert v.passed, v.violations
-    assert l1_distance(t, x, y) == 3 == wa.bridges_once + wa.component_edges
+    assert t.l1(x, y) == 3 == wa.bridges_once + wa.component_edges
 
 
 def test_repetitions_all_single_passes():
     lg = triangle_lift()
     x = lg.encode(0, 0)
-    wa = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1)))
+    wa = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1), tables_of(lg)))
     assert triangle_verdict(lg, wa, "repetitions").passed
 
 
@@ -256,9 +259,8 @@ def test_verdict_failure_is_data_not_exception():
     wa = analyze(lg, [x, lg.neighbors(x)[0]])
     v = triangle_verdict(lg, wa, "segments", base_diam=0)  # absurd diameter: still vacuous
     assert v.passed
-    bad = triangle_verdict(
-        lg, analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1))), "counting"
-    )
+    path = shortest_lifted_path(lg, x, lg.encode(0, 1), tables_of(lg))
+    bad = triangle_verdict(lg, analyze(lg, path), "counting")
     assert isinstance(bad.violations, list)
 
 
@@ -316,6 +318,6 @@ def test_verify_all_on_k4_exhaustive():
 def test_forensic_text_mentions_counters():
     lg = triangle_lift()
     x = lg.encode(0, 0)
-    wa = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1)))
+    wa = analyze(lg, shortest_lifted_path(lg, x, lg.encode(0, 1), tables_of(lg)))
     text = forensic_text(lg, wa, verify_all(lg, wa, embed(lg), 3, 1))
     assert "components=1" in text and "path_len: 3" in text and "verdicts:" in text
