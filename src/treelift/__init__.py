@@ -8,7 +8,7 @@ from .embedding import (
     embed,
     distortion_bound,
 )
-from .families import FamilySpec, GenerationError, girth_diam_ratio, load_named, make, random_regular
+from .families import FamilySpec, GenerationError, load_named, make, random_regular
 from .graph import (
     BridgeDecomposition,
     Graph,

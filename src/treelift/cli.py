@@ -141,7 +141,7 @@ def cmd_analyze(args):
     )
     report = ctx.report
     report["config"]["input"] = args.input
-    report["schema"] = "treelift-report-v2"
+    report["schema"] = "treelift-report-v3"
     if args.format == "json":
         write_bytes(args.output, to_json_bytes(report))
     else:
@@ -217,7 +217,7 @@ def cmd_verify(args):
             detail = f" ({', '.join(failing)})" if failing else ""
         print(f"{'PASS' if ok else 'FAIL'} {label}{detail}")
     report = {
-        "schema": "treelift-verify-v2",
+        "schema": "treelift-verify-v3",
         "config": {
             "pair_policy_arg": args.pairs,
             "seed": args.seed,

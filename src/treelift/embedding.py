@@ -42,7 +42,7 @@ anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import GraphError
@@ -55,11 +55,26 @@ class EmbeddingTable:
     Row bit e is the vertex's side of cut e.  ``base_rows`` holds the n rows
     of the zero-label fiber and ``lin`` the 2^s label columns; no table of
     n * 2^s rows exists.
+
+    ``edge_flips[e]`` is the row XOR across the lifted edges over base edge e,
+    taken at label 0 as row(u, 0) ^ row(v, rule[e]).  By linearity the XOR
+    across ((u, f), (v, f ^ rule[e])) is the same at every label f, so these
+    m values describe all m * 2^s lifted edges.  They are computed once, with
+    the table.
     """
 
     lg: object
     base_rows: list
     lin: list
+    edge_flips: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        base_rows = self.base_rows
+        lin = self.lin
+        self.edge_flips = tuple(
+            base_rows[u] ^ base_rows[v] ^ lin[rule]
+            for (u, v), rule in zip(self.lg.base.edges, self.lg.rule)
+        )
 
     def row(self, x):
         return self.base_rows[x >> self.lg.s] ^ self.lin[x & self.lg.mask]
@@ -67,20 +82,6 @@ class EmbeddingTable:
     def l1(self, x, y):
         """The l1 distance between two rows: a Hamming distance, all coordinates are bits."""
         return (self.row(x) ^ self.row(y)).bit_count()
-
-    def edge_flips(self):
-        """Row XOR across the lifted edges over each base edge, by edge id.
-
-        Taken at label 0 as row(u, 0) ^ row(v, rule[e]).  By linearity the XOR
-        across ((u, f), (v, f ^ rule[e])) is the same at every label f, so
-        these m values describe all m * 2^s lifted edges.
-        """
-        base_rows = self.base_rows
-        lin = self.lin
-        return [
-            base_rows[u] ^ base_rows[v] ^ lin[rule]
-            for (u, v), rule in zip(self.lg.base.edges, self.lg.rule)
-        ]
 
 
 def embed(lg):
@@ -162,7 +163,7 @@ def distortion(lg, table, tables):
     if nn < 2:
         raise GraphError("distortion requires at least two lifted vertices")
     assert_injective(table)
-    lip = Fraction(max(flip.bit_count() for flip in table.edge_flips()))
+    lip = Fraction(max(flip.bit_count() for flip in table.edge_flips))
     if lip != 1:
         raise RuntimeError(
             f"embedding is not 1-Lipschitz (measured lip = {lip}); the cut partition is broken"

@@ -5,13 +5,11 @@ floor.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
-from .graph import Graph, GraphError, build_graph, diameter, girth, is_connected, parse_edge_list
+from .graph import GraphError, build_graph, girth, is_connected, parse_edge_list
 
 NAMED = ("petersen", "heawood", "mcgee", "pappus", "tutte_coxeter", "k4")
 #: every family string ``parse_family`` accepts, by form
@@ -185,13 +183,3 @@ def random_regular(n, k, girth_min=3, seed=0, max_tries=10_000):
         tries=max_tries,
     )
 
-
-def girth_diam_ratio(g):
-    """girth(g) / diameter(g) as an exact Fraction."""
-    gi = girth(g)
-    if gi == math.inf:
-        raise GraphError("girth/diameter ratio undefined for forests")
-    d = diameter(g)
-    if d == 0:
-        raise GraphError("girth/diameter ratio undefined for a single vertex")
-    return Fraction(gi, d)

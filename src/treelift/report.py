@@ -164,8 +164,9 @@ def run_analysis(
     the pair policy (``pairs``, ``sample_count``, ``seed``) picks only the
     pairs of the verdict sweep.  Returns an AnalysisContext whose ``report``
     field is the JSON-ready dict.  If ``csv_rows`` is a list, the sweep
-    appends one flattened row per examined translation orbit to it (the CSV
-    export).
+    appends one flattened row per analysis to it (the CSV export): one per
+    orbit of the lifted group in exhaustive mode, one per translation orbit
+    in sampled mode.
     """
     td = spanning_tree(g, tree_strategy, root)
     lg = build_lift(g, td, max_vertices=max_vertices, fault=fault)
@@ -264,7 +265,7 @@ CSV_COLUMNS = (
 
 
 def csv_collector(lg, out_rows):
-    """A verdict_sweep collect hook appending one flattened CSV row per orbit."""
+    """A verdict_sweep collect hook appending one flattened CSV row per analysis."""
 
     def collect(x, y, covered, d, l1, wa, verdicts):
         xb, xl = lg.decode(x)

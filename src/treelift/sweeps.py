@@ -3,12 +3,20 @@
 The verdict sweep runs the full per-pair battery over a pair policy.  Distances,
 embedding rows and canonical shortest paths are all invariant under label
 translation (the canonical path of a translated pair is the translated
-canonical path), so each translation orbit is analyzed once and the verdicts
-cover every pair in it.  Both pair policies arrive as the same stream of
-(x, y, covered) orbit entries: exhaustive mode enumerates the canonical orbit
-representatives and sampled mode takes ``sample_pair_list``, which weights
-each orbit by the family pairs it holds.  Spot checks in the test suite
-re-derive sampled pairs directly to guard the reduction itself.
+canonical path), so sampled mode analyzes each translation orbit once and
+its verdicts cover every pair in it.  Exhaustive mode goes further and
+analyzes one pair per orbit of the lifted group Z_2^s x| Aut(G)
+(``voltage.lifted_group``): an automorphism of the lift carries a verified
+shortest path to a shortest path of the image pair, with the same projection
+up to alpha, hence the same counters and verdicts.  The image is not always
+the image pair's own canonical path, so in exhaustive mode each pair is
+covered by an automorphic image of a verified canonical path.  Both pair
+policies arrive as the same stream of (x, y, covered) entries: exhaustive
+mode enumerates the smallest translation representative of each group orbit
+and sampled mode takes ``sample_pair_list``, which weights each translation
+orbit by the family pairs it holds.  Spot checks in the test suite re-derive
+sampled pairs directly, and compare the group sweep with the translation
+sweep, to guard both reductions.
 
 The whole-lift checks are certified exactly at every lift size, with no
 sampling.  A lifted edge over base edge e must flip side bit e and nothing
@@ -25,7 +33,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .lift import iter_orbit_reps, lifted_distance, orbit_rep, two_sided_distances
+from .lift import lifted_distance, orbit_rep, two_sided_distances
+from .voltage import lifted_group
 from .walks import (
     PathRebuildError,
     Verdict,
@@ -48,16 +57,64 @@ class SweepResult:
     all_pass: bool
 
 
-def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs=None, collect=None):
-    """Verdict battery over a pair policy, one analysis per translation orbit.
+def group_orbit_reps(lg, group):
+    """One (x, y, covered) entry per orbit of the lifted group on unordered
+    pairs: its smallest canonical translation representative and the number
+    of pairs in the orbit, in canonical order.
 
-    With ``pairs`` None the entries are the canonical orbit representatives
-    (exhaustive); otherwise ``pairs`` is the family built by
-    ``sample_pair_list``.  Each entry (x, y, covered) is analyzed at the
-    canonical representative of its orbit and counts ``covered`` pairs.
-    ``collect``, if given, is called with (x, y, covered, distance, l1,
-    analysis, verdicts) for every entry, in canonical order; the CSV export
-    hangs off this hook.
+    ``group`` holds the lifted automorphisms of ``voltage.lifted_group``;
+    with the translations they generate the group.  The translation
+    representatives are walked in order, skipping those already marked, so
+    each one reached is the smallest of a new orbit.  Every element maps it
+    to a pair whose translation orbit (``orbit_rep``) is then marked, once,
+    and ``covered`` sums the sizes of those translation orbits.  A smallest
+    pair starts at a vertex (u, 0) with u the smallest of its Aut(G) vertex
+    orbit (an image with a smaller endpoint base would have a smaller
+    representative), so no other u is walked.
+    """
+    s = lg.s
+    n = lg.base.n
+    nn = lg.num_vertices
+    full = 1 << s
+    half = full >> 1 if s else 1
+    marked = bytearray(n * nn)
+    for u in range(n):
+        if any(phi.alpha[u] < u for phi in group):
+            continue
+        x = u << s
+        for y in range(x + 1, nn):
+            if marked[u * nn + y]:
+                continue
+            v = y >> s
+            bits = [i for i in range(s) if y >> i & 1]
+            covered = 0
+            for alpha, cols, pot in group:
+                h = pot[v]  # A.f ^ p(v), f the label of y
+                for i in bits:
+                    h ^= cols[i]
+                rx, ry = orbit_rep(lg, alpha[u] << s | pot[u], alpha[v] << s | h)
+                at = (rx >> s) * nn + ry
+                if not marked[at]:
+                    marked[at] = 1
+                    covered += half if rx >> s == ry >> s else full
+            yield x, y, covered
+
+
+def _no_path(x, y, exc):
+    """The failure line of a pair whose canonical path cannot be rebuilt."""
+    return f"pair ({x}, {y}): no canonical path: {exc}"
+
+
+def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs=None, collect=None):
+    """Verdict battery over a pair policy.
+
+    With ``pairs`` None the sweep is exhaustive, with one analysis per orbit
+    of the lifted group (``group_orbit_reps``); otherwise ``pairs`` is the
+    family built by ``sample_pair_list``, one analysis per translation orbit.
+    Each entry (x, y, covered) is analyzed at the canonical translation
+    representative of its pair and counts ``covered`` pairs.  ``collect``, if
+    given, is called with (x, y, covered, distance, l1, analysis, verdicts)
+    for every entry, in canonical order; the CSV export hangs off this hook.
 
     An entry whose canonical path cannot be rebuilt through the distance
     rows (``PathRebuildError``) has no analysis: it counts as failed under
@@ -76,7 +133,9 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs=None, collect=
     l1 = table.l1
     source = pred = None
 
-    for x, y, cov in iter_orbit_reps(lg) if pairs is None else pairs:
+    if pairs is None:
+        pairs = group_orbit_reps(lg, lifted_group(lg, table))
+    for x, y, cov in pairs:
         rx, ry = orbit_rep(lg, x, y)
         if rx != source:
             source = rx
@@ -89,7 +148,7 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs=None, collect=
             for name in fails:
                 fails[name] += 1
             if len(failures) < MAX_RECORDED_FAILURES:
-                failures.append(f"pair ({rx}, {ry}): no canonical path: {exc}")
+                failures.append(_no_path(rx, ry, exc))
             continue
         wa = analyze(lg, path)
         verdicts = verify_all(lg, wa, table, base_girth, base_diam)
@@ -123,7 +182,7 @@ def cut_partition_check(lg, table):
     """
     m = lg.base.m
     bad = []
-    for eid, got in enumerate(table.edge_flips()):
+    for eid, got in enumerate(table.edge_flips):
         if got != 1 << eid:
             crossed = [i for i in range(m) if (got >> i) & 1]
             bad.append(
@@ -193,7 +252,7 @@ def oracle_equivalence_checks(lg, table, tables, count, seed):
         try:
             path = shortest_lifted_path(lg, x, y, tables)
         except PathRebuildError as exc:
-            bad_l1.append(f"pair ({x}, {y}): no canonical path: {exc}")
+            bad_l1.append(_no_path(x, y, exc))
         else:
             counts = {}
             for a, b in zip(path, path[1:]):

@@ -65,7 +65,7 @@ def test_analyze_json_report_contents(tmp_path):
     report_path = tmp_path / "r.json"
     assert run(["analyze", base, "-o", report_path]) == 0
     report = json.loads(report_path.read_text())
-    assert report["schema"] == "treelift-report-v2"
+    assert report["schema"] == "treelift-report-v3"
     assert report["base"]["n"] == 8 and report["base"]["regular"] == 2
     assert report["lift"]["vertices"] == 16
     assert report["embedding"]["distortion"] == "1"

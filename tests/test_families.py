@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -8,13 +7,13 @@ from treelift.families import (
     NAMED_STATS,
     FamilySpec,
     GenerationError,
-    girth_diam_ratio,
     load_named,
     make,
     parse_family,
     random_regular,
 )
 from treelift.graph import GraphError, build_graph, diameter, girth, is_connected
+from treelift.report import base_block
 
 
 def test_cycle_family():
@@ -93,15 +92,22 @@ def test_random_regular_rejects_bad_parameters():
         random_regular(3, 3)
 
 
+def base_ratio(g):
+    """The girth/diameter ratio of the report's base block."""
+    return base_block(g, girth(g), diameter(g))["girth_diameter_ratio"]
+
+
 def test_girth_diam_ratio_exact():
-    assert girth_diam_ratio(load_named("petersen")) == Fraction(5, 2)
-    assert girth_diam_ratio(load_named("heawood")) == Fraction(2)
+    assert base_ratio(load_named("petersen")) == "5/2"
+    assert base_ratio(load_named("heawood")) == "2"
     for r in (2, 3, 4):
         g = make(FamilySpec.cycle(2 * r))
-        assert girth_diam_ratio(g) == 2
+        assert base_ratio(g) == "2"
 
 
-def test_girth_diam_ratio_errors():
-    with pytest.raises(GraphError):
-        girth_diam_ratio(build_graph(3, [(0, 1), (1, 2)]))  # forest
+def test_girth_diam_ratio_is_none_for_a_forest():
+    path = build_graph(3, [(0, 1), (1, 2)])
+    block = base_block(path, girth(path), diameter(path))
+    assert block["girth"] is None
+    assert block["girth_diameter_ratio"] is None and block["girth_diameter_ratio_decimal"] is None
     assert girth(build_graph(2, [(0, 1)])) == math.inf

@@ -72,9 +72,11 @@ def petersen_dfs_verify():
 CASES = {
     "petersen exhaustive": lambda: analysis_json("petersen", pairs="exhaustive"),
     "petersen exhaustive csv": lambda: exhaustive_csv(named("petersen")),
-    # 3,510 orbits of the fault lift, 4,097 failing verdicts
+    # 3,510 translation orbits of the fault lift, which keeps the trivial
+    # group, 4,097 failing verdicts
     "petersen fault-injected exhaustive csv": fault_injected_petersen_csv,
-    # 26,866 orbits, every counter and all eight verdicts of each
+    # 128 orbits of the lifted group (26,866 translation orbits), every
+    # counter and all eight verdicts of each
     "heawood exhaustive csv": lambda: exhaustive_csv(named("heawood")),
     "petersen sample:500 seed 7": lambda: analysis_json(
         "petersen", pairs="sample", sample_count=500, seed=7
@@ -96,12 +98,12 @@ CASES = {
 }
 
 GOLDEN = {
-    "heawood exhaustive csv": "164f6230cbc4a5e438c65723d1641bf94e8a9e2cdabd7e122e15fe855dd1fe3e",
+    "heawood exhaustive csv": "5788909be9a50d0224a75e68cb920c97dc2328ff62d5bb3d868ca9d074d44c50",
     "heawood sample:2000 seed 5": "df68306f904e79f0f396dc73702e503ec8871a9d8883e6f14681673fd9df535e",
     "mcgee sample:2000 seed 3": "244a505c3b199c1e7983dff143171de6bf2eb5b999e1ab7a49d4b300eb5ca341",
-    "petersen exhaustive": "9f5a326d0b48060090cacfedb45020c9112a0ed0c89665d6b5df059d9be36f97",
-    "petersen dfs root 5 exhaustive verify": "9b4fc091eeb10eea0c488e74741bf34c353500784692893a5b8b9f71999f191b",
-    "petersen exhaustive csv": "c54c38e69c7e211f72d9e745348c80d97e767344daefd0902718bafe0bab4b61",
+    "petersen exhaustive": "6a6734a4e4eca11aaa695b9af307cd025562f0dbe27c189cdb013ccd7cf6af9b",
+    "petersen dfs root 5 exhaustive verify": "049627388560d5d249b4acbded100b7ff5c7f79ebd4b2787a2b56a90bd463703",
+    "petersen exhaustive csv": "68f5e551bc7acbfb445e8072493635041849bf99cb092880669cbeefd0d35b57",
     "petersen fault-injected exhaustive csv": "3042e27756d1ef03b90e71dc16cf433fa831a88b2546ba7f3675be53825555fb",
     "petersen fault-injected sample:300 seed 5": "4e1c47cf327d753971ea71c23670da70ea97d6a5e6ee44f74d70fe0dae71f892",
     "petersen sample:500 seed 7": "9dbfbe185c241ae25f4d3b68aa9e97a64ac74991db938af030f4c086969c8571",

@@ -1,0 +1,216 @@
+"""The exhaustive sweep's reduction by the lifted automorphism group.
+
+The reference is the translation-only sweep: the sampled path of
+``verdict_sweep`` fed every translation representative.
+"""
+
+import dataclasses
+
+import pytest
+
+import treelift.voltage as voltage
+from treelift.embedding import embed
+from treelift.families import FamilySpec, make, parse_family
+from treelift.graph import diameter, girth, spanning_tree
+from treelift.lift import (
+    build_lift,
+    iter_orbit_reps,
+    lifted_distance,
+    orbit_rep,
+    representative_tables,
+)
+from treelift.report import csv_collector, run_analysis, sweep_block, to_csv_text, to_json_bytes
+from treelift.sweeps import verdict_sweep
+from treelift.voltage import (
+    base_automorphisms,
+    certify,
+    gf2_rank,
+    lifted_group,
+    symmetry_applies,
+)
+from treelift.walks import analyze, shortest_lifted_path
+
+COUNTERS = (
+    "path_len",
+    "components",
+    "bridge_paths",
+    "bridges_once",
+    "component_edges",
+    "bridges_twice",
+    "segments",
+)
+AUT_ORDERS = {"k4": 24, "cycle:6": 12, "petersen": 120, "heawood": 336}
+#: a cubic graph with no automorphism but the identity
+RIGID = FamilySpec.random_regular(12, 3, seed=6)
+
+
+def lift_of(g, strategy="bfs", fault=None):
+    """Lift, embedding and tables of ``g``: a bfs tree rooted at 0 or a dfs
+    tree rooted at the last vertex."""
+    td = spanning_tree(g, strategy, 0 if strategy == "bfs" else g.n - 1)
+    lg = build_lift(g, td, fault=None if fault is None else (td.cotree[0], fault))
+    table = embed(lg)
+    return lg, table, representative_tables(lg, table)
+
+
+def sweep_with_rows(lg, table, tables, pairs=None):
+    rows = []
+    gi, diam = girth(lg.base), diameter(lg.base)
+    result = verdict_sweep(
+        lg, table, tables, gi, diam, pairs=pairs, collect=csv_collector(lg, rows)
+    )
+    return result, rows
+
+
+CASES = [(name, tree) for name in AUT_ORDERS for tree in ("bfs", "dfs")]
+
+
+@pytest.fixture(scope="module")
+def swept():
+    """(lift, table, tables, group sweep, its rows, reference sweep) per case, built once."""
+    cache = {}
+
+    def get(name, tree):
+        if (name, tree) not in cache:
+            lg, table, tables = lift_of(make(parse_family(name)), tree)
+            result, rows = sweep_with_rows(lg, table, tables)
+            reference, _ = sweep_with_rows(lg, table, tables, list(iter_orbit_reps(lg)))
+            cache[name, tree] = lg, table, tables, result, rows, reference
+        return cache[name, tree]
+
+    return get
+
+
+@pytest.mark.parametrize("name", sorted(AUT_ORDERS))
+def test_base_automorphisms_are_the_whole_group(name):
+    g = make(parse_family(name))
+    auts = base_automorphisms(g)
+    assert len(auts) == len(set(auts)) == AUT_ORDERS[name]
+    assert auts[0] == tuple(range(g.n)) and auts == sorted(auts)
+    edges = {frozenset(e) for e in g.edges}
+    for alpha in auts:
+        assert {frozenset((alpha[u], alpha[v])) for u, v in g.edges} == edges
+    assert base_automorphisms(make(RIGID)) == [tuple(range(12))]
+
+
+@pytest.mark.parametrize("name,tree", CASES)
+def test_group_sweep_covers_every_pair_once_with_the_reference_verdict(swept, name, tree):
+    lg, table, _, result, rows, reference = swept(name, tree)
+    nn = lg.num_vertices
+    group = lifted_group(lg, table)
+    assert len(group) == AUT_ORDERS[name]
+    assert all(certify(lg, phi) for phi in group)
+    assert result.pairs_covered == reference.pairs_covered == nn * (nn - 1) // 2
+    assert sum(row[4] for row in rows) == result.pairs_covered
+    assert result.all_pass == reference.all_pass
+    assert result.analyses == len(rows) < reference.analyses == sum(1 for _ in iter_orbit_reps(lg))
+
+
+@pytest.mark.parametrize("name,tree", CASES)
+def test_images_of_verified_paths_cover_every_translation_orbit(swept, name, tree):
+    lg, table, tables, _, rows, _ = swept(name, tree)
+    s, mask = lg.s, lg.mask
+    group = lifted_group(lg, table)
+    cover = {}
+    analyses = {}
+    for row in rows:
+        x, y = lg.encode(row[0], 0), lg.encode(row[2], int(row[3] or "0", 2))
+        path = shortest_lifted_path(lg, x, y, tables)
+        wa = analyze(lg, path)
+        analyses[x, y] = path, [getattr(wa, c) for c in COUNTERS]
+        for phi in group:
+            key = orbit_rep(lg, phi.image(lg, x), phi.image(lg, y))
+            cover.setdefault(key, (x, y, phi))
+    assert cover.keys() == {(x, y) for x, y, _ in iter_orbit_reps(lg)}
+    for (rx, ry), (x, y, phi) in cover.items():
+        path, counters = analyses[x, y]
+        image = [phi.image(lg, z) for z in path]
+        if image[0] >> s > image[-1] >> s:
+            image.reverse()
+        shift = image[0] & mask
+        image = [z ^ shift for z in image]
+        assert (image[0], image[-1]) == (rx, ry)
+        for a, b in zip(image, image[1:]):
+            lg.project_edge(a, b)  # raises unless (a, b) is a lifted edge
+        assert len(image) - 1 == lifted_distance(lg, tables, rx, ry)
+        got = analyze(lg, image)
+        assert [getattr(got, c) for c in COUNTERS] == counters, (rx, ry)
+
+
+def test_the_certificate_rejects_every_mutation():
+    lg, _, _ = lift_of(make(FamilySpec.named("petersen")))
+    phi = lifted_group(lg, embed(lg))[7]
+    assert certify(lg, phi)
+    for i in range(lg.s):
+        for bit in range(lg.s):
+            cols = list(phi.cols)
+            cols[i] ^= 1 << bit
+            assert not certify(lg, phi._replace(cols=tuple(cols))), ("column", i, bit)
+    for v in range(lg.base.n):
+        for bit in range(lg.s):
+            pot = list(phi.pot)
+            pot[v] ^= 1 << bit
+            assert not certify(lg, phi._replace(pot=tuple(pot))), ("potential", v, bit)
+    # alpha composed with a transposition is a permutation but no automorphism
+    for a, b in ((0, 1), (0, 9), (3, 7)):
+        alpha = list(phi.alpha)
+        alpha[a], alpha[b] = alpha[b], alpha[a]
+        assert not certify(lg, phi._replace(alpha=tuple(alpha)))
+    assert not certify(lg, phi._replace(alpha=(0,) * lg.base.n))
+    assert gf2_rank([0b011, 0b101, 0b110]) == 2 and gf2_rank([1, 2, 4]) == 3
+
+
+def test_a_lift_failing_the_precondition_keeps_the_trivial_group(monkeypatch):
+    g = make(FamilySpec.named("petersen"))
+    lg, table, _ = lift_of(g)
+    assert symmetry_applies(lg, table)
+    broken = dataclasses.replace(table, base_rows=[table.base_rows[1], *table.base_rows[1:]])
+    assert not symmetry_applies(lg, broken)
+
+    def refuse(g):
+        raise AssertionError("the search ran on a lift failing the precondition")
+
+    monkeypatch.setattr(voltage, "base_automorphisms", refuse)
+    fault_lg, fault_table, _ = lift_of(g, fault=1 << 1)  # the fault of verify --fault-inject
+    assert not symmetry_applies(fault_lg, fault_table)
+    for lift, tab in ((fault_lg, fault_table), (lg, broken)):
+        (identity,) = lifted_group(lift, tab)
+        assert identity.alpha == tuple(range(g.n)) and not any(identity.pot)
+        assert certify(lift, identity)
+
+
+def reference_report(g):
+    """(report, CSV) of an exhaustive analysis whose sweep is the reference."""
+    ctx = run_analysis(g, pairs="exhaustive")
+    lg, table, tables = ctx.lg, ctx.table, ctx.tables
+    result, rows = sweep_with_rows(lg, table, tables, list(iter_orbit_reps(lg)))
+    report = dict(ctx.report, verdict_sweep=sweep_block(result, "exhaustive", None, None))
+    report["all_pass"] = (
+        report["bound"]["distortion_within_bound"]
+        and report["lift"]["girth_at_least_base"]
+        and result.all_pass
+    )
+    return to_json_bytes(report), to_csv_text(rows)
+
+
+def exhaustive_report(g):
+    rows = []
+    ctx = run_analysis(g, pairs="exhaustive", csv_rows=rows)
+    return to_json_bytes(ctx.report), to_csv_text(rows)
+
+
+def test_an_exhausted_search_budget_gives_the_reference_report(monkeypatch):
+    g = make(FamilySpec.named("petersen"))
+    reduced = exhaustive_report(g)
+    monkeypatch.setattr(voltage, "AUT_SEARCH_BUDGET", 1)
+    assert base_automorphisms(g) == [tuple(range(g.n))]
+    assert exhaustive_report(g) == reference_report(g) != reduced
+
+
+def test_a_rigid_base_gives_the_reference_report_byte_for_byte():
+    g = make(RIGID)
+    report, csv = exhaustive_report(g)
+    assert (report, csv) == reference_report(g)
+    # one analysis per translation orbit, as before the reduction
+    lg = build_lift(g, spanning_tree(g))
+    assert csv.count("\n") - 1 == sum(1 for _ in iter_orbit_reps(lg))

@@ -21,8 +21,9 @@ import treelift.walks as walks
 from treelift.embedding import embed
 from treelift.families import load_named
 from treelift.graph import Graph, bridges_and_2ecc, spanning_tree
-from treelift.lift import build_lift, lift_walk
-from treelift.report import run_analysis, to_csv_text, to_json_bytes
+from treelift.lift import build_lift, iter_orbit_reps, lift_walk, representative_tables
+from treelift.report import csv_collector, sweep_block, to_csv_text, to_json_bytes
+from treelift.sweeps import verdict_sweep
 from treelift.walks import VERDICT_NAMES, WalkAnalysis, analyze, verify_all
 
 
@@ -301,11 +302,22 @@ def test_analyze_and_verdicts_match_the_reference_on_random_walks(name):
 
 def test_analyze_builds_one_graph_and_one_bridge_decomposition_per_orbit(monkeypatch):
     # plain-function wrappers, as the benchmark's tracer installs them: the
-    # per-orbit boundary stays visible only while analyze calls both by name
+    # per-orbit boundary stays visible only while analyze calls both by name;
+    # the sweep is fed every translation orbit, not only one per group orbit
     g = load_named("k4")
-    rows = []
-    want = to_json_bytes(run_analysis(g, pairs="exhaustive", csv_rows=rows).report)
-    want_csv = to_csv_text(rows)
+    lg = build_lift(g, spanning_tree(g))
+    table = embed(lg)
+    tables = representative_tables(lg, table)
+    family = list(iter_orbit_reps(lg))
+
+    def sweep():
+        rows = []
+        collect = csv_collector(lg, rows)
+        result = verdict_sweep(lg, table, tables, 3, 1, pairs=family, collect=collect)
+        block = sweep_block(result, "exhaustive", None, None)
+        return result, to_json_bytes(block), to_csv_text(rows)
+
+    _, want, want_csv = sweep()
     calls = {"Graph": 0, "bridges_and_2ecc": 0}
 
     def counting(name, fn):
@@ -319,10 +331,8 @@ def test_analyze_builds_one_graph_and_one_bridge_decomposition_per_orbit(monkeyp
     monkeypatch.setattr(
         walks, "bridges_and_2ecc", counting("bridges_and_2ecc", walks.bridges_and_2ecc)
     )
-    rows = []
-    ctx = run_analysis(g, pairs="exhaustive", csv_rows=rows)
-    analyses = ctx.sweep.analyses
-    assert analyses == len(rows) > 0
-    assert calls == {"Graph": analyses, "bridges_and_2ecc": analyses}
-    assert to_json_bytes(ctx.report) == want
-    assert to_csv_text(rows) == want_csv
+    result, got, got_csv = sweep()
+    assert result.analyses == len(family) == want_csv.count("\n") - 1
+    assert calls == {"Graph": len(family), "bridges_and_2ecc": len(family)}
+    assert got == want
+    assert got_csv == want_csv
