@@ -19,7 +19,7 @@ it crosses.  Hence, with ``flip`` the tree edges whose child is the lower
 endpoint:
 
     row(u, 0)  = P(u) ^ flip
-    col_i      = {c_i} ^ P(a) ^ P(b)
+    col_i      = {c_i} ^ P(a) ^ P(b)   (td.cycles[i])
     row(u, f)  = row(u, 0) ^ XOR of col_i over the set bits i of f
 
 Rows are packed as m-bit integers, so l1 distances are XOR popcounts.  The
@@ -86,22 +86,17 @@ class EmbeddingTable:
 
 def embed(lg):
     """The affine embedding of a lift: n base rows plus 2^s label columns."""
-    g = lg.base
     td = lg.td
-    paths = td.root_paths
     flip = 0
     for child, link in enumerate(td.parent):
         if link is not None and child < link[0]:
             flip |= 1 << link[1]
-    base_rows = [path ^ flip for path in paths]
-    cols = []
-    for eid in td.cotree:
-        a, b = g.edges[eid]
-        cols.append(1 << eid | paths[a] ^ paths[b])
+    base_rows = [path ^ flip for path in td.root_paths]
+    # lin[f] is lin[f less its lowest bit] ^ that bit's cycle: all 2^s in O(2^s)
     lin = [0] * (1 << lg.s)
     for f in range(1, 1 << lg.s):
         low = f & -f
-        lin[f] = lin[f ^ low] ^ cols[low.bit_length() - 1]
+        lin[f] = lin[f ^ low] ^ td.cycles[low.bit_length() - 1]
     return EmbeddingTable(lg=lg, base_rows=base_rows, lin=lin)
 
 

@@ -96,7 +96,8 @@ def build_graph(n, pairs):
 
 @dataclass(eq=False)
 class TreeDecomposition:
-    """A spanning tree T plus the ordered cotree S indexing label coordinates.
+    """A spanning tree T plus the ordered cotree S indexing label coordinates,
+    and the voltage algebra over Z_2^s they define.
 
     ``cotree[i]`` is the edge id carrying coordinate ``i``; the ordering is by
     ascending edge id so the coordinate layout is reproducible from the input
@@ -105,6 +106,12 @@ class TreeDecomposition:
     the tree edges on the path from the root to ``v``: bit e is set exactly
     when ``T - e`` separates ``v`` from the root, and the tree path between
     ``a`` and ``b`` is ``root_paths[a] ^ root_paths[b]``.
+
+    ``rule[e]`` is the tree rule, the voltage of edge e: 0 on a tree edge and
+    ``1 << i`` on ``cotree[i]``.  ``cycles[i]`` is the edge mask of the
+    fundamental cycle of ``cotree[i] = (a, b)``, ``1 << c_i | P(a) ^ P(b)``
+    with ``P = root_paths``.  Every other layer reads the rule and the cycles
+    from here rather than re-deriving them.
     """
 
     graph: Graph
@@ -113,8 +120,9 @@ class TreeDecomposition:
     tree_edges: frozenset
     cotree: tuple
     parent: tuple
-    coord: dict  # edge id -> cotree coordinate index
     root_paths: tuple
+    rule: tuple
+    cycles: tuple
 
     @property
     def num_coords(self):
@@ -258,7 +266,12 @@ def spanning_tree(g, strategy="bfs", root=0):
     if count != g.n:
         raise GraphError("spanning tree requires a connected graph")
     cotree = tuple(eid for eid in range(g.m) if eid not in tree)
-    coord = {eid: i for i, eid in enumerate(cotree)}
+    rule = [0] * g.m
+    cycles = []
+    for i, eid in enumerate(cotree):
+        a, b = g.edges[eid]
+        rule[eid] = 1 << i
+        cycles.append(1 << eid | paths[a] ^ paths[b])
     return TreeDecomposition(
         graph=g,
         root=root,
@@ -266,8 +279,9 @@ def spanning_tree(g, strategy="bfs", root=0):
         tree_edges=frozenset(tree),
         cotree=cotree,
         parent=tuple(parent),
-        coord=coord,
         root_paths=tuple(paths),
+        rule=tuple(rule),
+        cycles=tuple(cycles),
     )
 
 

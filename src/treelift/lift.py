@@ -4,10 +4,12 @@ decomposition.
 For a base graph G with spanning tree T and ordered cotree S, the lift has
 vertex set V(G) x {0,1}^S.  Every base edge contributes a perfect matching
 between the fibers of its endpoints: a tree edge matches equal labels, cotree
-edge i matches labels differing exactly in bit i.  Lifted vertices are encoded
-densely as ``base << s | label`` (bit i of the label is cotree coordinate i),
-so XOR with a label vector is both the matching rule and the translation
-automorphism.
+edge i matches labels differing exactly in bit i.  That rule, and the
+fundamental cycles the cut sides are read from, come from the tree
+decomposition (``TreeDecomposition.rule`` and ``.cycles``); nothing here
+re-derives them.  Lifted vertices are encoded densely as ``base << s |
+label`` (bit i of the label is cotree coordinate i), so XOR with a label
+vector is both the matching rule and the translation automorphism.
 
 Adjacency is computed on demand from (base adjacency, rule masks), which
 the step table ``LiftedGraph.hops`` pairs up once per lift.  The only
@@ -51,10 +53,10 @@ class LiftTooLargeError(GraphError):
 class LiftedGraph:
     """The lift of ``base`` along ``td``, with vertices encoded as ints.
 
-    ``rule[e]`` is the label XOR mask of base edge e (0 for tree edges,
-    ``1 << coord`` for cotree edges).  ``fault``, if set, XORs an extra mask
-    into one edge's rule; it exists solely so verification sweeps can prove
-    they detect a broken matching, and is reported loudly by the CLI.
+    ``rule[e]`` is the label XOR mask of base edge e: the tree rule
+    ``td.rule[e]``.  ``fault``, if set, XORs an extra mask into one edge's
+    rule; it exists solely so verification sweeps can prove they detect a
+    broken matching, and is reported loudly by the CLI.
     ``hops[u]`` holds, for each edge e = (u, v) in adjacency order, the pair
     (v << s, rule[e]): (u, f) is adjacent to ``base | (f ^ rule)`` for each
     ``(base, rule)`` in it.  It is built once, with the lift.
@@ -65,7 +67,6 @@ class LiftedGraph:
     s: int
     mask: int
     rule: tuple
-    coord_of: tuple
     fault: tuple = None  # (edge id, extra xor mask) test hook
     hops: tuple = field(init=False, repr=False)
 
@@ -132,11 +133,7 @@ def build_lift(g, td, max_vertices=DEFAULT_MAX_VERTICES, fault=None, check_conne
     required = g.n << s
     if required > max_vertices:
         raise LiftTooLargeError(required, max_vertices)
-    coord_of = [-1] * g.m
-    rule = [0] * g.m
-    for eid, i in td.coord.items():
-        coord_of[eid] = i
-        rule[eid] = 1 << i
+    rule = list(td.rule)
     if fault is not None:
         eid, extra = fault
         if not (0 <= eid < g.m) or not (0 <= extra <= (1 << s) - 1):
@@ -148,7 +145,6 @@ def build_lift(g, td, max_vertices=DEFAULT_MAX_VERTICES, fault=None, check_conne
         s=s,
         mask=(1 << s) - 1,
         rule=tuple(rule),
-        coord_of=tuple(coord_of),
         fault=fault,
     )
     if check_connected and bfs_lifted(lg, 0).count(-1) != 0:
@@ -374,12 +370,12 @@ def _expand_row(whole, nn, ecc):
 def _cut_sides(table, masks, full):
     """Bit e of every row, as one whole-lift bitset per base edge e: bit e of
     base_rows[v] XOR the parity of the label over the coordinates whose
-    column has bit e, i.e. over the XOR of their label sets ``full ^ masks[i]``."""
-    cols = [table.lin[1 << i] for i in range(len(masks))]
+    column (fundamental cycle, ``td.cycles``) has bit e, i.e. over the XOR of
+    their label sets ``full ^ masks[i]``."""
     sides = []
     for e in range(table.lg.base.m):
         odd = 0
-        for col, mask in zip(cols, masks):
+        for col, mask in zip(table.lg.td.cycles, masks):
             if (col >> e) & 1:
                 odd ^= full ^ mask
         bits = [odd ^ full if (row >> e) & 1 else odd for row in table.base_rows]
@@ -550,7 +546,7 @@ def lift_walk(g, td, walk, start):
     ``walk`` is a sequence of base edge ids; each must be incident to the
     current vertex, which fixes the traversal direction.  ``start`` is a
     (vertex, label) pair.  Returns the lifted vertex sequence as (vertex,
-    label) pairs; tree edges keep the label, cotree edge i flips bit i,
+    label) pairs; each edge XORs the label by its tree rule ``td.rule``,
     independent of direction.
     """
     u, f = start
@@ -567,9 +563,7 @@ def lift_walk(g, td, walk, start):
             u = a
         else:
             raise GraphError(f"walk is not incident-consistent: edge {eid} does not touch vertex {u}")
-        i = td.coord.get(eid)
-        if i is not None:
-            f ^= 1 << i
+        f ^= td.rule[eid]
         out.append((u, f))
     return out
 

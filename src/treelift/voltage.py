@@ -16,12 +16,15 @@ automorphism exactly when, on every base edge e = (u, v),
     A.rule[e] ^ p(u) ^ p(v) == rule[alpha(e)]
 
 and A is invertible (phi is then a bijection taking the m * 2^s lifted edges
-into themselves).  ``lift_automorphism`` solves the equation: on a tree edge
-rule[e] = 0, so p is the XOR of rule[alpha(e)] along the root path, with
-p(root) = 0 (label translations supply every other constant); on the cotree
-edge of coordinate i, rule[e] = e_i, so the equation gives A's column i.
-``certify`` checks the equation on all m edges and A's rank, recomputing
-nothing it checks.
+into themselves).  The tree rule and the fundamental cycles are recorded once,
+by ``spanning_tree`` (``TreeDecomposition.rule`` and ``.cycles``), and every
+map here is ``linear``: the XOR of a list of vectors over the set bits of a
+mask.  ``lift_automorphism`` solves the equation: on a tree edge rule[e] = 0,
+so p(v) is the XOR of rule[alpha(e)] over the root path P(v), with p(root) =
+0 (label translations supply every other constant); on the cotree edge c_i =
+(a, b), rule[e] = e_i, so A's column i is rule[alpha(c_i)] ^ p(a) ^ p(b), the
+XOR of rule[alpha(e)] over the fundamental cycle of c_i.  ``certify`` checks
+the equation on all m edges and A's rank, recomputing nothing it checks.
 
 The verdict sweep may reduce by these automorphisms only when
 ``symmetry_applies``: the lift's rule is the tree rule and every lifted edge
@@ -52,20 +55,21 @@ class LiftedAutomorphism(NamedTuple):
     cols: tuple
     pot: tuple
 
-    def linear(self, f):
-        """A.f: the XOR of A's columns over the set bits of f."""
-        out = 0
-        cols = self.cols
-        while f:
-            low = f & -f
-            out ^= cols[low.bit_length() - 1]
-            f ^= low
-        return out
-
     def image(self, lg, x):
         """phi of the encoded lifted vertex x."""
         u = x >> lg.s
-        return self.alpha[u] << lg.s | self.linear(x & lg.mask) ^ self.pot[u]
+        return self.alpha[u] << lg.s | linear(self.cols, x & lg.mask) ^ self.pot[u]
+
+
+def linear(values, mask):
+    """The XOR of ``values[i]`` over the set bits i of ``mask``: over GF(2),
+    the linear map whose columns are ``values``, applied to ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= values[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def base_automorphisms(g):
@@ -140,21 +144,10 @@ def base_automorphisms(g):
 def lift_automorphism(lg, alpha):
     """The lift of the base automorphism ``alpha``, with p(root) = 0."""
     g = lg.base
-    rule = lg.rule
-    mapped = [rule[g.edge_between(alpha[u], alpha[v])] for u, v in g.edges]
-    pot = []
-    for path in lg.td.root_paths:
-        p = 0
-        while path:
-            low = path & -path
-            p ^= mapped[low.bit_length() - 1]
-            path ^= low
-        pot.append(p)
-    cols = []
-    for eid in lg.td.cotree:
-        u, v = g.edges[eid]
-        cols.append(mapped[eid] ^ pot[u] ^ pot[v])
-    return LiftedAutomorphism(tuple(alpha), tuple(cols), tuple(pot))
+    mapped = [lg.rule[g.edge_between(alpha[u], alpha[v])] for u, v in g.edges]
+    pot = tuple(linear(mapped, path) for path in lg.td.root_paths)
+    cols = tuple(linear(mapped, cycle) for cycle in lg.td.cycles)
+    return LiftedAutomorphism(tuple(alpha), cols, pot)
 
 
 def gf2_rank(vectors):
@@ -183,7 +176,7 @@ def certify(lg, phi):
         return False
     for (u, v), r in zip(g.edges, lg.rule):
         eid = g.edge_between(alpha[u], alpha[v])
-        if eid is None or phi.linear(r) ^ pot[u] ^ pot[v] != lg.rule[eid]:
+        if eid is None or linear(cols, r) ^ pot[u] ^ pot[v] != lg.rule[eid]:
             return False
     return gf2_rank(cols) == lg.s
 
@@ -191,9 +184,9 @@ def certify(lg, phi):
 def symmetry_applies(lg, table):
     """The lift's rule is the tree rule and the embedding flips exactly cut e
     across every lifted edge over e (``EmbeddingTable.edge_flips``)."""
-    return all(
-        r == (1 << i if i >= 0 else 0) for r, i in zip(lg.rule, lg.coord_of)
-    ) and all(flip == 1 << eid for eid, flip in enumerate(table.edge_flips))
+    return lg.rule == lg.td.rule and all(
+        flip == 1 << eid for eid, flip in enumerate(table.edge_flips)
+    )
 
 
 def lifted_group(lg, table):

@@ -1,8 +1,8 @@
 """Structural analysis of shortest paths in a lift.
 
 For a shortest path between two lifted vertices this module reconstructs the
-objects the distortion argument reasons about: the projected walk in the base
-graph, the subgraph induced by its edges, per-edge use counts, the bridge
+objects the distortion argument reasons about: the subgraph of the base graph
+induced by the edges of its projected walk, per-edge use counts, the bridge
 structure of that subgraph, and five counters
 
     components      -- 2-edge-connected components with at least one edge,
@@ -87,7 +87,6 @@ class WalkAnalysis:
     x: int
     y: int
     path: tuple
-    projected: tuple  # base edge ids along the walk, in order
     path_len: int
     multiplicity: dict
     induced: Graph
@@ -169,7 +168,6 @@ def analyze(lg, path):
     mask = lg.mask
     rule = lg.rule
     index = g._index
-    projected = []
     mult = {}
     a = path[0]
     u = a >> s
@@ -178,14 +176,13 @@ def analyze(lg, path):
         eid = index.get((u, v) if u < v else (v, u))
         if eid is None or (a ^ b) & mask != rule[eid]:
             raise GraphError(f"({a}, {b}) is not an edge of the lift")
-        projected.append(eid)
         mult[eid] = mult.get(eid, 0) + 1
         a = b
         u = v
 
     induced_edges = tuple(sorted(mult))
     # the vertices of a walk with edges are the endpoints of its edges
-    verts = sorted({b >> s for b in path}) if projected else []
+    verts = sorted({b >> s for b in path}) if mult else []
     local = {v: i for i, v in enumerate(verts)}
     ends = map(g.edges.__getitem__, induced_edges)
     induced = Graph(len(verts), [(local[p], local[q]) for p, q in ends])
@@ -211,7 +208,6 @@ def analyze(lg, path):
         x=path[0],
         y=path[-1],
         path=tuple(path),
-        projected=tuple(projected),
         path_len=len(path) - 1,
         multiplicity=mult,
         induced=induced,
@@ -262,9 +258,9 @@ def verify_all(lg, wa, table, base_girth, base_diam):
                          decomposition's rule lands exactly on y.
 
     The re-lifted walk ends over the walk's last vertex, y's, and the group
-    Z_2^s is abelian, so its label is x's flipped once per cotree coordinate
-    of each edge the walk uses an odd number of times; ``coord_of`` comes
-    from the tree decomposition, not from the lift's rule.
+    Z_2^s is abelian, so its label is x's XOR the tree rule of each edge the
+    walk uses an odd number of times; the rule is ``td.rule``, from the tree
+    decomposition, not the lift's own ``rule``.
     """
     s = lg.s
     mask = lg.mask
@@ -273,7 +269,7 @@ def verify_all(lg, wa, table, base_girth, base_diam):
     mult = wa.multiplicity
     bridges = wa.bridge_info.bridge_ids
     induced = wa.induced
-    coord_of = lg.coord_of
+    tree_rule = lg.td.rule
 
     repetitions = []
     degs = [0] * induced.n
@@ -285,8 +281,7 @@ def verify_all(lg, wa, table, base_girth, base_diam):
         degs[b] += c
         if c & 1:
             odd += 1
-            if coord_of[be] >= 0:
-                label ^= 1 << coord_of[be]
+            label ^= tree_rule[be]
         if c >= 2:
             if le not in bridges:
                 repetitions.append(f"non-bridge edge {be} used {c} times")

@@ -324,7 +324,7 @@ def test_spanning_tree_triangle():
     td = spanning_tree(g, "bfs", 0)
     assert td.tree_edges == frozenset({0, 2})
     assert td.cotree == (1,)
-    assert td.coord == {1: 0}
+    assert td.rule == (0, 1 << 0, 0)
 
 
 def test_spanning_tree_cycle_cotree_single():
@@ -362,7 +362,9 @@ def test_spanning_tree_petersen_coords():
     g = build_graph(10, PETERSEN_PAIRS)
     td = spanning_tree(g)
     assert td.num_coords == 15 - 10 + 1
-    assert list(td.coord.values()) == sorted(td.coord.values())
+    # coordinates ascend with edge id along the cotree
+    assert list(td.cotree) == sorted(td.cotree)
+    assert [td.rule[eid] for eid in td.cotree] == [1 << i for i in range(td.num_coords)]
 
 
 def test_spanning_tree_rejects_disconnected():

@@ -157,8 +157,7 @@ def test_lift_walk_fundamental_cycle_flips_one_bit():
             x = p
         return out
 
-    for eid in td.cotree:
-        i = td.coord[eid]
+    for i, eid in enumerate(td.cotree):
         u, v = g.edges[eid]
         # fundamental cycle: u -> root -> v along the tree, then the cotree edge
         walk = path_to_root(u) + path_to_root(v)[::-1] + [eid]

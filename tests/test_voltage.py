@@ -4,14 +4,16 @@ The reference is the translation-only sweep: the sampled path of
 ``verdict_sweep`` fed every translation representative.
 """
 
+import builtins
 import dataclasses
 
 import pytest
 
+import treelift.sweeps as sweeps
 import treelift.voltage as voltage
 from treelift.embedding import embed
 from treelift.families import FamilySpec, make, parse_family
-from treelift.graph import diameter, girth, spanning_tree
+from treelift.graph import Graph, diameter, girth, spanning_tree
 from treelift.lift import (
     build_lift,
     iter_orbit_reps,
@@ -20,12 +22,13 @@ from treelift.lift import (
     representative_tables,
 )
 from treelift.report import csv_collector, run_analysis, sweep_block, to_csv_text, to_json_bytes
-from treelift.sweeps import verdict_sweep
+from treelift.sweeps import group_orbit_reps, verdict_sweep
 from treelift.voltage import (
     base_automorphisms,
     certify,
     gf2_rank,
     lifted_group,
+    linear,
     symmetry_applies,
 )
 from treelift.walks import analyze, shortest_lifted_path
@@ -40,8 +43,21 @@ COUNTERS = (
     "segments",
 )
 AUT_ORDERS = {"k4": 24, "cycle:6": 12, "petersen": 120, "heawood": 336}
+#: graphs with vertex 0 deleted, whose Aut(G) has several vertex orbits, so
+#: the group walk starts from several sources: (|Aut|, walked sources, group
+#: orbits, translation orbits)
+DELETED = {"petersen-0": (12, [0, 1], 81, 711), "heawood-0": (24, [0, 1, 2], 305, 5811)}
 #: a cubic graph with no automorphism but the identity
 RIGID = FamilySpec.random_regular(12, 3, seed=6)
+
+
+def base_graph(name):
+    """The family ``name``, or with a "-0" suffix that family less vertex 0
+    (the other vertices renumbered down by one, edges kept in order)."""
+    if name.endswith("-0"):
+        g = make(parse_family(name[:-2]))
+        return Graph(g.n - 1, [(u - 1, v - 1) for u, v in g.edges if u and v])
+    return make(parse_family(name))
 
 
 def lift_of(g, strategy="bfs", fault=None):
@@ -62,7 +78,7 @@ def sweep_with_rows(lg, table, tables, pairs=None):
     return result, rows
 
 
-CASES = [(name, tree) for name in AUT_ORDERS for tree in ("bfs", "dfs")]
+CASES = [(name, tree) for name in (*AUT_ORDERS, *DELETED) for tree in ("bfs", "dfs")]
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +88,7 @@ def swept():
 
     def get(name, tree):
         if (name, tree) not in cache:
-            lg, table, tables = lift_of(make(parse_family(name)), tree)
+            lg, table, tables = lift_of(base_graph(name), tree)
             result, rows = sweep_with_rows(lg, table, tables)
             reference, _ = sweep_with_rows(lg, table, tables, list(iter_orbit_reps(lg)))
             cache[name, tree] = lg, table, tables, result, rows, reference
@@ -98,12 +114,16 @@ def test_group_sweep_covers_every_pair_once_with_the_reference_verdict(swept, na
     lg, table, _, result, rows, reference = swept(name, tree)
     nn = lg.num_vertices
     group = lifted_group(lg, table)
-    assert len(group) == AUT_ORDERS[name]
+    assert len(group) == (AUT_ORDERS[name] if name in AUT_ORDERS else DELETED[name][0])
     assert all(certify(lg, phi) for phi in group)
     assert result.pairs_covered == reference.pairs_covered == nn * (nn - 1) // 2
     assert sum(row[4] for row in rows) == result.pairs_covered
     assert result.all_pass == reference.all_pass
     assert result.analyses == len(rows) < reference.analyses == sum(1 for _ in iter_orbit_reps(lg))
+    if name in DELETED:
+        _, walked, orbits, translation_orbits = DELETED[name]
+        assert sorted({row[0] for row in rows}) == walked
+        assert (result.analyses, reference.analyses) == (orbits, translation_orbits)
 
 
 @pytest.mark.parametrize("name,tree", CASES)
@@ -135,6 +155,54 @@ def test_images_of_verified_paths_cover_every_translation_orbit(swept, name, tre
         assert len(image) - 1 == lifted_distance(lg, tables, rx, ry)
         got = analyze(lg, image)
         assert [getattr(got, c) for c in COUNTERS] == counters, (rx, ry)
+
+
+@pytest.mark.parametrize("name", sorted(DELETED))
+def test_the_group_walk_marks_one_row_per_walked_source(monkeypatch, name):
+    lg, table, _ = lift_of(base_graph(name))
+    group = lifted_group(lg, table)
+    nn = lg.num_vertices
+    sizes = []
+
+    def spy(*args):
+        out = builtins.bytearray(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(sweeps, "bytearray", spy, raising=False)
+    entries = list(group_orbit_reps(lg, group))
+    _, walked, orbits, _ = DELETED[name]
+    assert len(entries) == orbits
+    assert sum(covered for *_, covered in entries) == nn * (nn - 1) // 2
+    assert sum(sizes) == len(walked) * nn < lg.base.n * nn
+
+
+TREE_CASES = [
+    (spec, tree)
+    for spec in ("k4", "petersen", "heawood", "random:20:3")
+    for tree in ("bfs", "dfs")
+]
+
+
+@pytest.mark.parametrize("spec,tree", TREE_CASES)
+def test_the_tree_records_its_rule_and_fundamental_cycles(spec, tree):
+    g = make(parse_family(spec))
+    lg, _, _ = lift_of(g, tree)
+    td = lg.td
+    assert len(td.rule) == g.m and len(td.cycles) == td.num_coords == g.m - g.n + 1
+    cotree = {eid: i for i, eid in enumerate(td.cotree)}
+    for eid, r in enumerate(td.rule):
+        assert r == (1 << cotree[eid] if eid in cotree else 0), eid
+    for i, (c, cycle) in enumerate(zip(td.cotree, td.cycles)):
+        assert cycle >> c & 1
+        edges = [eid for eid in range(g.m) if cycle >> eid & 1]
+        assert set(edges) - {c} <= td.tree_edges
+        degree = [0] * g.n
+        for eid in edges:
+            for v in g.edges[eid]:
+                degree[v] += 1
+        assert not any(d & 1 for d in degree), (i, degree)
+        assert linear(lg.rule, cycle) == 1 << i
 
 
 def test_the_certificate_rejects_every_mutation():

@@ -30,10 +30,8 @@ from treelift.walks import VERDICT_NAMES, WalkAnalysis, analyze, verify_all
 def reference_analyze(lg, path):
     g = lg.base
     mult = {}
-    projected = []
     for a, b in zip(path, path[1:]):
         eid = lg.project_edge(a, b)
-        projected.append(eid)
         mult[eid] = mult.get(eid, 0) + 1
     induced_edges = tuple(sorted(mult))
     verts = sorted({v for eid in induced_edges for v in g.edges[eid]})
@@ -79,7 +77,6 @@ def reference_analyze(lg, path):
         x=path[0],
         y=path[-1],
         path=tuple(path),
-        projected=tuple(projected),
         path_len=len(path) - 1,
         multiplicity=mult,
         induced=induced,
@@ -186,7 +183,8 @@ def reference_component_girth(wa, base_girth):
 
 
 def reference_relift(lg, wa):
-    end = lift_walk(lg.base, lg.td, wa.projected, lg.decode(wa.x))[-1]
+    projected = [lg.project_edge(a, b) for a, b in zip(wa.path, wa.path[1:])]
+    end = lift_walk(lg.base, lg.td, projected, lg.decode(wa.x))[-1]
     want = lg.decode(wa.y)
     return [] if end == want else [f"re-lifted walk ends at {end}, expected {want}"]
 
@@ -240,7 +238,6 @@ FIELDS = (
     "x",
     "y",
     "path",
-    "projected",
     "path_len",
     "multiplicity",
     "induced_vertices",
