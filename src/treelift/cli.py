@@ -70,12 +70,13 @@ def default_cap():
 
 
 def parse_pairs_arg(text):
-    """--pairs accepts exactly auto, exhaustive, sample or sample:COUNT."""
-    if text in ("auto", "exhaustive", "sample"):
-        return text, None
+    """The pair policy of --pairs: "auto", "exhaustive" or the COUNT of
+    sample:COUNT (at least 1); ``report.resolve_policy`` resolves it."""
+    if text in ("auto", "exhaustive"):
+        return text
     count = text.removeprefix("sample:")
     if count != text and count.isascii() and count.isdigit() and int(count) >= 1:
-        return "sample", int(count)
+        return int(count)
     raise GraphError(f"bad --pairs value {text!r}: expected auto, exhaustive or sample:COUNT")
 
 
@@ -127,7 +128,7 @@ def cmd_lift(args):
 
 def cmd_analyze(args):
     g = load_edge_list(args.input)
-    pairs, count = parse_pairs_arg(args.pairs)
+    pairs = parse_pairs_arg(args.pairs)
     rows = [] if args.format == "csv" else None
     ctx = run_analysis(
         g,
@@ -135,7 +136,6 @@ def cmd_analyze(args):
         root=args.root,
         max_vertices=args.max_vertices,
         pairs=pairs,
-        sample_count=count,
         seed=args.seed,
         csv_rows=rows,
     )
@@ -185,7 +185,7 @@ def instance_graphs(args):
 
 
 def cmd_verify(args):
-    pairs, count = parse_pairs_arg(args.pairs)
+    pairs = parse_pairs_arg(args.pairs)
     instances = []
     all_pass = True
     for label, g, fault in instance_graphs(args):
@@ -195,7 +195,6 @@ def cmd_verify(args):
             tree_strategy=args.tree,
             max_vertices=args.max_vertices,
             pairs=pairs,
-            sample_count=count,
             seed=args.seed,
             oracle_pairs=args.oracle_pairs,
             fault=fault,

@@ -121,13 +121,13 @@ class LiftedGraph:
         return format(label, f"0{self.s}b") if self.s else ""
 
 
-def build_lift(g, td, max_vertices=DEFAULT_MAX_VERTICES, fault=None, check_connected=True):
+def build_lift(g, td, max_vertices=DEFAULT_MAX_VERTICES, fault=None):
     """Build the lift of g along td, guarded by a vertex cap.
 
     The tree/cotree rule always yields a connected lift of a connected base
     (the fundamental cycle of cotree edge i carries exactly the bit-i flip, so
-    the flips generate the whole label group); this is asserted on every build
-    unless check_connected is False.
+    the flips generate the whole label group); this is asserted on every
+    build, so a fault that disconnects the lift is refused here.
     """
     s = len(td.cotree)
     required = g.n << s
@@ -147,7 +147,7 @@ def build_lift(g, td, max_vertices=DEFAULT_MAX_VERTICES, fault=None, check_conne
         rule=tuple(rule),
         fault=fault,
     )
-    if check_connected and bfs_lifted(lg, 0).count(-1) != 0:
+    if bfs_lifted(lg, 0).count(-1) != 0:
         raise GraphError("constructed lift is not connected")
     return lg
 
@@ -513,10 +513,6 @@ def sample_pair_list(lg, tables, count, seed):
     pairs, whose smallest pair is its canonical representative, so they take
     one entry per base edge and are never listed.
     """
-    if not count or count < 1:
-        raise GraphError("sample mode needs sample_count >= 1")
-    if seed is None:
-        raise GraphError("sample mode needs an explicit seed")
     nn = lg.num_vertices
     if nn < 2:
         raise GraphError("distortion requires at least two lifted vertices")

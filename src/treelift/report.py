@@ -27,9 +27,11 @@ from .lift import (
 from .sweeps import (
     cut_partition_check,
     degree_preservation_check,
+    group_orbit_reps,
     oracle_equivalence_checks,
     verdict_sweep,
 )
+from .voltage import lifted_group
 
 #: below this many lifted vertices the default sweep pair policy is exhaustive
 AUTO_EXHAUSTIVE_LIMIT = 10_000
@@ -46,21 +48,24 @@ def verdict_dict(v):
     return {"pass": v.passed, "violations": list(v.violations), "checked": v.checked}
 
 
-def resolve_policy(num_lifted_vertices, pairs_arg, sample_count):
-    """Map the CLI pair policy of the verdict sweep to (mode, sample_count).
+def resolve_policy(num_lifted_vertices, pairs, seed):
+    """The verdict sweep's sample count under the pair policy ``pairs``
+    ("auto", "exhaustive" or a sample count), or None when it is exhaustive.
 
-    "auto" picks exhaustive below AUTO_EXHAUSTIVE_LIMIT lifted vertices and
-    sample(AUTO_SAMPLE_COUNT) at or above it.
+    "auto" is exhaustive below AUTO_EXHAUSTIVE_LIMIT lifted vertices and
+    samples AUTO_SAMPLE_COUNT pairs at or above it.  This is the one place
+    the count (at least 1) and the seed of a sample are checked, before any
+    lift work.
     """
-    if pairs_arg == "auto":
-        if num_lifted_vertices < AUTO_EXHAUSTIVE_LIMIT:
-            return "exhaustive", None
-        return "sample", AUTO_SAMPLE_COUNT
-    if pairs_arg == "exhaustive":
-        return "exhaustive", None
-    if pairs_arg == "sample":
-        return "sample", AUTO_SAMPLE_COUNT if sample_count is None else sample_count
-    raise GraphError(f"unknown pair policy {pairs_arg!r}")
+    if pairs == "auto":
+        pairs = "exhaustive" if num_lifted_vertices < AUTO_EXHAUSTIVE_LIMIT else AUTO_SAMPLE_COUNT
+    if pairs == "exhaustive":
+        return None
+    if type(pairs) is not int or pairs < 1:
+        raise GraphError(f"unknown pair policy {pairs!r}")
+    if seed is None:
+        raise GraphError("sampled pair policy requires --seed")
+    return pairs
 
 
 def base_block(g, gi, diam):
@@ -118,9 +123,9 @@ def bound_block(base_girth, base_diam, rep):
     return block
 
 
-def sweep_block(sw, mode, sample_count, seed):
+def sweep_block(sw, sample_count, seed):
     return {
-        "mode": mode,
+        "mode": "exhaustive" if sample_count is None else "sample",
         "sample_count": sample_count,
         "seed": seed,
         "pairs_covered": sw.pairs_covered,
@@ -153,7 +158,6 @@ def run_analysis(
     root=0,
     max_vertices=DEFAULT_MAX_VERTICES,
     pairs="auto",
-    sample_count=None,
     seed=None,
     csv_rows=None,
     fault=None,
@@ -161,22 +165,21 @@ def run_analysis(
     """Full pipeline on one base graph: lift, embed, measure, sweep.
 
     The embedding block is exact over every pair of the lift at any size;
-    the pair policy (``pairs``, ``sample_count``, ``seed``) picks only the
-    pairs of the verdict sweep.  Returns an AnalysisContext whose ``report``
-    field is the JSON-ready dict.  If ``csv_rows`` is a list, the sweep
-    appends one flattened row per analysis to it (the CSV export): one per
-    orbit of the lifted group in exhaustive mode, one per translation orbit
-    in sampled mode.
+    the pair policy ``pairs`` ("auto", "exhaustive" or a sample count, which
+    needs ``seed``) picks only the verdict sweep's pair stream:
+    ``group_orbit_reps`` when exhaustive, ``sample_pair_list`` when sampled.
+    ``resolve_policy`` checks it before the lift is built.  Returns an
+    AnalysisContext whose ``report`` field is the JSON-ready dict.  If
+    ``csv_rows`` is a list, the sweep appends one finished CSV line per
+    analysis to it.
     """
     td = spanning_tree(g, tree_strategy, root)
+    count = resolve_policy(g.n << len(td.cotree), pairs, seed)
     lg = build_lift(g, td, max_vertices=max_vertices, fault=fault)
     table = embed(lg)
     tables = representative_tables(lg, table)
     base_gi = girth(g)
     base_di = diameter(g)
-    mode, count = resolve_policy(lg.num_vertices, pairs, sample_count)
-    if mode == "sample" and seed is None:
-        raise GraphError("sampled pair policy requires --seed")
     collect = csv_collector(lg, csv_rows) if csv_rows is not None else None
 
     report = {
@@ -184,7 +187,7 @@ def run_analysis(
             "tree_strategy": tree_strategy,
             "tree_root": root,
             "max_vertices": max_vertices,
-            "pair_policy": mode if mode == "exhaustive" else f"sample:{count}",
+            "pair_policy": "exhaustive" if count is None else f"sample:{count}",
             "seed": seed,
         },
         "base": base_block(g, base_gi, base_di),
@@ -203,9 +206,12 @@ def run_analysis(
         report["embedding"] = {"error": dist_error}
         report["bound"] = {"distortion_within_bound": False, "error": dist_error}
 
-    pair_list = sample_pair_list(lg, tables, count, seed) if mode == "sample" else None
-    sw = verdict_sweep(lg, table, tables, base_gi, base_di, pairs=pair_list, collect=collect)
-    report["verdict_sweep"] = sweep_block(sw, mode, count, seed)
+    if count is None:
+        stream = group_orbit_reps(lg, lifted_group(lg, table))
+    else:
+        stream = sample_pair_list(lg, tables, count, seed)
+    sw = verdict_sweep(lg, table, tables, base_gi, base_di, stream, collect)
+    report["verdict_sweep"] = sweep_block(sw, count, seed)
     report["all_pass"] = (
         dist_error is None
         and report["bound"]["distortion_within_bound"]
@@ -264,38 +270,35 @@ CSV_COLUMNS = (
 )
 
 
-def csv_collector(lg, out_rows):
-    """A verdict_sweep collect hook appending one flattened CSV row per analysis."""
+def csv_collector(lg, out_lines):
+    """A verdict_sweep collect hook appending one finished CSV line per analysis."""
 
     def collect(x, y, covered, d, l1, wa, verdicts):
         xb, xl = lg.decode(x)
         yb, yl = lg.decode(y)
         ratio = Fraction(d, l1)
-        out_rows.append(
-            (
-                xb,
-                lg.label_bits(xl),
-                yb,
-                lg.label_bits(yl),
-                covered,
-                d,
-                l1,
-                str(ratio),
-                f"{float(ratio):.6f}",
-                wa.components,
-                wa.bridge_paths,
-                wa.bridges_once,
-                wa.component_edges,
-                wa.bridges_twice,
-                max(wa.segments) if wa.segments else 0,
-                *(("pass" if verdicts[k].passed else "fail") for k in CSV_COLUMNS[15:]),
-            )
+        row = (
+            xb,
+            lg.label_bits(xl),
+            yb,
+            lg.label_bits(yl),
+            covered,
+            d,
+            l1,
+            ratio,
+            f"{float(ratio):.6f}",
+            wa.components,
+            wa.bridge_paths,
+            wa.bridges_once,
+            wa.component_edges,
+            wa.bridges_twice,
+            max(wa.segments) if wa.segments else 0,
+            *(("pass" if verdicts[k].passed else "fail") for k in CSV_COLUMNS[15:]),
         )
+        out_lines.append(",".join(map(str, row)))
 
     return collect
 
 
-def to_csv_text(rows):
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def to_csv_text(lines):
+    return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"

@@ -1,21 +1,21 @@
 """Pair sweeps and whole-lift property checks.
 
-The verdict sweep runs the full per-pair battery over a pair policy.  Distances,
-embedding rows and canonical shortest paths are all invariant under label
-translation (the canonical path of a translated pair is the translated
-canonical path), so sampled mode analyzes each translation orbit once and
-its verdicts cover every pair in it.  Exhaustive mode goes further and
-analyzes one pair per orbit of the lifted group Z_2^s x| Aut(G)
-(``voltage.lifted_group``): an automorphism of the lift carries a verified
-shortest path to a shortest path of the image pair, with the same projection
-up to alpha, hence the same counters and verdicts.  The image is not always
-the image pair's own canonical path, so in exhaustive mode each pair is
-covered by an automorphic image of a verified canonical path.  Both pair
-policies arrive as the same stream of (x, y, covered) entries: exhaustive
-mode enumerates the smallest translation representative of each group orbit
-(``group_orbit_reps``, with one mark row of nn bytes per source it walks,
-not one per base vertex) and sampled mode takes ``sample_pair_list``, which
-weights each translation orbit by the family pairs it holds.  Spot checks in
+The verdict sweep runs the full per-pair battery over a stream of (x, y,
+covered) entries that the caller builds from the pair policy
+(``report.run_analysis``).  Distances, embedding rows and canonical shortest
+paths are all invariant under label translation (the canonical path of a
+translated pair is the translated canonical path), so a sampled stream
+(``lift.sample_pair_list``) holds one entry per translation orbit, weighted
+by the family pairs in it, and its verdicts cover every pair in it.  The
+exhaustive stream (``group_orbit_reps``) goes further and holds one pair per
+orbit of the lifted group Z_2^s x| Aut(G) (``voltage.lifted_group``): an
+automorphism of the lift carries a verified shortest path to a shortest path
+of the image pair, with the same projection up to alpha, hence the same
+counters and verdicts.  The image is not always the image pair's own
+canonical path, so in exhaustive mode each pair is covered by an
+automorphic image of a verified canonical path.  The group walk lists the
+smallest translation representative of each group orbit, with one mark row
+of nn bytes per source it walks, not one per base vertex.  Spot checks in
 the test suite re-derive sampled pairs directly, and compare the group sweep
 with the translation sweep, to guard both reductions.
 
@@ -35,7 +35,6 @@ import random
 from dataclasses import dataclass
 
 from .lift import lifted_distance, orbit_rep, two_sided_distances
-from .voltage import lifted_group
 from .walks import (
     PathRebuildError,
     Verdict,
@@ -109,12 +108,12 @@ def _no_path(x, y, exc):
     return f"pair ({x}, {y}): no canonical path: {exc}"
 
 
-def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs=None, collect=None):
-    """Verdict battery over a pair policy.
+def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None):
+    """Verdict battery over the pair stream ``pairs``.
 
-    With ``pairs`` None the sweep is exhaustive, with one analysis per orbit
-    of the lifted group (``group_orbit_reps``); otherwise ``pairs`` is the
-    family built by ``sample_pair_list``, one analysis per translation orbit.
+    The caller passes the stream of its pair policy: ``group_orbit_reps``
+    (exhaustive, one analysis per orbit of the lifted group) or
+    ``sample_pair_list`` (sampled, one analysis per translation orbit).
     Each entry (x, y, covered) is analyzed at the canonical translation
     representative of its pair and counts ``covered`` pairs.  ``collect``, if
     given, is called with (x, y, covered, distance, l1, analysis, verdicts)
@@ -137,8 +136,6 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs=None, collect=
     l1 = table.l1
     source = pred = None
 
-    if pairs is None:
-        pairs = group_orbit_reps(lg, lifted_group(lg, table))
     for x, y, cov in pairs:
         rx, ry = orbit_rep(lg, x, y)
         if rx != source:

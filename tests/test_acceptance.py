@@ -15,7 +15,13 @@ from treelift.families import FamilySpec, load_named, make, random_regular
 from treelift.graph import diameter, girth, spanning_tree
 from treelift.lift import build_lift, lifted_girth, representative_tables, sample_pair_list
 from treelift.report import run_verify_instance
-from treelift.sweeps import cut_partition_check, verdict_sweep, oracle_equivalence_checks
+from treelift.sweeps import (
+    cut_partition_check,
+    group_orbit_reps,
+    oracle_equivalence_checks,
+    verdict_sweep,
+)
+from treelift.voltage import lifted_group
 
 
 @contextmanager
@@ -99,7 +105,8 @@ def test_criterion_2_petersen_exhaustive(bundles, expectations):
         assert rep.distortion <= Fraction(17, 5)
         assert rep.distortion == Fraction(expectations["petersen"]["distortion_exhaustive"])
 
-        sweep = verdict_sweep(lg, b.table, b.tables, b.base_girth, b.base_diam)
+        group = group_orbit_reps(lg, lifted_group(lg, b.table))
+        sweep = verdict_sweep(lg, b.table, b.tables, b.base_girth, b.base_diam, group)
         assert sweep.pairs_covered == 204480
         assert sweep.all_pass, "\n\n".join(sweep.failures)
         for name, (npass, nfail) in sweep.verdict_totals.items():
@@ -174,8 +181,7 @@ def test_criterion_6_random_regular_robustness():
             ctx = run_verify_instance(
                 f"random:20:3#{seed}",
                 g,
-                pairs="sample",
-                sample_count=1_500,
+                pairs=1_500,
                 seed=seed,
                 oracle_pairs=400,
             )

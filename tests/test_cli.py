@@ -415,7 +415,8 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "value", ["samplez", "samples", "sample_1", "sample:", "sample:1:2", "sample:²", "exhaustively"]
+    "value",
+    ["sample", "samplez", "samples", "sample_1", "sample:", "sample:1:2", "sample:²", "exhaustively"],
 )
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_malformed_pairs_values_are_usage_errors(tmp_path, capsys, command, value):
@@ -427,3 +428,20 @@ def test_malformed_pairs_values_are_usage_errors(tmp_path, capsys, command, valu
     assert run([command, *target, "--pairs", value, "--seed", 1, "-o", out]) == 2
     assert f"bad --pairs value {value!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pairs", ["sample:10", "auto"])
+def test_a_sampled_policy_without_a_seed_is_refused_before_the_lift_is_built(
+    tmp_path, capsys, monkeypatch, pairs
+):
+    # McGee lifts to 196,608 vertices, so "auto" samples too
+    base = tmp_path / "mcgee.txt"
+    run(["gen", "--family", "mcgee", "-o", base])
+    capsys.readouterr()
+    built = []
+    monkeypatch.setattr(report_mod, "build_lift", lambda *args, **kw: built.append(args))
+    out = tmp_path / "r.json"
+    assert run(["analyze", base, "--pairs", pairs, "-o", out]) == 2
+    assert "sampled pair policy requires --seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert not built

@@ -14,6 +14,7 @@ from treelift.embedding import (
 from treelift.families import FamilySpec, load_named, make
 from treelift.graph import GraphError, build_graph, diameter, girth, spanning_tree
 from treelift.lift import (
+    LiftedGraph,
     bfs_lifted,
     build_lift,
     diameter_witness,
@@ -63,6 +64,16 @@ def oracle_cut_sides(lg, eid):
         if color[x] == color[y]:
             return None
     return color
+
+
+def fault_lift(g, td, fault):
+    """The lift of g along td with ``fault`` XORed into one edge's rule, built
+    without build_lift's connectivity check: the fault may disconnect it."""
+    eid, extra = fault
+    rule = list(td.rule)
+    rule[eid] ^= extra
+    s = len(td.cotree)
+    return LiftedGraph(base=g, td=td, s=s, mask=(1 << s) - 1, rule=tuple(rule), fault=fault)
 
 
 def lift_of(spec_or_graph, strategy="bfs", root=0):
@@ -200,7 +211,7 @@ def test_every_broken_matching_is_named_by_the_cut_check():
     s = len(td.cotree)
     for eid in range(g.m):
         for extra in (1, 0b101, 1 << (s - 1), (1 << s) - 1):
-            lg = build_lift(g, td, fault=(eid, extra), check_connected=False)
+            lg = fault_lift(g, td, (eid, extra))
             t = embed(lg)
             v = cut_partition_check(lg, t)
             assert not v.passed
@@ -216,7 +227,7 @@ def test_every_broken_matching_is_named_by_the_cut_check():
 def test_whole_lift_checks_cover_large_lifts_exactly():
     # McGee: 196,608 lifted vertices and 294,912 lifted edges, all certified
     g = make(FamilySpec.named("mcgee"))
-    lg = build_lift(g, spanning_tree(g), check_connected=False)
+    lg = build_lift(g, spanning_tree(g))
     cut = cut_partition_check(lg, embed(lg))
     assert cut.passed and cut.checked == lg.num_edges == 294_912
     deg = degree_preservation_check(lg)
@@ -269,7 +280,7 @@ def test_distortion_certifies_injectivity_before_the_fold(monkeypatch):
     monkeypatch.setattr(
         report, "embed", lambda lg: dataclasses.replace(embed(lg), base_rows=broken.base_rows)
     )
-    out = report.run_analysis(lg.base, pairs="sample", sample_count=20, seed=1).report
+    out = report.run_analysis(lg.base, pairs=20, seed=1).report
     assert "not injective" in out["embedding"]["error"]
     assert out["bound"]["distortion_within_bound"] is False and out["all_pass"] is False
 
@@ -369,7 +380,7 @@ def test_colip_fold_equals_the_plain_scan_on_fault_lifts(extra):
     td = spanning_tree(g)
     connected = 0
     for eid in range(g.m):
-        lg = build_lift(g, td, fault=(eid, extra), check_connected=False)
+        lg = fault_lift(g, td, (eid, extra))
         if bfs_lifted(lg, 0).count(-1) == 0:
             connected += 1
             t = embed(lg)
@@ -464,12 +475,10 @@ def test_sample_entries_are_the_explicit_family_grouped_by_orbit(spec):
 
 
 def test_sample_mode_needs_count_and_seed():
-    lg = lift_of(FamilySpec.named("k4"))
-    tables = representative_tables(lg, embed(lg))
-    with pytest.raises(GraphError):
-        sample_pair_list(lg, tables, 0, 1)
-    with pytest.raises(GraphError):
-        sample_pair_list(lg, tables, 5, None)
+    with pytest.raises(GraphError, match="unknown pair policy 0"):
+        report.resolve_policy(32, 0, 1)
+    with pytest.raises(GraphError, match="sampled pair policy requires --seed"):
+        report.resolve_policy(32, 5, None)
 
 
 # --- orbit machinery ---------------------------------------------------------------

@@ -37,9 +37,7 @@ def petersen_fault():
 
 def fault_injected_petersen():
     g, fault = petersen_fault()
-    ctx = run_verify_instance(
-        "petersen[fault]", g, pairs="sample", sample_count=300, seed=5, fault=fault
-    )
+    ctx = run_verify_instance("petersen[fault]", g, pairs=300, seed=5, fault=fault)
     return to_json_bytes(ctx.report)
 
 
@@ -50,9 +48,7 @@ def fault_injected_petersen_csv():
 
 def random_cubic():
     spec = FamilySpec.random_regular(20, 3, girth_min=5, seed=0)
-    ctx = run_verify_instance(
-        spec.describe(), make(spec), pairs="sample", sample_count=700, seed=0, oracle_pairs=400
-    )
+    ctx = run_verify_instance(spec.describe(), make(spec), pairs=700, seed=0, oracle_pairs=400)
     return to_json_bytes(ctx.report)
 
 
@@ -78,23 +74,15 @@ CASES = {
     # 128 orbits of the lifted group (26,866 translation orbits), every
     # counter and all eight verdicts of each
     "heawood exhaustive csv": lambda: exhaustive_csv(named("heawood")),
-    "petersen sample:500 seed 7": lambda: analysis_json(
-        "petersen", pairs="sample", sample_count=500, seed=7
-    ),
-    "heawood sample:2000 seed 5": lambda: analysis_json(
-        "heawood", pairs="sample", sample_count=2000, seed=5
-    ),
-    "mcgee sample:2000 seed 3": lambda: analysis_json(
-        "mcgee", pairs="sample", sample_count=2000, seed=3
-    ),
+    "petersen sample:500 seed 7": lambda: analysis_json("petersen", pairs=500, seed=7),
+    "heawood sample:2000 seed 5": lambda: analysis_json("heawood", pairs=2000, seed=5),
+    "mcgee sample:2000 seed 3": lambda: analysis_json("mcgee", pairs=2000, seed=3),
     "petersen fault-injected sample:300 seed 5": fault_injected_petersen,
     # the only digest on a depth-first spanning tree
     "petersen dfs root 5 exhaustive verify": petersen_dfs_verify,
     "random:20:3 sample:700": random_cubic,
     # 1,966,080 lifted vertices, lift girth 16, diameter 35, exact colip 7/4
-    "tutte_coxeter sample:200 seed 1": lambda: analysis_json(
-        "tutte_coxeter", pairs="sample", sample_count=200, seed=1
-    ),
+    "tutte_coxeter sample:200 seed 1": lambda: analysis_json("tutte_coxeter", pairs=200, seed=1),
 }
 
 GOLDEN = {

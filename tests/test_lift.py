@@ -17,6 +17,7 @@ from treelift.graph import (
 )
 from treelift.lift import (
     LiftTooLargeError,
+    LiftedGraph,
     _expand_row,
     _whole_lift,
     bfs_lifted,
@@ -39,6 +40,16 @@ def triangle():
 
 def cycle(n):
     return make(FamilySpec.cycle(n))
+
+
+def fault_lift(g, td, fault):
+    """The lift of g along td with ``fault`` XORed into one edge's rule, built
+    without build_lift's connectivity check: the fault may disconnect it."""
+    eid, extra = fault
+    rule = list(td.rule)
+    rule[eid] ^= extra
+    s = len(td.cotree)
+    return LiftedGraph(base=g, td=td, s=s, mask=(1 << s) - 1, rule=tuple(rule), fault=fault)
 
 
 def tables_of(lg):
@@ -282,7 +293,7 @@ def test_engine_on_every_petersen_fault_with_a_multi_bit_mask():
     connected = disconnected = 0
     for eid in range(g.m):
         for extra in (0b11, 0b101, 0b110, (1 << s) - 1):
-            lg = build_lift(g, td, fault=(eid, extra), check_connected=False)
+            lg = fault_lift(g, td, (eid, extra))
             if bfs_lifted(lg, 0).count(-1):
                 disconnected += 1
                 with pytest.raises(GraphError, match="lift is not connected"):
@@ -321,10 +332,12 @@ def test_engine_rejects_disconnected_fault_lift():
     g = load_named("petersen")
     # the fault turns edge 2's coordinate-0 flip into a coordinate-1 flip; no
     # edge flips coordinate 0 any more, so half the labels are never reached
-    lg = build_lift(g, spanning_tree(g), fault=(2, 0b11), check_connected=False)
+    lg = fault_lift(g, spanning_tree(g), (2, 0b11))
     assert bfs_lifted(lg, 0).count(-1) == lg.num_vertices // 2
     with pytest.raises(GraphError, match="lift is not connected"):
         tables_of(lg)
+    with pytest.raises(GraphError, match="constructed lift is not connected"):
+        build_lift(g, spanning_tree(g), fault=(2, 0b11))
 
 
 @pytest.mark.parametrize(
@@ -352,7 +365,7 @@ def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
 def petersen_fault_lift():
     # no edge flips coordinate 0 any more: labels split into two components
     g = load_named("petersen")
-    return build_lift(g, spanning_tree(g), fault=(2, 0b11), check_connected=False)
+    return fault_lift(g, spanning_tree(g), (2, 0b11))
 
 
 def test_hops_spell_the_neighbour_lists():
@@ -461,7 +474,7 @@ def test_engine_girth_on_every_connected_petersen_fault_lift(extra):
     td = spanning_tree(g)
     connected = 0
     for eid in range(g.m):
-        lg = build_lift(g, td, fault=(eid, extra), check_connected=False)
+        lg = fault_lift(g, td, (eid, extra))
         if bfs_lifted(lg, 0).count(-1) == 0:
             connected += 1
             assert_girth_matches_materialised_lift(lg)

@@ -311,7 +311,7 @@ def test_analyze_builds_one_graph_and_one_bridge_decomposition_per_orbit(monkeyp
         rows = []
         collect = csv_collector(lg, rows)
         result = verdict_sweep(lg, table, tables, 3, 1, pairs=family, collect=collect)
-        block = sweep_block(result, "exhaustive", None, None)
+        block = sweep_block(result, None, None)
         return result, to_json_bytes(block), to_csv_text(rows)
 
     _, want, want_csv = sweep()
