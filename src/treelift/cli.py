@@ -22,13 +22,7 @@ from .lift import (
     lift_edge_list_text,
     lift_mapping_text,
 )
-from .report import (
-    base_block,
-    run_analysis,
-    run_verify_instance,
-    to_csv_text,
-    to_json_bytes,
-)
+from .report import CSV_HEADER, base_block, run_analysis, run_verify_instance, to_json_bytes
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -80,14 +74,14 @@ def parse_pairs_arg(text):
     raise GraphError(f"bad --pairs value {text!r}: expected auto, exhaustive or sample:COUNT")
 
 
-def write_bytes(path, data):
+def write_text(path, blocks):
+    """Write the text ``blocks`` one after another to ``path`` (stdout if
+    None): the one writer of every output, which never joins its blocks."""
     if path is None:
-        sys.stdout.write(data.decode("ascii") if isinstance(data, bytes) else data)
+        sys.stdout.writelines(blocks)
         return
-    mode = "wb" if isinstance(data, bytes) else "w"
-    kwargs = {} if isinstance(data, bytes) else {"encoding": "utf-8", "newline": "\n"}
-    with open(path, mode, **kwargs) as fh:
-        fh.write(data)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(blocks)
 
 
 def cmd_gen(args):
@@ -113,12 +107,11 @@ def cmd_gen(args):
 
 
 def cmd_lift(args):
-    g = load_edge_list(args.input)
-    td = spanning_tree(g, args.tree, args.root)
-    lg = build_lift(g, td, max_vertices=args.max_vertices)
-    write_bytes(args.output, lift_edge_list_text(lg))
+    td = spanning_tree(load_edge_list(args.input), args.tree, args.root)
+    lg = build_lift(td, max_vertices=args.max_vertices)
+    write_text(args.output, lift_edge_list_text(lg))
     if args.mapping:
-        write_bytes(args.mapping, lift_mapping_text(lg))
+        write_text(args.mapping, lift_mapping_text(lg))
     print(
         f"lift: {lg.num_vertices} vertices, {lg.num_edges} edges, "
         f"{lg.s} label coordinates (tree={args.tree}, root={args.root})"
@@ -129,7 +122,7 @@ def cmd_lift(args):
 def cmd_analyze(args):
     g = load_edge_list(args.input)
     pairs = parse_pairs_arg(args.pairs)
-    rows = [] if args.format == "csv" else None
+    rows = [CSV_HEADER] if args.format == "csv" else None
     ctx = run_analysis(
         g,
         tree_strategy=args.tree,
@@ -143,9 +136,9 @@ def cmd_analyze(args):
     report["config"]["input"] = args.input
     report["schema"] = "treelift-report-v3"
     if args.format == "json":
-        write_bytes(args.output, to_json_bytes(report))
+        write_text(args.output, [to_json_bytes(report).decode("ascii")])
     else:
-        write_bytes(args.output, to_csv_text(rows))
+        write_text(args.output, rows)
     summary = "PASS" if report["all_pass"] else "FAIL"
     print(
         f"analyze {args.input}: {summary} "
@@ -233,7 +226,7 @@ def cmd_verify(args):
         "all_pass": all_pass,
     }
     if args.output:
-        write_bytes(args.output, to_json_bytes(report))
+        write_text(args.output, [to_json_bytes(report).decode("ascii")])
     print(f"verify: {'PASS' if all_pass else 'FAIL'} ({len(instances)} instances)")
     return EXIT_OK if all_pass else EXIT_VERDICT
 

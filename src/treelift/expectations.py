@@ -41,7 +41,7 @@ def compute():
     }
     for name in ("petersen", "heawood"):
         g = load_named(name)
-        lg = build_lift(g, spanning_tree(g))
+        lg = build_lift(spanning_tree(g))
         table = embed(lg)
         tables = representative_tables(lg, table)
         rep = distortion(lg, table, tables)

@@ -11,17 +11,22 @@ re-derives them.  Lifted vertices are encoded densely as ``base << s |
 label`` (bit i of the label is cotree coordinate i), so XOR with a label
 vector is both the matching rule and the translation automorphism.
 
-Adjacency is computed on demand from (base adjacency, rule masks), which
-the step table ``LiftedGraph.hops`` pairs up once per lift.  The only
-objects of size n * 2^s are the array of the scalar ``bfs_lifted`` (used by
-``build_lift``'s connectivity check) and the distance rows of
-``representative_tables``: n rows of n * 2^s entries, one byte each while the
-lifted diameter is under 256, plus, while those rows are built, one
+A lift is derived from its tree decomposition alone (plus an optional
+fault): ``LiftedGraph(td, fault)`` reads the base graph, the coordinate count
+and the rule off ``td`` once.  Adjacency is computed on demand from (base
+adjacency, rule masks), which the step table ``LiftedGraph.hops`` pairs up
+once per lift.  The only objects of size n * 2^s are the list of the scalar
+``bfs_lifted`` (used by ``build_lift``'s connectivity check) and the distance
+rows of ``representative_tables``: n rows of n * 2^s entries, one byte each
+while the lifted diameter is under 256, plus, while those rows are built, one
 n * 2^s-bit set per base edge.  The same label-parallel BFS that fills the
 rows also measures the lifted girth and the exact colip of the cut
 embedding.  An explicit vertex cap guards all of them.  The verification
 oracle answers its pairs with ``two_sided_distances``, a scalar search that
-only grows two small balls per pair.
+only grows two small balls per pair.  The text form of the lift is never
+held whole: ``lift_edge_list_text`` and ``lift_mapping_text`` yield it one
+base edge (one base vertex) of 2^s lines at a time, for the writer to put on
+disk block by block.
 """
 
 from __future__ import annotations
@@ -51,29 +56,41 @@ class LiftTooLargeError(GraphError):
 
 @dataclass(eq=False)
 class LiftedGraph:
-    """The lift of ``base`` along ``td``, with vertices encoded as ints.
+    """The lift along the tree decomposition ``td``, vertices encoded as ints.
 
-    ``rule[e]`` is the label XOR mask of base edge e: the tree rule
-    ``td.rule[e]``.  ``fault``, if set, XORs an extra mask into one edge's
-    rule; it exists solely so verification sweeps can prove they detect a
-    broken matching, and is reported loudly by the CLI.
+    ``td`` and ``fault`` are its only inputs; the rest is derived here, once,
+    as plain attributes: ``base = td.graph``, the ``s`` label coordinates (one
+    per cotree edge), ``mask = 2^s - 1``, ``rule`` and ``hops``.  ``rule[e]``
+    is the label XOR mask of base edge e: the tree rule ``td.rule[e]``.
+    ``fault``, if set, is (edge id, extra mask) and XORs the extra mask into
+    that edge's rule (GraphError if either is out of range); it exists solely
+    so verification sweeps can prove they detect a broken matching, and is
+    reported loudly by the CLI.  Connectivity is ``build_lift``'s check.
     ``hops[u]`` holds, for each edge e = (u, v) in adjacency order, the pair
     (v << s, rule[e]): (u, f) is adjacent to ``base | (f ^ rule)`` for each
-    ``(base, rule)`` in it.  It is built once, with the lift.
+    ``(base, rule)`` in it.
     """
 
-    base: object
     td: object
-    s: int
-    mask: int
-    rule: tuple
     fault: tuple = None  # (edge id, extra xor mask) test hook
+    base: object = field(init=False, repr=False)
+    s: int = field(init=False)
+    mask: int = field(init=False)
+    rule: tuple = field(init=False, repr=False)
     hops: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = self.s
-        rule = self.rule
-        self.hops = tuple(tuple((v << s, rule[eid]) for v, eid in nbrs) for nbrs in self.base.adj)
+        base = self.base = self.td.graph
+        s = self.s = len(self.td.cotree)
+        self.mask = (1 << s) - 1
+        rule = self.td.rule
+        if self.fault is not None:
+            eid, extra = self.fault
+            if not (0 <= eid < base.m) or not (0 <= extra <= self.mask):
+                raise GraphError(f"bad fault spec {self.fault!r}")
+            rule = rule[:eid] + (rule[eid] ^ extra,) + rule[eid + 1 :]
+        self.rule = rule
+        self.hops = tuple(tuple((v << s, rule[eid]) for v, eid in nbrs) for nbrs in base.adj)
 
     @property
     def num_vertices(self):
@@ -110,43 +127,23 @@ class LiftedGraph:
         f = x & self.mask
         return [base | (f ^ rule) for base, rule in self.hops[x >> self.s]]
 
-    def translate(self, x, gvec):
-        """Label translation (u, f) -> (u, f ^ gvec); a graph automorphism."""
-        if not (0 <= gvec <= self.mask):
-            raise GraphError(f"translation vector {gvec} out of range")
-        return x ^ gvec
-
     def label_bits(self, label):
         """Label as a binary string, coordinate 0 rightmost."""
         return format(label, f"0{self.s}b") if self.s else ""
 
 
-def build_lift(g, td, max_vertices=DEFAULT_MAX_VERTICES, fault=None):
-    """Build the lift of g along td, guarded by a vertex cap.
+def build_lift(td, max_vertices=DEFAULT_MAX_VERTICES, fault=None):
+    """``LiftedGraph(td, fault)``, guarded by a vertex cap and checked to be connected.
 
     The tree/cotree rule always yields a connected lift of a connected base
     (the fundamental cycle of cotree edge i carries exactly the bit-i flip, so
     the flips generate the whole label group); this is asserted on every
-    build, so a fault that disconnects the lift is refused here.
+    build by one ``bfs_lifted``, so a fault that disconnects the lift is
+    refused here.
     """
-    s = len(td.cotree)
-    required = g.n << s
-    if required > max_vertices:
-        raise LiftTooLargeError(required, max_vertices)
-    rule = list(td.rule)
-    if fault is not None:
-        eid, extra = fault
-        if not (0 <= eid < g.m) or not (0 <= extra <= (1 << s) - 1):
-            raise GraphError(f"bad fault spec {fault!r}")
-        rule[eid] ^= extra
-    lg = LiftedGraph(
-        base=g,
-        td=td,
-        s=s,
-        mask=(1 << s) - 1,
-        rule=tuple(rule),
-        fault=fault,
-    )
+    lg = LiftedGraph(td, fault)
+    if lg.num_vertices > max_vertices:
+        raise LiftTooLargeError(lg.num_vertices, max_vertices)
     if bfs_lifted(lg, 0).count(-1) != 0:
         raise GraphError("constructed lift is not connected")
     return lg
@@ -536,8 +533,9 @@ def sample_pair_list(lg, tables, count, seed):
     return sorted(orbits.values())
 
 
-def lift_walk(g, td, walk, start):
-    """Lift a base walk to the unique lifted walk starting at ``start``.
+def lift_walk(td, walk, start):
+    """Lift a walk in the base graph ``td.graph`` to the unique lifted walk
+    starting at ``start``.
 
     ``walk`` is a sequence of base edge ids; each must be incident to the
     current vertex, which fixes the traversal direction.  ``start`` is a
@@ -545,10 +543,11 @@ def lift_walk(g, td, walk, start):
     label) pairs; each edge XORs the label by its tree rule ``td.rule``,
     independent of direction.
     """
+    g = td.graph
     u, f = start
     if not (0 <= u < g.n):
         raise GraphError(f"start vertex {u} out of range")
-    if not (0 <= f < (1 << len(td.cotree))):
+    if not (0 <= f < (1 << td.num_coords)):
         raise GraphError(f"start label {f} out of range")
     out = [(u, f)]
     for eid in walk:
@@ -586,27 +585,32 @@ def diameter_witness(lg, tables):
 
 
 def lift_edge_list_text(lg):
-    """The materialized lift in edge-list text format.
+    """The materialized lift in edge-list text format, as a stream of text
+    blocks: the header line, then the 2^s lines of each base edge in turn.
 
-    Lifted edges are emitted per base edge id, then per label of the
-    lower-numbered endpoint, so the output is canonical.
+    Lifted edges are emitted per base edge id, then per label of the edge's
+    first endpoint, lower lifted id first, so the output is canonical.
     """
-    lines = [f"{lg.num_vertices} {lg.num_edges}"]
-    for eid, (u, v) in enumerate(lg.base.edges):
-        rule = lg.rule[eid]
-        for f in range(1 << lg.s):
-            x = (u << lg.s) | f
-            y = (v << lg.s) | (f ^ rule)
+    s = lg.s
+    yield f"{lg.num_vertices} {lg.num_edges}\n"
+    for (u, v), rule in zip(lg.base.edges, lg.rule):
+        lines = []
+        for f in range(1 << s):
+            x = (u << s) | f
+            y = (v << s) | (f ^ rule)
             if x > y:
                 x, y = y, x
-            lines.append(f"{x} {y}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{x} {y}\n")
+        yield "".join(lines)
 
 
 def lift_mapping_text(lg):
-    """Sidecar mapping: lines 'lifted_id base_vertex label_bits' (bit 0 rightmost)."""
-    lines = []
-    for x in range(lg.num_vertices):
-        u, f = lg.decode(x)
-        lines.append(f"{x} {u} {lg.label_bits(f)}".rstrip())
-    return "\n".join(lines) + "\n"
+    """Sidecar mapping, lines 'lifted_id base_vertex label_bits' (bit 0
+    rightmost), as a stream of text blocks: the 2^s lines of each base
+    vertex in turn."""
+    s = lg.s
+    # each label's line ending; with no coordinates the label and its space drop
+    tails = [f" {lg.label_bits(f)}".rstrip() + "\n" for f in range(1 << s)]
+    for u in range(lg.base.n):
+        x = u << s
+        yield "".join([f"{x | f} {u}{tail}" for f, tail in enumerate(tails)])

@@ -171,11 +171,11 @@ def run_analysis(
     ``resolve_policy`` checks it before the lift is built.  Returns an
     AnalysisContext whose ``report`` field is the JSON-ready dict.  If
     ``csv_rows`` is a list, the sweep appends one finished CSV line per
-    analysis to it.
+    analysis to it, newline included.
     """
     td = spanning_tree(g, tree_strategy, root)
     count = resolve_policy(g.n << len(td.cotree), pairs, seed)
-    lg = build_lift(g, td, max_vertices=max_vertices, fault=fault)
+    lg = build_lift(td, max_vertices=max_vertices, fault=fault)
     table = embed(lg)
     tables = representative_tables(lg, table)
     base_gi = girth(g)
@@ -268,10 +268,13 @@ CSV_COLUMNS = (
     "component_girth",
     "relift",
 )
+#: the CSV header line, which the lines of ``csv_collector`` follow
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 def csv_collector(lg, out_lines):
-    """A verdict_sweep collect hook appending one finished CSV line per analysis."""
+    """A verdict_sweep collect hook appending one finished CSV line, with its
+    newline, per analysis."""
 
     def collect(x, y, covered, d, l1, wa, verdicts):
         xb, xl = lg.decode(x)
@@ -295,10 +298,6 @@ def csv_collector(lg, out_lines):
             max(wa.segments) if wa.segments else 0,
             *(("pass" if verdicts[k].passed else "fail") for k in CSV_COLUMNS[15:]),
         )
-        out_lines.append(",".join(map(str, row)))
+        out_lines.append(",".join(map(str, row)) + "\n")
 
     return collect
-
-
-def to_csv_text(lines):
-    return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"

@@ -43,7 +43,7 @@ class Bundle:
     def __init__(self, g):
         self.g = g
         self.td = spanning_tree(g)
-        self.lg = build_lift(g, self.td)
+        self.lg = build_lift(self.td)
         self.table = embed(self.lg)
         self.tables = representative_tables(self.lg, self.table)
         self.base_girth = girth(g)
@@ -76,7 +76,7 @@ def test_criterion_1_cycle_double_cover():
             g = make(FamilySpec.cycle(n))
             td = spanning_tree(g, "dfs", 0)  # path spanning tree, cotree = closing edge
             assert len(td.cotree) == 1
-            lg = build_lift(g, td)  # connectivity asserted inside
+            lg = build_lift(td)  # connectivity asserted inside
             assert lg.num_vertices == 2 * n
             assert all(len(lg.neighbors(x)) == 2 for x in range(2 * n))
             # connected + 2-regular + 2n vertices + girth 2n pins C_{2n}

@@ -59,6 +59,17 @@ def test_lift_materialization_and_mapping(tmp_path):
     assert lines[-1] == "639 9 111111"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_on_stdout_is_the_report_file(tmp_path, capsys, fmt):
+    base = tmp_path / "c6.txt"
+    run(["gen", "--family", "cycle:6", "-o", base])
+    capsys.readouterr()
+    report = tmp_path / "r.out"
+    assert run(["analyze", base, "--format", fmt, "-o", report]) == 0
+    assert run(["analyze", base, "--format", fmt]) == 0
+    assert capsys.readouterr().out == report.read_text()
+
+
 def test_analyze_json_report_contents(tmp_path):
     base = tmp_path / "c8.txt"
     run(["gen", "--family", "cycle:8", "-o", base])

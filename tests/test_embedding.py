@@ -66,19 +66,9 @@ def oracle_cut_sides(lg, eid):
     return color
 
 
-def fault_lift(g, td, fault):
-    """The lift of g along td with ``fault`` XORed into one edge's rule, built
-    without build_lift's connectivity check: the fault may disconnect it."""
-    eid, extra = fault
-    rule = list(td.rule)
-    rule[eid] ^= extra
-    s = len(td.cotree)
-    return LiftedGraph(base=g, td=td, s=s, mask=(1 << s) - 1, rule=tuple(rule), fault=fault)
-
-
 def lift_of(spec_or_graph, strategy="bfs", root=0):
     g = spec_or_graph if hasattr(spec_or_graph, "adj") else make(spec_or_graph)
-    return build_lift(g, spanning_tree(g, strategy, root))
+    return build_lift(spanning_tree(g, strategy, root))
 
 
 def exact_distortion(lg):
@@ -92,7 +82,7 @@ def exact_distortion(lg):
 def triangle_lift():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     td = spanning_tree(g, "dfs", 0)  # tree {01, 12}, cotree {20}
-    return build_lift(g, td)
+    return build_lift(td)
 
 
 def test_cotree_row_bit_reads_label_bit():
@@ -208,10 +198,10 @@ def test_rows_read_cut_sides_at_every_label(spec):
 def test_every_broken_matching_is_named_by_the_cut_check():
     g = make(FamilySpec.named("petersen"))
     td = spanning_tree(g)
-    s = len(td.cotree)
+    s = td.num_coords
     for eid in range(g.m):
         for extra in (1, 0b101, 1 << (s - 1), (1 << s) - 1):
-            lg = fault_lift(g, td, (eid, extra))
+            lg = LiftedGraph(td, (eid, extra))
             t = embed(lg)
             v = cut_partition_check(lg, t)
             assert not v.passed
@@ -227,7 +217,7 @@ def test_every_broken_matching_is_named_by_the_cut_check():
 def test_whole_lift_checks_cover_large_lifts_exactly():
     # McGee: 196,608 lifted vertices and 294,912 lifted edges, all certified
     g = make(FamilySpec.named("mcgee"))
-    lg = build_lift(g, spanning_tree(g))
+    lg = build_lift(spanning_tree(g))
     cut = cut_partition_check(lg, embed(lg))
     assert cut.passed and cut.checked == lg.num_edges == 294_912
     deg = degree_preservation_check(lg)
@@ -305,7 +295,7 @@ def test_cycle_lifts_embed_isometrically(n):
 
 def test_single_edge_base_distortion_one():
     g = build_graph(2, [(0, 1)])
-    lg = build_lift(g, spanning_tree(g))
+    lg = build_lift(spanning_tree(g))
     rep = exact_distortion(lg)
     assert rep.distortion == 1 and rep.pairs_examined == 1 and rep.orbits_examined == 1
 
@@ -380,7 +370,7 @@ def test_colip_fold_equals_the_plain_scan_on_fault_lifts(extra):
     td = spanning_tree(g)
     connected = 0
     for eid in range(g.m):
-        lg = fault_lift(g, td, (eid, extra))
+        lg = LiftedGraph(td, (eid, extra))
         if bfs_lifted(lg, 0).count(-1) == 0:
             connected += 1
             t = embed(lg)

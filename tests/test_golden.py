@@ -11,7 +11,8 @@ import pytest
 
 from treelift.families import FamilySpec, make
 from treelift.graph import spanning_tree
-from treelift.report import run_analysis, run_verify_instance, to_csv_text, to_json_bytes
+from treelift.lift import build_lift, lift_edge_list_text, lift_mapping_text
+from treelift.report import CSV_HEADER, run_analysis, run_verify_instance, to_json_bytes
 
 
 def named(name):
@@ -23,9 +24,15 @@ def analysis_json(name, **kw):
 
 
 def exhaustive_csv(g, **kw):
-    rows = []
+    rows = [CSV_HEADER]
     run_analysis(g, pairs="exhaustive", csv_rows=rows, **kw)
-    return to_csv_text(rows).encode("ascii")
+    return "".join(rows).encode("ascii")
+
+
+def lift_text(name, tree, root, text):
+    """The text form ``text`` (the edge list or the mapping) of a lift, joined."""
+    lg = build_lift(spanning_tree(named(name), tree, root))
+    return "".join(text(lg)).encode("ascii")
 
 
 def petersen_fault():
@@ -83,9 +90,16 @@ CASES = {
     "random:20:3 sample:700": random_cubic,
     # 1,966,080 lifted vertices, lift girth 16, diameter 35, exact colip 7/4
     "tutte_coxeter sample:200 seed 1": lambda: analysis_json("tutte_coxeter", pairs=200, seed=1),
+    # the text form of `treelift lift` and its --mapping sidecar
+    "petersen lift edges": lambda: lift_text("petersen", "bfs", 0, lift_edge_list_text),
+    "petersen lift mapping": lambda: lift_text("petersen", "bfs", 0, lift_mapping_text),
+    "heawood dfs root 5 lift edges": lambda: lift_text("heawood", "dfs", 5, lift_edge_list_text),
+    "heawood dfs root 5 lift mapping": lambda: lift_text("heawood", "dfs", 5, lift_mapping_text),
 }
 
 GOLDEN = {
+    "heawood dfs root 5 lift edges": "af2da376a0f8efcbbbd2ee73c2b38c41a048ac94610dee0ee5f15d05275c212c",
+    "heawood dfs root 5 lift mapping": "04009acbfb320637495d3dee073e006ef19dcde45f36c498ae7bbda5ca6e53e1",
     "heawood exhaustive csv": "5788909be9a50d0224a75e68cb920c97dc2328ff62d5bb3d868ca9d074d44c50",
     "heawood sample:2000 seed 5": "df68306f904e79f0f396dc73702e503ec8871a9d8883e6f14681673fd9df535e",
     "mcgee sample:2000 seed 3": "244a505c3b199c1e7983dff143171de6bf2eb5b999e1ab7a49d4b300eb5ca341",
@@ -94,6 +108,8 @@ GOLDEN = {
     "petersen exhaustive csv": "68f5e551bc7acbfb445e8072493635041849bf99cb092880669cbeefd0d35b57",
     "petersen fault-injected exhaustive csv": "3042e27756d1ef03b90e71dc16cf433fa831a88b2546ba7f3675be53825555fb",
     "petersen fault-injected sample:300 seed 5": "4e1c47cf327d753971ea71c23670da70ea97d6a5e6ee44f74d70fe0dae71f892",
+    "petersen lift edges": "00e493fbb57716fc7867b92c4f9c4b466f03660982349e236faee25fb4371988",
+    "petersen lift mapping": "19e90aabda61f7b8c98a4e8f18e3e2b6f71cf857a3bf44365299d708af264b0d",
     "petersen sample:500 seed 7": "9dbfbe185c241ae25f4d3b68aa9e97a64ac74991db938af030f4c086969c8571",
     "random:20:3 sample:700": "21c7bc78315f950c5375d7026ff4822f27a9c8f8c722ea2c3718846fcaedba33",
     "tutte_coxeter sample:200 seed 1": "d05b7018af71099a034a79781691850b526e0cb2604fb88e075f7a872615a92c",

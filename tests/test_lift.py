@@ -42,16 +42,6 @@ def cycle(n):
     return make(FamilySpec.cycle(n))
 
 
-def fault_lift(g, td, fault):
-    """The lift of g along td with ``fault`` XORed into one edge's rule, built
-    without build_lift's connectivity check: the fault may disconnect it."""
-    eid, extra = fault
-    rule = list(td.rule)
-    rule[eid] ^= extra
-    s = len(td.cotree)
-    return LiftedGraph(base=g, td=td, s=s, mask=(1 << s) - 1, rule=tuple(rule), fault=fault)
-
-
 def tables_of(lg):
     return representative_tables(lg, embed(lg))
 
@@ -59,7 +49,7 @@ def tables_of(lg):
 def petersen_lift():
     g = load_named("petersen")
     td = spanning_tree(g)
-    return build_lift(g, td)
+    return build_lift(td)
 
 
 # --- construction and shape ----------------------------------------------------
@@ -69,7 +59,7 @@ def test_triangle_lift_is_six_cycle():
     g = triangle()
     td = spanning_tree(g, "dfs", 0)  # path tree {01, 12}, cotree {20}
     assert td.cotree == (2,)
-    lg = build_lift(g, td)
+    lg = build_lift(td)
     assert lg.num_vertices == 6 and lg.num_edges == 6
     # connected + 2-regular + 6 vertices + girth 6 pins C6 exactly
     assert all(len(lg.neighbors(x)) == 2 for x in range(6))
@@ -81,7 +71,7 @@ def test_triangle_lift_is_six_cycle():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_cycle_lift_doubles(n):
     g = cycle(n)
-    lg = build_lift(g, spanning_tree(g))
+    lg = build_lift(spanning_tree(g))
     assert lg.num_vertices == 2 * n
     assert all(len(lg.neighbors(x)) == 2 for x in range(2 * n))
     assert bfs_lifted(lg, 0).count(-1) == 0
@@ -96,11 +86,25 @@ def test_petersen_lift_counts():
     assert all(len(lg.neighbors(x)) == 3 for x in range(640))
 
 
+def test_a_fault_out_of_range_is_refused():
+    td = spanning_tree(load_named("petersen"))
+    m, coords = td.graph.m, td.num_coords
+    # edge ids -1 and m, extra masks -1 and 1 << s
+    for fault in ((-1, 1), (m, 1), (0, -1), (0, 1 << coords)):
+        with pytest.raises(GraphError, match="bad fault spec"):
+            LiftedGraph(td, fault)
+        with pytest.raises(GraphError, match="bad fault spec"):
+            build_lift(td, fault=fault)
+    # the extreme faults in range are taken
+    for fault in ((0, 0), (m - 1, (1 << coords) - 1)):
+        assert LiftedGraph(td, fault).fault == fault
+
+
 def test_size_cap_reports_required():
     g = load_named("petersen")
     td = spanning_tree(g)
     with pytest.raises(LiftTooLargeError) as exc:
-        build_lift(g, td, max_vertices=100)
+        build_lift(td, max_vertices=100)
     assert exc.value.required == 640
 
 
@@ -146,14 +150,14 @@ def test_project_edge_rejects_non_edges():
 def test_lift_walk_empty():
     g = triangle()
     td = spanning_tree(g, "dfs", 0)
-    assert lift_walk(g, td, [], (1, 0)) == [(1, 0)]
+    assert lift_walk(td, [], (1, 0)) == [(1, 0)]
 
 
 def test_lift_walk_backtracked_cotree_edge_cancels():
     g = triangle()
     td = spanning_tree(g, "dfs", 0)
     walk = [2, 2]  # cotree edge there and back
-    out = lift_walk(g, td, walk, (2, 0))
+    out = lift_walk(td, walk, (2, 0))
     assert out == [(2, 0), (0, 1), (2, 0)]
 
 
@@ -172,7 +176,7 @@ def test_lift_walk_fundamental_cycle_flips_one_bit():
         u, v = g.edges[eid]
         # fundamental cycle: u -> root -> v along the tree, then the cotree edge
         walk = path_to_root(u) + path_to_root(v)[::-1] + [eid]
-        out = lift_walk(g, td, walk, (u, 0))
+        out = lift_walk(td, walk, (u, 0))
         assert out[-1] == (u, 1 << i)
 
 
@@ -180,7 +184,7 @@ def test_lift_walk_rejects_inconsistent():
     g = triangle()
     td = spanning_tree(g)
     with pytest.raises(GraphError):
-        lift_walk(g, td, [1], (0, 0))  # edge 12 does not touch vertex 0
+        lift_walk(td, [1], (0, 0))  # edge 12 does not touch vertex 0
 
 
 def test_backtracking_is_preserved_on_random_walks():
@@ -198,7 +202,7 @@ def test_backtracking_is_preserved_on_random_walks():
         k = rng.randrange(len(walk))
         # splice in a there-and-back traversal of edge k: two forced backtracks
         walk = walk[: k + 1] + [walk[k], walk[k]] + walk[k + 1 :]
-        out = lift_walk(g, td, walk, (u, 0))
+        out = lift_walk(td, walk, (u, 0))
         assert out[k + 2] == out[k]  # lifted walk backtracks at the same spot
         assert out[k + 3] == out[k + 1]
 
@@ -206,20 +210,13 @@ def test_backtracking_is_preserved_on_random_walks():
 # --- translations ------------------------------------------------------------------
 
 
-def test_translate_identity_and_involution():
-    lg = petersen_lift()
-    x = lg.encode(4, 0b10110)
-    assert lg.translate(x, 0) == x
-    g = 0b001011
-    assert lg.translate(lg.translate(x, g), g) == x
-
-
 def test_translate_is_automorphism_on_all_petersen_vertices():
+    # the label translation (u, f) -> (u, f ^ gvec) is x ^ gvec
     lg = petersen_lift()
     for gvec in (1, 0b100000, 0b101011):
         for x in range(640):
-            img = sorted(lg.translate(y, gvec) for y in lg.neighbors(x))
-            assert img == sorted(lg.neighbors(lg.translate(x, gvec)))
+            img = sorted(y ^ gvec for y in lg.neighbors(x))
+            assert img == sorted(lg.neighbors(x ^ gvec))
 
 
 # --- metric structure ----------------------------------------------------------------
@@ -238,14 +235,14 @@ def test_symmetry_reduced_distances_match_direct_bfs():
 def test_girth_never_drops_below_base():
     for spec in (FamilySpec.cycle(5), FamilySpec.named("petersen"), FamilySpec.named("k4")):
         g = make(spec)
-        lg = build_lift(g, spanning_tree(g))
+        lg = build_lift(spanning_tree(g))
         assert lifted_girth(lg, tables_of(lg)) >= girth(g)
 
 
 def test_lift_of_tree_is_itself():
     g = build_graph(4, [(0, 1), (1, 2), (1, 3)])
     td = spanning_tree(g)
-    lg = build_lift(g, td)
+    lg = build_lift(td)
     assert lg.s == 0 and lg.num_vertices == 4
     assert lifted_girth(lg, tables_of(lg)) == math.inf
 
@@ -282,18 +279,18 @@ ENGINE_SPECS = (
 @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=lambda spec: spec.describe())
 def test_engine_rows_equal_scalar_bfs(spec):
     g = make(spec)
-    tables = assert_rows_match_bfs(build_lift(g, spanning_tree(g)))
+    tables = assert_rows_match_bfs(build_lift(spanning_tree(g)))
     assert all(isinstance(row, bytes) for row in tables.rows)
 
 
 def test_engine_on_every_petersen_fault_with_a_multi_bit_mask():
     g = load_named("petersen")
     td = spanning_tree(g)
-    s = len(td.cotree)
+    s = td.num_coords
     connected = disconnected = 0
     for eid in range(g.m):
         for extra in (0b11, 0b101, 0b110, (1 << s) - 1):
-            lg = fault_lift(g, td, (eid, extra))
+            lg = LiftedGraph(td, (eid, extra))
             if bfs_lifted(lg, 0).count(-1):
                 disconnected += 1
                 with pytest.raises(GraphError, match="lift is not connected"):
@@ -306,7 +303,7 @@ def test_engine_on_every_petersen_fault_with_a_multi_bit_mask():
 
 def test_engine_rows_widen_past_a_byte():
     # the lift of C_300 is C_600, diameter 300: rows need 16-bit lanes
-    lg = build_lift(cycle(300), spanning_tree(cycle(300)))
+    lg = build_lift(spanning_tree(cycle(300)))
     tables = assert_rows_match_bfs(lg)
     assert all(row.typecode == "H" for row in tables.rows)
     assert lifted_diameter(lg, tables) == 300
@@ -332,12 +329,12 @@ def test_engine_rejects_disconnected_fault_lift():
     g = load_named("petersen")
     # the fault turns edge 2's coordinate-0 flip into a coordinate-1 flip; no
     # edge flips coordinate 0 any more, so half the labels are never reached
-    lg = fault_lift(g, spanning_tree(g), (2, 0b11))
+    lg = LiftedGraph(spanning_tree(g), (2, 0b11))
     assert bfs_lifted(lg, 0).count(-1) == lg.num_vertices // 2
     with pytest.raises(GraphError, match="lift is not connected"):
         tables_of(lg)
     with pytest.raises(GraphError, match="constructed lift is not connected"):
-        build_lift(g, spanning_tree(g), fault=(2, 0b11))
+        build_lift(spanning_tree(g), fault=(2, 0b11))
 
 
 @pytest.mark.parametrize(
@@ -348,7 +345,7 @@ def test_engine_rejects_disconnected_fault_lift():
 )
 def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
     g = make(spec)
-    lg = build_lift(g, spanning_tree(g))
+    lg = build_lift(spanning_tree(g))
     tables = tables_of(lg)
     best, pair = -1, None
     for u in range(g.n):
@@ -365,7 +362,7 @@ def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
 def petersen_fault_lift():
     # no edge flips coordinate 0 any more: labels split into two components
     g = load_named("petersen")
-    return fault_lift(g, spanning_tree(g), (2, 0b11))
+    return LiftedGraph(spanning_tree(g), (2, 0b11))
 
 
 def test_hops_spell_the_neighbour_lists():
@@ -378,8 +375,8 @@ def test_hops_spell_the_neighbour_lists():
 @pytest.mark.parametrize("tree", ["bfs", "dfs"])
 def test_scalar_bfs_equals_bfs_of_the_materialised_lift(tree):
     g = load_named("petersen")
-    for lg in (build_lift(g, spanning_tree(g, tree)), petersen_fault_lift()):
-        h = parse_edge_list(lift_edge_list_text(lg))
+    for lg in (build_lift(spanning_tree(g, tree)), petersen_fault_lift()):
+        h = parse_edge_list("".join(lift_edge_list_text(lg)))
         for x in range(0, lg.num_vertices, 23):
             assert bfs_lifted(lg, x) == bfs_distances(h, x)
 
@@ -388,7 +385,7 @@ def test_scalar_bfs_equals_bfs_of_the_materialised_lift(tree):
 @pytest.mark.parametrize("name", ["k4", "cycle:5", "petersen"])
 def test_two_sided_search_equals_bfs_on_every_ordered_pair(name, tree):
     g = make(parse_family(name))
-    lg = build_lift(g, spanning_tree(g, tree))
+    lg = build_lift(spanning_tree(g, tree))
     rng = random.Random(name)
     for x in range(lg.num_vertices):
         targets = list(range(lg.num_vertices))
@@ -413,7 +410,7 @@ def seeded_targets(lg, x, dist, rng):
 )
 def test_two_sided_search_equals_bfs_on_seeded_pools(spec, monkeypatch):
     g = make(spec)
-    lg = build_lift(g, spanning_tree(g))
+    lg = build_lift(spanning_tree(g))
     rng = random.Random(spec.describe())
     grow = lift_mod._grow
     shared = []  # levels added to the ball around the current source x
@@ -448,7 +445,7 @@ def test_two_sided_search_finds_no_path_across_components():
 
 
 def assert_girth_matches_materialised_lift(lg):
-    assert lifted_girth(lg, tables_of(lg)) == girth(parse_edge_list(lift_edge_list_text(lg)))
+    assert lifted_girth(lg, tables_of(lg)) == girth(parse_edge_list("".join(lift_edge_list_text(lg))))
 
 
 GIRTH_CASES = (
@@ -465,7 +462,7 @@ GIRTH_CASES = (
 )
 def test_engine_girth_equals_girth_of_the_materialised_lift(spec, tree):
     g = make(spec)
-    assert_girth_matches_materialised_lift(build_lift(g, spanning_tree(g, tree)))
+    assert_girth_matches_materialised_lift(build_lift(spanning_tree(g, tree)))
 
 
 @pytest.mark.parametrize("extra", [0b11, 0b101])
@@ -474,7 +471,7 @@ def test_engine_girth_on_every_connected_petersen_fault_lift(extra):
     td = spanning_tree(g)
     connected = 0
     for eid in range(g.m):
-        lg = fault_lift(g, td, (eid, extra))
+        lg = LiftedGraph(td, (eid, extra))
         if bfs_lifted(lg, 0).count(-1) == 0:
             connected += 1
             assert_girth_matches_materialised_lift(lg)
@@ -483,7 +480,7 @@ def test_engine_girth_on_every_connected_petersen_fault_lift(extra):
 
 def test_lifted_girth_runs_no_scalar_bfs(monkeypatch):
     g = load_named("heawood")
-    lg = build_lift(g, spanning_tree(g))
+    lg = build_lift(spanning_tree(g))
     calls = []
 
     def counting_bfs(lg, source):
@@ -502,8 +499,8 @@ def test_lifted_girth_runs_no_scalar_bfs(monkeypatch):
 def test_materialized_lift_round_trips():
     g = triangle()
     td = spanning_tree(g, "dfs", 0)
-    lg = build_lift(g, td)
-    h = parse_edge_list(lift_edge_list_text(lg))
+    lg = build_lift(td)
+    h = parse_edge_list("".join(lift_edge_list_text(lg)))
     assert h.n == 6 and h.m == 6
     assert is_connected(h) and h.regularity() == 2
     assert girth(h) == 6
@@ -512,8 +509,8 @@ def test_materialized_lift_round_trips():
 def test_mapping_sidecar_format():
     g = triangle()
     td = spanning_tree(g, "dfs", 0)
-    lg = build_lift(g, td)
-    lines = lift_mapping_text(lg).splitlines()
+    lg = build_lift(td)
+    lines = "".join(lift_mapping_text(lg)).splitlines()
     assert lines[0] == "0 0 0"
     assert lines[1] == "1 0 1"
     assert lines[5] == "5 2 1"
@@ -521,5 +518,5 @@ def test_mapping_sidecar_format():
 
 def test_materialized_petersen_girth_matches_on_demand():
     lg = petersen_lift()
-    h = parse_edge_list(lift_edge_list_text(lg))
+    h = parse_edge_list("".join(lift_edge_list_text(lg)))
     assert girth(h) == lifted_girth(lg, tables_of(lg))

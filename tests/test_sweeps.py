@@ -16,7 +16,7 @@ from treelift.walks import PathRebuildError, shortest_lifted_path
 
 def lift_of(spec):
     g = make(spec)
-    return build_lift(g, spanning_tree(g))
+    return build_lift(spanning_tree(g))
 
 
 def raise_one_entry(lg, tables):

@@ -24,7 +24,7 @@ from treelift.walks import (
 
 def triangle_lift():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    return build_lift(g, spanning_tree(g, "dfs", 0))
+    return build_lift(spanning_tree(g, "dfs", 0))
 
 
 def tables_of(lg):
@@ -41,7 +41,7 @@ def petersen_lift(strategy, root, faulty):
     ``verify --fault-inject`` (the lift stays connected)."""
     g = load_named("petersen")
     td = spanning_tree(g, strategy, root)
-    lg = build_lift(g, td, fault=(td.cotree[0], 1 << 1) if faulty else None)
+    lg = build_lift(td, fault=(td.cotree[0], 1 << 1) if faulty else None)
     table = embed(lg)
     return lg, table, representative_tables(lg, table)
 
@@ -311,7 +311,7 @@ def test_verify_all_on_sampled_petersen_pairs():
 
 def test_verify_all_on_k4_exhaustive():
     g = load_named("k4")
-    lg = build_lift(g, spanning_tree(g))
+    lg = build_lift(spanning_tree(g))
     t = embed(lg)
     tables = representative_tables(lg, t)
     for x, y, _ in iter_orbit_reps(lg):

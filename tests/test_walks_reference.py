@@ -22,7 +22,7 @@ from treelift.embedding import embed
 from treelift.families import load_named
 from treelift.graph import Graph, bridges_and_2ecc, spanning_tree
 from treelift.lift import build_lift, iter_orbit_reps, lift_walk, representative_tables
-from treelift.report import csv_collector, sweep_block, to_csv_text, to_json_bytes
+from treelift.report import CSV_HEADER, csv_collector, sweep_block, to_json_bytes
 from treelift.sweeps import verdict_sweep
 from treelift.walks import VERDICT_NAMES, WalkAnalysis, analyze, verify_all
 
@@ -184,7 +184,7 @@ def reference_component_girth(wa, base_girth):
 
 def reference_relift(lg, wa):
     projected = [lg.project_edge(a, b) for a, b in zip(wa.path, wa.path[1:])]
-    end = lift_walk(lg.base, lg.td, projected, lg.decode(wa.x))[-1]
+    end = lift_walk(lg.td, projected, lg.decode(wa.x))[-1]
     want = lg.decode(wa.y)
     return [] if end == want else [f"re-lifted walk ends at {end}, expected {want}"]
 
@@ -230,7 +230,7 @@ def bundle(name):
     td = spanning_tree(g)
     # the fault `verify --fault-inject` plants; the lift stays connected
     fault = (td.cotree[0], 1 << 1) if base != name else None
-    lg = build_lift(g, td, fault=fault)
+    lg = build_lift(td, fault=fault)
     return lg, embed(lg), *{"k4": (3, 1), "petersen": (5, 2)}[base]
 
 
@@ -302,17 +302,17 @@ def test_analyze_builds_one_graph_and_one_bridge_decomposition_per_orbit(monkeyp
     # per-orbit boundary stays visible only while analyze calls both by name;
     # the sweep is fed every translation orbit, not only one per group orbit
     g = load_named("k4")
-    lg = build_lift(g, spanning_tree(g))
+    lg = build_lift(spanning_tree(g))
     table = embed(lg)
     tables = representative_tables(lg, table)
     family = list(iter_orbit_reps(lg))
 
     def sweep():
-        rows = []
+        rows = [CSV_HEADER]
         collect = csv_collector(lg, rows)
         result = verdict_sweep(lg, table, tables, 3, 1, pairs=family, collect=collect)
         block = sweep_block(result, None, None)
-        return result, to_json_bytes(block), to_csv_text(rows)
+        return result, to_json_bytes(block), "".join(rows)
 
     _, want, want_csv = sweep()
     calls = {"Graph": 0, "bridges_and_2ecc": 0}
