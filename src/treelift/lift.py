@@ -110,18 +110,6 @@ class LiftedGraph:
     def decode(self, x):
         return x >> self.s, x & self.mask
 
-    def project_vertex(self, x):
-        return x >> self.s
-
-    def project_edge(self, x, y):
-        """Base edge id of a lifted edge, validating that (x, y) really is one."""
-        u, f = self.decode(x)
-        v, h = self.decode(y)
-        eid = self.base.edge_between(u, v)
-        if eid is None or f ^ h != self.rule[eid]:
-            raise GraphError(f"({x}, {y}) is not an edge of the lift")
-        return eid
-
     def neighbors(self, x):
         """Neighbor list of x, ordered by base edge id (the order of ``hops``)."""
         f = x & self.mask
@@ -465,26 +453,6 @@ def representative_tables(lg, table):
 def lifted_distance(lg, tables, x, y):
     """Distance via the symmetry-reduced tables."""
     return tables[x >> lg.s][y ^ (x & lg.mask)]
-
-
-def iter_orbit_reps(lg):
-    """Canonical representatives of unordered vertex pairs under label translation.
-
-    Translating both endpoints by the first endpoint's label maps any pair
-    {(u,f),(v,h)} to {(u,0),(v,f^h)}, so the representatives are exactly the
-    encoded pairs (x, y) with x = (u, 0) and y > x.  Yields (x, y, covered)
-    where covered is the orbit size: 2^s when the bases differ, 2^(s-1) for
-    pairs within one fiber (translation by f^h swaps the endpoints).
-    """
-    s = lg.s
-    nn = lg.num_vertices
-    full = 1 << s
-    half = full >> 1 if s else 1
-    for u in range(lg.base.n):
-        x = u << s
-        fiber_end = x + full
-        for y in range(x + 1, nn):
-            yield x, y, (half if y < fiber_end else full)
 
 
 def orbit_rep(lg, x, y):

@@ -14,10 +14,17 @@ of the image pair, with the same projection up to alpha, hence the same
 counters and verdicts.  The image is not always the image pair's own
 canonical path, so in exhaustive mode each pair is covered by an
 automorphic image of a verified canonical path.  The group walk lists the
-smallest translation representative of each group orbit, with one mark row
-of nn bytes per source it walks, not one per base vertex.  Spot checks in
-the test suite re-derive sampled pairs directly, and compare the group sweep
-with the translation sweep, to guard both reductions.
+smallest translation representative of each group orbit.  It walks only the
+sources (r, 0) with r the smallest of its Aut(G) vertex orbit, and finds the
+rest of an orbit's pairs at (r, 0) from two cosets alone: the elements that
+fix r, and those that take the target's base into r, which swap the ends.
+Each orbit thus costs |Stab(r)| + |coset| images, not |Aut(G)|, needs no
+translation canonicalising, and is marked only in its own source's nn-byte
+row; ``covered`` is the number of marked targets times the size of the
+orbit of (r, 0), halved when both ends lie in r's vertex orbit.  Spot checks
+in the test suite re-derive sampled pairs directly, compare the group sweep
+with the translation sweep, and the group walk with the image-set walk it
+replaced, to guard both reductions.
 
 The whole-lift checks are certified exactly at every lift size, with no
 sampling.  A lifted edge over base edge e must flip side bit e and nothing
@@ -62,45 +69,43 @@ def group_orbit_reps(lg, group):
     pairs: its smallest canonical translation representative and the number
     of pairs in the orbit, in canonical order.
 
-    ``group`` holds the lifted automorphisms of ``voltage.lifted_group``;
-    with the translations they generate the group.  A smallest pair starts
-    at a vertex (u, 0) with u the smallest of its Aut(G) vertex orbit (an
-    image with a smaller endpoint base would have a smaller representative),
-    so only those sources are walked, each keeping one nn-byte mark row.
-    Their translation representatives are walked in order, skipping those
-    already marked, so each one reached is the smallest of a new orbit.
-    Every element maps it to a pair whose translation orbit (``orbit_rep``)
-    joins the orbit's image set; ``covered`` is the size of that set times
-    the size of each translation orbit in it, and the images that start at
-    a walked source are marked in its row.
+    ``group`` holds the lifted automorphisms of ``voltage.lifted_group``.
+    home[v] is the smallest alpha(v), and only sources r = home[r] are
+    walked, each with one nn-byte mark row.  A target y = (v, f) that is
+    marked, or has home[v] < r (its orbit starts at a smaller source), is
+    skipped; any other is the smallest pair of a new orbit.  That orbit's
+    pairs at (r, 0) come from the elements that fix r, giving (alpha(v), h),
+    and from those that take v into r, swapping the ends and giving
+    (alpha(r), h): the far end is the larger base, and h = A.f ^ p(v) ^ p(r).
+    These targets are marked.  Every vertex of the orbit of (r, 0), |Aut.r| *
+    2^s of them, has as many, so ``covered`` is their number times that
+    size, halved when home[v] == r, since each pair is then counted from
+    both of its ends.
     """
     s = lg.s
-    nn = lg.num_vertices
-    full = 1 << s
-    half = full >> 1 if s else 1
-    walked = [u for u in range(lg.base.n) if all(phi.alpha[u] >= u for phi in group)]
-    marks = {u: bytearray(nn) for u in walked}
-    for u in walked:
-        x = u << s
-        row = marks[u]
-        for y in range(x + 1, nn):
-            if row[y]:
-                continue
+    home = [min(alpha[v] for alpha, _, _ in group) for v in range(lg.base.n)]
+    for r in (r for r in range(lg.base.n) if home[r] == r):
+        x = r << s
+        row = bytearray(lg.num_vertices)
+        into = {}  # v -> the elements with alpha(v) == r
+        for phi in group:
+            into.setdefault(phi.alpha.index(r), []).append(phi)
+        size = len(group) // len(into[r]) << s
+        for y in range(x + 1, lg.num_vertices):
             v = y >> s
+            if row[y] or home[v] < r:
+                continue
             bits = [i for i in range(s) if y >> i & 1]
-            images = set()
-            # A.f spelled inline: a voltage.linear call per image made the walk 30-40 % slower
-            for alpha, cols, pot in group:
-                h = pot[v]  # A.f ^ p(v), f the label of y
+            targets = set()
+            # A.f spelled inline: voltage.linear per image made the Tutte-Coxeter walk 1.7x slower
+            for alpha, cols, pot in into[r] if v == r else into[r] + into.get(v, []):
+                h = pot[v] ^ pot[r]
                 for i in bits:
                     h ^= cols[i]
-                images.add(orbit_rep(lg, alpha[u] << s | pot[u], alpha[v] << s | h))
-            for rx, ry in images:
-                seen = marks.get(rx >> s)
-                if seen is not None:
-                    seen[ry] = 1
-            # alpha is a bijection: every image lies within one fiber iff (x, y) does
-            yield x, y, len(images) * (half if u == v else full)
+                targets.add(max(alpha[r], alpha[v]) << s | h)
+            for t in targets:
+                row[t] = 1
+            yield x, y, len(targets) * size >> (home[v] == r)
 
 
 def _no_path(x, y, exc):

@@ -55,11 +55,6 @@ class LiftedAutomorphism(NamedTuple):
     cols: tuple
     pot: tuple
 
-    def image(self, lg, x):
-        """phi of the encoded lifted vertex x."""
-        u = x >> lg.s
-        return self.alpha[u] << lg.s | linear(self.cols, x & lg.mask) ^ self.pot[u]
-
 
 def linear(values, mask):
     """The XOR of ``values[i]`` over the set bits i of ``mask``: over GF(2),

@@ -18,13 +18,14 @@ from treelift.lift import (
     bfs_lifted,
     build_lift,
     diameter_witness,
-    iter_orbit_reps,
     lifted_distance,
     orbit_rep,
     representative_tables,
     sample_pair_list,
 )
 from treelift.sweeps import cut_partition_check, degree_preservation_check
+
+from lift_reference import iter_orbit_reps
 
 # --- independent oracle: 2-color the lift after deleting one fiber -----------
 

@@ -1,7 +1,9 @@
 """The exhaustive sweep's reduction by the lifted automorphism group.
 
-The reference is the translation-only sweep: the sampled path of
-``verdict_sweep`` fed every translation representative.
+The reference sweep is the translation-only one: the sampled path of
+``verdict_sweep`` fed every translation representative.  The reference
+stream of the group walk is the image-set walk of
+``lift_reference.reference_group_orbit_reps``.
 """
 
 import builtins
@@ -16,7 +18,6 @@ from treelift.families import FamilySpec, make, parse_family
 from treelift.graph import Graph, diameter, girth, spanning_tree
 from treelift.lift import (
     build_lift,
-    iter_orbit_reps,
     lifted_distance,
     orbit_rep,
     representative_tables,
@@ -32,6 +33,8 @@ from treelift.voltage import (
     symmetry_applies,
 )
 from treelift.walks import analyze, shortest_lifted_path
+
+from lift_reference import image, iter_orbit_reps, project_edge, reference_group_orbit_reps
 
 COUNTERS = (
     "path_len",
@@ -49,11 +52,30 @@ AUT_ORDERS = {"k4": 24, "cycle:6": 12, "petersen": 120, "heawood": 336}
 DELETED = {"petersen-0": (12, [0, 1], 81, 711), "heawood-0": (24, [0, 1, 2], 305, 5811)}
 #: a cubic graph with no automorphism but the identity
 RIGID = FamilySpec.random_regular(12, 3, seed=6)
+#: bases no family string names
+OTHER_BASES = {
+    "k33": Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    "path:5": Graph(5, [(i, i + 1) for i in range(4)]),  # a tree: s = 0
+    "rigid": make(RIGID),
+}
+#: |Aut| of the further bases the group walk is checked on; "+fault" lifts
+#: with the fault of verify --fault-inject, which keeps the trivial group
+WALK_ORDERS = {
+    "pappus": 216,
+    "k33": 72,
+    "path:5": 2,
+    "rigid": 1,
+    "petersen+fault": 1,
+    "mcgee": 32,
+}
 
 
 def base_graph(name):
-    """The family ``name``, or with a "-0" suffix that family less vertex 0
-    (the other vertices renumbered down by one, edges kept in order)."""
+    """The family ``name``, a base of ``OTHER_BASES``, or with a "-0" suffix
+    that family less vertex 0 (the other vertices renumbered down by one,
+    edges kept in order)."""
+    if name in OTHER_BASES:
+        return OTHER_BASES[name]
     if name.endswith("-0"):
         g = make(parse_family(name[:-2]))
         return Graph(g.n - 1, [(u - 1, v - 1) for u, v in g.edges if u and v])
@@ -78,17 +100,37 @@ def sweep_with_rows(lg, table, tables, pairs):
 
 
 CASES = [(name, tree) for name in (*AUT_ORDERS, *DELETED) for tree in ("bfs", "dfs")]
+#: the reference group walk takes about 3 s on McGee, so it runs on one tree
+WALK_CASES = [
+    *CASES,
+    *((name, tree) for name in WALK_ORDERS if name != "mcgee" for tree in ("bfs", "dfs")),
+    ("mcgee", "bfs"),
+]
 
 
 @pytest.fixture(scope="module")
-def swept():
+def lifted():
+    """(lift, table, tables, lifted group) per case, built once."""
+    cache = {}
+
+    def get(name, tree):
+        if (name, tree) not in cache:
+            base, _, fault = name.partition("+")
+            lg, table, tables = lift_of(base_graph(base), tree, 1 << 1 if fault else None)
+            cache[name, tree] = lg, table, tables, lifted_group(lg, table)
+        return cache[name, tree]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def swept(lifted):
     """(lift, table, tables, group sweep, its rows, reference sweep) per case, built once."""
     cache = {}
 
     def get(name, tree):
         if (name, tree) not in cache:
-            lg, table, tables = lift_of(base_graph(name), tree)
-            group = lifted_group(lg, table)
+            lg, table, tables, group = lifted(name, tree)
             result, rows = sweep_with_rows(lg, table, tables, group_orbit_reps(lg, group))
             reference, _ = sweep_with_rows(lg, table, tables, list(iter_orbit_reps(lg)))
             cache[name, tree] = lg, table, tables, result, rows, reference
@@ -139,22 +181,30 @@ def test_images_of_verified_paths_cover_every_translation_orbit(swept, name, tre
         wa = analyze(lg, path)
         analyses[x, y] = path, [getattr(wa, c) for c in COUNTERS]
         for phi in group:
-            key = orbit_rep(lg, phi.image(lg, x), phi.image(lg, y))
+            key = orbit_rep(lg, image(phi, lg, x), image(phi, lg, y))
             cover.setdefault(key, (x, y, phi))
     assert cover.keys() == {(x, y) for x, y, _ in iter_orbit_reps(lg)}
     for (rx, ry), (x, y, phi) in cover.items():
         path, counters = analyses[x, y]
-        image = [phi.image(lg, z) for z in path]
-        if image[0] >> s > image[-1] >> s:
-            image.reverse()
-        shift = image[0] & mask
-        image = [z ^ shift for z in image]
-        assert (image[0], image[-1]) == (rx, ry)
-        for a, b in zip(image, image[1:]):
-            lg.project_edge(a, b)  # raises unless (a, b) is a lifted edge
-        assert len(image) - 1 == lifted_distance(lg, tables, rx, ry)
-        got = analyze(lg, image)
+        mapped = [image(phi, lg, z) for z in path]
+        if mapped[0] >> s > mapped[-1] >> s:
+            mapped.reverse()
+        shift = mapped[0] & mask
+        mapped = [z ^ shift for z in mapped]
+        assert (mapped[0], mapped[-1]) == (rx, ry)
+        for a, b in zip(mapped, mapped[1:]):
+            project_edge(lg, a, b)  # raises unless (a, b) is a lifted edge
+        assert len(mapped) - 1 == lifted_distance(lg, tables, rx, ry)
+        got = analyze(lg, mapped)
         assert [getattr(got, c) for c in COUNTERS] == counters, (rx, ry)
+
+
+@pytest.mark.parametrize("name,tree", WALK_CASES)
+def test_the_stabilizer_walk_lists_the_reference_stream(lifted, name, tree):
+    lg, _, _, group = lifted(name, tree)
+    orders = {**AUT_ORDERS, **WALK_ORDERS}
+    assert len(group) == (orders[name] if name in orders else DELETED[name][0])
+    assert list(group_orbit_reps(lg, group)) == list(reference_group_orbit_reps(lg, group))
 
 
 @pytest.mark.parametrize("name", sorted(DELETED))

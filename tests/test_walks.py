@@ -8,7 +8,6 @@ from treelift.families import load_named, make, FamilySpec
 from treelift.graph import GraphError, build_graph, diameter, girth, spanning_tree
 from treelift.lift import (
     build_lift,
-    iter_orbit_reps,
     representative_tables,
     sample_pair_list,
 )
@@ -20,6 +19,8 @@ from treelift.walks import (
     shortest_lifted_path,
     verify_all,
 )
+
+from lift_reference import iter_orbit_reps
 
 
 def triangle_lift():

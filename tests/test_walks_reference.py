@@ -21,17 +21,19 @@ import treelift.walks as walks
 from treelift.embedding import embed
 from treelift.families import load_named
 from treelift.graph import Graph, bridges_and_2ecc, spanning_tree
-from treelift.lift import build_lift, iter_orbit_reps, lift_walk, representative_tables
+from treelift.lift import build_lift, lift_walk, representative_tables
 from treelift.report import CSV_HEADER, csv_collector, sweep_block, to_json_bytes
 from treelift.sweeps import verdict_sweep
 from treelift.walks import VERDICT_NAMES, WalkAnalysis, analyze, verify_all
+
+from lift_reference import iter_orbit_reps, project_edge, project_vertex
 
 
 def reference_analyze(lg, path):
     g = lg.base
     mult = {}
     for a, b in zip(path, path[1:]):
-        eid = lg.project_edge(a, b)
+        eid = project_edge(lg, a, b)
         mult[eid] = mult.get(eid, 0) + 1
     induced_edges = tuple(sorted(mult))
     verts = sorted({v for eid in induced_edges for v in g.edges[eid]})
@@ -93,7 +95,7 @@ def reference_analyze(lg, path):
 
 
 def reference_euler_parity(lg, wa):
-    ends = (lg.project_vertex(wa.x), lg.project_vertex(wa.y))
+    ends = (project_vertex(lg, wa.x), project_vertex(lg, wa.y))
     bad = []
     for i, v in enumerate(wa.induced_vertices):
         deg = sum(wa.multiplicity[wa.induced_edges[eid]] for _, eid in wa.induced.adj[i])
@@ -167,7 +169,7 @@ def reference_accounting(wa, table, base_girth, base_diam):
 
 
 def reference_endpoint_degrees(lg, wa):
-    ends = (lg.project_vertex(wa.x), lg.project_vertex(wa.y))
+    ends = (project_vertex(lg, wa.x), project_vertex(lg, wa.y))
     return [
         f"vertex {v} has degree 1 in the induced subgraph but is not an endpoint"
         for i, v in enumerate(wa.induced_vertices)
@@ -183,7 +185,7 @@ def reference_component_girth(wa, base_girth):
 
 
 def reference_relift(lg, wa):
-    projected = [lg.project_edge(a, b) for a, b in zip(wa.path, wa.path[1:])]
+    projected = [project_edge(lg, a, b) for a, b in zip(wa.path, wa.path[1:])]
     end = lift_walk(lg.td, projected, lg.decode(wa.x))[-1]
     want = lg.decode(wa.y)
     return [] if end == want else [f"re-lifted walk ends at {end}, expected {want}"]
