@@ -9,10 +9,13 @@ files; nothing time- or host-dependent is ever written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import os
 import sys
 import traceback
+from types import SimpleNamespace
 
 from .families import FORMS, GenerationError, check_spec, make, parse_family
 from .graph import GraphError, diameter, girth, load_edge_list, save_edge_list, spanning_tree
@@ -22,7 +25,14 @@ from .lift import (
     lift_edge_list_text,
     lift_mapping_text,
 )
-from .report import CSV_HEADER, base_block, run_analysis, run_verify_instance, to_json_bytes
+from .report import (
+    CSV_HEADER,
+    base_block,
+    resolve_policy,
+    run_analysis,
+    run_verify_instance,
+    to_json_bytes,
+)
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -74,14 +84,39 @@ def parse_pairs_arg(text):
     raise GraphError(f"bad --pairs value {text!r}: expected auto, exhaustive or sample:COUNT")
 
 
-def write_text(path, blocks):
-    """Write the text ``blocks`` one after another to ``path`` (stdout if
-    None): the one writer of every output, which never joins its blocks."""
+@contextlib.contextmanager
+def output(path):
+    """The open text stream of an output: stdout if ``path`` is None, else a
+    new file beside ``path``, renamed onto it when the block finishes and
+    removed if the block raises, so a failed run leaves no partial file.
+
+    The file is created on entry, so a missing directory fails there.
+    """
     if path is None:
-        sys.stdout.writelines(blocks)
+        yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(blocks)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        fh = open(temp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the output, not its temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
+
+
+def write_text(out, blocks):
+    """Write the text ``blocks`` one after another to ``out``, an open
+    ``output``: the one writer of every output, which never joins its blocks."""
+    out.writelines(blocks)
 
 
 def cmd_gen(args):
@@ -109,9 +144,11 @@ def cmd_gen(args):
 def cmd_lift(args):
     td = spanning_tree(load_edge_list(args.input), args.tree, args.root)
     lg = build_lift(td, max_vertices=args.max_vertices)
-    write_text(args.output, lift_edge_list_text(lg))
+    with output(args.output) as out:
+        write_text(out, lift_edge_list_text(lg))
     if args.mapping:
-        write_text(args.mapping, lift_mapping_text(lg))
+        with output(args.mapping) as out:
+            write_text(out, lift_mapping_text(lg))
     print(
         f"lift: {lg.num_vertices} vertices, {lg.num_edges} edges, "
         f"{lg.s} label coordinates (tree={args.tree}, root={args.root})"
@@ -122,23 +159,31 @@ def cmd_lift(args):
 def cmd_analyze(args):
     g = load_edge_list(args.input)
     pairs = parse_pairs_arg(args.pairs)
-    rows = [CSV_HEADER] if args.format == "csv" else None
-    ctx = run_analysis(
-        g,
-        tree_strategy=args.tree,
-        root=args.root,
-        max_vertices=args.max_vertices,
-        pairs=pairs,
-        seed=args.seed,
-        csv_rows=rows,
-    )
-    report = ctx.report
-    report["config"]["input"] = args.input
-    report["schema"] = "treelift-report-v3"
-    if args.format == "json":
-        write_text(args.output, [to_json_bytes(report).decode("ascii")])
-    else:
-        write_text(args.output, rows)
+    # refuse a bad policy before the output is opened, and a bad output
+    # before the lift is built
+    td = spanning_tree(g, args.tree, args.root)
+    resolve_policy(g.n << len(td.cotree), pairs, args.seed)
+    with output(args.output) as out:
+        rows = None
+        if args.format == "csv":
+            write_text(out, [CSV_HEADER])
+            # each line goes out as the sweep finishes it
+            rows = SimpleNamespace(append=lambda line: write_text(out, (line,)))
+        ctx = run_analysis(
+            g,
+            tree_strategy=args.tree,
+            root=args.root,
+            max_vertices=args.max_vertices,
+            pairs=pairs,
+            seed=args.seed,
+            csv_rows=rows,
+            td=td,
+        )
+        report = ctx.report
+        report["config"]["input"] = args.input
+        report["schema"] = "treelift-report-v3"
+        if args.format == "json":
+            write_text(out, [to_json_bytes(report).decode("ascii")])
     summary = "PASS" if report["all_pass"] else "FAIL"
     print(
         f"analyze {args.input}: {summary} "
@@ -179,54 +224,56 @@ def instance_graphs(args):
 
 def cmd_verify(args):
     pairs = parse_pairs_arg(args.pairs)
-    instances = []
-    all_pass = True
-    for label, g, fault in instance_graphs(args):
-        ctx = run_verify_instance(
-            label,
-            g,
-            tree_strategy=args.tree,
-            max_vertices=args.max_vertices,
-            pairs=pairs,
-            seed=args.seed,
-            oracle_pairs=args.oracle_pairs,
-            fault=fault,
-        )
-        instances.append(ctx.report)
-        ok = ctx.report["all_pass"]
-        all_pass &= ok
-        detail = ""
-        if not ok:
-            failing = [
-                name
-                for name, block in ctx.report.get("checks", {}).items()
-                if not block["pass"]
-            ]
-            if not ctx.report["verdict_sweep"]["all_pass"]:
-                failing.append("verdict_sweep")
-            if not ctx.report["bound"]["distortion_within_bound"]:
-                failing.append("bound")
-            detail = f" ({', '.join(failing)})" if failing else ""
-        print(f"{'PASS' if ok else 'FAIL'} {label}{detail}")
-    report = {
-        "schema": "treelift-verify-v3",
-        "config": {
-            "pair_policy_arg": args.pairs,
-            "seed": args.seed,
-            "instances": args.instances,
-            "random_spec": args.random_spec,
-            "random_count": args.random_count,
-            "girth_min": args.girth_min,
-            "oracle_pairs": args.oracle_pairs,
-            "fault_inject": args.fault_inject,
-            "tree_strategy": args.tree,
-            "max_vertices": args.max_vertices,
-        },
-        "instances": instances,
-        "all_pass": all_pass,
-    }
-    if args.output:
-        write_text(args.output, [to_json_bytes(report).decode("ascii")])
+    graphs = instance_graphs(args)  # every instance is checked before the output is opened
+    with (output(args.output) if args.output else contextlib.nullcontext()) as out:
+        instances = []
+        all_pass = True
+        for label, g, fault in graphs:
+            ctx = run_verify_instance(
+                label,
+                g,
+                tree_strategy=args.tree,
+                max_vertices=args.max_vertices,
+                pairs=pairs,
+                seed=args.seed,
+                oracle_pairs=args.oracle_pairs,
+                fault=fault,
+            )
+            instances.append(ctx.report)
+            ok = ctx.report["all_pass"]
+            all_pass &= ok
+            detail = ""
+            if not ok:
+                failing = [
+                    name
+                    for name, block in ctx.report.get("checks", {}).items()
+                    if not block["pass"]
+                ]
+                if not ctx.report["verdict_sweep"]["all_pass"]:
+                    failing.append("verdict_sweep")
+                if not ctx.report["bound"]["distortion_within_bound"]:
+                    failing.append("bound")
+                detail = f" ({', '.join(failing)})" if failing else ""
+            print(f"{'PASS' if ok else 'FAIL'} {label}{detail}")
+        report = {
+            "schema": "treelift-verify-v3",
+            "config": {
+                "pair_policy_arg": args.pairs,
+                "seed": args.seed,
+                "instances": args.instances,
+                "random_spec": args.random_spec,
+                "random_count": args.random_count,
+                "girth_min": args.girth_min,
+                "oracle_pairs": args.oracle_pairs,
+                "fault_inject": args.fault_inject,
+                "tree_strategy": args.tree,
+                "max_vertices": args.max_vertices,
+            },
+            "instances": instances,
+            "all_pass": all_pass,
+        }
+        if out is not None:
+            write_text(out, [to_json_bytes(report).decode("ascii")])
     print(f"verify: {'PASS' if all_pass else 'FAIL'} ({len(instances)} instances)")
     return EXIT_OK if all_pass else EXIT_VERDICT
 

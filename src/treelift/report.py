@@ -161,6 +161,7 @@ def run_analysis(
     seed=None,
     csv_rows=None,
     fault=None,
+    td=None,
 ):
     """Full pipeline on one base graph: lift, embed, measure, sweep.
 
@@ -170,10 +171,13 @@ def run_analysis(
     ``group_orbit_reps`` when exhaustive, ``sample_pair_list`` when sampled.
     ``resolve_policy`` checks it before the lift is built.  Returns an
     AnalysisContext whose ``report`` field is the JSON-ready dict.  If
-    ``csv_rows`` is a list, the sweep appends one finished CSV line per
-    analysis to it, newline included.
+    ``csv_rows`` is given (a list, or anything with ``append``), the sweep
+    appends one finished CSV line per analysis to it, newline included, as
+    it goes.  ``td`` is g's spanning tree by ``tree_strategy`` and ``root``
+    when the caller has built it already.
     """
-    td = spanning_tree(g, tree_strategy, root)
+    if td is None:
+        td = spanning_tree(g, tree_strategy, root)
     count = resolve_policy(g.n << len(td.cotree), pairs, seed)
     lg = build_lift(td, max_vertices=max_vertices, fault=fault)
     table = embed(lg)

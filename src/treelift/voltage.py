@@ -17,14 +17,14 @@ automorphism exactly when, on every base edge e = (u, v),
 
 and A is invertible (phi is then a bijection taking the m * 2^s lifted edges
 into themselves).  The tree rule and the fundamental cycles are recorded once,
-by ``spanning_tree`` (``TreeDecomposition.rule`` and ``.cycles``), and every
-map here is ``linear``: the XOR of a list of vectors over the set bits of a
-mask.  ``lift_automorphism`` solves the equation: on a tree edge rule[e] = 0,
-so p(v) is the XOR of rule[alpha(e)] over the root path P(v), with p(root) =
-0 (label translations supply every other constant); on the cotree edge c_i =
-(a, b), rule[e] = e_i, so A's column i is rule[alpha(c_i)] ^ p(a) ^ p(b), the
-XOR of rule[alpha(e)] over the fundamental cycle of c_i.  ``certify`` checks
-the equation on all m edges and A's rank, recomputing nothing it checks.
+by ``spanning_tree`` (``TreeDecomposition.rule`` and ``.cycles``).
+``lift_automorphism`` solves the equation down the tree, with mapped[e] =
+rule[alpha(e)]: on a tree edge rule[e] = 0, so p(v) = p(parent) ^
+mapped[e] for the tree edge e from v's parent, taken parents first from
+p(root) = 0 (label translations supply every other constant); on the cotree
+edge c_i = (a, b), rule[e] = e_i, so A's column i is mapped[c_i] ^ p(a) ^
+p(b).  That is O(m) per element.  ``certify`` checks the equation on all m
+edges and A's rank, recomputing nothing it checks.
 
 The verdict sweep may reduce by these automorphisms only when
 ``symmetry_applies``: the lift's rule is the tree rule and every lifted edge
@@ -38,13 +38,16 @@ group.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .graph import bfs_distances
 
 #: work the automorphism search may do before it settles for the trivial
-#: group, in candidate tests weighted by the assigned vertices each is
-#: compared with (Tutte-Coxeter's 1440 automorphisms take about 2.5 million)
+#: group: candidate tests weighted by the placed vertices each is compared
+#: with, and then the group's order times n + m, the work of forming and
+#: lifting its elements (Tutte-Coxeter's search takes about 64,000 and its
+#: 1440 elements 1440 * (30 + 45) = 108,000)
 AUT_SEARCH_BUDGET = 4_000_000
 
 
@@ -70,20 +73,28 @@ def linear(values, mask):
 def base_automorphisms(g):
     """Aut(g) as vertex permutations, sorted, so the identity comes first.
 
-    Backtracking over the vertices in BFS order: each vertex after the first
-    of its component has an earlier neighbour, whose image's neighbours are
-    its candidates.  A candidate must have the same distance profile (the
-    sorted row of distances) and lie at the same distance from each assigned
-    image as the vertex does from its preimage; distance 0 only to itself
-    keeps the images distinct.  A complete assignment is then a
-    distance-preserving bijection, so it maps edges (distance 1) onto edges:
-    an automorphism.  Returns only the identity once the search has done
-    ``AUT_SEARCH_BUDGET`` work.
+    A stabilizer chain along the vertices in BFS order b_0, b_1, ...: each
+    vertex after the first of its component has an earlier neighbour, whose
+    image's neighbours are its candidates.  A candidate must have the same
+    distance profile (the sorted row of distances) and lie at the same
+    distance from each placed image as the vertex does from its preimage;
+    distance 0 only to itself keeps the images distinct.  A complete
+    placement is then a distance-preserving bijection, so it maps edges
+    (distance 1) onto edges: an automorphism.  Level i fixes b_0 .. b_{i-1}
+    and, for each candidate w of b_i, backtracks over the later vertices to
+    the first automorphism taking b_i to w, if there is one.  These coset
+    representatives and the identity form the transversal U_i of G_{i+1} in
+    G_i, the pointwise stabilizers of b_0 .. b_i and of b_0 .. b_{i-1}, so
+    |Aut(g)| is the product of the |U_i| and every automorphism is one
+    product u_0 u_1 ... u_{n-1} (Butler, "Fundamental Algorithms for
+    Permutation Groups", LNCS 559, 1991).  Returns only the identity once
+    the search has done ``AUT_SEARCH_BUDGET`` work, or, before any product
+    is formed, when the order times n + m exceeds it.
     """
     n = g.n
-    identity = [tuple(range(n))]
+    identity = tuple(range(n))
     if n == 0:
-        return identity
+        return [identity]
     adj = [[w for w, _ in nbrs] for nbrs in g.adj]
     dist = [bfs_distances(g, v) for v in range(n)]
     profiles = {}
@@ -102,47 +113,75 @@ def base_automorphisms(g):
                     if via[w] == -2:
                         via[w] = v
                         order.append(w)
-    image = [-1] * n
-    found = []
+    image = list(identity)  # image[t] for t in order[:i] is placed at level i
     tested = 0
 
-    def candidates(v):
+    def candidates(i):
         nonlocal tested
+        v = order[i]
         pool = range(n) if via[v] < 0 else adj[image[via[v]]]
-        placed = [(dist[t][v], image[t]) for t in order[: len(stack)]]
+        placed = [(dist[t][v], image[t]) for t in order[:i]]
         tested += len(pool) * len(placed)
-        return iter(
-            [
-                w
-                for w in pool
-                if kind[w] == kind[v] and all(d == dist[t][w] for d, t in placed)
-            ]
-        )
+        return [w for w in pool if kind[w] == kind[v] and all(d == dist[t][w] for d, t in placed)]
 
-    stack = []  # candidates() reads its depth
-    stack.append(candidates(order[0]))
-    while stack:
-        if tested > AUT_SEARCH_BUDGET:
-            return identity
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
-            continue
-        image[order[len(stack) - 1]] = w
-        if len(stack) == n:
-            found.append(tuple(image))
-        else:
-            stack.append(candidates(order[len(stack)]))
-    return sorted(found)
+    def extend(i, w):
+        """The first automorphism agreeing with ``image`` on order[:i] and
+        taking order[i] to w, or None."""
+        stack = [iter((w,))]
+        while stack and tested <= AUT_SEARCH_BUDGET:
+            w = next(stack[-1], None)
+            if w is None:
+                stack.pop()
+                continue
+            depth = i + len(stack) - 1
+            image[order[depth]] = w
+            if depth == n - 1:
+                return tuple(image)
+            stack.append(iter(candidates(depth + 1)))
+        return None
+
+    transversals = []
+    for i, v in enumerate(order):
+        level = [identity]
+        for w in candidates(i):
+            alpha = extend(i, w) if w != v else None
+            if alpha is not None:
+                level.append(alpha)
+            if tested > AUT_SEARCH_BUDGET:
+                return [identity]
+        image[v] = v
+        if len(level) > 1:
+            transversals.append(level)
+    if math.prod(map(len, transversals)) * (n + g.m) > AUT_SEARCH_BUDGET:
+        return [identity]
+    return sorted(_products(identity, transversals))
 
 
-def lift_automorphism(lg, alpha):
-    """The lift of the base automorphism ``alpha``, with p(root) = 0."""
+def _products(identity, transversals):
+    """Every product u_0 u_1 ... of one element of each transversal, as
+    vertex permutations (u h)(x) = u[h[x]]."""
+    group = [identity]
+    for level in reversed(transversals):
+        group = [tuple(map(u.__getitem__, h)) for u in level for h in group]
+    return group
+
+
+def lift_automorphism(lg, alpha, order):
+    """The lift of the base automorphism ``alpha``, with p(root) = 0;
+    ``order`` lists the base vertices with each parent in the tree before
+    its children."""
     g = lg.base
     mapped = [lg.rule[g.edge_between(alpha[u], alpha[v])] for u, v in g.edges]
-    pot = tuple(linear(mapped, path) for path in lg.td.root_paths)
-    cols = tuple(linear(mapped, cycle) for cycle in lg.td.cycles)
-    return LiftedAutomorphism(tuple(alpha), cols, pot)
+    parent = lg.td.parent
+    pot = [0] * g.n
+    for v in order[1:]:
+        above, eid = parent[v]
+        pot[v] = pot[above] ^ mapped[eid]
+    cols = []
+    for c in lg.td.cotree:
+        a, b = g.edges[c]
+        cols.append(mapped[c] ^ pot[a] ^ pot[b])
+    return LiftedAutomorphism(tuple(alpha), tuple(cols), tuple(pot))
 
 
 def gf2_rank(vectors):
@@ -196,7 +235,8 @@ def lifted_group(lg, table):
     identity = [LiftedAutomorphism(tuple(range(n)), tuple(1 << i for i in range(lg.s)), (0,) * n)]
     if not symmetry_applies(lg, table):
         return identity
-    group = [lift_automorphism(lg, alpha) for alpha in base_automorphisms(lg.base)]
+    order = sorted(range(n), key=lg.td.root_paths.__getitem__)  # a parent's path is a proper subset
+    group = [lift_automorphism(lg, alpha, order) for alpha in base_automorphisms(lg.base)]
     if not all(certify(lg, phi) for phi in group):
         return identity
     return group

@@ -1,4 +1,4 @@
-"""Reference forms of the lift's pair streams and maps, for tests only.
+"""Reference forms of the lift's pair streams, maps and group, for tests only.
 
 ``reference_group_orbit_reps`` is the image-set group walk that
 ``sweeps.group_orbit_reps`` replaced: it maps each new representative by
@@ -7,12 +7,15 @@ it shares nothing with the stabilizer walk but the group itself.
 ``iter_orbit_reps`` lists every translation representative, the stream of
 the translation-only sweep.  ``project_vertex``, ``project_edge`` and
 ``image`` read a lifted vertex, a lifted edge and an automorphism's image
-straight off their encodings.
+straight off their encodings.  ``reference_base_automorphisms`` is the
+backtracking search that enumerated every automorphism before the stabilizer
+chain of ``voltage.base_automorphisms``, and ``reference_lift_automorphism``
+the lift that read each potential and column off a root-path or cycle mask.
 """
 
-from treelift.graph import GraphError
+from treelift.graph import GraphError, bfs_distances
 from treelift.lift import orbit_rep
-from treelift.voltage import linear
+from treelift.voltage import AUT_SEARCH_BUDGET, LiftedAutomorphism, linear
 
 
 def project_vertex(lg, x):
@@ -94,3 +97,84 @@ def reference_group_orbit_reps(lg, group):
                     seen[ry] = 1
             # alpha is a bijection: every image lies within one fiber iff (x, y) does
             yield x, y, len(images) * (half if u == v else full)
+
+
+def reference_base_automorphisms(g):
+    """Aut(g) as vertex permutations, sorted, so the identity comes first:
+    the whole search tree, one leaf per automorphism.
+
+    Backtracking over the vertices in BFS order: each vertex after the first
+    of its component has an earlier neighbour, whose image's neighbours are
+    its candidates.  A candidate must have the same distance profile (the
+    sorted row of distances) and lie at the same distance from each assigned
+    image as the vertex does from its preimage; distance 0 only to itself
+    keeps the images distinct.  A complete assignment is then a
+    distance-preserving bijection, so it maps edges (distance 1) onto edges:
+    an automorphism.  Returns only the identity once the search has done
+    ``AUT_SEARCH_BUDGET`` work.
+    """
+    n = g.n
+    identity = [tuple(range(n))]
+    if n == 0:
+        return identity
+    adj = [[w for w, _ in nbrs] for nbrs in g.adj]
+    dist = [bfs_distances(g, v) for v in range(n)]
+    profiles = {}
+    kind = [profiles.setdefault(tuple(sorted(row)), len(profiles)) for row in dist]
+    order = []
+    via = [-2] * n  # earlier neighbour in the BFS order, -1 for a component's first
+    for root in range(n):
+        if via[root] == -2:
+            via[root] = -1
+            order.append(root)
+            i = len(order) - 1
+            while i < len(order):
+                v = order[i]
+                i += 1
+                for w in adj[v]:
+                    if via[w] == -2:
+                        via[w] = v
+                        order.append(w)
+    image = [-1] * n
+    found = []
+    tested = 0
+
+    def candidates(v):
+        nonlocal tested
+        pool = range(n) if via[v] < 0 else adj[image[via[v]]]
+        placed = [(dist[t][v], image[t]) for t in order[: len(stack)]]
+        tested += len(pool) * len(placed)
+        return iter(
+            [
+                w
+                for w in pool
+                if kind[w] == kind[v] and all(d == dist[t][w] for d, t in placed)
+            ]
+        )
+
+    stack = []  # candidates() reads its depth
+    stack.append(candidates(order[0]))
+    while stack:
+        if tested > AUT_SEARCH_BUDGET:
+            return identity
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        image[order[len(stack) - 1]] = w
+        if len(stack) == n:
+            found.append(tuple(image))
+        else:
+            stack.append(candidates(order[len(stack)]))
+    return sorted(found)
+
+
+def reference_lift_automorphism(lg, alpha):
+    """The lift of the base automorphism ``alpha``, with p(root) = 0: p(v) is
+    the XOR of rule[alpha(e)] over the root path P(v) and A's column i the
+    XOR of rule[alpha(e)] over the fundamental cycle of c_i, each by ``linear``."""
+    g = lg.base
+    mapped = [lg.rule[g.edge_between(alpha[u], alpha[v])] for u, v in g.edges]
+    pot = tuple(linear(mapped, path) for path in lg.td.root_paths)
+    cols = tuple(linear(mapped, cycle) for cycle in lg.td.cycles)
+    return LiftedAutomorphism(tuple(alpha), cols, pot)

@@ -456,3 +456,66 @@ def test_a_sampled_policy_without_a_seed_is_refused_before_the_lift_is_built(
     assert "sampled pair policy requires --seed" in capsys.readouterr().err
     assert not out.exists()
     assert not built
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_an_output_in_a_missing_directory_fails_before_the_lift_is_built(
+    tmp_path, capsys, monkeypatch, command
+):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    capsys.readouterr()
+    built = []
+    monkeypatch.setattr(report_mod, "build_lift", lambda *args, **kw: built.append(args))
+    out = tmp_path / "missing" / "x.csv"
+    if command == "analyze":
+        argv = ["analyze", base, "--pairs", "sample:20", "--seed", 1, "--format", "csv", "-o", out]
+    else:
+        argv = ["verify", "--instances", "k4", "--random-count", 0, "-o", out]
+    assert run(argv) == 2
+    assert "missing" in capsys.readouterr().err
+    assert not built
+
+
+@pytest.mark.parametrize(
+    "command,fmt", [("analyze", "csv"), ("analyze", "json"), ("verify", "json")]
+)
+def test_a_crashed_sweep_leaves_no_file(tmp_path, capsys, monkeypatch, command, fmt):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    capsys.readouterr()
+    real = report_mod.verdict_sweep
+
+    def crash(lg, table, tables, base_girth, base_diam, pairs, collect=None):
+        # a few rows reach the output first
+        real(lg, table, tables, base_girth, base_diam, list(pairs)[:3], collect)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(report_mod, "verdict_sweep", crash)
+    out = tmp_path / "r.out"
+    if command == "analyze":
+        argv = ["analyze", base, "--format", fmt, "-o", out]
+    else:
+        argv = ["verify", "--instances", "k4", "--random-count", 0, "-o", out]
+    assert run(argv) == cli.EXIT_INTERNAL
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt"]
+
+
+def test_an_analyze_csv_is_written_as_the_sweep_runs(tmp_path, monkeypatch):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    out = tmp_path / "r.csv"
+    written = []
+    real = cli.write_text
+
+    def spy(stream, blocks):
+        blocks = list(blocks)
+        written.append(len(blocks))
+        real(stream, blocks)
+
+    monkeypatch.setattr(cli, "write_text", spy)
+    assert run(["analyze", base, "--pairs", "exhaustive", "--format", "csv", "-o", out]) == 0
+    lines = out.read_text().splitlines()
+    # the header, then one write per row: no row waits for the others
+    assert written == [1] * len(lines) and len(lines) == 54

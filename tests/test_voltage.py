@@ -34,7 +34,14 @@ from treelift.voltage import (
 )
 from treelift.walks import analyze, shortest_lifted_path
 
-from lift_reference import image, iter_orbit_reps, project_edge, reference_group_orbit_reps
+from lift_reference import (
+    image,
+    iter_orbit_reps,
+    project_edge,
+    reference_base_automorphisms,
+    reference_group_orbit_reps,
+    reference_lift_automorphism,
+)
 
 COUNTERS = (
     "path_len",
@@ -46,18 +53,60 @@ COUNTERS = (
     "segments",
 )
 AUT_ORDERS = {"k4": 24, "cycle:6": 12, "petersen": 120, "heawood": 336}
+#: |Aut| of the bases the search alone is checked on
+SEARCH_ORDERS = {**AUT_ORDERS, "tutte_coxeter": 1440}
 #: graphs with vertex 0 deleted, whose Aut(G) has several vertex orbits, so
 #: the group walk starts from several sources: (|Aut|, walked sources, group
 #: orbits, translation orbits)
 DELETED = {"petersen-0": (12, [0, 1], 81, 711), "heawood-0": (24, [0, 1, 2], 305, 5811)}
 #: a cubic graph with no automorphism but the identity
 RIGID = FamilySpec.random_regular(12, 3, seed=6)
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
 #: bases no family string names
 OTHER_BASES = {
-    "k33": Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    "k33": complete_bipartite(3, 3),
     "path:5": Graph(5, [(i, i + 1) for i in range(4)]),  # a tree: s = 0
     "rigid": make(RIGID),
+    "k44": complete_bipartite(4, 4),
+    "k55": complete_bipartite(5, 5),
+    "cube": Graph(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1]),
+    "star:7": complete_bipartite(1, 7),
+    **{
+        f"random:20:3 seed {seed}": make(FamilySpec.random_regular(20, 3, seed=seed))
+        for seed in (1, 2, 3)
+    },
 }
+#: bases on which the stabilizer chain must list the reference search's
+#: group: the reference gives up on cycles above cycle:126, K5,5 has 28,800
+#: automorphisms
+REFERENCE_SEARCH_BASES = [
+    "k4",
+    *(f"cycle:{k}" for k in range(3, 10)),
+    "cycle:120",
+    "complete:5",
+    "complete:6",
+    "complete:7",
+    "k33",
+    "k44",
+    "k55",
+    "cube",
+    "star:7",
+    "petersen",
+    "heawood",
+    "pappus",
+    "mcgee",
+    "tutte_coxeter",
+    "petersen-0",
+    "heawood-0",
+    "path:5",
+    "rigid",
+    *(f"random:20:3 seed {seed}" for seed in (1, 2, 3)),
+]
 #: |Aut| of the further bases the group walk is checked on; "+fault" lifts
 #: with the fault of verify --fault-inject, which keeps the trivial group
 WALK_ORDERS = {
@@ -139,16 +188,42 @@ def swept(lifted):
     return get
 
 
-@pytest.mark.parametrize("name", sorted(AUT_ORDERS))
+@pytest.mark.parametrize("name", sorted(SEARCH_ORDERS))
 def test_base_automorphisms_are_the_whole_group(name):
     g = make(parse_family(name))
     auts = base_automorphisms(g)
-    assert len(auts) == len(set(auts)) == AUT_ORDERS[name]
+    assert len(auts) == len(set(auts)) == SEARCH_ORDERS[name]
     assert auts[0] == tuple(range(g.n)) and auts == sorted(auts)
     edges = {frozenset(e) for e in g.edges}
     for alpha in auts:
         assert {frozenset((alpha[u], alpha[v])) for u, v in g.edges} == edges
     assert base_automorphisms(make(RIGID)) == [tuple(range(12))]
+
+
+@pytest.mark.parametrize("name", REFERENCE_SEARCH_BASES)
+def test_the_stabilizer_chain_lists_the_reference_search_group(name):
+    g = base_graph(name)
+    assert base_automorphisms(g) == reference_base_automorphisms(g)
+
+
+@pytest.mark.parametrize("name,tree", CASES)
+def test_each_element_lifts_as_the_reference_lift(lifted, name, tree):
+    lg, _, _, group = lifted(name, tree)
+    assert len(group) > 1
+    assert group == [reference_lift_automorphism(lg, phi.alpha) for phi in group]
+
+
+def test_a_group_too_large_to_multiply_out_is_refused_before_any_product(monkeypatch):
+    # K1,k has k! automorphisms: 8! * (9 + 8) is within AUT_SEARCH_BUDGET,
+    # 9! * (10 + 9) and 10! * (11 + 10) are not
+    assert len(base_automorphisms(complete_bipartite(1, 8))) == 40_320
+
+    def refuse(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(voltage, "_products", refuse)
+    for k in (9, 10):
+        assert base_automorphisms(complete_bipartite(1, k)) == [tuple(range(k + 1))]
 
 
 @pytest.mark.parametrize("name,tree", CASES)
