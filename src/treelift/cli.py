@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import errno
 import os
+import stat
 import sys
 import traceback
-from types import SimpleNamespace
 
 from .families import FORMS, GenerationError, check_spec, make, parse_family
 from .graph import GraphError, diameter, girth, load_edge_list, save_edge_list, spanning_tree
@@ -86,18 +85,31 @@ def parse_pairs_arg(text):
 
 @contextlib.contextmanager
 def output(path):
-    """The open text stream of an output: stdout if ``path`` is None, else a
-    new file beside ``path``, renamed onto it when the block finishes and
-    removed if the block raises, so a failed run leaves no partial file.
+    """The open text stream of an output: stdout if ``path`` is None.
 
-    The file is created on entry, so a missing directory fails there.
+    A new file, or a regular file with no other hard link, is written under a
+    temporary name beside ``path`` with the old file's permission bits,
+    renamed onto it when the block finishes and removed if the block raises,
+    so a failed run leaves no partial file.  Anything else at ``path`` (a
+    symlink, a device, a FIFO, a hard-linked file, a file in a directory
+    this process cannot write) is opened and written in place, so it stays
+    what it is.  Either way the output is opened on entry, so a missing
+    directory fails there.
     """
     if path is None:
         yield sys.stdout
         return
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
     head, tail = os.path.split(path)
+    if old is not None and not (
+        stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and os.access(head or ".", os.W_OK)
+    ):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         fh = open(temp, "x", encoding="utf-8", newline="\n")
@@ -105,6 +117,8 @@ def output(path):
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
+            if old is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
             yield fh
         os.replace(temp, path)
     except BaseException:
@@ -160,15 +174,16 @@ def cmd_analyze(args):
     g = load_edge_list(args.input)
     pairs = parse_pairs_arg(args.pairs)
     # refuse a bad policy before the output is opened, and a bad output
-    # before the lift is built
-    td = spanning_tree(g, args.tree, args.root)
-    resolve_policy(g.n << len(td.cotree), pairs, args.seed)
+    # before the lift is built; this tree is dropped at once, and
+    # run_analysis builds its own
+    s = spanning_tree(g, args.tree, args.root).num_coords
+    resolve_policy(g.n << s, pairs, args.seed)
     with output(args.output) as out:
-        rows = None
+        emit_csv = None
         if args.format == "csv":
             write_text(out, [CSV_HEADER])
             # each line goes out as the sweep finishes it
-            rows = SimpleNamespace(append=lambda line: write_text(out, (line,)))
+            emit_csv = lambda line: write_text(out, (line,))
         ctx = run_analysis(
             g,
             tree_strategy=args.tree,
@@ -176,8 +191,7 @@ def cmd_analyze(args):
             max_vertices=args.max_vertices,
             pairs=pairs,
             seed=args.seed,
-            csv_rows=rows,
-            td=td,
+            emit_csv=emit_csv,
         )
         report = ctx.report
         report["config"]["input"] = args.input

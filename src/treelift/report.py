@@ -159,9 +159,8 @@ def run_analysis(
     max_vertices=DEFAULT_MAX_VERTICES,
     pairs="auto",
     seed=None,
-    csv_rows=None,
+    emit_csv=None,
     fault=None,
-    td=None,
 ):
     """Full pipeline on one base graph: lift, embed, measure, sweep.
 
@@ -171,20 +170,17 @@ def run_analysis(
     ``group_orbit_reps`` when exhaustive, ``sample_pair_list`` when sampled.
     ``resolve_policy`` checks it before the lift is built.  Returns an
     AnalysisContext whose ``report`` field is the JSON-ready dict.  If
-    ``csv_rows`` is given (a list, or anything with ``append``), the sweep
-    appends one finished CSV line per analysis to it, newline included, as
-    it goes.  ``td`` is g's spanning tree by ``tree_strategy`` and ``root``
-    when the caller has built it already.
+    ``emit_csv`` is given, the sweep calls it with one finished CSV line per
+    analysis, newline included, as it goes.
     """
-    if td is None:
-        td = spanning_tree(g, tree_strategy, root)
+    td = spanning_tree(g, tree_strategy, root)
     count = resolve_policy(g.n << len(td.cotree), pairs, seed)
     lg = build_lift(td, max_vertices=max_vertices, fault=fault)
     table = embed(lg)
     tables = representative_tables(lg, table)
     base_gi = girth(g)
     base_di = diameter(g)
-    collect = csv_collector(lg, csv_rows) if csv_rows is not None else None
+    collect = csv_collector(lg, emit_csv) if emit_csv is not None else None
 
     report = {
         "config": {
@@ -276,9 +272,9 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
-def csv_collector(lg, out_lines):
-    """A verdict_sweep collect hook appending one finished CSV line, with its
-    newline, per analysis."""
+def csv_collector(lg, emit):
+    """A verdict_sweep collect hook calling ``emit`` with one finished CSV
+    line, newline included, per analysis."""
 
     def collect(x, y, covered, d, l1, wa, verdicts):
         xb, xl = lg.decode(x)
@@ -302,6 +298,6 @@ def csv_collector(lg, out_lines):
             max(wa.segments) if wa.segments else 0,
             *(("pass" if verdicts[k].passed else "fail") for k in CSV_COLUMNS[15:]),
         )
-        out_lines.append(",".join(map(str, row)) + "\n")
+        emit(",".join(map(str, row)) + "\n")
 
     return collect

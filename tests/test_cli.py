@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -459,22 +462,24 @@ def test_a_sampled_policy_without_a_seed_is_refused_before_the_lift_is_built(
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
-def test_an_output_in_a_missing_directory_fails_before_the_lift_is_built(
-    tmp_path, capsys, monkeypatch, command
+@pytest.mark.parametrize("target,message", [("missing/x.csv", "missing"), (".", "Is a directory")])
+def test_a_bad_output_fails_before_the_lift_is_built(
+    tmp_path, capsys, monkeypatch, command, target, message
 ):
     base = tmp_path / "p.txt"
     run(["gen", "--family", "petersen", "-o", base])
     capsys.readouterr()
     built = []
     monkeypatch.setattr(report_mod, "build_lift", lambda *args, **kw: built.append(args))
-    out = tmp_path / "missing" / "x.csv"
+    out = tmp_path / target
     if command == "analyze":
         argv = ["analyze", base, "--pairs", "sample:20", "--seed", 1, "--format", "csv", "-o", out]
     else:
         argv = ["verify", "--instances", "k4", "--random-count", 0, "-o", out]
     assert run(argv) == 2
-    assert "missing" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not built
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt"]
 
 
 @pytest.mark.parametrize(
@@ -519,3 +524,56 @@ def test_an_analyze_csv_is_written_as_the_sweep_runs(tmp_path, monkeypatch):
     lines = out.read_text().splitlines()
     # the header, then one write per row: no row waits for the others
     assert written == [1] * len(lines) and len(lines) == 54
+
+
+@pytest.mark.parametrize("kind", ["symlink", "fifo", "hardlink", "read_only_dir"])
+def test_an_output_other_than_a_lone_regular_file_is_written_in_place(tmp_path, kind):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    argv = ["analyze", base, "--pairs", "exhaustive", "--format", "csv", "-o"]
+    want = tmp_path / "want.csv"
+    assert run([*argv, want]) == 0
+    box = tmp_path / "box"
+    box.mkdir()
+    out = target = box / "out.csv"
+    received = []
+    if kind == "fifo":
+        os.mkfifo(out)
+        reader = threading.Thread(target=lambda: received.append(out.read_text()), daemon=True)
+        reader.start()
+    else:
+        if kind != "read_only_dir":
+            target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        if kind == "symlink":
+            out.symlink_to(target)
+        elif kind == "hardlink":
+            os.link(target, out)
+        else:  # only a process that may not write the directory takes this path
+            box.chmod(0o555)
+    try:
+        assert run([*argv, out]) == 0
+    finally:
+        box.chmod(0o755)
+    if kind == "fifo":
+        reader.join(timeout=60)
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert received == [want.read_text()]
+    else:
+        assert target.read_text() == want.read_text()
+    assert out.is_symlink() == (kind == "symlink")
+    assert os.lstat(out).st_nlink == (2 if kind == "hardlink" else 1)
+    assert os.listdir(box) == ["out.csv"]
+
+
+def test_a_replaced_report_keeps_its_permission_bits(tmp_path):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    out = tmp_path / "r.json"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    assert run(["analyze", base, "-o", out]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert json.loads(out.read_text())["all_pass"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt", "r.json"]
+

@@ -25,7 +25,7 @@ def analysis_json(name, **kw):
 
 def exhaustive_csv(g, **kw):
     rows = [CSV_HEADER]
-    run_analysis(g, pairs="exhaustive", csv_rows=rows, **kw)
+    run_analysis(g, pairs="exhaustive", emit_csv=rows.append, **kw)
     return "".join(rows).encode("ascii")
 
 

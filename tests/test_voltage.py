@@ -144,7 +144,7 @@ def sweep_with_rows(lg, table, tables, pairs):
     """The sweep over ``pairs`` and its CSV rows, each split into its fields."""
     lines = []
     gi, diam = girth(lg.base), diameter(lg.base)
-    result = verdict_sweep(lg, table, tables, gi, diam, pairs, collect=csv_collector(lg, lines))
+    result = verdict_sweep(lg, table, tables, gi, diam, pairs, collect=csv_collector(lg, lines.append))
     return result, [line.rstrip("\n").split(",") for line in lines]
 
 
@@ -388,7 +388,7 @@ def reference_report(g):
 
 def exhaustive_report(g):
     rows = [CSV_HEADER]
-    ctx = run_analysis(g, pairs="exhaustive", csv_rows=rows)
+    ctx = run_analysis(g, pairs="exhaustive", emit_csv=rows.append)
     return to_json_bytes(ctx.report), "".join(rows)
 
 

@@ -311,7 +311,7 @@ def test_analyze_builds_one_graph_and_one_bridge_decomposition_per_orbit(monkeyp
 
     def sweep():
         rows = [CSV_HEADER]
-        collect = csv_collector(lg, rows)
+        collect = csv_collector(lg, rows.append)
         result = verdict_sweep(lg, table, tables, 3, 1, pairs=family, collect=collect)
         block = sweep_block(result, None, None)
         return result, to_json_bytes(block), "".join(rows)
