@@ -365,7 +365,9 @@ def bridges_and_2ecc(g):
 # --- edge-list text interchange format -------------------------------------
 #
 # First line "n m", then m lines "u v" with 0-indexed endpoints in ascending
-# edge id order.  This is the interchange unit for all CLI commands.
+# edge id order.  This is the interchange unit for all CLI commands.  Every
+# reader needs a connected graph, so a header with n > m + 1 is refused
+# before a graph of n vertices is allocated.
 
 
 def parse_edge_list(text):
@@ -382,6 +384,8 @@ def parse_edge_list(text):
     body = lines[1:]
     if len(body) != m:
         raise GraphError(f"header promises {m} edges but {len(body)} lines follow")
+    if n > m + 1:  # no connected graph has more vertices
+        raise GraphError("spanning tree requires a connected graph")
     pairs = []
     for ln in body:
         parts = ln.split()

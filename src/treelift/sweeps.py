@@ -97,7 +97,7 @@ def group_orbit_reps(lg, group):
                 continue
             bits = [i for i in range(s) if y >> i & 1]
             targets = set()
-            # A.f spelled inline: voltage.linear per image made the Tutte-Coxeter walk 1.7x slower
+            # A.f spelled inline: a helper call per image made the Tutte-Coxeter walk 1.7x slower
             for alpha, cols, pot in into[r] if v == r else into[r] + into.get(v, []):
                 h = pot[v] ^ pot[r]
                 for i in bits:

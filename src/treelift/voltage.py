@@ -23,8 +23,15 @@ rule[alpha(e)]: on a tree edge rule[e] = 0, so p(v) = p(parent) ^
 mapped[e] for the tree edge e from v's parent, taken parents first from
 p(root) = 0 (label translations supply every other constant); on the cotree
 edge c_i = (a, b), rule[e] = e_i, so A's column i is mapped[c_i] ^ p(a) ^
-p(b).  That is O(m) per element.  ``certify`` checks the equation on all m
-edges and A's rank, recomputing nothing it checks.
+p(b).  That is O(m) per element, and it proves itself: whenever alpha maps
+base edges to base edges, the recursion is the equation on every tree edge
+and the column formula is the equation on every cotree edge.  A is then
+invertible, because alpha permutes the cycle space and the tree rule's
+voltage map is an isomorphism from that space onto Z_2^s.  So the one thing
+left to certify at run time is that alpha is an automorphism, and
+``base_automorphisms`` checks that on each coset representative it keeps:
+every element is a product of representatives, and products of
+automorphisms are automorphisms.
 
 The verdict sweep may reduce by these automorphisms only when
 ``symmetry_applies``: the lift's rule is the tree rule and every lifted edge
@@ -47,7 +54,10 @@ from .graph import bfs_distances
 #: group: candidate tests weighted by the placed vertices each is compared
 #: with, and then the group's order times n + m, the work of forming and
 #: lifting its elements (Tutte-Coxeter's search takes about 64,000 and its
-#: 1440 elements 1440 * (30 + 45) = 108,000)
+#: 1440 elements 1440 * (30 + 45) = 108,000).  Level i tests its own vertex
+#: against the i placed ones, so any search costs at least n(n-1)/2, and a
+#: base with n(n-1)/2 above the budget gets the trivial group before its
+#: distance rows are built.
 AUT_SEARCH_BUDGET = 4_000_000
 
 
@@ -57,17 +67,6 @@ class LiftedAutomorphism(NamedTuple):
     alpha: tuple
     cols: tuple
     pot: tuple
-
-
-def linear(values, mask):
-    """The XOR of ``values[i]`` over the set bits i of ``mask``: over GF(2),
-    the linear map whose columns are ``values``, applied to ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out ^= values[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def base_automorphisms(g):
@@ -87,13 +86,19 @@ def base_automorphisms(g):
     G_i, the pointwise stabilizers of b_0 .. b_i and of b_0 .. b_{i-1}, so
     |Aut(g)| is the product of the |U_i| and every automorphism is one
     product u_0 u_1 ... u_{n-1} (Butler, "Fundamental Algorithms for
-    Permutation Groups", LNCS 559, 1991).  Returns only the identity once
-    the search has done ``AUT_SEARCH_BUDGET`` work, or, before any product
-    is formed, when the order times n + m exceeds it.
+    Permutation Groups", LNCS 559, 1991).  Each representative kept must be
+    a permutation mapping every edge to an edge, or the search returns only
+    the identity: the distance rows are trusted only to prune, and the
+    products of certified representatives are automorphisms, so the group
+    costs sum(|U_i| - 1) checks, not |Aut(g)|.  Returns only the identity,
+    too, before any distance row is built when n(n-1)/2, the least work
+    any search does, exceeds ``AUT_SEARCH_BUDGET``; once the search has done
+    that much work; or, before any product is formed, when the order times
+    n + m exceeds it.
     """
     n = g.n
     identity = tuple(range(n))
-    if n == 0:
+    if n * (n - 1) // 2 > AUT_SEARCH_BUDGET:
         return [identity]
     adj = [[w for w, _ in nbrs] for nbrs in g.adj]
     dist = [bfs_distances(g, v) for v in range(n)]
@@ -146,6 +151,8 @@ def base_automorphisms(g):
         for w in candidates(i):
             alpha = extend(i, w) if w != v else None
             if alpha is not None:
+                if not _is_automorphism(g, alpha):
+                    return [identity]
                 level.append(alpha)
             if tested > AUT_SEARCH_BUDGET:
                 return [identity]
@@ -155,6 +162,15 @@ def base_automorphisms(g):
     if math.prod(map(len, transversals)) * (n + g.m) > AUT_SEARCH_BUDGET:
         return [identity]
     return sorted(_products(identity, transversals))
+
+
+def _is_automorphism(g, alpha):
+    """True when the vertex map ``alpha`` is a permutation taking every edge
+    of ``g`` to an edge: injective on vertices, it is then injective on the
+    m edges, so a bijection of them."""
+    return len(set(alpha)) == g.n and all(
+        g.edge_between(alpha[u], alpha[v]) is not None for u, v in g.edges
+    )
 
 
 def _products(identity, transversals):
@@ -184,37 +200,6 @@ def lift_automorphism(lg, alpha, order):
     return LiftedAutomorphism(tuple(alpha), tuple(cols), tuple(pot))
 
 
-def gf2_rank(vectors):
-    """Rank over GF(2) of integers read as bit vectors."""
-    pivots = {}
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = v
-                break
-            v ^= pivots[top]
-    return len(pivots)
-
-
-def certify(lg, phi):
-    """True when ``phi`` is an automorphism of the lift: alpha permutes the
-    base vertices and maps each base edge e = (u, v) to an edge alpha(e) with
-    A.rule[e] ^ p(u) ^ p(v) == rule[alpha(e)], and A is invertible."""
-    g = lg.base
-    alpha, cols, pot = phi
-    mask = lg.mask
-    if sorted(alpha) != list(range(g.n)) or len(pot) != g.n or len(cols) != lg.s:
-        return False
-    if not all(0 <= c <= mask for c in (*cols, *pot)):
-        return False
-    for (u, v), r in zip(g.edges, lg.rule):
-        eid = g.edge_between(alpha[u], alpha[v])
-        if eid is None or linear(cols, r) ^ pot[u] ^ pot[v] != lg.rule[eid]:
-            return False
-    return gf2_rank(cols) == lg.s
-
-
 def symmetry_applies(lg, table):
     """The lift's rule is the tree rule and the embedding flips exactly cut e
     across every lifted edge over e (``EmbeddingTable.edge_flips``)."""
@@ -224,19 +209,15 @@ def symmetry_applies(lg, table):
 
 
 def lifted_group(lg, table):
-    """The certified lifted automorphisms of ``lg``, identity first, one per
+    """The lifted automorphisms of ``lg``, identity first, one per
     automorphism of the base (translations are left to the caller).
 
-    Only the identity when the lift fails ``symmetry_applies``, the
-    automorphism search runs out of budget, or a lifted element fails its
-    certificate.
+    Each lift is an automorphism by construction (see the module docstring),
+    so none is checked here.  Only the identity when the lift fails
+    ``symmetry_applies`` or the automorphism search gives up.
     """
     n = lg.base.n
-    identity = [LiftedAutomorphism(tuple(range(n)), tuple(1 << i for i in range(lg.s)), (0,) * n)]
     if not symmetry_applies(lg, table):
-        return identity
+        return [LiftedAutomorphism(tuple(range(n)), tuple(1 << i for i in range(lg.s)), (0,) * n)]
     order = sorted(range(n), key=lg.td.root_paths.__getitem__)  # a parent's path is a proper subset
-    group = [lift_automorphism(lg, alpha, order) for alpha in base_automorphisms(lg.base)]
-    if not all(certify(lg, phi) for phi in group):
-        return identity
-    return group
+    return [lift_automorphism(lg, alpha, order) for alpha in base_automorphisms(lg.base)]

@@ -11,11 +11,56 @@ straight off their encodings.  ``reference_base_automorphisms`` is the
 backtracking search that enumerated every automorphism before the stabilizer
 chain of ``voltage.base_automorphisms``, and ``reference_lift_automorphism``
 the lift that read each potential and column off a root-path or cycle mask.
+``certify`` checks a lifted automorphism against the edge equation on every
+base edge, the certificate ``voltage.lifted_group`` once ran on every
+element before the lift was shown to satisfy it by construction.
 """
 
 from treelift.graph import GraphError, bfs_distances
 from treelift.lift import orbit_rep
-from treelift.voltage import AUT_SEARCH_BUDGET, LiftedAutomorphism, linear
+from treelift.voltage import AUT_SEARCH_BUDGET, LiftedAutomorphism
+
+
+def linear(values, mask):
+    """The XOR of ``values[i]`` over the set bits i of ``mask``: over GF(2),
+    the linear map whose columns are ``values``, applied to ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= values[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def gf2_rank(vectors):
+    """Rank over GF(2) of integers read as bit vectors."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def certify(lg, phi):
+    """True when ``phi`` is an automorphism of the lift: alpha permutes the
+    base vertices and maps each base edge e = (u, v) to an edge alpha(e) with
+    A.rule[e] ^ p(u) ^ p(v) == rule[alpha(e)], and A is invertible."""
+    g = lg.base
+    alpha, cols, pot = phi
+    mask = lg.mask
+    if sorted(alpha) != list(range(g.n)) or len(pot) != g.n or len(cols) != lg.s:
+        return False
+    if not all(0 <= c <= mask for c in (*cols, *pot)):
+        return False
+    for (u, v), r in zip(g.edges, lg.rule):
+        eid = g.edge_between(alpha[u], alpha[v])
+        if eid is None or linear(cols, r) ^ pot[u] ^ pot[v] != lg.rule[eid]:
+            return False
+    return gf2_rank(cols) == lg.s
 
 
 def project_vertex(lg, x):

@@ -97,6 +97,24 @@ def test_analyze_disconnected_no_partial_report(tmp_path, capsys):
     assert "connected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "lift"])
+def test_a_header_with_more_vertices_than_a_connected_graph_allows_is_refused_first(
+    tmp_path, capsys, monkeypatch, command
+):
+    bad = tmp_path / "huge.txt"
+    bad.write_text("2000000 0")
+
+    def refuse(*args):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(graph_mod, "Graph", refuse)
+    out, mapping = tmp_path / "out", tmp_path / "map.txt"
+    extra = ["--mapping", mapping] if command == "lift" else []
+    assert run([command, bad, "-o", out, *extra]) == 2
+    assert not out.exists() and not mapping.exists()
+    assert "connected" in capsys.readouterr().err
+
+
 def test_analyze_sampled_reports_byte_identical(tmp_path):
     base = tmp_path / "p.txt"
     run(["gen", "--family", "petersen", "-o", base])

@@ -533,3 +533,9 @@ def test_parse_rejects_malformed():
         parse_edge_list("2 2\n0 1\n")
     with pytest.raises(GraphError):
         parse_edge_list("2 1\n0 x\n")
+
+
+def test_parse_refuses_more_vertices_than_a_connected_graph_has():
+    with pytest.raises(GraphError, match="connected"):
+        parse_edge_list("3 1\n0 1\n")
+    assert parse_edge_list("2 1\n0 1\n").n == 2

@@ -15,7 +15,7 @@ import treelift.sweeps as sweeps
 import treelift.voltage as voltage
 from treelift.embedding import embed
 from treelift.families import FamilySpec, make, parse_family
-from treelift.graph import Graph, diameter, girth, spanning_tree
+from treelift.graph import Graph, bfs_distances, diameter, girth, spanning_tree
 from treelift.lift import (
     build_lift,
     lifted_distance,
@@ -24,19 +24,15 @@ from treelift.lift import (
 )
 from treelift.report import CSV_HEADER, csv_collector, run_analysis, sweep_block, to_json_bytes
 from treelift.sweeps import group_orbit_reps, verdict_sweep
-from treelift.voltage import (
-    base_automorphisms,
-    certify,
-    gf2_rank,
-    lifted_group,
-    linear,
-    symmetry_applies,
-)
+from treelift.voltage import base_automorphisms, lifted_group, symmetry_applies
 from treelift.walks import analyze, shortest_lifted_path
 
 from lift_reference import (
+    certify,
+    gf2_rank,
     image,
     iter_orbit_reps,
+    linear,
     project_edge,
     reference_base_automorphisms,
     reference_group_orbit_reps,
@@ -197,6 +193,10 @@ def test_base_automorphisms_are_the_whole_group(name):
     edges = {frozenset(e) for e in g.edges}
     for alpha in auts:
         assert {frozenset((alpha[u], alpha[v])) for u, v in g.edges} == edges
+    lg, table, _ = lift_of(g)
+    group = lifted_group(lg, table)
+    assert [phi.alpha for phi in group] == auts
+    assert all(certify(lg, phi) for phi in group)
     assert base_automorphisms(make(RIGID)) == [tuple(range(12))]
 
 
@@ -211,6 +211,7 @@ def test_each_element_lifts_as_the_reference_lift(lifted, name, tree):
     lg, _, _, group = lifted(name, tree)
     assert len(group) > 1
     assert group == [reference_lift_automorphism(lg, phi.alpha) for phi in group]
+    assert all(certify(lg, phi) for phi in group)
 
 
 def test_a_group_too_large_to_multiply_out_is_refused_before_any_product(monkeypatch):
@@ -224,6 +225,69 @@ def test_a_group_too_large_to_multiply_out_is_refused_before_any_product(monkeyp
     monkeypatch.setattr(voltage, "_products", refuse)
     for k in (9, 10):
         assert base_automorphisms(complete_bipartite(1, k)) == [tuple(range(k + 1))]
+
+
+def spy_on_the_representative_check(monkeypatch):
+    """The verdicts of ``voltage._is_automorphism``, one per call."""
+    verdicts = []
+    check = voltage._is_automorphism
+
+    def spy(g, alpha):
+        verdicts.append(check(g, alpha))
+        return verdicts[-1]
+
+    monkeypatch.setattr(voltage, "_is_automorphism", spy)
+    return verdicts
+
+
+@pytest.mark.parametrize("name,checks", [("petersen", 13), ("tutte_coxeter", 35)])
+def test_only_the_coset_representatives_are_checked(monkeypatch, name, checks):
+    # sum(|U_i| - 1): 120 = 10 * 3 * 2 * 2 and 1440 = 30 * 3 * 2 * 2 * 2 * 2
+    verdicts = spy_on_the_representative_check(monkeypatch)
+    assert len(base_automorphisms(make(parse_family(name)))) == SEARCH_ORDERS[name]
+    assert verdicts == [True] * checks
+
+
+def test_a_representative_that_is_no_automorphism_gives_the_trivial_group(monkeypatch):
+    # every vertex at distance 1 from every other: the distance rows prune
+    # nothing but repeats, so the search keeps maps that are no automorphisms
+    g = make(FamilySpec.named("petersen"))
+    verdicts = spy_on_the_representative_check(monkeypatch)
+    monkeypatch.setattr(voltage, "bfs_distances", lambda g, v: [int(w != v) for w in range(g.n)])
+    assert base_automorphisms(g) == [tuple(range(g.n))]
+    assert verdicts and verdicts[-1] is False
+    # folding a path onto one edge maps edges to edges, but is no permutation
+    path = Graph(3, [(0, 1), (1, 2)])
+    assert voltage._is_automorphism(path, (2, 1, 0))
+    assert not voltage._is_automorphism(path, (0, 1, 0))
+
+
+def spy_on_the_distance_rows(monkeypatch):
+    """The sources of the ``bfs_distances`` calls of ``voltage``."""
+    sources = []
+
+    def spy(g, v):
+        sources.append(v)
+        return bfs_distances(g, v)
+
+    monkeypatch.setattr(voltage, "bfs_distances", spy)
+    return sources
+
+
+def test_a_base_too_large_to_search_builds_no_distance_row(monkeypatch):
+    sources = spy_on_the_distance_rows(monkeypatch)
+    assert base_automorphisms(make(parse_family("cycle:4000"))) == [tuple(range(4000))]
+    assert sources == []
+
+
+@pytest.mark.parametrize("slack,rows", [(-1, 0), (0, 10)])
+def test_the_distance_rows_are_built_only_within_the_least_search_cost(monkeypatch, slack, rows):
+    # level i tests its own vertex against the i placed ones: n(n-1)/2 = 45
+    g = make(FamilySpec.named("petersen"))
+    sources = spy_on_the_distance_rows(monkeypatch)
+    monkeypatch.setattr(voltage, "AUT_SEARCH_BUDGET", 45 + slack)
+    assert base_automorphisms(g) == [tuple(range(g.n))]
+    assert sorted(sources) == list(range(rows))
 
 
 @pytest.mark.parametrize("name,tree", CASES)
