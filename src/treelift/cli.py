@@ -195,7 +195,7 @@ def cmd_analyze(args):
         )
         report = ctx.report
         report["config"]["input"] = args.input
-        report["schema"] = "treelift-report-v3"
+        report["schema"] = "treelift-report-v4"
         if args.format == "json":
             write_text(out, [to_json_bytes(report).decode("ascii")])
     summary = "PASS" if report["all_pass"] else "FAIL"
@@ -270,7 +270,7 @@ def cmd_verify(args):
                 detail = f" ({', '.join(failing)})" if failing else ""
             print(f"{'PASS' if ok else 'FAIL'} {label}{detail}")
         report = {
-            "schema": "treelift-verify-v3",
+            "schema": "treelift-verify-v4",
             "config": {
                 "pair_policy_arg": args.pairs,
                 "seed": args.seed,

@@ -17,9 +17,12 @@ and the rule off ``td`` once.  Adjacency is computed on demand from (base
 adjacency, rule masks), which the step table ``LiftedGraph.hops`` pairs up
 once per lift.  The only objects of size n * 2^s are the list of the scalar
 ``bfs_lifted`` (used by ``build_lift``'s connectivity check) and the distance
-rows of ``representative_tables``: n rows of n * 2^s entries, one byte each
-while the lifted diameter is under 256, plus, while those rows are built, one
-n * 2^s-bit set per base edge.  The same label-parallel BFS that fills the
+rows of ``representative_tables``: one row of n * 2^s entries per walked
+source, the smallest vertex of each Aut(G) vertex orbit (all n sources when
+the lifted group is trivial), one byte each while the lifted diameter is
+under 256, plus, while those rows are built, one n * 2^s-bit set per base
+edge.  Any other source's row is built when it is first read, which only
+the verification oracle does.  The same label-parallel BFS that fills the
 rows also measures the lifted girth and the exact colip of the cut
 embedding.  An explicit vertex cap guards all of them.  The verification
 oracle answers its pairs with ``two_sided_distances``, a scalar search that
@@ -38,6 +41,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from .graph import GraphError
+from .voltage import GroupOrbits, identity_lift
 
 DEFAULT_MAX_VERTICES = 1 << 22
 
@@ -223,25 +227,33 @@ def two_sided_distances(lg, source, targets):
 
 @dataclass(frozen=True, eq=False)
 class DistanceTables:
-    """Distances from the n representatives (u, 0), one compact row each.
+    """Distances from the representatives (u, 0), one compact row each.
 
-    ``rows[u][y]`` is d((u, 0), y) for every encoded vertex y, stored as
+    ``tables[u][y]`` is d((u, 0), y) for every encoded vertex y, stored as
     ``bytes`` when the row's largest entry is under 256 and as an unsigned
-    ``array`` otherwise; ``ecc[u]`` is that largest entry, the eccentricity
-    of (u, 0).  ``girth`` is the girth of the lift (math.inf if it is
+    ``array`` otherwise.  ``rows`` holds the rows of the walked sources of
+    ``orbits`` (a ``voltage.GroupOrbits``, one source per Aut(G) vertex
+    orbit); every other entry is None until ``tables[u]`` first reads it and
+    builds it by the same label-parallel BFS.  ``ecc[u]`` is the
+    eccentricity of (u, 0), for every u: the group carries (u, 0) to
+    (home[u], 0).  ``girth`` is the girth of the lift (math.inf if it is
     acyclic).  ``colip`` is (d, l1) of ``colip_witness``, the smallest pair
     with the largest d / l1 (l1 is 0 only if the embedding collides).
-    ``tables[u]`` is ``rows[u]``.
     """
 
-    rows: tuple
+    rows: list
     ecc: tuple
     girth: float
     colip: tuple
     colip_witness: tuple
+    orbits: object
+    lg: object = field(repr=False)
 
     def __getitem__(self, u):
-        return self.rows[u]
+        row = self.rows[u]
+        if row is None:
+            row = self.rows[u] = _source(self.lg, _label_steps(self.lg)[1], u)[0]
+        return row
 
 
 def _flip_masks(s):
@@ -410,43 +422,67 @@ def _fold(whole, sides, row, x, nn):
         yield d, len(sides) - most, x + (bits & -bits).bit_length() - 1
 
 
-def representative_tables(lg, table):
-    """Distances from the n representatives (v, 0), by label-parallel BFS,
-    the lifted girth and the exact colip of the embedding ``table``.
+def _label_steps(lg):
+    """(M_i per coordinate, the masked shifts of each base edge's rule)."""
+    masks = _flip_masks(lg.s)
+    steps = [[(1 << i, masks[i]) for i in range(lg.s) if (rule >> i) & 1] for rule in lg.rule]
+    return masks, steps
 
-    Together with the translation automorphism these determine every pairwise
-    distance: d((u,f),(v,h)) = tables[u][encode(v, f^h)].  Label translations
-    act transitively on each fiber, so every cycle passes through the orbit
-    of some representative and the girth is the shortest cycle through any of
-    them.  Likewise every pair is a translate of some ((u, 0), y) with y >
-    (u, 0), with the same distance and l1, so the colip is the largest d / l1
-    over those: per source and distance d, the smallest l1 there, ties going
-    to the smallest pair.  Raises GraphError if the lift is not connected.
+
+def _source(lg, steps, u):
+    """(row, distance planes over the whole lift, eccentricity, cycle bound)
+    of the source (u, 0)."""
+    full = (1 << (1 << lg.s)) - 1
+    planes, far, cycle = _fiber_planes(lg.base.adj, steps, lg.base.n, full, u)
+    whole = [_whole_lift(plane, 1 << lg.s) for plane in planes]
+    return _expand_row(whole, lg.num_vertices, far), whole, far, cycle
+
+
+def representative_tables(lg, table, orbits=None):
+    """Distances from the walked sources (r, 0) of ``orbits`` by
+    label-parallel BFS, the lifted girth and the exact colip of the
+    embedding ``table``; None for ``orbits`` walks all n sources.
+
+    ``orbits`` is the ``voltage.GroupOrbits`` of ``lifted_group``, so its
+    elements and the label translations are automorphisms of the lift that
+    keep d and l1 (``symmetry_applies``).  Together they determine every
+    pairwise distance from the walked rows, and they carry every vertex to a
+    walked source (r, 0): every cycle to one through a walked source, so the
+    girth is the shortest cycle through any of them, and every pair to one
+    ((r, 0), y) with y > (r, 0), the smallest pair of its orbit, with the
+    same distance and l1.  So the colip is the largest d / l1 over those: per
+    source and distance d, the smallest l1 there, ties going to the smallest
+    pair, which is the smallest pair of the whole lift attaining it.  Raises
+    GraphError if the lift is not connected.
     """
+    if orbits is None:
+        orbits = GroupOrbits([identity_lift(lg)])
     s = lg.s
     n = lg.base.n
     nn = lg.num_vertices
-    masks = _flip_masks(s)
-    steps = [[(1 << i, masks[i]) for i in range(s) if (rule >> i) & 1] for rule in lg.rule]
+    masks, steps = _label_steps(lg)
     full = (1 << (1 << s)) - 1
     sides = _cut_sides(table, masks, full)
-    rows = []
-    ecc = []
+    rows = [None] * n
+    ecc = [0] * n
     girth = math.inf
     colip, witness = (0, 1), None
-    for u in range(n):
-        planes, far, cycle = _fiber_planes(lg.base.adj, steps, n, full, u)
-        whole = [_whole_lift(plane, 1 << s) for plane in planes]
-        rows.append(_expand_row(whole, nn, far))
-        ecc.append(far)
+    for r in orbits.walked():
+        rows[r], whole, ecc[r], cycle = _source(lg, steps, r)
         girth = min(girth, cycle)
-        x = u << s
-        for d, h, y in _fold(whole, sides, table.base_rows[u], x, nn):
+        x = r << s
+        for d, h, y in _fold(whole, sides, table.base_rows[r], x, nn):
             ahead = d * colip[1] - colip[0] * h
             if ahead > 0 or (ahead == 0 and (x, y) < witness):
                 colip, witness = (d, h), (x, y)
     return DistanceTables(
-        rows=tuple(rows), ecc=tuple(ecc), girth=girth, colip=colip, colip_witness=witness
+        rows=rows,
+        ecc=tuple(ecc[home] for home in orbits.home),
+        girth=girth,
+        colip=colip,
+        colip_witness=witness,
+        orbits=orbits,
+        lg=lg,
     )
 
 
@@ -468,15 +504,20 @@ def orbit_rep(lg, x, y):
 
 def sample_pair_list(lg, tables, count, seed):
     """The canonical sampled pair family, one (x, y, covered) entry per
-    translation orbit it meets, sorted.
+    orbit of the lifted group it meets.
 
     The family is every adjacent pair, the pair realizing the lifted diameter
-    and ``count`` seeded uniform pairs.  (x, y) is the family's smallest pair
-    in the orbit and ``covered`` the number of family pairs in it, so entries
-    come in the order each orbit is first met in sorted pair order, and the
-    ``covered`` sum is the family size.  The lifted edges over base edge e are one whole orbit of 2^s
-    pairs, whose smallest pair is its canonical representative, so they take
-    one entry per base edge and are never listed.
+    and ``count`` seeded uniform pairs.  (x, y) is the orbit's smallest pair
+    (``GroupOrbits.canonical`` of ``tables.orbits``), the entry
+    ``sweeps.group_orbit_reps`` lists for it, so it starts at a walked
+    source, and ``covered`` is the number of family pairs in the orbit, so
+    the ``covered`` sum is the family size.  Entries come in the order of
+    each orbit's smallest family pair.  The lifted edges over base edge e
+    are one translation orbit of 2^s pairs, whose smallest pair is its
+    canonical translation representative, so the lifted edges take one
+    entry per orbit of base edges and are never listed; a drawn pair in
+    such an orbit is one of them.  With the trivial group the orbits are
+    the translation orbits.
     """
     nn = lg.num_vertices
     if nn < 2:
@@ -489,16 +530,19 @@ def sample_pair_list(lg, tables, count, seed):
         while y == x:
             y = rng.randrange(nn)
         drawn.add((x, y) if x < y else (y, x))
-    orbits = {}
-    for x, y in sorted(drawn):
-        key = orbit_rep(lg, x, y)
-        x0, y0, covered = orbits.get(key, (x, y, 0))
-        orbits[key] = (x0, y0, covered + 1)
     s = lg.s
+    canonical = tables.orbits.canonical
+    orbits = {}  # smallest pair of an orbit -> [its smallest family pair, family pairs in it]
+    for pair in sorted(drawn):
+        orbits.setdefault(canonical(*pair), [pair, 0])[1] += 1
+    edges = {}
     for (u, v), rule in zip(lg.base.edges, lg.rule):
-        rep = orbit_rep(lg, u << s, (v << s) | rule)
-        orbits[rep] = (*rep, 1 << s)
-    return sorted(orbits.values())
+        pair = orbit_rep(lg, u << s, (v << s) | rule)
+        key = canonical(*pair)
+        first, covered = edges.get(key, (pair, 0))
+        edges[key] = [min(first, pair), covered + (1 << s)]
+    orbits.update(edges)
+    return [(*key, covered) for key, (_, covered) in sorted(orbits.items(), key=lambda kv: kv[1][0])]
 
 
 def lift_walk(td, walk, start):
@@ -546,7 +590,7 @@ def diameter_witness(lg, tables):
     """A pair realizing the lifted diameter, smallest encoded pair first."""
     d = max(tables.ecc)
     u = tables.ecc.index(d)
-    return (u << lg.s, tables.rows[u].index(d))
+    return (u << lg.s, tables[u].index(d))
 
 
 # --- materialization ---------------------------------------------------------

@@ -31,7 +31,7 @@ from .sweeps import (
     oracle_equivalence_checks,
     verdict_sweep,
 )
-from .voltage import lifted_group
+from .voltage import GroupOrbits, lifted_group
 
 #: below this many lifted vertices the default sweep pair policy is exhaustive
 AUTO_EXHAUSTIVE_LIMIT = 10_000
@@ -168,7 +168,10 @@ def run_analysis(
     the pair policy ``pairs`` ("auto", "exhaustive" or a sample count, which
     needs ``seed``) picks only the verdict sweep's pair stream:
     ``group_orbit_reps`` when exhaustive, ``sample_pair_list`` when sampled.
-    ``resolve_policy`` checks it before the lift is built.  Returns an
+    The lifted group comes first in either mode: the distance tables are
+    built from its walked sources only, and both streams hold one pair per
+    orbit of it.  ``resolve_policy`` checks the policy before the lift is
+    built.  Returns an
     AnalysisContext whose ``report`` field is the JSON-ready dict.  If
     ``emit_csv`` is given, the sweep calls it with one finished CSV line per
     analysis, newline included, as it goes.
@@ -177,7 +180,8 @@ def run_analysis(
     count = resolve_policy(g.n << len(td.cotree), pairs, seed)
     lg = build_lift(td, max_vertices=max_vertices, fault=fault)
     table = embed(lg)
-    tables = representative_tables(lg, table)
+    orbits = GroupOrbits(lifted_group(lg, table))
+    tables = representative_tables(lg, table, orbits)
     base_gi = girth(g)
     base_di = diameter(g)
     collect = csv_collector(lg, emit_csv) if emit_csv is not None else None
@@ -207,7 +211,7 @@ def run_analysis(
         report["bound"] = {"distortion_within_bound": False, "error": dist_error}
 
     if count is None:
-        stream = group_orbit_reps(lg, lifted_group(lg, table))
+        stream = group_orbit_reps(lg, orbits)
     else:
         stream = sample_pair_list(lg, tables, count, seed)
     sw = verdict_sweep(lg, table, tables, base_gi, base_di, stream, collect)

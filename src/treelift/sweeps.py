@@ -4,27 +4,32 @@ The verdict sweep runs the full per-pair battery over a stream of (x, y,
 covered) entries that the caller builds from the pair policy
 (``report.run_analysis``).  Distances, embedding rows and canonical shortest
 paths are all invariant under label translation (the canonical path of a
-translated pair is the translated canonical path), so a sampled stream
-(``lift.sample_pair_list``) holds one entry per translation orbit, weighted
-by the family pairs in it, and its verdicts cover every pair in it.  The
-exhaustive stream (``group_orbit_reps``) goes further and holds one pair per
-orbit of the lifted group Z_2^s x| Aut(G) (``voltage.lifted_group``): an
-automorphism of the lift carries a verified shortest path to a shortest path
-of the image pair, with the same projection up to alpha, hence the same
-counters and verdicts.  The image is not always the image pair's own
-canonical path, so in exhaustive mode each pair is covered by an
-automorphic image of a verified canonical path.  The group walk lists the
-smallest translation representative of each group orbit.  It walks only the
-sources (r, 0) with r the smallest of its Aut(G) vertex orbit, and finds the
-rest of an orbit's pairs at (r, 0) from two cosets alone: the elements that
-fix r, and those that take the target's base into r, which swap the ends.
-Each orbit thus costs |Stab(r)| + |coset| images, not |Aut(G)|, needs no
-translation canonicalising, and is marked only in its own source's nn-byte
-row; ``covered`` is the number of marked targets times the size of the
-orbit of (r, 0), halved when both ends lie in r's vertex orbit.  Spot checks
-in the test suite re-derive sampled pairs directly, compare the group sweep
-with the translation sweep, and the group walk with the image-set walk it
-replaced, to guard both reductions.
+translated pair is the translated canonical path), and an automorphism of
+the lift from the lifted group Z_2^s x| Aut(G) (``voltage.lifted_group``)
+carries a verified shortest path to a shortest path of the image pair, with
+the same projection up to alpha, hence the same counters and verdicts.  So
+both streams hold one pair per orbit of that group, its smallest pair, which
+starts at a walked source (r, 0), r the smallest of its Aut(G) vertex orbit,
+the only sources whose distance rows are built.  The image is not always
+the image pair's own canonical path, so each pair is covered by an
+automorphic image of a verified canonical path.  The exhaustive stream
+(``group_orbit_reps``) lists every orbit, and the sampled stream
+(``lift.sample_pair_list``) the orbits its pair family meets, weighted by
+the family pairs in each.  Both read ``voltage.GroupOrbits``: the walked
+sources, and for each vertex the coset of elements taking it to its
+source.  The group walk finds the rest of an orbit's pairs at (r, 0) from
+two cosets alone: the elements that fix r, and those that take the
+target's base into r, which swap the ends.  Each orbit thus costs |Stab(r)|
++ |coset| images, not |Aut(G)|, needs no translation canonicalising, and is
+marked only in its own source's nn-byte row; ``covered`` is the number of
+marked targets times the size of the orbit of (r, 0), halved when both ends
+lie in r's vertex orbit.  With the trivial group (rigid bases, and lifts
+failing ``voltage.symmetry_applies`` such as the fault lift) the orbits are
+the translation orbits.  Spot checks in the test suite re-derive sampled
+pairs directly, compare the group sweep with the translation sweep, the
+group walk with the image-set walk it replaced, and every row off the
+walked sources with a walked row moved by the group, to guard the
+reductions.
 
 The whole-lift checks are certified exactly at every lift size, with no
 sampling.  A lifted edge over base edge e must flip side bit e and nothing
@@ -41,7 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .lift import lifted_distance, orbit_rep, two_sided_distances
+from .lift import lifted_distance, two_sided_distances
 from .walks import (
     PathRebuildError,
     Verdict,
@@ -64,33 +69,30 @@ class SweepResult:
     all_pass: bool
 
 
-def group_orbit_reps(lg, group):
+def group_orbit_reps(lg, orbits):
     """One (x, y, covered) entry per orbit of the lifted group on unordered
     pairs: its smallest canonical translation representative and the number
     of pairs in the orbit, in canonical order.
 
-    ``group`` holds the lifted automorphisms of ``voltage.lifted_group``.
-    home[v] is the smallest alpha(v), and only sources r = home[r] are
-    walked, each with one nn-byte mark row.  A target y = (v, f) that is
-    marked, or has home[v] < r (its orbit starts at a smaller source), is
-    skipped; any other is the smallest pair of a new orbit.  That orbit's
-    pairs at (r, 0) come from the elements that fix r, giving (alpha(v), h),
-    and from those that take v into r, swapping the ends and giving
-    (alpha(r), h): the far end is the larger base, and h = A.f ^ p(v) ^ p(r).
-    These targets are marked.  Every vertex of the orbit of (r, 0), |Aut.r| *
-    2^s of them, has as many, so ``covered`` is their number times that
-    size, halved when home[v] == r, since each pair is then counted from
-    both of its ends.
+    ``orbits`` is the ``voltage.GroupOrbits`` of ``voltage.lifted_group``.
+    Only its walked sources r = home[r] are walked, each with one nn-byte
+    mark row.  A target y = (v, f) that is marked, or has home[v] < r (its
+    orbit starts at a smaller source), is skipped; any other is the smallest
+    pair of a new orbit.  That orbit's pairs at (r, 0) come from coset[r],
+    the elements that fix r, giving (alpha(v), h), and, when home[v] == r,
+    from coset[v], those that take v into r, swapping the ends and giving
+    (alpha(r), h): the far end is the larger base, and h = A.f ^ p(v) ^
+    p(r).  These targets are marked.  Every vertex of the orbit of (r, 0)
+    has as many, so ``covered`` is their number times the orbit's size,
+    halved when home[v] == r, since each pair is then counted from both of
+    its ends.
     """
     s = lg.s
-    home = [min(alpha[v] for alpha, _, _ in group) for v in range(lg.base.n)]
-    for r in (r for r in range(lg.base.n) if home[r] == r):
+    home, coset = orbits.home, orbits.coset
+    for r in orbits.walked():
         x = r << s
         row = bytearray(lg.num_vertices)
-        into = {}  # v -> the elements with alpha(v) == r
-        for phi in group:
-            into.setdefault(phi.alpha.index(r), []).append(phi)
-        size = len(group) // len(into[r]) << s
+        size = orbits.orbit_size(r)
         for y in range(x + 1, lg.num_vertices):
             v = y >> s
             if row[y] or home[v] < r:
@@ -98,7 +100,7 @@ def group_orbit_reps(lg, group):
             bits = [i for i in range(s) if y >> i & 1]
             targets = set()
             # A.f spelled inline: a helper call per image made the Tutte-Coxeter walk 1.7x slower
-            for alpha, cols, pot in into[r] if v == r else into[r] + into.get(v, []):
+            for alpha, cols, pot in coset[r] + coset[v] if home[v] == r != v else coset[r]:
                 h = pot[v] ^ pot[r]
                 for i in bits:
                     h ^= cols[i]
@@ -117,22 +119,22 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None)
     """Verdict battery over the pair stream ``pairs``.
 
     The caller passes the stream of its pair policy: ``group_orbit_reps``
-    (exhaustive, one analysis per orbit of the lifted group) or
-    ``sample_pair_list`` (sampled, one analysis per translation orbit).
-    Each entry (x, y, covered) is analyzed at the canonical translation
-    representative of its pair and counts ``covered`` pairs.  ``collect``, if
-    given, is called with (x, y, covered, distance, l1, analysis, verdicts)
-    for every entry, in canonical order; the CSV export hangs off this hook.
+    (exhaustive) or ``sample_pair_list`` (sampled), one analysis per orbit
+    of the lifted group either way.  Each entry (x, y, covered) is a
+    canonical translation representative, x = (u, 0) with u a walked source,
+    and counts ``covered`` pairs.  ``collect``, if given, is called with (x,
+    y, covered, distance, l1, analysis, verdicts) for every entry, in stream
+    order; the CSV export hangs off this hook.
 
     An entry whose canonical path cannot be rebuilt through the distance
     rows (``PathRebuildError``) has no analysis: it counts as failed under
     every verdict, is recorded in ``failures`` and skips ``collect``, and the
     sweep goes on.
 
-    Every representative starts at (u, 0), and both policies list the
-    representatives of one u as one run (exhaustive entries come by u, and
-    sampled entries, sorted by x, have u = x >> s), so the predecessors of
-    one source's canonical-path tree are kept in one dict while its run lasts.
+    The predecessors of one source's canonical-path tree are kept in one
+    dict while its run of entries lasts.  Exhaustive entries come by source,
+    and so do sampled entries under the trivial group (in the order of
+    their smallest family pairs, each starting at the smaller base).
     """
     fails = dict.fromkeys(VERDICT_NAMES, 0)
     failures = []
@@ -142,19 +144,18 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None)
     source = pred = None
 
     for x, y, cov in pairs:
-        rx, ry = orbit_rep(lg, x, y)
-        if rx != source:
-            source = rx
+        if x != source:
+            source = x
             pred = {}
         analyses += 1
         covered += cov
         try:
-            path = shortest_lifted_path(lg, rx, ry, tables, pred)
+            path = shortest_lifted_path(lg, x, y, tables, pred)
         except PathRebuildError as exc:
             for name in fails:
                 fails[name] += 1
             if len(failures) < MAX_RECORDED_FAILURES:
-                failures.append(_no_path(rx, ry, exc))
+                failures.append(_no_path(x, y, exc))
             continue
         wa = analyze(lg, path)
         verdicts = verify_all(lg, wa, table, base_girth, base_diam)

@@ -28,10 +28,12 @@ base edges to base edges, the recursion is the equation on every tree edge
 and the column formula is the equation on every cotree edge.  A is then
 invertible, because alpha permutes the cycle space and the tree rule's
 voltage map is an isomorphism from that space onto Z_2^s.  So the one thing
-left to certify at run time is that alpha is an automorphism, and
-``base_automorphisms`` checks that on each coset representative it keeps:
-every element is a product of representatives, and products of
-automorphisms are automorphisms.
+left to certify at run time is that alpha is an automorphism, and the
+search (``_transversals``) checks that on each coset representative it
+keeps: every element is a product of representatives, and products of
+automorphisms are automorphisms.  ``lifted_group`` lifts only those
+representatives down the tree and forms every other element as their
+product in the affine group.
 
 The verdict sweep may reduce by these automorphisms only when
 ``symmetry_applies``: the lift's rule is the tree rule and every lifted edge
@@ -46,6 +48,9 @@ group.
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import chain, repeat
+from operator import xor
 from typing import NamedTuple
 
 from .graph import bfs_distances
@@ -70,9 +75,22 @@ class LiftedAutomorphism(NamedTuple):
 
 
 def base_automorphisms(g):
-    """Aut(g) as vertex permutations, sorted, so the identity comes first.
+    """Aut(g) as vertex permutations, sorted, so the identity comes first:
+    every product u_0 u_1 ... of one element of each transversal of
+    ``_transversals``, or only the identity when that search gives up.
+    """
+    identity = tuple(range(g.n))
+    transversals = _transversals(g)
+    if transversals is None:
+        return [identity]
+    return sorted(_products(identity, transversals))
 
-    A stabilizer chain along the vertices in BFS order b_0, b_1, ...: each
+
+def _transversals(g):
+    """The transversals of a stabilizer chain of Aut(g), identity first in
+    each, as vertex permutations; None when the search gives up.
+
+    The chain runs along the vertices in BFS order b_0, b_1, ...: each
     vertex after the first of its component has an earlier neighbour, whose
     image's neighbours are its candidates.  A candidate must have the same
     distance profile (the sorted row of distances) and lie at the same
@@ -86,20 +104,21 @@ def base_automorphisms(g):
     G_i, the pointwise stabilizers of b_0 .. b_i and of b_0 .. b_{i-1}, so
     |Aut(g)| is the product of the |U_i| and every automorphism is one
     product u_0 u_1 ... u_{n-1} (Butler, "Fundamental Algorithms for
-    Permutation Groups", LNCS 559, 1991).  Each representative kept must be
-    a permutation mapping every edge to an edge, or the search returns only
-    the identity: the distance rows are trusted only to prune, and the
-    products of certified representatives are automorphisms, so the group
-    costs sum(|U_i| - 1) checks, not |Aut(g)|.  Returns only the identity,
-    too, before any distance row is built when n(n-1)/2, the least work
-    any search does, exceeds ``AUT_SEARCH_BUDGET``; once the search has done
-    that much work; or, before any product is formed, when the order times
-    n + m exceeds it.
+    Permutation Groups", LNCS 559, 1991).  Only the levels with more than the
+    identity are returned.  Each representative kept must be a permutation
+    mapping every edge to an edge, or the search gives up: the distance rows
+    are trusted only to prune, and the products of certified representatives
+    are automorphisms, so the group costs sum(|U_i| - 1) checks, not
+    |Aut(g)|.  The search also gives up before any distance row is built
+    when n(n-1)/2, the least work any search does, exceeds
+    ``AUT_SEARCH_BUDGET``; once it has done that much work; or when the
+    group's order times n + m, the work of forming and lifting its elements,
+    exceeds it.
     """
     n = g.n
-    identity = tuple(range(n))
     if n * (n - 1) // 2 > AUT_SEARCH_BUDGET:
-        return [identity]
+        return None
+    identity = tuple(range(n))
     adj = [[w for w, _ in nbrs] for nbrs in g.adj]
     dist = [bfs_distances(g, v) for v in range(n)]
     profiles = {}
@@ -152,16 +171,16 @@ def base_automorphisms(g):
             alpha = extend(i, w) if w != v else None
             if alpha is not None:
                 if not _is_automorphism(g, alpha):
-                    return [identity]
+                    return None
                 level.append(alpha)
             if tested > AUT_SEARCH_BUDGET:
-                return [identity]
+                return None
         image[v] = v
         if len(level) > 1:
             transversals.append(level)
     if math.prod(map(len, transversals)) * (n + g.m) > AUT_SEARCH_BUDGET:
-        return [identity]
-    return sorted(_products(identity, transversals))
+        return None
+    return transversals
 
 
 def _is_automorphism(g, alpha):
@@ -208,16 +227,141 @@ def symmetry_applies(lg, table):
     )
 
 
-def lifted_group(lg, table):
-    """The lifted automorphisms of ``lg``, identity first, one per
-    automorphism of the base (translations are left to the caller).
-
-    Each lift is an automorphism by construction (see the module docstring),
-    so none is checked here.  Only the identity when the lift fails
-    ``symmetry_applies`` or the automorphism search gives up.
-    """
+def identity_lift(lg):
+    """The identity of the lift: alpha and A the identity, p = 0."""
     n = lg.base.n
-    if not symmetry_applies(lg, table):
-        return [LiftedAutomorphism(tuple(range(n)), tuple(1 << i for i in range(lg.s)), (0,) * n)]
-    order = sorted(range(n), key=lg.td.root_paths.__getitem__)  # a parent's path is a proper subset
-    return [lift_automorphism(lg, alpha, order) for alpha in base_automorphisms(lg.base)]
+    return LiftedAutomorphism(tuple(range(n)), tuple(1 << i for i in range(lg.s)), (0,) * n)
+
+
+def lifted_group(lg, table):
+    """The lifted automorphisms of ``lg``, one per automorphism of the base,
+    each with p(root) = 0, in ``base_automorphisms`` order, so the identity
+    comes first (translations are left to the caller).
+
+    Only the coset representatives of ``_transversals`` are lifted, by
+    ``lift_automorphism``; every other element is a product of them, formed
+    in the affine group: (u h)(v, f) = (alpha_u alpha_h(v), A_u A_h.f ^
+    A_u.p_h(v) ^ p_u(alpha_h(v))), then translated back to p(root) = 0.  The
+    lift with a given alpha and p(root) is unique, so each product is the
+    element ``lift_automorphism`` would give.  Each lift is an automorphism
+    by construction (see the module docstring), so none is checked here.
+    Only the identity when the lift fails ``symmetry_applies`` or the
+    automorphism search gives up.
+    """
+    identity = identity_lift(lg)
+    transversals = _transversals(lg.base) if symmetry_applies(lg, table) else None
+    if transversals is None:
+        return [identity]
+    order = sorted(range(lg.base.n), key=lg.td.root_paths.__getitem__)  # a parent's path is a proper subset
+    group = [identity]
+    for level in reversed(transversals):
+        flat = [list(chain.from_iterable(part)) for part in zip(*group)]
+        products = list(group)  # the level's identity first
+        for alpha in level[1:]:
+            products += _times(lift_automorphism(lg, alpha, order), group, flat, order[0])
+        group = products
+    return sorted(group)
+
+
+def _times(phi, group, flat, root):
+    """phi h for each h in ``group``, translated back to p(root) = 0;
+    ``flat`` holds the group's alphas, columns and potentials, each kind end
+    to end in one list.
+
+    (phi h)(v, f) = (alpha(alpha_h(v)), A A_h.f ^ A.p_h(v) ^ p(alpha_h(v))),
+    and p_h(root) = 0, so the translation is by p(alpha_h(root)).  A is
+    applied to all columns, and to all potentials, of the group at once.
+    """
+    s = len(phi.cols)
+    n = len(phi.pot)
+    alphas, cols, pots = flat
+    pot = phi.pot.__getitem__
+    shifts = chain.from_iterable(map(repeat, map(pot, alphas[root::n]), repeat(n)))
+    cols = _linear(phi.cols, cols)
+    pots = _linear(phi.cols, pots, map(xor, map(pot, alphas), shifts))
+    return [
+        LiftedAutomorphism(
+            tuple(map(phi.alpha.__getitem__, alpha)),
+            tuple(cols[j * s : j * s + s]),
+            tuple(pots[j * n : j * n + n]),
+        )
+        for j, (alpha, _, _) in enumerate(group)
+    ]
+
+
+def _linear(cols, labels, extra=()):
+    """[A.f ^ e for f, e in zip(labels, extra)], e = 0 once ``extra`` ends,
+    with ``cols`` the columns of A.
+
+    The labels are lanes of at least s bits of one integer L, and A.L is the
+    XOR over i of bit i of every lane times column i, ((L >> i) & ones) *
+    cols[i], which never carries out of a lane.
+    """
+    # lanes of up to 64 bits: a lift with more coordinates has over 2^64 vertices
+    code = next(code for code in "BHIQ" if len(cols) <= 8 * array(code).itemsize)
+    lanes = array(code, labels)
+    size = len(lanes) * lanes.itemsize
+    whole = int.from_bytes(lanes.tobytes(), "little")
+    ones = int.from_bytes(array(code, [1]).tobytes() * len(lanes), "little")
+    out = int.from_bytes(array(code, extra).tobytes(), "little")
+    for i, col in enumerate(cols):
+        out ^= (whole >> i & ones) * col
+    return array(code, out.to_bytes(size, "little")).tolist()
+
+
+class GroupOrbits:
+    """The lifted group's action on the base vertices, as the pair streams
+    and the distance tables read it.
+
+    ``group`` is ``lifted_group``'s list, over s label coordinates.
+    ``home[v]`` is the smallest
+    alpha(v), and the walked sources are the vertices r with home[r] == r,
+    one per Aut(G) vertex orbit.  ``coset[v]`` lists, in group order, the
+    elements with alpha(v) == home[v]: for a walked r, its stabilizer.
+    ``orbit_size(r)`` is the number of lifted vertices in the orbit of
+    (r, 0).  With the trivial group every vertex is walked and ``canonical``
+    is ``lift.orbit_rep``.
+    """
+
+    def __init__(self, group):
+        self.group = group
+        self.s = len(group[0].cols)
+        n = len(group[0].alpha)
+        self.home = [min(alpha[v] for alpha, _, _ in group) for v in range(n)]
+        self.coset = [[phi for phi in group if phi.alpha[v] == self.home[v]] for v in range(n)]
+
+    def walked(self):
+        """The walked sources, ascending."""
+        return [r for r, home in enumerate(self.home) if home == r]
+
+    def orbit_size(self, r):
+        """|Aut(G).r| * 2^s lifted vertices, for the walked source r."""
+        return len(self.group) // len(self.coset[r]) << self.s
+
+    def canonical(self, x, y):
+        """The smallest pair of the orbit of {x, y} under Z_2^s x| Aut(G),
+        two distinct encoded vertices.
+
+        It starts at (r, 0) with r = min(home[u], home[v]) for the bases u
+        and v of x and y.  Only the elements taking an end into r can put it
+        there, with the translation by that end's new label: the end a
+        (u or v) with home[a] == r goes to (r, 0) under each element of
+        coset[a], and the other end b to (alpha(b), A.f ^ p(a) ^ p(b)), f the
+        label XOR of the pair.  The answer is the smallest of those targets.
+        """
+        s = self.s
+        u, v = x >> s, y >> s
+        r = min(self.home[u], self.home[v])
+        bits = [i for i in range(s) if (x ^ y) >> i & 1]
+        best = None
+        for a, b in ((u, v), (v, u)) if u != v else ((u, v),):
+            if self.home[a] != r:
+                continue
+            for alpha, cols, pot in self.coset[a]:
+                h = pot[a] ^ pot[b]
+                for i in bits:
+                    h ^= cols[i]
+                t = alpha[b] << s | h
+                if best is None or t < best:
+                    best = t
+        return r << s, best

@@ -36,8 +36,8 @@ already found.  The dict holds only the vertices that paths visit.
 An automorphism phi(u, f) = (alpha(u), A.f ^ p(u)) of the lift (see
 ``voltage``) maps a shortest path to a shortest path whose projection is
 alpha's image of this one, so the induced subgraphs are isomorphic and every
-counter is the same.  That is why the exhaustive sweep analyses one
-canonical path per orbit of the lifted group, not per translation orbit.
+counter is the same.  That is why the sweeps analyse one canonical path
+per orbit of the lifted group, not per translation orbit.
 
 Bridge paths are counted without building them.  A join is a degree-2 vertex
 whose two edges are both bridges, and it glues them into one path.  Bridges
@@ -108,11 +108,9 @@ def shortest_lifted_path(lg, x, y, tables, pred=None):
     the distance tables live) and the path is rebuilt backwards, choosing at
     each hop the predecessor with the smallest encoded id and translating it
     back as it is appended.  One deterministic shortest path per translation
-    orbit, which is what lets the sampled sweep analyse one representative
-    pair per translation orbit; the exhaustive sweep analyses one per orbit
-    of the lifted group, whose automorphisms carry that path to a shortest
-    path of every pair in the orbit.  ``tables`` are the rows of
-    ``lift.representative_tables``.
+    orbit; the sweeps analyse one pair per orbit of the lifted group, whose
+    automorphisms carry that path to a shortest path of every pair in the
+    orbit.  ``tables`` are the rows of ``lift.representative_tables``.
 
     ``pred``, if given, maps vertices of that frame to their predecessors and
     is filled as they are found; it must come only from calls whose source

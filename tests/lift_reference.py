@@ -14,11 +14,27 @@ the lift that read each potential and column off a root-path or cycle mask.
 ``certify`` checks a lifted automorphism against the edge equation on every
 base edge, the certificate ``voltage.lifted_group`` once ran on every
 element before the lift was shown to satisfy it by construction.
+``reference_lifted_group`` lifts every element on its own, as
+``voltage.lifted_group`` did before it formed the products of the coset
+representatives in the affine group.  ``reference_sample_pair_list`` is the
+sampled stream before it was reduced by the lifted group, one entry per
+translation orbit at the orbit's smallest family pair, and
+``reference_canonical`` the smallest pair of a group orbit, found by mapping
+the pair through every element.
 """
 
+import random
+
 from treelift.graph import GraphError, bfs_distances
-from treelift.lift import orbit_rep
-from treelift.voltage import AUT_SEARCH_BUDGET, LiftedAutomorphism
+from treelift.lift import diameter_witness, orbit_rep
+from treelift.voltage import (
+    AUT_SEARCH_BUDGET,
+    LiftedAutomorphism,
+    base_automorphisms,
+    identity_lift,
+    lift_automorphism,
+    symmetry_applies,
+)
 
 
 def linear(values, mask):
@@ -223,3 +239,54 @@ def reference_lift_automorphism(lg, alpha):
     pot = tuple(linear(mapped, path) for path in lg.td.root_paths)
     cols = tuple(linear(mapped, cycle) for cycle in lg.td.cycles)
     return LiftedAutomorphism(tuple(alpha), cols, pot)
+
+
+def reference_lifted_group(lg, table):
+    """The lifted automorphisms of ``lg``, each lifted on its own by
+    ``voltage.lift_automorphism``, in ``base_automorphisms`` order; only the
+    identity when the lift fails ``symmetry_applies``."""
+    if not symmetry_applies(lg, table):
+        return [identity_lift(lg)]
+    order = sorted(range(lg.base.n), key=lg.td.root_paths.__getitem__)
+    return [lift_automorphism(lg, alpha, order) for alpha in base_automorphisms(lg.base)]
+
+
+def reference_canonical(lg, group, x, y):
+    """The smallest pair of the orbit of {x, y} under translations and
+    ``group``: the smallest translation representative of any image."""
+    return min(orbit_rep(lg, image(phi, lg, x), image(phi, lg, y)) for phi in group)
+
+
+def reference_sample_pair_list(lg, tables, count, seed):
+    """The canonical sampled pair family, one (x, y, covered) entry per
+    translation orbit it meets, sorted.
+
+    The family is every adjacent pair, the pair realizing the lifted diameter
+    and ``count`` seeded uniform pairs.  (x, y) is the family's smallest pair
+    in the orbit and ``covered`` the number of family pairs in it, so entries
+    come in the order each orbit is first met in sorted pair order, and the
+    ``covered`` sum is the family size.  The lifted edges over base edge e are one whole orbit of 2^s
+    pairs, whose smallest pair is its canonical representative, so they take
+    one entry per base edge and are never listed.
+    """
+    nn = lg.num_vertices
+    if nn < 2:
+        raise GraphError("distortion requires at least two lifted vertices")
+    rng = random.Random(seed)
+    drawn = {tuple(sorted(diameter_witness(lg, tables)))}
+    for _ in range(count):
+        x = rng.randrange(nn)
+        y = rng.randrange(nn)
+        while y == x:
+            y = rng.randrange(nn)
+        drawn.add((x, y) if x < y else (y, x))
+    orbits = {}
+    for x, y in sorted(drawn):
+        key = orbit_rep(lg, x, y)
+        x0, y0, covered = orbits.get(key, (x, y, 0))
+        orbits[key] = (x0, y0, covered + 1)
+    s = lg.s
+    for (u, v), rule in zip(lg.base.edges, lg.rule):
+        rep = orbit_rep(lg, u << s, (v << s) | rule)
+        orbits[rep] = (*rep, 1 << s)
+    return sorted(orbits.values())

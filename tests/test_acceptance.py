@@ -21,7 +21,7 @@ from treelift.sweeps import (
     oracle_equivalence_checks,
     verdict_sweep,
 )
-from treelift.voltage import lifted_group
+from treelift.voltage import GroupOrbits, lifted_group
 
 
 @contextmanager
@@ -105,7 +105,7 @@ def test_criterion_2_petersen_exhaustive(bundles, expectations):
         assert rep.distortion <= Fraction(17, 5)
         assert rep.distortion == Fraction(expectations["petersen"]["distortion_exhaustive"])
 
-        group = group_orbit_reps(lg, lifted_group(lg, b.table))
+        group = group_orbit_reps(lg, GroupOrbits(lifted_group(lg, b.table)))
         sweep = verdict_sweep(lg, b.table, b.tables, b.base_girth, b.base_diam, group)
         assert sweep.pairs_covered == 204480
         assert sweep.all_pass, "\n\n".join(sweep.failures)

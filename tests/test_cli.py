@@ -79,7 +79,7 @@ def test_analyze_json_report_contents(tmp_path):
     report_path = tmp_path / "r.json"
     assert run(["analyze", base, "-o", report_path]) == 0
     report = json.loads(report_path.read_text())
-    assert report["schema"] == "treelift-report-v3"
+    assert report["schema"] == "treelift-report-v4"
     assert report["base"]["n"] == 8 and report["base"]["regular"] == 2
     assert report["lift"]["vertices"] == 16
     assert report["embedding"]["distortion"] == "1"
@@ -169,9 +169,9 @@ def test_sampled_csv_has_one_row_per_orbit(tmp_path):
     rows = [ln.split(",") for ln in (tmp_path / "r.csv").read_text().splitlines()[1:]]
     assert len(rows) == report["verdict_sweep"]["analyses"]
     assert sum(int(row[4]) for row in rows) == report["verdict_sweep"]["pairs_covered"]
-    # the 15 base edges each carry one whole orbit of 2^6 lifted edges
-    assert sum(row[5] == "1" for row in rows) == 15
-    assert all(row[4] == "64" for row in rows if row[5] == "1")
+    # Aut(G) is transitive on the 15 base edges: their 15 translation orbits
+    # of 2^6 lifted edges are one orbit of the lifted group
+    assert [row[4] for row in rows if row[5] == "1"] == [str(15 * 64)]
 
 
 @pytest.mark.parametrize("command", ["analyze", "lift"])
@@ -286,11 +286,11 @@ def test_a_row_no_path_rebuilds_through_fails_the_run(tmp_path, capsys, monkeypa
     # so the canonical path to it cannot be rebuilt
     real = report_mod.representative_tables
 
-    def corrupted(lg, table):
-        tables = real(lg, table)
+    def corrupted(lg, table, orbits):
+        tables = real(lg, table, orbits)
         row = list(tables.rows[0])
         row[row.index(max(row))] += 3
-        return dataclasses.replace(tables, rows=(row, *tables.rows[1:]))
+        return dataclasses.replace(tables, rows=[row, *tables.rows[1:]])
 
     monkeypatch.setattr(report_mod, "representative_tables", corrupted)
     base = tmp_path / "k4.txt"

@@ -101,8 +101,8 @@ GOLDEN = {
     "heawood dfs root 5 lift edges": "af2da376a0f8efcbbbd2ee73c2b38c41a048ac94610dee0ee5f15d05275c212c",
     "heawood dfs root 5 lift mapping": "04009acbfb320637495d3dee073e006ef19dcde45f36c498ae7bbda5ca6e53e1",
     "heawood exhaustive csv": "5788909be9a50d0224a75e68cb920c97dc2328ff62d5bb3d868ca9d074d44c50",
-    "heawood sample:2000 seed 5": "df68306f904e79f0f396dc73702e503ec8871a9d8883e6f14681673fd9df535e",
-    "mcgee sample:2000 seed 3": "244a505c3b199c1e7983dff143171de6bf2eb5b999e1ab7a49d4b300eb5ca341",
+    "heawood sample:2000 seed 5": "1298cc34dbb18b2f7e4ede16337bac914716d925997c160f68db5cbaa6ba7b77",
+    "mcgee sample:2000 seed 3": "f596d6c845dd581120a20834d1b4cecfe5c6dfc65f2572b2167c5f930e24fe6d",
     "petersen exhaustive": "6a6734a4e4eca11aaa695b9af307cd025562f0dbe27c189cdb013ccd7cf6af9b",
     "petersen dfs root 5 exhaustive verify": "049627388560d5d249b4acbded100b7ff5c7f79ebd4b2787a2b56a90bd463703",
     "petersen exhaustive csv": "68f5e551bc7acbfb445e8072493635041849bf99cb092880669cbeefd0d35b57",
@@ -110,9 +110,9 @@ GOLDEN = {
     "petersen fault-injected sample:300 seed 5": "4e1c47cf327d753971ea71c23670da70ea97d6a5e6ee44f74d70fe0dae71f892",
     "petersen lift edges": "00e493fbb57716fc7867b92c4f9c4b466f03660982349e236faee25fb4371988",
     "petersen lift mapping": "19e90aabda61f7b8c98a4e8f18e3e2b6f71cf857a3bf44365299d708af264b0d",
-    "petersen sample:500 seed 7": "9dbfbe185c241ae25f4d3b68aa9e97a64ac74991db938af030f4c086969c8571",
+    "petersen sample:500 seed 7": "28c05a9f75d17d6417facbc33c50dc9d97ec745df313d4443bca3e110facb5e3",
     "random:20:3 sample:700": "21c7bc78315f950c5375d7026ff4822f27a9c8f8c722ea2c3718846fcaedba33",
-    "tutte_coxeter sample:200 seed 1": "d05b7018af71099a034a79781691850b526e0cb2604fb88e075f7a872615a92c",
+    "tutte_coxeter sample:200 seed 1": "ba34af15ea0a22b2649aa4c5d736b87f397263a1a11aae8b75d0124e58b1605d",
 }
 
 

@@ -10,7 +10,7 @@ from treelift.families import FamilySpec, make
 from treelift.graph import spanning_tree
 from treelift.lift import bfs_lifted, build_lift, representative_tables
 from treelift.sweeps import MAX_RECORDED_FAILURES, group_orbit_reps, oracle_equivalence_checks
-from treelift.voltage import lifted_group
+from treelift.voltage import GroupOrbits, lifted_group
 from treelift.walks import PathRebuildError, shortest_lifted_path
 
 
@@ -83,7 +83,7 @@ def test_sweep_counts_an_orbit_no_path_rebuilds_through_as_failed():
     table = embed(lg)
     tables = representative_tables(lg, table)
     rows, z, _ = raise_largest_entry(tables)
-    group = lifted_group(lg, table)
+    group = GroupOrbits(lifted_group(lg, table))
     clean = sweeps_mod.verdict_sweep(lg, table, tables, 3, 1, group_orbit_reps(lg, group))
     assert clean.all_pass
     result = sweeps_mod.verdict_sweep(lg, table, rows, 3, 1, group_orbit_reps(lg, group))

@@ -1,0 +1,193 @@
+"""The symmetry-reduced engine: distance rows only from the walked sources,
+and sampled streams normalised to the orbits of the lifted group.
+
+The guard here is independent of the group: a row off the walked sources is
+built by its own label-parallel BFS, and must equal the walked row read
+through the lifted element that takes its source there.
+"""
+
+import random
+
+import pytest
+
+import treelift.lift as lift_mod
+from treelift.embedding import embed
+from treelift.families import FamilySpec, make, parse_family
+from treelift.graph import spanning_tree
+from treelift.lift import build_lift, diameter_witness, orbit_rep, representative_tables, sample_pair_list
+from treelift.report import run_analysis
+from treelift.sweeps import group_orbit_reps
+from treelift.voltage import GroupOrbits, lifted_group
+
+from lift_reference import reference_canonical, reference_sample_pair_list
+
+#: symmetric bases: |Aut(G)| and the walked sources of a bfs tree rooted at 0
+SYMMETRIC = {"petersen": (120, [0]), "heawood": (336, [0]), "pappus": (216, [0]), "mcgee": (32, [0, 1])}
+TREES = ("bfs", "dfs")
+
+
+def lift_of(g, tree="bfs", fault=None):
+    td = spanning_tree(g, tree, 0 if tree == "bfs" else g.n - 1)
+    return build_lift(td, fault=None if fault is None else (td.cotree[0], fault))
+
+
+def reduced(lg):
+    """(embedding, the group's orbits, the tables from the walked sources)."""
+    table = embed(lg)
+    orbits = GroupOrbits(lifted_group(lg, table))
+    return table, orbits, representative_tables(lg, table, orbits)
+
+
+@pytest.fixture(scope="module")
+def built():
+    cache = {}
+
+    def get(name, tree):
+        if (name, tree) not in cache:
+            lg = lift_of(make(parse_family(name)), tree)
+            cache[name, tree] = (lg, *reduced(lg))
+        return cache[name, tree]
+
+    return get
+
+
+def mapped_row(lg, phi, u, walked_row):
+    """The row of (u, 0) read off the walked row through phi, an element with
+    alpha(u) = r, and the translation by p(u): y -> phi(y) ^ p(u) takes (u, 0)
+    to (r, 0), so d((u, 0), y) = d((r, 0), phi(y) ^ p(u))."""
+    s = lg.s
+    labels = [0]  # A.f for every label f
+    for col in phi.cols:
+        labels += [f ^ col for f in labels]
+    row = []
+    for v in range(lg.base.n):
+        base = phi.alpha[v] << s
+        shift = phi.pot[v] ^ phi.pot[u]
+        row += map(walked_row.__getitem__, [base | f ^ shift for f in labels])
+    return row
+
+
+@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_every_row_off_the_walked_sources_is_a_walked_row_moved_by_the_group(built, name, tree):
+    lg, _, orbits, tables = built(name, tree)
+    order, walked = SYMMETRIC[name]
+    assert len(orbits.group) == order
+    if tree == "bfs":
+        assert orbits.walked() == walked
+    others = [u for u in range(lg.base.n) if orbits.home[u] != u]
+    assert others and all(tables.rows[u] is None for u in others)
+    for u in others:
+        r = orbits.home[u]
+        phi = orbits.coset[u][0]
+        assert phi.alpha[u] == r
+        assert list(tables[u]) == mapped_row(lg, phi, u, tables[r]), u
+        assert tables.ecc[u] == tables.ecc[r] == max(tables[u])
+
+
+@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_the_walked_sources_give_the_tables_of_all_sources(built, name, tree):
+    lg, table, _, tables = built(name, tree)
+    full = representative_tables(lg, table)
+    assert all(row is not None for row in full.rows)
+    assert (tables.girth, tables.ecc, tables.colip, tables.colip_witness) == (
+        full.girth,
+        full.ecc,
+        full.colip,
+        full.colip_witness,
+    )
+    assert diameter_witness(lg, tables) == diameter_witness(lg, full)
+    for u in range(lg.base.n):
+        assert tables[u] == full[u], u
+
+
+def explicit_family(lg, tables, count, seed):
+    """Every lifted edge, the diameter pair and ``count`` seeded draws, deduplicated."""
+    s = lg.s
+    nn = lg.num_vertices
+    family = set()
+    for (u, v), rule in zip(lg.base.edges, lg.rule):
+        for f in range(1 << s):
+            x, y = (u << s) | f, (v << s) | (f ^ rule)
+            family.add((min(x, y), max(x, y)))
+    family.add(tuple(sorted(diameter_witness(lg, tables))))
+    rng = random.Random(seed)
+    for _ in range(count):
+        x = rng.randrange(nn)
+        y = rng.randrange(nn)
+        while y == x:
+            y = rng.randrange(nn)
+        family.add((min(x, y), max(x, y)))
+    return family
+
+
+@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize("name", ["petersen", "heawood", "pappus"])
+def test_sampled_entries_are_group_orbit_entries_covering_the_family(built, name, tree):
+    lg, _, orbits, tables = built(name, tree)
+    entries = sample_pair_list(lg, tables, 300, 11)
+    exhaustive = {(x, y): covered for x, y, covered in group_orbit_reps(lg, orbits)}
+    assert all((x, y) in exhaustive for x, y, _ in entries)
+    assert all(covered <= exhaustive[x, y] for x, y, covered in entries)
+    family = explicit_family(lg, tables, 300, 11)
+    assert sum(covered for *_, covered in entries) == len(family)
+    # the reference: family pairs grouped by the smallest pair of their group
+    # orbit, found by mapping a pair of each translation orbit through every
+    # element, in the order of each orbit's smallest family pair
+    translation = {}
+    for pair in sorted(family):
+        translation.setdefault(orbit_rep(lg, *pair), []).append(pair)
+    groups = {}
+    for rep, members in translation.items():
+        groups.setdefault(reference_canonical(lg, orbits.group, *rep), []).extend(members)
+    want = [(*key, len(members)) for key, members in sorted(groups.items(), key=lambda kv: min(kv[1]))]
+    assert entries == want
+
+
+#: bases and lifts whose lifted group is the identity alone
+TRIVIAL = {
+    **{
+        f"random:20:3 seed {seed}": (FamilySpec.random_regular(20, 3, girth_min=5, seed=seed), None)
+        for seed in (0, 1, 2)
+    },
+    "petersen fault": (FamilySpec.named("petersen"), 1 << 1),  # the fault of verify --fault-inject
+}
+
+
+@pytest.mark.parametrize("name", TRIVIAL)
+def test_with_the_trivial_group_the_stream_is_the_translation_orbit_stream(name):
+    spec, fault = TRIVIAL[name]
+    lg = lift_of(make(spec), fault=fault)
+    _, orbits, tables = reduced(lg)
+    assert len(orbits.group) == 1 and orbits.walked() == list(range(lg.base.n))
+    assert all(row is not None for row in tables.rows)
+    for count, seed in ((300, 4), (700, 0)):
+        # the translation-orbit stream carried each orbit's smallest family
+        # pair, which the sweep analysed at its translation representative
+        reference = reference_sample_pair_list(lg, tables, count, seed)
+        want = [(*orbit_rep(lg, x, y), covered) for x, y, covered in reference]
+        assert sample_pair_list(lg, tables, count, seed) == want
+
+
+def spy_on_the_plane_bfs(monkeypatch):
+    sources = []
+    real = lift_mod._fiber_planes
+
+    def spy(adj, steps, n, full, u):
+        sources.append(u)
+        return real(adj, steps, n, full, u)
+
+    monkeypatch.setattr(lift_mod, "_fiber_planes", spy)
+    return sources
+
+
+@pytest.mark.parametrize(
+    "name,pairs,seed,walked",
+    [("mcgee", 2000, 3, [0, 1]), ("heawood", "exhaustive", None, [0])],
+)
+def test_an_analysis_runs_the_plane_bfs_once_per_walked_source(monkeypatch, name, pairs, seed, walked):
+    sources = spy_on_the_plane_bfs(monkeypatch)
+    ctx = run_analysis(make(FamilySpec.named(name)), pairs=pairs, seed=seed)
+    assert ctx.report["all_pass"]
+    assert sources == walked

@@ -17,6 +17,7 @@ from treelift.embedding import embed
 from treelift.families import FamilySpec, make, parse_family
 from treelift.graph import Graph, bfs_distances, diameter, girth, spanning_tree
 from treelift.lift import (
+    LiftedGraph,
     build_lift,
     lifted_distance,
     orbit_rep,
@@ -24,7 +25,7 @@ from treelift.lift import (
 )
 from treelift.report import CSV_HEADER, csv_collector, run_analysis, sweep_block, to_json_bytes
 from treelift.sweeps import group_orbit_reps, verdict_sweep
-from treelift.voltage import base_automorphisms, lifted_group, symmetry_applies
+from treelift.voltage import GroupOrbits, base_automorphisms, lifted_group, symmetry_applies
 from treelift.walks import analyze, shortest_lifted_path
 
 from lift_reference import (
@@ -37,6 +38,7 @@ from lift_reference import (
     reference_base_automorphisms,
     reference_group_orbit_reps,
     reference_lift_automorphism,
+    reference_lifted_group,
 )
 
 COUNTERS = (
@@ -176,7 +178,7 @@ def swept(lifted):
     def get(name, tree):
         if (name, tree) not in cache:
             lg, table, tables, group = lifted(name, tree)
-            result, rows = sweep_with_rows(lg, table, tables, group_orbit_reps(lg, group))
+            result, rows = sweep_with_rows(lg, table, tables, group_orbit_reps(lg, GroupOrbits(group)))
             reference, _ = sweep_with_rows(lg, table, tables, list(iter_orbit_reps(lg)))
             cache[name, tree] = lg, table, tables, result, rows, reference
         return cache[name, tree]
@@ -212,6 +214,28 @@ def test_each_element_lifts_as_the_reference_lift(lifted, name, tree):
     assert len(group) > 1
     assert group == [reference_lift_automorphism(lg, phi.alpha) for phi in group]
     assert all(certify(lg, phi) for phi in group)
+
+
+@pytest.mark.parametrize("name,tree", CASES)
+def test_the_affine_products_are_the_per_element_lifts(lifted, name, tree):
+    lg, table, _, group = lifted(name, tree)
+    assert group == reference_lifted_group(lg, table)
+
+
+@pytest.mark.parametrize("name,lifts", [("petersen", 13), ("tutte_coxeter", 35)])
+def test_only_the_coset_representatives_are_lifted_edge_by_edge(monkeypatch, name, lifts):
+    g = make(parse_family(name))
+    lg = LiftedGraph(spanning_tree(g))
+    calls = []
+    real = voltage.lift_automorphism
+
+    def spy(lg, alpha, order):
+        calls.append(alpha)
+        return real(lg, alpha, order)
+
+    monkeypatch.setattr(voltage, "lift_automorphism", spy)
+    assert len(lifted_group(lg, embed(lg))) == SEARCH_ORDERS[name]
+    assert len(calls) == lifts
 
 
 def test_a_group_too_large_to_multiply_out_is_refused_before_any_product(monkeypatch):
@@ -343,7 +367,7 @@ def test_the_stabilizer_walk_lists_the_reference_stream(lifted, name, tree):
     lg, _, _, group = lifted(name, tree)
     orders = {**AUT_ORDERS, **WALK_ORDERS}
     assert len(group) == (orders[name] if name in orders else DELETED[name][0])
-    assert list(group_orbit_reps(lg, group)) == list(reference_group_orbit_reps(lg, group))
+    assert list(group_orbit_reps(lg, GroupOrbits(group))) == list(reference_group_orbit_reps(lg, group))
 
 
 @pytest.mark.parametrize("name", sorted(DELETED))
@@ -359,7 +383,7 @@ def test_the_group_walk_marks_one_row_per_walked_source(monkeypatch, name):
         return out
 
     monkeypatch.setattr(sweeps, "bytearray", spy, raising=False)
-    entries = list(group_orbit_reps(lg, group))
+    entries = list(group_orbit_reps(lg, GroupOrbits(group)))
     _, walked, orbits, _ = DELETED[name]
     assert len(entries) == orbits
     assert sum(covered for *_, covered in entries) == nn * (nn - 1) // 2
@@ -427,7 +451,7 @@ def test_a_lift_failing_the_precondition_keeps_the_trivial_group(monkeypatch):
     def refuse(g):
         raise AssertionError("the search ran on a lift failing the precondition")
 
-    monkeypatch.setattr(voltage, "base_automorphisms", refuse)
+    monkeypatch.setattr(voltage, "_transversals", refuse)
     fault_lg, fault_table, _ = lift_of(g, fault=1 << 1)  # the fault of verify --fault-inject
     assert not symmetry_applies(fault_lg, fault_table)
     for lift, tab in ((fault_lg, fault_table), (lg, broken)):
