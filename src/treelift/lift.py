@@ -491,17 +491,6 @@ def lifted_distance(lg, tables, x, y):
     return tables[x >> lg.s][y ^ (x & lg.mask)]
 
 
-def orbit_rep(lg, x, y):
-    """The canonical representative pair of the translation orbit of {x, y}."""
-    if x == y:
-        raise GraphError("orbit representative requires two distinct vertices")
-    s = lg.s
-    u, v = x >> s, y >> s
-    if u > v:
-        u, v = v, u
-    return (u << s, (v << s) | ((x ^ y) & lg.mask))
-
-
 def sample_pair_list(lg, tables, count, seed):
     """The canonical sampled pair family, one (x, y, covered) entry per
     orbit of the lifted group it meets.
@@ -537,7 +526,7 @@ def sample_pair_list(lg, tables, count, seed):
         orbits.setdefault(canonical(*pair), [pair, 0])[1] += 1
     edges = {}
     for (u, v), rule in zip(lg.base.edges, lg.rule):
-        pair = orbit_rep(lg, u << s, (v << s) | rule)
+        pair = (min(u, v) << s, max(u, v) << s | rule)  # the edge's translation representative
         key = canonical(*pair)
         first, covered = edges.get(key, (pair, 0))
         edges[key] = [min(first, pair), covered + (1 << s)]

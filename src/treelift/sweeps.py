@@ -16,11 +16,12 @@ automorphic image of a verified canonical path.  The exhaustive stream
 (``group_orbit_reps``) lists every orbit, and the sampled stream
 (``lift.sample_pair_list``) the orbits its pair family meets, weighted by
 the family pairs in each.  Both read ``voltage.GroupOrbits``: the walked
-sources, and for each vertex the coset of elements taking it to its
-source.  The group walk finds the rest of an orbit's pairs at (r, 0) from
-two cosets alone: the elements that fix r, and those that take the
-target's base into r, which swap the ends.  Each orbit thus costs |Stab(r)|
-+ |coset| images, not |Aut(G)|, needs no translation canonicalising, and is
+sources, and the one action of the group on a pair, ``images``, whose
+smallest far end the sampled stream keeps (``canonical``) and whose far ends
+the group walk marks.  ``images`` finds an orbit's pairs at (r, 0) from two
+cosets alone: the elements that fix r, and those that take the target's
+base into r, which swap the ends.  Each orbit thus costs |Stab(r)| +
+|coset| images, not |Aut(G)|, needs no translation canonicalising, and is
 marked only in its own source's nn-byte row; ``covered`` is the number of
 marked targets times the size of the orbit of (r, 0), halved when both ends
 lie in r's vertex orbit.  With the trivial group (rigid bases, and lifts
@@ -78,17 +79,13 @@ def group_orbit_reps(lg, orbits):
     Only its walked sources r = home[r] are walked, each with one nn-byte
     mark row.  A target y = (v, f) that is marked, or has home[v] < r (its
     orbit starts at a smaller source), is skipped; any other is the smallest
-    pair of a new orbit.  That orbit's pairs at (r, 0) come from coset[r],
-    the elements that fix r, giving (alpha(v), h), and, when home[v] == r,
-    from coset[v], those that take v into r, swapping the ends and giving
-    (alpha(r), h): the far end is the larger base, and h = A.f ^ p(v) ^
-    p(r).  These targets are marked.  Every vertex of the orbit of (r, 0)
-    has as many, so ``covered`` is their number times the orbit's size,
-    halved when home[v] == r, since each pair is then counted from both of
-    its ends.
+    pair of a new orbit, whose far ends at (r, 0), ``orbits.images(x, y)``,
+    are marked.  Every vertex of the orbit of (r, 0) has as many, so
+    ``covered`` is their number times the orbit's size, halved when
+    home[v] == r, since each pair is then counted from both of its ends.
     """
     s = lg.s
-    home, coset = orbits.home, orbits.coset
+    home, images = orbits.home, orbits.images
     for r in orbits.walked():
         x = r << s
         row = bytearray(lg.num_vertices)
@@ -97,17 +94,10 @@ def group_orbit_reps(lg, orbits):
             v = y >> s
             if row[y] or home[v] < r:
                 continue
-            bits = [i for i in range(s) if y >> i & 1]
-            targets = set()
-            # A.f spelled inline: a helper call per image made the Tutte-Coxeter walk 1.7x slower
-            for alpha, cols, pot in coset[r] + coset[v] if home[v] == r != v else coset[r]:
-                h = pot[v] ^ pot[r]
-                for i in bits:
-                    h ^= cols[i]
-                targets.add(max(alpha[r], alpha[v]) << s | h)
-            for t in targets:
+            _, far = images(x, y)
+            for t in far:
                 row[t] = 1
-            yield x, y, len(targets) * size >> (home[v] == r)
+            yield x, y, len(far) * size >> (home[v] == r)
 
 
 def _no_path(x, y, exc):

@@ -31,9 +31,10 @@ voltage map is an isomorphism from that space onto Z_2^s.  So the one thing
 left to certify at run time is that alpha is an automorphism, and the
 search (``_transversals``) checks that on each coset representative it
 keeps: every element is a product of representatives, and products of
-automorphisms are automorphisms.  ``lifted_group`` lifts only those
-representatives down the tree and forms every other element as their
-product in the affine group.
+automorphisms are automorphisms.  ``lifted_group`` lifts every element
+of ``base_automorphisms`` down the tree, one at a time, and
+``GroupOrbits.images`` is the one place an element acts on a pair of
+lifted vertices.
 
 The verdict sweep may reduce by these automorphisms only when
 ``symmetry_applies``: the lift's rule is the tree rule and every lifted edge
@@ -48,9 +49,6 @@ group.
 from __future__ import annotations
 
 import math
-from array import array
-from itertools import chain, repeat
-from operator import xor
 from typing import NamedTuple
 
 from .graph import bfs_distances
@@ -235,83 +233,22 @@ def identity_lift(lg):
 
 def lifted_group(lg, table):
     """The lifted automorphisms of ``lg``, one per automorphism of the base,
-    each with p(root) = 0, in ``base_automorphisms`` order, so the identity
-    comes first (translations are left to the caller).
-
-    Only the coset representatives of ``_transversals`` are lifted, by
-    ``lift_automorphism``; every other element is a product of them, formed
-    in the affine group: (u h)(v, f) = (alpha_u alpha_h(v), A_u A_h.f ^
-    A_u.p_h(v) ^ p_u(alpha_h(v))), then translated back to p(root) = 0.  The
-    lift with a given alpha and p(root) is unique, so each product is the
-    element ``lift_automorphism`` would give.  Each lift is an automorphism
-    by construction (see the module docstring), so none is checked here.
-    Only the identity when the lift fails ``symmetry_applies`` or the
-    automorphism search gives up.
+    each lifted by ``lift_automorphism`` with p(root) = 0, in
+    ``base_automorphisms`` order, so the identity comes first (translations
+    are left to the caller).  Each lift is an automorphism by construction
+    (see the module docstring), so none is checked here.  Only the identity
+    when the lift fails ``symmetry_applies`` or the automorphism search
+    gives up.
     """
-    identity = identity_lift(lg)
-    transversals = _transversals(lg.base) if symmetry_applies(lg, table) else None
-    if transversals is None:
-        return [identity]
+    if not symmetry_applies(lg, table):
+        return [identity_lift(lg)]
     order = sorted(range(lg.base.n), key=lg.td.root_paths.__getitem__)  # a parent's path is a proper subset
-    group = [identity]
-    for level in reversed(transversals):
-        flat = [list(chain.from_iterable(part)) for part in zip(*group)]
-        products = list(group)  # the level's identity first
-        for alpha in level[1:]:
-            products += _times(lift_automorphism(lg, alpha, order), group, flat, order[0])
-        group = products
-    return sorted(group)
-
-
-def _times(phi, group, flat, root):
-    """phi h for each h in ``group``, translated back to p(root) = 0;
-    ``flat`` holds the group's alphas, columns and potentials, each kind end
-    to end in one list.
-
-    (phi h)(v, f) = (alpha(alpha_h(v)), A A_h.f ^ A.p_h(v) ^ p(alpha_h(v))),
-    and p_h(root) = 0, so the translation is by p(alpha_h(root)).  A is
-    applied to all columns, and to all potentials, of the group at once.
-    """
-    s = len(phi.cols)
-    n = len(phi.pot)
-    alphas, cols, pots = flat
-    pot = phi.pot.__getitem__
-    shifts = chain.from_iterable(map(repeat, map(pot, alphas[root::n]), repeat(n)))
-    cols = _linear(phi.cols, cols)
-    pots = _linear(phi.cols, pots, map(xor, map(pot, alphas), shifts))
-    return [
-        LiftedAutomorphism(
-            tuple(map(phi.alpha.__getitem__, alpha)),
-            tuple(cols[j * s : j * s + s]),
-            tuple(pots[j * n : j * n + n]),
-        )
-        for j, (alpha, _, _) in enumerate(group)
-    ]
-
-
-def _linear(cols, labels, extra=()):
-    """[A.f ^ e for f, e in zip(labels, extra)], e = 0 once ``extra`` ends,
-    with ``cols`` the columns of A.
-
-    The labels are lanes of at least s bits of one integer L, and A.L is the
-    XOR over i of bit i of every lane times column i, ((L >> i) & ones) *
-    cols[i], which never carries out of a lane.
-    """
-    # lanes of up to 64 bits: a lift with more coordinates has over 2^64 vertices
-    code = next(code for code in "BHIQ" if len(cols) <= 8 * array(code).itemsize)
-    lanes = array(code, labels)
-    size = len(lanes) * lanes.itemsize
-    whole = int.from_bytes(lanes.tobytes(), "little")
-    ones = int.from_bytes(array(code, [1]).tobytes() * len(lanes), "little")
-    out = int.from_bytes(array(code, extra).tobytes(), "little")
-    for i, col in enumerate(cols):
-        out ^= (whole >> i & ones) * col
-    return array(code, out.to_bytes(size, "little")).tolist()
+    return [lift_automorphism(lg, alpha, order) for alpha in base_automorphisms(lg.base)]
 
 
 class GroupOrbits:
-    """The lifted group's action on the base vertices, as the pair streams
-    and the distance tables read it.
+    """The lifted group's action on the base vertices and on lifted pairs,
+    as the pair streams and the distance tables read it.
 
     ``group`` is ``lifted_group``'s list, over s label coordinates.
     ``home[v]`` is the smallest
@@ -319,8 +256,9 @@ class GroupOrbits:
     one per Aut(G) vertex orbit.  ``coset[v]`` lists, in group order, the
     elements with alpha(v) == home[v]: for a walked r, its stabilizer.
     ``orbit_size(r)`` is the number of lifted vertices in the orbit of
-    (r, 0).  With the trivial group every vertex is walked and ``canonical``
-    is ``lift.orbit_rep``.
+    (r, 0).  ``images`` applies the elements to a pair, and ``canonical``
+    reads the orbit's smallest pair off it.  With the trivial group every
+    vertex is walked and ``canonical`` is the translation representative.
     """
 
     def __init__(self, group):
@@ -338,22 +276,23 @@ class GroupOrbits:
         """|Aut(G).r| * 2^s lifted vertices, for the walked source r."""
         return len(self.group) // len(self.coset[r]) << self.s
 
-    def canonical(self, x, y):
-        """The smallest pair of the orbit of {x, y} under Z_2^s x| Aut(G),
-        two distinct encoded vertices.
+    def images(self, x, y):
+        """(r, far) for the orbit of {x, y} under Z_2^s x| Aut(G), two
+        distinct encoded vertices: ``far`` is the set of the encoded t with
+        ((r, 0), t) a pair of the orbit, each larger than (r, 0).
 
-        It starts at (r, 0) with r = min(home[u], home[v]) for the bases u
-        and v of x and y.  Only the elements taking an end into r can put it
-        there, with the translation by that end's new label: the end a
-        (u or v) with home[a] == r goes to (r, 0) under each element of
-        coset[a], and the other end b to (alpha(b), A.f ^ p(a) ^ p(b)), f the
-        label XOR of the pair.  The answer is the smallest of those targets.
+        r = min(home[u], home[v]) for the bases u and v of x and y.  Only
+        the elements taking an end into r can put it there, with the
+        translation by that end's new label: the end a (u or v) with
+        home[a] == r goes to (r, 0) under each element of coset[a], and the
+        other end b to (alpha(b), A.f ^ p(a) ^ p(b)), f the label XOR of the
+        pair.
         """
         s = self.s
         u, v = x >> s, y >> s
         r = min(self.home[u], self.home[v])
         bits = [i for i in range(s) if (x ^ y) >> i & 1]
-        best = None
+        far = set()
         for a, b in ((u, v), (v, u)) if u != v else ((u, v),):
             if self.home[a] != r:
                 continue
@@ -361,7 +300,11 @@ class GroupOrbits:
                 h = pot[a] ^ pot[b]
                 for i in bits:
                     h ^= cols[i]
-                t = alpha[b] << s | h
-                if best is None or t < best:
-                    best = t
-        return r << s, best
+                far.add(alpha[b] << s | h)
+        return r, far
+
+    def canonical(self, x, y):
+        """The smallest pair of the orbit of {x, y}: ((r, 0), min(far)) of
+        ``images``."""
+        r, far = self.images(x, y)
+        return r << self.s, min(far)

@@ -1,40 +1,35 @@
 """Reference forms of the lift's pair streams, maps and group, for tests only.
 
+``orbit_rep`` is the smallest pair of a translation orbit, which
+``voltage.GroupOrbits.canonical`` gives under the trivial group.
 ``reference_group_orbit_reps`` is the image-set group walk that
 ``sweeps.group_orbit_reps`` replaced: it maps each new representative by
 every lifted automorphism and normalises each image with ``orbit_rep``, so
-it shares nothing with the stabilizer walk but the group itself.
-``iter_orbit_reps`` lists every translation representative, the stream of
-the translation-only sweep.  ``project_vertex``, ``project_edge`` and
-``image`` read a lifted vertex, a lifted edge and an automorphism's image
-straight off their encodings.  ``reference_base_automorphisms`` is the
-backtracking search that enumerated every automorphism before the stabilizer
-chain of ``voltage.base_automorphisms``, and ``reference_lift_automorphism``
-the lift that read each potential and column off a root-path or cycle mask.
-``certify`` checks a lifted automorphism against the edge equation on every
-base edge, the certificate ``voltage.lifted_group`` once ran on every
-element before the lift was shown to satisfy it by construction.
-``reference_lifted_group`` lifts every element on its own, as
-``voltage.lifted_group`` did before it formed the products of the coset
-representatives in the affine group.  ``reference_sample_pair_list`` is the
-sampled stream before it was reduced by the lifted group, one entry per
-translation orbit at the orbit's smallest family pair, and
-``reference_canonical`` the smallest pair of a group orbit, found by mapping
-the pair through every element.
+it shares nothing with the stabilizer walk but the group itself, and
+``image`` with ``orbit_rep`` over the whole group is likewise the reference
+of ``GroupOrbits.images``.  ``iter_orbit_reps`` lists every translation
+representative, the stream of the translation-only sweep.
+``project_vertex``, ``project_edge`` and ``image`` read a lifted vertex, a
+lifted edge and an automorphism's image straight off their encodings.
+``reference_base_automorphisms`` is the backtracking search that enumerated
+every automorphism before the stabilizer chain of
+``voltage.base_automorphisms``, and ``reference_lift_automorphism`` the lift
+that read each potential and column off a root-path or cycle mask, against
+which the tests check each element ``voltage.lifted_group`` lifts down the
+tree.  ``certify`` checks a lifted automorphism against the edge equation
+on every base edge, the certificate ``voltage.lifted_group`` once ran on
+every element before the lift was shown to satisfy it by construction.
+``reference_sample_pair_list`` is the sampled stream before it was reduced
+by the lifted group, one entry per translation orbit at the orbit's
+smallest family pair, and ``reference_canonical`` the smallest pair of a
+group orbit, found by mapping the pair through every element.
 """
 
 import random
 
 from treelift.graph import GraphError, bfs_distances
-from treelift.lift import diameter_witness, orbit_rep
-from treelift.voltage import (
-    AUT_SEARCH_BUDGET,
-    LiftedAutomorphism,
-    base_automorphisms,
-    identity_lift,
-    lift_automorphism,
-    symmetry_applies,
-)
+from treelift.lift import diameter_witness
+from treelift.voltage import AUT_SEARCH_BUDGET, LiftedAutomorphism
 
 
 def linear(values, mask):
@@ -91,6 +86,18 @@ def project_edge(lg, x, y):
     if eid is None or f ^ h != lg.rule[eid]:
         raise GraphError(f"({x}, {y}) is not an edge of the lift")
     return eid
+
+
+def orbit_rep(lg, x, y):
+    """The canonical representative pair of the translation orbit of {x, y}:
+    translated by the label of its end with the smaller base."""
+    if x == y:
+        raise GraphError("orbit representative requires two distinct vertices")
+    s = lg.s
+    u, v = x >> s, y >> s
+    if u > v:
+        u, v = v, u
+    return (u << s, (v << s) | ((x ^ y) & lg.mask))
 
 
 def image(phi, lg, x):
@@ -239,16 +246,6 @@ def reference_lift_automorphism(lg, alpha):
     pot = tuple(linear(mapped, path) for path in lg.td.root_paths)
     cols = tuple(linear(mapped, cycle) for cycle in lg.td.cycles)
     return LiftedAutomorphism(tuple(alpha), cols, pot)
-
-
-def reference_lifted_group(lg, table):
-    """The lifted automorphisms of ``lg``, each lifted on its own by
-    ``voltage.lift_automorphism``, in ``base_automorphisms`` order; only the
-    identity when the lift fails ``symmetry_applies``."""
-    if not symmetry_applies(lg, table):
-        return [identity_lift(lg)]
-    order = sorted(range(lg.base.n), key=lg.td.root_paths.__getitem__)
-    return [lift_automorphism(lg, alpha, order) for alpha in base_automorphisms(lg.base)]
 
 
 def reference_canonical(lg, group, x, y):

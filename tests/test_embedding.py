@@ -19,13 +19,12 @@ from treelift.lift import (
     build_lift,
     diameter_witness,
     lifted_distance,
-    orbit_rep,
     representative_tables,
     sample_pair_list,
 )
 from treelift.sweeps import cut_partition_check, degree_preservation_check
 
-from lift_reference import iter_orbit_reps
+from lift_reference import iter_orbit_reps, orbit_rep
 
 # --- independent oracle: 2-color the lift after deleting one fiber -----------
 

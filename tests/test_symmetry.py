@@ -14,12 +14,12 @@ import treelift.lift as lift_mod
 from treelift.embedding import embed
 from treelift.families import FamilySpec, make, parse_family
 from treelift.graph import spanning_tree
-from treelift.lift import build_lift, diameter_witness, orbit_rep, representative_tables, sample_pair_list
+from treelift.lift import build_lift, diameter_witness, representative_tables, sample_pair_list
 from treelift.report import run_analysis
 from treelift.sweeps import group_orbit_reps
 from treelift.voltage import GroupOrbits, lifted_group
 
-from lift_reference import reference_canonical, reference_sample_pair_list
+from lift_reference import orbit_rep, reference_canonical, reference_sample_pair_list
 
 #: symmetric bases: |Aut(G)| and the walked sources of a bfs tree rooted at 0
 SYMMETRIC = {"petersen": (120, [0]), "heawood": (336, [0]), "pappus": (216, [0]), "mcgee": (32, [0, 1])}
