@@ -15,21 +15,23 @@ A lift is derived from its tree decomposition alone (plus an optional
 fault): ``LiftedGraph(td, fault)`` reads the base graph, the coordinate count
 and the rule off ``td`` once.  Adjacency is computed on demand from (base
 adjacency, rule masks), which the step table ``LiftedGraph.hops`` pairs up
-once per lift.  The only objects of size n * 2^s are the list of the scalar
-``bfs_lifted`` (used by ``build_lift``'s connectivity check) and the distance
-rows of ``representative_tables``: one row of n * 2^s entries per walked
-source, the smallest vertex of each Aut(G) vertex orbit (all n sources when
-the lifted group is trivial), one byte each while the lifted diameter is
-under 256, plus, while those rows are built, one n * 2^s-bit set per base
-edge.  Any other source's row is built when it is first read, which only
-the verification oracle does.  The same label-parallel BFS that fills the
-rows also measures the lifted girth and the exact colip of the cut
-embedding.  An explicit vertex cap guards all of them.  The verification
-oracle answers its pairs with ``two_sided_distances``, a scalar search that
-only grows two small balls per pair.  The text form of the lift is never
-held whole: ``lift_edge_list_text`` and ``lift_mapping_text`` yield it one
-base edge (one base vertex) of 2^s lines at a time, for the writer to put on
-disk block by block.
+once per lift.  All whole-lift distances come from one label-parallel BFS
+(``_fiber_planes``), which carries a fiber's reached labels as one 2^s-bit
+set.  The only objects of size n * 2^s are the list ``bfs_lifted`` returns
+(used by ``build_lift``'s connectivity check) and the distance rows of
+``representative_tables``: one row of n * 2^s entries per walked source, the
+smallest vertex of each Aut(G) vertex orbit (all n sources when the lifted
+group is trivial), one byte each while the lifted diameter is under 256,
+plus, while those rows are built, one n * 2^s-bit set per base edge.  Any
+other source's row is built when it is first read, which only the
+verification oracle does.  The same BFS that fills the rows also measures
+the lifted girth and the exact colip of the cut embedding.  An explicit
+vertex cap guards all of them.  The verification oracle answers its pairs
+with ``two_sided_distances``, a scalar search that only grows two small
+balls per pair.  The text form of the lift is never held whole:
+``lift_edge_list_text`` and ``lift_mapping_text`` yield it one base edge
+(one base vertex) of 2^s lines at a time, for the writer to put on disk
+block by block.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ def build_lift(td, max_vertices=DEFAULT_MAX_VERTICES, fault=None):
     The tree/cotree rule always yields a connected lift of a connected base
     (the fundamental cycle of cotree edge i carries exactly the bit-i flip, so
     the flips generate the whole label group); this is asserted on every
-    build by one ``bfs_lifted``, so a fault that disconnects the lift is
-    refused here.
+    build by one ``bfs_lifted`` from (0, 0), a label-parallel BFS, so a
+    fault that disconnects the lift is refused here.
     """
     lg = LiftedGraph(td, fault)
     if lg.num_vertices > max_vertices:
@@ -142,25 +144,25 @@ def build_lift(td, max_vertices=DEFAULT_MAX_VERTICES, fault=None):
 
 
 def bfs_lifted(lg, source):
-    """Exact BFS distances in the lift from one encoded vertex (-1 unreachable)."""
+    """Exact BFS distances in the lift from one encoded vertex (-1 unreachable).
+
+    The same label-parallel BFS that fills the distance rows
+    (``_fiber_planes``) starts at the source's own label, so no translation
+    is needed.  Its distance planes are expanded into one list of
+    n * 2^s entries, and every label it never reached is set to -1.
+    """
     s = lg.s
-    mask = lg.mask
-    hops = lg.hops
-    dist = [-1] * lg.num_vertices
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            f = x & mask
-            for base, rule in hops[x >> s]:
-                y = base | (f ^ rule)
-                if dist[y] < 0:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
+    full = (1 << (1 << s)) - 1
+    planes, seen, far, _ = _fiber_planes(
+        lg.base.adj, _label_steps(lg)[1], lg.base.n, source >> s, 1 << (source & lg.mask)
+    )
+    dist = list(_expand_row([_whole_lift(plane, 1 << s) for plane in planes], lg.num_vertices, far))
+    for v, bits in enumerate(seen):
+        missing = full ^ bits
+        while missing:
+            low = missing & -missing
+            dist[v << s | low.bit_length() - 1] = -1
+            missing ^= low
     return dist
 
 
@@ -266,8 +268,8 @@ def _flip_masks(s):
 _ROW_CODES = ((1 << 8, None), (1 << 16, "H"), (1 << 32, "I"))
 
 
-def _fiber_planes(adj, steps, n, full, u):
-    """Label-parallel BFS from (u, 0).
+def _fiber_planes(adj, steps, n, u, start):
+    """Label-parallel BFS from the lifted vertex (u, f), given as ``start`` = 1 << f.
 
     The frontier and the visited set of fiber v are each one 2^s-bit int
     (bit f = label f).  Crossing base edge e XORs every label by rule[e],
@@ -278,7 +280,7 @@ def _fiber_planes(adj, steps, n, full, u):
     The cycle bound is 2d for the first level d at which a newly reached
     label arrives over two different edges.  The two shortest paths to it
     form a closed walk of length 2d that crosses its last edges once each,
-    so it contains a cycle and 2d is at least the girth.  If (u, 0) lies on
+    so it contains a cycle and 2d is at least the girth.  If (u, f) lies on
     a shortest cycle of the lift, the vertex opposite it on that cycle is
     reached that way at d = girth / 2, so the minimum over sources is the
     girth.  Only even cycles need testing, because a connected lift is
@@ -287,12 +289,12 @@ def _fiber_planes(adj, steps, n, full, u):
     hence one-to-one, so a closed lifted walk, whose projection has voltage
     0, uses every base edge an even number of times.
 
-    Returns (planes, eccentricity, cycle bound or math.inf); raises
-    GraphError if some label of some fiber is never reached.
+    Returns (planes, the reached labels of each fiber, eccentricity, cycle
+    bound or math.inf); labels never reached have distance 0 in the planes.
     """
     seen = [0] * n
-    seen[u] = 1
-    frontier = {u: 1}
+    seen[u] = start
+    frontier = {u: start}
     planes = []
     cycle = 0  # none found yet
     level = 0
@@ -319,10 +321,8 @@ def _fiber_planes(adj, steps, n, full, u):
                 for k, plane in enumerate(planes):
                     if (level >> k) & 1:
                         plane[b] |= bits
-    if any(bits != full for bits in seen):
-        raise GraphError("lift is not connected")
     ecc = level - 1
-    return planes[: ecc.bit_length()], ecc, cycle or math.inf
+    return planes[: ecc.bit_length()], seen, ecc, cycle or math.inf
 
 
 def _whole_lift(plane, fiber):
@@ -431,9 +431,12 @@ def _label_steps(lg):
 
 def _source(lg, steps, u):
     """(row, distance planes over the whole lift, eccentricity, cycle bound)
-    of the source (u, 0)."""
+    of the source (u, 0); raises GraphError if some label of some fiber is
+    never reached."""
     full = (1 << (1 << lg.s)) - 1
-    planes, far, cycle = _fiber_planes(lg.base.adj, steps, lg.base.n, full, u)
+    planes, seen, far, cycle = _fiber_planes(lg.base.adj, steps, lg.base.n, u, 1)
+    if any(bits != full for bits in seen):
+        raise GraphError("lift is not connected")
     whole = [_whole_lift(plane, 1 << lg.s) for plane in planes]
     return _expand_row(whole, lg.num_vertices, far), whole, far, cycle
 

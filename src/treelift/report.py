@@ -214,7 +214,7 @@ def run_analysis(
         stream = group_orbit_reps(lg, orbits)
     else:
         stream = sample_pair_list(lg, tables, count, seed)
-    sw = verdict_sweep(lg, table, tables, base_gi, base_di, stream, collect)
+    sw = verdict_sweep(lg, table, tables, base_gi, base_di, stream, collect, exhaustive=count is None)
     report["verdict_sweep"] = sweep_block(sw, count, seed)
     report["all_pass"] = (
         dist_error is None

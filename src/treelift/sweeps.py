@@ -13,7 +13,8 @@ starts at a walked source (r, 0), r the smallest of its Aut(G) vertex orbit,
 the only sources whose distance rows are built.  The image is not always
 the image pair's own canonical path, so each pair is covered by an
 automorphic image of a verified canonical path.  The exhaustive stream
-(``group_orbit_reps``) lists every orbit, and the sampled stream
+(``group_orbit_reps``) lists every orbit, so the sweep requires its
+``covered`` sum to be nn(nn - 1) / 2, and the sampled stream
 (``lift.sample_pair_list``) the orbits its pair family meets, weighted by
 the family pairs in each.  Both read ``voltage.GroupOrbits``: the walked
 sources, and the one action of the group on a pair, ``images``, whose
@@ -105,7 +106,7 @@ def _no_path(x, y, exc):
     return f"pair ({x}, {y}): no canonical path: {exc}"
 
 
-def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None):
+def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None, exhaustive=False):
     """Verdict battery over the pair stream ``pairs``.
 
     The caller passes the stream of its pair policy: ``group_orbit_reps``
@@ -114,7 +115,10 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None)
     canonical translation representative, x = (u, 0) with u a walked source,
     and counts ``covered`` pairs.  ``collect``, if given, is called with (x,
     y, covered, distance, l1, analysis, verdicts) for every entry, in stream
-    order; the CSV export hangs off this hook.
+    order; the CSV export hangs off this hook.  With ``exhaustive`` set the
+    stream must cover every pair of the lift exactly once, so the sweep
+    fails unless the ``covered`` sum is nn(nn - 1) / 2: a group that is not
+    the lift's would miscount its orbits.
 
     An entry whose canonical path cannot be rebuilt through the distance
     rows (``PathRebuildError``) has no analysis: it counts as failed under
@@ -158,12 +162,16 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None)
         if collect is not None:
             collect(x, y, cov, lifted_distance(lg, tables, x, y), l1(x, y), wa, verdicts)
 
+    every = lg.num_vertices * (lg.num_vertices - 1) // 2
+    miscounted = exhaustive and covered != every
+    if miscounted and len(failures) < MAX_RECORDED_FAILURES:
+        failures.append(f"the exhaustive stream covers {covered} pairs, not all {every}")
     return SweepResult(
         pairs_covered=covered,
         analyses=analyses,
         verdict_totals={name: [analyses - fail, fail] for name, fail in fails.items()},
         failures=failures,
-        all_pass=not any(fails.values()),
+        all_pass=not any(fails.values()) and not miscounted,
     )
 
 

@@ -23,6 +23,10 @@ every element before the lift was shown to satisfy it by construction.
 by the lifted group, one entry per translation orbit at the orbit's
 smallest family pair, and ``reference_canonical`` the smallest pair of a
 group orbit, found by mapping the pair through every element.
+``scalar_bfs`` is the vertex-at-a-time BFS of the lift that
+``lift.bfs_lifted`` was before it ran on the label-parallel engine: the
+reference the engine's rows, ``bfs_lifted`` and the oracle's search are
+checked against.
 """
 
 import random
@@ -72,6 +76,30 @@ def certify(lg, phi):
         if eid is None or linear(cols, r) ^ pot[u] ^ pot[v] != lg.rule[eid]:
             return False
     return gf2_rank(cols) == lg.s
+
+
+def scalar_bfs(lg, source):
+    """Exact BFS distances in the lift from one encoded vertex (-1
+    unreachable), one vertex at a time over the step table ``lg.hops``."""
+    s = lg.s
+    mask = lg.mask
+    hops = lg.hops
+    dist = [-1] * lg.num_vertices
+    dist[source] = 0
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            f = x & mask
+            for base, rule in hops[x >> s]:
+                y = base | (f ^ rule)
+                if dist[y] < 0:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
 
 
 def project_vertex(lg, x):

@@ -509,7 +509,7 @@ def test_a_crashed_sweep_leaves_no_file(tmp_path, capsys, monkeypatch, command, 
     capsys.readouterr()
     real = report_mod.verdict_sweep
 
-    def crash(lg, table, tables, base_girth, base_diam, pairs, collect=None):
+    def crash(lg, table, tables, base_girth, base_diam, pairs, collect=None, exhaustive=False):
         # a few rows reach the output first
         real(lg, table, tables, base_girth, base_diam, list(pairs)[:3], collect)
         raise RuntimeError("boom")

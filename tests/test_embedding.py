@@ -24,7 +24,7 @@ from treelift.lift import (
 )
 from treelift.sweeps import cut_partition_check, degree_preservation_check
 
-from lift_reference import iter_orbit_reps, orbit_rep
+from lift_reference import iter_orbit_reps, orbit_rep, scalar_bfs
 
 # --- independent oracle: 2-color the lift after deleting one fiber -----------
 
@@ -312,14 +312,14 @@ def test_petersen_distortion_within_assembled_bound():
 
 
 def test_distortion_brute_force_cross_check():
-    # small lifts: compare against all-pairs direct BFS with no symmetry tricks
+    # small lifts: compare against all-pairs scalar BFS with no symmetry tricks
     for spec in (FamilySpec.cycle(4), FamilySpec.named("k4")):
         lg = lift_of(spec)
         t = embed(lg)
         best = Fraction(0)
         nn = lg.num_vertices
         for x in range(nn):
-            dist = bfs_lifted(lg, x)
+            dist = scalar_bfs(lg, x)
             for y in range(x + 1, nn):
                 best = max(best, Fraction(dist[y], t.l1(x, y)))
         rep = distortion(lg, t, representative_tables(lg, t))

@@ -33,7 +33,7 @@ from treelift.lift import (
     two_sided_distances,
 )
 
-from lift_reference import project_edge, project_vertex
+from lift_reference import project_edge, project_vertex, scalar_bfs
 
 
 def triangle():
@@ -231,7 +231,7 @@ def test_symmetry_reduced_distances_match_direct_bfs():
     for _ in range(60):
         x = rng.randrange(640)
         y = rng.randrange(640)
-        assert lifted_distance(lg, tables, x, y) == bfs_lifted(lg, x)[y]
+        assert lifted_distance(lg, tables, x, y) == scalar_bfs(lg, x)[y]
 
 
 def test_girth_never_drops_below_base():
@@ -264,7 +264,7 @@ def assert_rows_match_bfs(lg):
     tables = tables_of(lg)
     assert len(tables.rows) == len(tables.ecc) == lg.base.n
     for u in range(lg.base.n):
-        want = bfs_lifted(lg, u << lg.s)
+        want = scalar_bfs(lg, u << lg.s)
         assert list(tables[u]) == want
         assert tables.ecc[u] == max(want)
     return tables
@@ -293,7 +293,7 @@ def test_engine_on_every_petersen_fault_with_a_multi_bit_mask():
     for eid in range(g.m):
         for extra in (0b11, 0b101, 0b110, (1 << s) - 1):
             lg = LiftedGraph(td, (eid, extra))
-            if bfs_lifted(lg, 0).count(-1):
+            if scalar_bfs(lg, 0).count(-1):
                 disconnected += 1
                 with pytest.raises(GraphError, match="lift is not connected"):
                     tables_of(lg)
@@ -358,6 +358,42 @@ def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
     assert diameter_witness(lg, tables) == pair
 
 
+# --- bfs_lifted, the plane BFS from any lifted vertex, vs the scalar reference -------
+
+
+@pytest.mark.parametrize("tree", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", ["k4", "cycle:5", "petersen"])
+def test_bfs_lifted_equals_the_scalar_bfs_from_every_vertex(name, tree):
+    # every label of every fiber, not only the label-0 sources of the rows
+    lg = build_lift(spanning_tree(make(parse_family(name)), tree))
+    for x in range(lg.num_vertices):
+        assert bfs_lifted(lg, x) == scalar_bfs(lg, x), x
+
+
+@pytest.mark.parametrize("tree", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", ["heawood", "pappus", "random:20:3"])
+def test_bfs_lifted_equals_the_scalar_bfs_on_seeded_sources(name, tree):
+    lg = build_lift(spanning_tree(make(parse_family(name)), tree))
+    rng = random.Random(name)
+    for x in rng.sample(range(lg.num_vertices), 12):
+        assert bfs_lifted(lg, x) == scalar_bfs(lg, x), x
+
+
+@pytest.mark.parametrize("extra", [0b1, 0b11, 0b101])
+def test_bfs_lifted_marks_exactly_the_unreached_vertices_of_every_petersen_fault_lift(extra):
+    g = load_named("petersen")
+    td = spanning_tree(g)
+    rng = random.Random(extra)
+    disconnected = 0
+    for eid in range(g.m):
+        lg = LiftedGraph(td, (eid, extra))
+        for x in [0, lg.num_vertices - 1] + rng.sample(range(lg.num_vertices), 4):
+            want = scalar_bfs(lg, x)
+            assert bfs_lifted(lg, x) == want, (eid, x)
+            disconnected += -1 in want
+    assert disconnected
+
+
 # --- scalar searches: step table, BFS and the two-sided oracle search ---------------
 
 
@@ -376,11 +412,14 @@ def test_hops_spell_the_neighbour_lists():
 
 @pytest.mark.parametrize("tree", ["bfs", "dfs"])
 def test_scalar_bfs_equals_bfs_of_the_materialised_lift(tree):
+    # both the plane BFS of bfs_lifted and the scalar reference
     g = load_named("petersen")
     for lg in (build_lift(spanning_tree(g, tree)), petersen_fault_lift()):
         h = parse_edge_list("".join(lift_edge_list_text(lg)))
         for x in range(0, lg.num_vertices, 23):
-            assert bfs_lifted(lg, x) == bfs_distances(h, x)
+            want = bfs_distances(h, x)
+            assert bfs_lifted(lg, x) == want
+            assert scalar_bfs(lg, x) == want
 
 
 @pytest.mark.parametrize("tree", ["bfs", "dfs"])
@@ -392,7 +431,7 @@ def test_two_sided_search_equals_bfs_on_every_ordered_pair(name, tree):
     for x in range(lg.num_vertices):
         targets = list(range(lg.num_vertices))
         rng.shuffle(targets)
-        want = bfs_lifted(lg, x)
+        want = scalar_bfs(lg, x)
         assert two_sided_distances(lg, x, targets) == [want[y] for y in targets]
 
 
@@ -424,7 +463,7 @@ def test_two_sided_search_equals_bfs_on_seeded_pools(spec, monkeypatch):
 
     monkeypatch.setattr(lift_mod, "_grow", spy)
     for x in rng.sample(range(lg.num_vertices), 12):
-        want = bfs_lifted(lg, x)
+        want = scalar_bfs(lg, x)
         # alone and after a far target that grows the shared ball first
         for lead in ([], [want.index(max(want))]):
             targets = lead + seeded_targets(lg, x, want, rng)
@@ -437,7 +476,7 @@ def test_two_sided_search_equals_bfs_on_seeded_pools(spec, monkeypatch):
 def test_two_sided_search_finds_no_path_across_components():
     lg = petersen_fault_lift()
     for x in (0, 1, 77, 320, 639):
-        reached = bfs_lifted(lg, x)
+        reached = scalar_bfs(lg, x)
         assert reached.count(-1) == lg.num_vertices // 2
         targets = list(range(lg.num_vertices))
         assert two_sided_distances(lg, x, targets) == reached

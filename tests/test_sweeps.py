@@ -8,10 +8,12 @@ import treelift.walks as walks_mod
 from treelift.embedding import embed
 from treelift.families import FamilySpec, make
 from treelift.graph import spanning_tree
-from treelift.lift import bfs_lifted, build_lift, representative_tables
+from treelift.lift import build_lift, representative_tables
 from treelift.sweeps import MAX_RECORDED_FAILURES, group_orbit_reps, oracle_equivalence_checks
 from treelift.voltage import GroupOrbits, lifted_group
 from treelift.walks import PathRebuildError, shortest_lifted_path
+
+from lift_reference import scalar_bfs
 
 
 def lift_of(spec):
@@ -131,5 +133,5 @@ def test_oracle_searches_once_per_pooled_source_without_the_engine(monkeypatch):
     assert sources == sorted(set(sources))
     assert sum(len(targets) for _, targets, _ in searches) == dist_v.checked == 200
     for source, targets, answers in searches:
-        direct = bfs_lifted(lg, source)
+        direct = scalar_bfs(lg, source)
         assert answers == [direct[y] for y in targets]

@@ -6,11 +6,14 @@ built by its own label-parallel BFS, and must equal the walked row read
 through the lifted element that takes its source there.
 """
 
+import json
 import random
 
 import pytest
 
 import treelift.lift as lift_mod
+import treelift.voltage as voltage_mod
+from treelift.cli import main
 from treelift.embedding import embed
 from treelift.families import FamilySpec, make, parse_family
 from treelift.graph import spanning_tree
@@ -174,9 +177,9 @@ def spy_on_the_plane_bfs(monkeypatch):
     sources = []
     real = lift_mod._fiber_planes
 
-    def spy(adj, steps, n, full, u):
+    def spy(adj, steps, n, u, start):
         sources.append(u)
-        return real(adj, steps, n, full, u)
+        return real(adj, steps, n, u, start)
 
     monkeypatch.setattr(lift_mod, "_fiber_planes", spy)
     return sources
@@ -190,4 +193,31 @@ def test_an_analysis_runs_the_plane_bfs_once_per_walked_source(monkeypatch, name
     sources = spy_on_the_plane_bfs(monkeypatch)
     ctx = run_analysis(make(FamilySpec.named(name)), pairs=pairs, seed=seed)
     assert ctx.report["all_pass"]
-    assert sources == walked
+    # build_lift's connectivity check from (0, 0), then one run per walked source
+    assert sources == [0] + walked
+
+
+def test_a_wrong_column_in_one_lifted_element_makes_verify_fail(monkeypatch, tmp_path, capsys):
+    # bit 0 of column 0 of the third lifted element flipped: the exhaustive
+    # group walk then marks the wrong far ends, so its covered sum is not
+    # nn(nn - 1) / 2, the one symptom the verify battery sees
+    real = voltage_mod.lift_automorphism
+    lifted = []
+
+    def wrong_column(lg, alpha, order):
+        phi = real(lg, alpha, order)
+        lifted.append(alpha)
+        if len(lifted) == 3:
+            phi = phi._replace(cols=(phi.cols[0] ^ 1, *phi.cols[1:]))
+        return phi
+
+    monkeypatch.setattr(voltage_mod, "lift_automorphism", wrong_column)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--instances", "petersen", "--random-count", "0", "-o", str(out)]) == 1
+    assert "FAIL petersen (verdict_sweep)" in capsys.readouterr().out
+    sweep = json.loads(out.read_text())["instances"][0]["verdict_sweep"]
+    nn = 640
+    assert sweep["mode"] == "exhaustive" and sweep["pairs_covered"] != nn * (nn - 1) // 2
+    assert sweep["failures"] == [
+        f"the exhaustive stream covers {sweep['pairs_covered']} pairs, not all {nn * (nn - 1) // 2}"
+    ]
