@@ -22,13 +22,13 @@ set.  The only objects of size n * 2^s are the list ``bfs_lifted`` returns
 ``representative_tables``: one row of n * 2^s entries per walked source, the
 smallest vertex of each Aut(G) vertex orbit (all n sources when the lifted
 group is trivial), one byte each while the lifted diameter is under 256,
-plus, while those rows are built, one n * 2^s-bit set per base edge.  Any
-other source's row is built when it is first read, which only the
-verification oracle does.  The same BFS that fills the rows also measures
-the lifted girth and the exact colip of the cut embedding.  An explicit
-vertex cap guards all of them.  The verification oracle answers its pairs
-with ``two_sided_distances``, a scalar search that only grows two small
-balls per pair.  The text form of the lift is never held whole:
+plus, while those rows are built, one n * 2^s-bit set per base edge.  No
+other source has a row: ``lifted_distance`` reads every distance through
+the lifted group.  The same BFS that fills the rows also measures the
+lifted girth and the exact colip of the cut embedding.  An explicit vertex
+cap guards all of them.  The verification oracle answers its pairs with
+``two_sided_distances``, a scalar search that only grows two small balls
+per pair.  The text form of the lift is never held whole:
 ``lift_edge_list_text`` and ``lift_mapping_text`` yield it one base edge
 (one base vertex) of 2^s lines at a time, for the writer to put on disk
 block by block.
@@ -235,8 +235,8 @@ class DistanceTables:
     ``bytes`` when the row's largest entry is under 256 and as an unsigned
     ``array`` otherwise.  ``rows`` holds the rows of the walked sources of
     ``orbits`` (a ``voltage.GroupOrbits``, one source per Aut(G) vertex
-    orbit); every other entry is None until ``tables[u]`` first reads it and
-    builds it by the same label-parallel BFS.  ``ecc[u]`` is the
+    orbit); every other entry is None, and distances from those sources are
+    read through the group (``lifted_distance``).  ``ecc[u]`` is the
     eccentricity of (u, 0), for every u: the group carries (u, 0) to
     (home[u], 0).  ``girth`` is the girth of the lift (math.inf if it is
     acyclic).  ``colip`` is (d, l1) of ``colip_witness``, the smallest pair
@@ -249,13 +249,9 @@ class DistanceTables:
     colip: tuple
     colip_witness: tuple
     orbits: object
-    lg: object = field(repr=False)
 
     def __getitem__(self, u):
-        row = self.rows[u]
-        if row is None:
-            row = self.rows[u] = _source(self.lg, _label_steps(self.lg)[1], u)[0]
-        return row
+        return self.rows[u]
 
 
 def _flip_masks(s):
@@ -429,18 +425,6 @@ def _label_steps(lg):
     return masks, steps
 
 
-def _source(lg, steps, u):
-    """(row, distance planes over the whole lift, eccentricity, cycle bound)
-    of the source (u, 0); raises GraphError if some label of some fiber is
-    never reached."""
-    full = (1 << (1 << lg.s)) - 1
-    planes, seen, far, cycle = _fiber_planes(lg.base.adj, steps, lg.base.n, u, 1)
-    if any(bits != full for bits in seen):
-        raise GraphError("lift is not connected")
-    whole = [_whole_lift(plane, 1 << lg.s) for plane in planes]
-    return _expand_row(whole, lg.num_vertices, far), whole, far, cycle
-
-
 def representative_tables(lg, table, orbits=None):
     """Distances from the walked sources (r, 0) of ``orbits`` by
     label-parallel BFS, the lifted girth and the exact colip of the
@@ -471,7 +455,12 @@ def representative_tables(lg, table, orbits=None):
     girth = math.inf
     colip, witness = (0, 1), None
     for r in orbits.walked():
-        rows[r], whole, ecc[r], cycle = _source(lg, steps, r)
+        planes, seen, ecc[r], cycle = _fiber_planes(lg.base.adj, steps, n, r, 1)
+        if any(bits != full for bits in seen):
+            raise GraphError("lift is not connected")
+        whole = [_whole_lift(plane, 1 << s) for plane in planes]
+        del planes, seen  # only the whole-lift planes live on through the fold
+        rows[r] = _expand_row(whole, nn, ecc[r])
         girth = min(girth, cycle)
         x = r << s
         for d, h, y in _fold(whole, sides, table.base_rows[r], x, nn):
@@ -485,13 +474,13 @@ def representative_tables(lg, table, orbits=None):
         colip=colip,
         colip_witness=witness,
         orbits=orbits,
-        lg=lg,
     )
 
 
 def lifted_distance(lg, tables, x, y):
-    """Distance via the symmetry-reduced tables."""
-    return tables[x >> lg.s][y ^ (x & lg.mask)]
+    """d(x, y), off the walked row of its orbit's smallest pair (``GroupOrbits.canonical``)."""
+    r, t = tables.orbits.canonical(x, y)
+    return tables.rows[r >> lg.s][t]
 
 
 def sample_pair_list(lg, tables, count, seed):
@@ -579,10 +568,11 @@ def lifted_diameter(lg, tables):
 
 
 def diameter_witness(lg, tables):
-    """A pair realizing the lifted diameter, smallest encoded pair first."""
+    """A pair realizing the lifted diameter, smallest encoded pair first; its
+    source, the smallest u of largest eccentricity, is walked (home[u] <= u)."""
     d = max(tables.ecc)
     u = tables.ecc.index(d)
-    return (u << lg.s, tables[u].index(d))
+    return (u << lg.s, tables.rows[u].index(d))
 
 
 # --- materialization ---------------------------------------------------------

@@ -31,7 +31,8 @@ the translation orbits.  Spot checks in the test suite re-derive sampled
 pairs directly, compare the group sweep with the translation sweep, the
 group walk with the image-set walk it replaced, and every row off the
 walked sources with a walked row moved by the group, to guard the
-reductions.
+reductions; at run time the verify oracle reads its pairs' distances
+through the group at every far end.
 
 The whole-lift checks are certified exactly at every lift size, with no
 sampling.  A lifted edge over base edge e must flip side bit e and nothing
@@ -48,7 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .lift import lifted_distance, two_sided_distances
+from .lift import two_sided_distances
 from .walks import (
     PathRebuildError,
     Verdict,
@@ -114,11 +115,12 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None,
     of the lifted group either way.  Each entry (x, y, covered) is a
     canonical translation representative, x = (u, 0) with u a walked source,
     and counts ``covered`` pairs.  ``collect``, if given, is called with (x,
-    y, covered, distance, l1, analysis, verdicts) for every entry, in stream
-    order; the CSV export hangs off this hook.  With ``exhaustive`` set the
-    stream must cover every pair of the lift exactly once, so the sweep
-    fails unless the ``covered`` sum is nn(nn - 1) / 2: a group that is not
-    the lift's would miscount its orbits.
+    y, covered, distance (the canonical path's length), l1, analysis,
+    verdicts) for every entry, in stream order; the CSV export hangs off
+    this hook.  With ``exhaustive`` set the stream must cover every pair of
+    the lift exactly once, so the sweep fails unless the ``covered`` sum is
+    nn(nn - 1) / 2: a group that is not the lift's would miscount its
+    orbits.
 
     An entry whose canonical path cannot be rebuilt through the distance
     rows (``PathRebuildError``) has no analysis: it counts as failed under
@@ -160,7 +162,7 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None,
             if len(failures) < MAX_RECORDED_FAILURES:
                 failures.append(forensic_text(lg, wa, verdicts))
         if collect is not None:
-            collect(x, y, cov, lifted_distance(lg, tables, x, y), l1(x, y), wa, verdicts)
+            collect(x, y, cov, wa.path_len, l1(x, y), wa, verdicts)
 
     every = lg.num_vertices * (lg.num_vertices - 1) // 2
     miscounted = exhaustive and covered != every
@@ -225,13 +227,14 @@ def degree_preservation_check(lg):
 
 
 def oracle_equivalence_checks(lg, table, tables, count, seed):
-    """Two independent cross-checks over seeded random pairs.
+    """Two independent cross-checks over seeded random pairs (x, y), each
+    read through the lifted group: (r, far) = ``tables.orbits.images(x, y)``.
 
     (a) ||F(x)-F(y)||_1 equals the number of odd-multiplicity edges in the
-        projection of the canonical shortest path;
-    (b) the symmetry-reduced distance equals a direct search on the lift's
-        adjacency from both endpoints (``two_sided_distances``), which reads
-        no translation, table or bitset.
+        projection of the canonical shortest path of ((r, 0), min(far));
+    (b) the distance, read through the group at every far end, equals a
+        direct search on the lift's adjacency from both endpoints
+        (``two_sided_distances``), which reads no group, table or bitset.
 
     Pairs are drawn as (source from a seeded pool of max(32, count // 64)
     vertices, uniform target); each pooled source runs one search, whose
@@ -253,9 +256,11 @@ def oracle_equivalence_checks(lg, table, tables, count, seed):
 
     bad_l1 = []
     s = lg.s
+    images = tables.orbits.images
     for x, y in pairs:
+        r, far = images(x, y)
         try:
-            path = shortest_lifted_path(lg, x, y, tables)
+            path = shortest_lifted_path(lg, r << s, min(far), tables)
         except PathRebuildError as exc:
             bad_l1.append(_no_path(x, y, exc))
         else:
@@ -280,7 +285,9 @@ def oracle_equivalence_checks(lg, table, tables, count, seed):
         for y, want in zip(by_source[x], two_sided_distances(lg, x, by_source[x]))
     )
     for x, y, want in answers:
-        got = lifted_distance(lg, tables, x, y)
+        r, far = images(x, y)
+        row = tables.rows[r]
+        got = next((row[t] for t in sorted(far) if row[t] != want), want)
         if got != want:
             bad_dist.append(f"pair ({x}, {y}): table distance {got}, direct BFS {want}")
             if len(bad_dist) >= MAX_RECORDED_FAILURES:

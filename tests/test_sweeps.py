@@ -1,5 +1,7 @@
 """The distance oracle of the verify battery stays independent of the engine it checks."""
 
+import dataclasses
+
 import pytest
 
 import treelift.lift as lift_mod
@@ -47,7 +49,7 @@ def test_oracle_fails_tables_with_one_entry_changed():
     assert good.passed and good.checked == 2000
 
     rows, z, d = raise_one_entry(lg, tables)
-    _, bad = oracle_equivalence_checks(lg, table, rows, 2000, 0)
+    _, bad = oracle_equivalence_checks(lg, table, dataclasses.replace(tables, rows=rows), 2000, 0)
     assert not bad.passed
     assert all(f"table distance {d + 2}, direct BFS {d}" in line for line in bad.violations)
     assert len(bad.violations) <= MAX_RECORDED_FAILURES
@@ -72,7 +74,7 @@ def test_oracle_records_a_pair_whose_path_cannot_be_rebuilt():
     with pytest.raises(PathRebuildError, match=f"vertex {z} has no neighbour one level closer to 0"):
         shortest_lifted_path(lg, 0, z, rows)
 
-    l1_v, dist_v = oracle_equivalence_checks(lg, table, rows, 500, 0)
+    l1_v, dist_v = oracle_equivalence_checks(lg, table, dataclasses.replace(tables, rows=rows), 500, 0)
     assert not l1_v.passed and not dist_v.passed
     assert 0 < len(l1_v.violations) <= MAX_RECORDED_FAILURES
     assert all(": no canonical path: vertex " in line for line in l1_v.violations)

@@ -2,8 +2,9 @@
 and sampled streams normalised to the orbits of the lifted group.
 
 The guard here is independent of the group: a row off the walked sources is
-built by its own label-parallel BFS, and must equal the walked row read
-through the lifted element that takes its source there.
+built by its own label-parallel BFS (``representative_tables`` with no
+group), and must equal the walked row read through the lifted element that
+takes its source there.  The reduced tables never hold such a row.
 """
 
 import json
@@ -17,8 +18,14 @@ from treelift.cli import main
 from treelift.embedding import embed
 from treelift.families import FamilySpec, make, parse_family
 from treelift.graph import spanning_tree
-from treelift.lift import build_lift, diameter_witness, representative_tables, sample_pair_list
-from treelift.report import run_analysis
+from treelift.lift import (
+    build_lift,
+    diameter_witness,
+    lifted_distance,
+    representative_tables,
+    sample_pair_list,
+)
+from treelift.report import run_analysis, run_verify_instance
 from treelift.sweeps import group_orbit_reps
 from treelift.voltage import GroupOrbits, lifted_group
 
@@ -54,6 +61,20 @@ def built():
     return get
 
 
+@pytest.fixture(scope="module")
+def every_source(built):
+    """The tables of all n sources, each row built by its own BFS."""
+    cache = {}
+
+    def get(name, tree):
+        if (name, tree) not in cache:
+            lg, table, _, _ = built(name, tree)
+            cache[name, tree] = representative_tables(lg, table)
+        return cache[name, tree]
+
+    return get
+
+
 def mapped_row(lg, phi, u, walked_row):
     """The row of (u, 0) read off the walked row through phi, an element with
     alpha(u) = r, and the translation by p(u): y -> phi(y) ^ p(u) takes (u, 0)
@@ -72,8 +93,11 @@ def mapped_row(lg, phi, u, walked_row):
 
 @pytest.mark.parametrize("tree", TREES)
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
-def test_every_row_off_the_walked_sources_is_a_walked_row_moved_by_the_group(built, name, tree):
+def test_every_row_off_the_walked_sources_is_a_walked_row_moved_by_the_group(
+    built, every_source, name, tree
+):
     lg, _, orbits, tables = built(name, tree)
+    full = every_source(name, tree)
     order, walked = SYMMETRIC[name]
     assert len(orbits.group) == order
     if tree == "bfs":
@@ -84,15 +108,15 @@ def test_every_row_off_the_walked_sources_is_a_walked_row_moved_by_the_group(bui
         r = orbits.home[u]
         phi = orbits.coset[u][0]
         assert phi.alpha[u] == r
-        assert list(tables[u]) == mapped_row(lg, phi, u, tables[r]), u
-        assert tables.ecc[u] == tables.ecc[r] == max(tables[u])
+        assert list(full.rows[u]) == mapped_row(lg, phi, u, tables.rows[r]), u
+        assert tables.ecc[u] == tables.ecc[r] == max(full.rows[u])
 
 
 @pytest.mark.parametrize("tree", TREES)
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
-def test_the_walked_sources_give_the_tables_of_all_sources(built, name, tree):
-    lg, table, _, tables = built(name, tree)
-    full = representative_tables(lg, table)
+def test_the_walked_sources_give_the_tables_of_all_sources(built, every_source, name, tree):
+    lg, _, orbits, tables = built(name, tree)
+    full = every_source(name, tree)
     assert all(row is not None for row in full.rows)
     assert (tables.girth, tables.ecc, tables.colip, tables.colip_witness) == (
         full.girth,
@@ -102,7 +126,13 @@ def test_the_walked_sources_give_the_tables_of_all_sources(built, name, tree):
     )
     assert diameter_witness(lg, tables) == diameter_witness(lg, full)
     for u in range(lg.base.n):
-        assert tables[u] == full[u], u
+        assert tables.rows[u] == (full.rows[u] if orbits.home[u] == u else None), u
+    # a distance from any source is read through the group off a walked row
+    rng = random.Random(7)
+    for _ in range(300):
+        x = rng.randrange(lg.num_vertices)
+        y = rng.randrange(lg.num_vertices)
+        assert lifted_distance(lg, tables, x, y) == full.rows[x >> lg.s][y ^ (x & lg.mask)]
 
 
 def explicit_family(lg, tables, count, seed):
@@ -195,29 +225,61 @@ def test_an_analysis_runs_the_plane_bfs_once_per_walked_source(monkeypatch, name
     assert ctx.report["all_pass"]
     # build_lift's connectivity check from (0, 0), then one run per walked source
     assert sources == [0] + walked
+    assert [u for u, row in enumerate(ctx.tables.rows) if row is not None] == walked
 
 
-def test_a_wrong_column_in_one_lifted_element_makes_verify_fail(monkeypatch, tmp_path, capsys):
-    # bit 0 of column 0 of the third lifted element flipped: the exhaustive
-    # group walk then marks the wrong far ends, so its covered sum is not
-    # nn(nn - 1) / 2, the one symptom the verify battery sees
+@pytest.mark.parametrize("name,pairs,walked", [("petersen", "auto", [0]), ("mcgee", 2000, [0, 1])])
+def test_verify_runs_the_plane_bfs_once_per_walked_source(monkeypatch, name, pairs, walked):
+    # the oracle reads every distance through the group, so it builds no row
+    sources = spy_on_the_plane_bfs(monkeypatch)
+    ctx = run_verify_instance(name, make(FamilySpec.named(name)), seed=3, oracle_pairs=2000, pairs=pairs)
+    assert ctx.report["all_pass"]
+    assert sources == [0] + walked
+    assert [u for u, row in enumerate(ctx.tables.rows) if row is not None] == walked
+
+
+#: wrong third lifted elements: one bit of column 0, one bit of potential
+#: 3, or alpha with the images of 1 and 2 swapped
+MUTATIONS = {
+    "column": lambda phi: phi._replace(cols=(phi.cols[0] ^ 1, *phi.cols[1:])),
+    "potential": lambda phi: phi._replace(pot=(*phi.pot[:3], phi.pot[3] ^ 1, *phi.pot[4:])),
+    "alpha": lambda phi: phi._replace(alpha=(phi.alpha[0], phi.alpha[2], phi.alpha[1], *phi.alpha[3:])),
+}
+
+
+#: the checks verify names as failing for each base and mutation; the
+#: oracle reads every distance through the group, so it sees all six, and
+#: the wrong Petersen potential leaves the exhaustive count intact
+FAILING = {
+    ("petersen", "column"): "oracle_distance_table, oracle_l1_odd_multiplicity, verdict_sweep",
+    ("petersen", "potential"): "oracle_distance_table",
+    ("petersen", "alpha"): "oracle_distance_table, oracle_l1_odd_multiplicity, verdict_sweep",
+    ("heawood", "column"): "oracle_distance_table, oracle_l1_odd_multiplicity, verdict_sweep",
+    ("heawood", "potential"): "oracle_distance_table, verdict_sweep",
+    ("heawood", "alpha"): "oracle_distance_table, oracle_l1_odd_multiplicity, verdict_sweep",
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("name", ["petersen", "heawood"])
+def test_a_wrong_lifted_element_makes_verify_fail(monkeypatch, tmp_path, capsys, name, mutation):
     real = voltage_mod.lift_automorphism
     lifted = []
 
-    def wrong_column(lg, alpha, order):
+    def wrong_element(lg, alpha, order):
         phi = real(lg, alpha, order)
         lifted.append(alpha)
-        if len(lifted) == 3:
-            phi = phi._replace(cols=(phi.cols[0] ^ 1, *phi.cols[1:]))
-        return phi
+        return MUTATIONS[mutation](phi) if len(lifted) == 3 else phi
 
-    monkeypatch.setattr(voltage_mod, "lift_automorphism", wrong_column)
+    monkeypatch.setattr(voltage_mod, "lift_automorphism", wrong_element)
     out = tmp_path / "v.json"
-    assert main(["verify", "--instances", "petersen", "--random-count", "0", "-o", str(out)]) == 1
-    assert "FAIL petersen (verdict_sweep)" in capsys.readouterr().out
-    sweep = json.loads(out.read_text())["instances"][0]["verdict_sweep"]
-    nn = 640
-    assert sweep["mode"] == "exhaustive" and sweep["pairs_covered"] != nn * (nn - 1) // 2
-    assert sweep["failures"] == [
-        f"the exhaustive stream covers {sweep['pairs_covered']} pairs, not all {nn * (nn - 1) // 2}"
-    ]
+    assert main(["verify", "--instances", name, "--random-count", "0", "-o", str(out)]) == 1
+    assert f"FAIL {name} ({FAILING[name, mutation]})" in capsys.readouterr().out
+    report = json.loads(out.read_text())["instances"][0]
+    sweep = report["verdict_sweep"]
+    nn = report["lift"]["vertices"]
+    assert sweep["mode"] == "exhaustive"
+    # the sweep fails only where the group walk marks the wrong far ends, so
+    # that its covered sum is not nn(nn - 1) / 2
+    miscount = f"the exhaustive stream covers {sweep['pairs_covered']} pairs, not all {nn * (nn - 1) // 2}"
+    assert sweep["failures"] == ([miscount] if "verdict_sweep" in FAILING[name, mutation] else [])
