@@ -29,9 +29,7 @@ from .lift import (
     LiftedGraph,
     LiftTooLargeError,
     build_lift,
-    lift_walk,
     lifted_diameter,
-    lifted_distance,
     lifted_girth,
     representative_tables,
 )

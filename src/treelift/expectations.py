@@ -1,11 +1,15 @@
 """Frozen regression constants for the named instances.
 
 The constants live in ``data/expectations.json`` and are measured, never
-hand-written: ``python -m treelift.expectations`` reruns the bootstrap
-pipeline and rewrites the file in place.  The test suite compares fresh runs
-against the frozen values, so any drift in lift girth or measured distortion
-is caught as a regression rather than silently absorbed.  Distortion is
-exact at every size; only the Heawood sweep's covered pair count is sampled.
+hand-written: ``python -m treelift.expectations`` reruns the pipeline and
+rewrites the file in place.  Every constant is read off the report of
+``report.run_analysis``: Petersen under the default pair policy and Heawood
+under the seeded ``sample:HEAWOOD_SAMPLE_COUNT`` sweep, so the constants
+come through the same lifted group, tables and sweep as every report.  The
+test suite compares fresh runs against the frozen values, so any drift in
+lift girth or measured distortion is caught as a regression rather than
+silently absorbed.  Distortion is exact at every size; only the Heawood
+sweep's covered pair count is sampled.
 """
 
 from __future__ import annotations
@@ -14,10 +18,8 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .embedding import distortion, embed
 from .families import load_named
-from .graph import spanning_tree
-from .lift import build_lift, lifted_diameter, lifted_girth, representative_tables, sample_pair_list
+from .report import run_analysis
 
 #: the sampled sweep policy the Heawood pair count is frozen under
 HEAWOOD_SAMPLE_COUNT = 100_000
@@ -30,7 +32,7 @@ def load():
 
 
 def compute():
-    """Measure every frozen constant from scratch (the bootstrap run)."""
+    """Measure every frozen constant from scratch, off ``run_analysis`` reports."""
     out = {
         "_meta": {
             "note": "DERIVED regression constants measured by the bootstrap run; never edit by hand",
@@ -39,25 +41,22 @@ def compute():
             "tree_root": 0,
         }
     }
-    for name in ("petersen", "heawood"):
-        g = load_named(name)
-        lg = build_lift(spanning_tree(g))
-        table = embed(lg)
-        tables = representative_tables(lg, table)
-        rep = distortion(lg, table, tables)
+    policies = {"petersen": {}, "heawood": {"pairs": HEAWOOD_SAMPLE_COUNT, "seed": HEAWOOD_SEED}}
+    for name, policy in policies.items():
+        report = run_analysis(load_named(name), **policy).report
+        lift, embedding = report["lift"], report["embedding"]
         entry = {
-            "lift_vertices": lg.num_vertices,
-            "lift_girth": lifted_girth(lg, tables),
-            "lift_diameter": lifted_diameter(lg, tables),
-            "distortion_exhaustive": str(rep.distortion),
-            "colip_exhaustive": str(rep.colip),
+            "lift_vertices": lift["vertices"],
+            "lift_girth": lift["girth"],
+            "lift_diameter": lift["diameter"],
+            "distortion_exhaustive": embedding["distortion"],
+            "colip_exhaustive": embedding["colip"],
         }
-        if name == "heawood":
-            pairs = sample_pair_list(lg, tables, HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED)
+        if policy:
             entry["sampled"] = {
                 "sample_count": HEAWOOD_SAMPLE_COUNT,
                 "seed": HEAWOOD_SEED,
-                "pairs_covered": sum(covered for _, _, covered in pairs),
+                "pairs_covered": report["verdict_sweep"]["pairs_covered"],
             }
         out[name] = entry
     return out

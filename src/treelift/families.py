@@ -15,17 +15,6 @@ NAMED = ("petersen", "heawood", "mcgee", "pappus", "tutte_coxeter", "k4")
 #: every family string ``parse_family`` accepts, by form
 FORMS = (*NAMED, "cycle:N", "complete:N", "random:N:K")
 
-#: documented (degree, n, m, girth, diameter) per named graph; the test suite
-#: re-derives every entry with the graph_core oracles rather than trusting it.
-NAMED_STATS = {
-    "k4": (3, 4, 6, 3, 1),
-    "petersen": (3, 10, 15, 5, 2),
-    "heawood": (3, 14, 21, 6, 3),
-    "mcgee": (3, 24, 36, 7, 4),
-    "pappus": (3, 18, 27, 6, 4),
-    "tutte_coxeter": (3, 30, 45, 8, 4),
-}
-
 
 class GenerationError(GraphError):
     """Random generation exhausted its attempt budget."""

@@ -117,7 +117,6 @@ class TreeDecomposition:
     graph: Graph
     root: int
     strategy: str
-    tree_edges: frozenset
     cotree: tuple
     parent: tuple
     root_paths: tuple
@@ -276,7 +275,6 @@ def spanning_tree(g, strategy="bfs", root=0):
         graph=g,
         root=root,
         strategy=strategy,
-        tree_edges=frozenset(tree),
         cotree=cotree,
         parent=tuple(parent),
         root_paths=tuple(paths),

@@ -20,11 +20,13 @@ once per lift.  All whole-lift distances come from one label-parallel BFS
 set.  The only objects of size n * 2^s are the list ``bfs_lifted`` returns
 (used by ``build_lift``'s connectivity check) and the distance rows of
 ``representative_tables``: one row of n * 2^s entries per walked source, the
-smallest vertex of each Aut(G) vertex orbit (all n sources when the lifted
-group is trivial), one byte each while the lifted diameter is under 256,
-plus, while those rows are built, one n * 2^s-bit set per base edge.  No
-other source has a row: ``lifted_distance`` reads every distance through
-the lifted group.  The same BFS that fills the rows also measures the
+smallest vertex of each Aut(G) vertex orbit of the caller's group (all n
+sources when it is trivial), one byte each while the lifted diameter is
+under 256, plus, while those rows are built, one n * 2^s-bit set per base
+edge.  No other source has a row: a distance from any other source is read
+off a walked row through the lifted group, at the far ends that
+``GroupOrbits.images`` gives its orbit (``GroupOrbits.canonical`` is the
+smallest of them).  The same BFS that fills the rows also measures the
 lifted girth and the exact colip of the cut embedding.  An explicit vertex
 cap guards all of them.  The verification oracle answers its pairs with
 ``two_sided_distances``, a scalar search that only grows two small balls
@@ -43,7 +45,6 @@ from array import array
 from dataclasses import dataclass, field
 
 from .graph import GraphError
-from .voltage import GroupOrbits, identity_lift
 
 DEFAULT_MAX_VERTICES = 1 << 22
 
@@ -235,12 +236,14 @@ class DistanceTables:
     ``bytes`` when the row's largest entry is under 256 and as an unsigned
     ``array`` otherwise.  ``rows`` holds the rows of the walked sources of
     ``orbits`` (a ``voltage.GroupOrbits``, one source per Aut(G) vertex
-    orbit); every other entry is None, and distances from those sources are
-    read through the group (``lifted_distance``).  ``ecc[u]`` is the
-    eccentricity of (u, 0), for every u: the group carries (u, 0) to
-    (home[u], 0).  ``girth`` is the girth of the lift (math.inf if it is
-    acyclic).  ``colip`` is (d, l1) of ``colip_witness``, the smallest pair
-    with the largest d / l1 (l1 is 0 only if the embedding collides).
+    orbit); every other entry is None, and a distance from one of those
+    sources is read off a walked row at a far end of its pair's orbit
+    (``GroupOrbits.images``; ``.canonical`` is the smallest pair).
+    ``ecc[u]`` is the eccentricity of (u, 0), for every u: the group
+    carries (u, 0) to (home[u], 0).  ``girth`` is the girth of the lift
+    (math.inf if it is acyclic).  ``colip`` is (d, l1) of ``colip_witness``,
+    the smallest pair with the largest d / l1 (l1 is 0 only if the embedding
+    collides).
     """
 
     rows: list
@@ -425,10 +428,10 @@ def _label_steps(lg):
     return masks, steps
 
 
-def representative_tables(lg, table, orbits=None):
+def representative_tables(lg, table, orbits):
     """Distances from the walked sources (r, 0) of ``orbits`` by
     label-parallel BFS, the lifted girth and the exact colip of the
-    embedding ``table``; None for ``orbits`` walks all n sources.
+    embedding ``table``.
 
     ``orbits`` is the ``voltage.GroupOrbits`` of ``lifted_group``, so its
     elements and the label translations are automorphisms of the lift that
@@ -442,8 +445,6 @@ def representative_tables(lg, table, orbits=None):
     pair, which is the smallest pair of the whole lift attaining it.  Raises
     GraphError if the lift is not connected.
     """
-    if orbits is None:
-        orbits = GroupOrbits([identity_lift(lg)])
     s = lg.s
     n = lg.base.n
     nn = lg.num_vertices
@@ -475,12 +476,6 @@ def representative_tables(lg, table, orbits=None):
         colip_witness=witness,
         orbits=orbits,
     )
-
-
-def lifted_distance(lg, tables, x, y):
-    """d(x, y), off the walked row of its orbit's smallest pair (``GroupOrbits.canonical``)."""
-    r, t = tables.orbits.canonical(x, y)
-    return tables.rows[r >> lg.s][t]
 
 
 def sample_pair_list(lg, tables, count, seed):
@@ -524,36 +519,6 @@ def sample_pair_list(lg, tables, count, seed):
         edges[key] = [min(first, pair), covered + (1 << s)]
     orbits.update(edges)
     return [(*key, covered) for key, (_, covered) in sorted(orbits.items(), key=lambda kv: kv[1][0])]
-
-
-def lift_walk(td, walk, start):
-    """Lift a walk in the base graph ``td.graph`` to the unique lifted walk
-    starting at ``start``.
-
-    ``walk`` is a sequence of base edge ids; each must be incident to the
-    current vertex, which fixes the traversal direction.  ``start`` is a
-    (vertex, label) pair.  Returns the lifted vertex sequence as (vertex,
-    label) pairs; each edge XORs the label by its tree rule ``td.rule``,
-    independent of direction.
-    """
-    g = td.graph
-    u, f = start
-    if not (0 <= u < g.n):
-        raise GraphError(f"start vertex {u} out of range")
-    if not (0 <= f < (1 << td.num_coords)):
-        raise GraphError(f"start label {f} out of range")
-    out = [(u, f)]
-    for eid in walk:
-        a, b = g.edges[eid]
-        if u == a:
-            u = b
-        elif u == b:
-            u = a
-        else:
-            raise GraphError(f"walk is not incident-consistent: edge {eid} does not touch vertex {u}")
-        f ^= td.rule[eid]
-        out.append((u, f))
-    return out
 
 
 def lifted_girth(lg, tables):

@@ -26,14 +26,18 @@ group orbit, found by mapping the pair through every element.
 ``scalar_bfs`` is the vertex-at-a-time BFS of the lift that
 ``lift.bfs_lifted`` was before it ran on the label-parallel engine: the
 reference the engine's rows, ``bfs_lifted`` and the oracle's search are
-checked against.
+checked against.  ``every_source_tables`` builds the distance tables under
+the trivial group, a row from every base vertex by its own BFS, and
+``lifted_distance`` reads any distance off such tables (or the group's)
+through ``GroupOrbits.canonical``.  ``lift_walk`` lifts a base walk one
+edge at a time by the tree rule.
 """
 
 import random
 
 from treelift.graph import GraphError, bfs_distances
-from treelift.lift import diameter_witness
-from treelift.voltage import AUT_SEARCH_BUDGET, LiftedAutomorphism
+from treelift.lift import diameter_witness, representative_tables
+from treelift.voltage import AUT_SEARCH_BUDGET, GroupOrbits, LiftedAutomorphism, identity_lift
 
 
 def linear(values, mask):
@@ -100,6 +104,47 @@ def scalar_bfs(lg, source):
                     nxt.append(y)
         frontier = nxt
     return dist
+
+
+def every_source_tables(lg, table):
+    """``representative_tables`` under the trivial group: every base vertex is walked."""
+    return representative_tables(lg, table, GroupOrbits([identity_lift(lg)]))
+
+
+def lifted_distance(lg, tables, x, y):
+    """d(x, y), off the walked row of its orbit's smallest pair (``GroupOrbits.canonical``)."""
+    r, t = tables.orbits.canonical(x, y)
+    return tables.rows[r >> lg.s][t]
+
+
+def lift_walk(td, walk, start):
+    """Lift a walk in the base graph ``td.graph`` to the unique lifted walk
+    starting at ``start``.
+
+    ``walk`` is a sequence of base edge ids; each must be incident to the
+    current vertex, which fixes the traversal direction.  ``start`` is a
+    (vertex, label) pair.  Returns the lifted vertex sequence as (vertex,
+    label) pairs; each edge XORs the label by its tree rule ``td.rule``,
+    independent of direction.
+    """
+    g = td.graph
+    u, f = start
+    if not (0 <= u < g.n):
+        raise GraphError(f"start vertex {u} out of range")
+    if not (0 <= f < (1 << td.num_coords)):
+        raise GraphError(f"start label {f} out of range")
+    out = [(u, f)]
+    for eid in walk:
+        a, b = g.edges[eid]
+        if u == a:
+            u = b
+        elif u == b:
+            u = a
+        else:
+            raise GraphError(f"walk is not incident-consistent: edge {eid} does not touch vertex {u}")
+        f ^= td.rule[eid]
+        out.append((u, f))
+    return out
 
 
 def project_vertex(lg, x):

@@ -13,7 +13,7 @@ from treelift.embedding import assert_injective, distortion, embed, distortion_b
 from treelift.expectations import HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED, load as load_expectations
 from treelift.families import FamilySpec, load_named, make, random_regular
 from treelift.graph import diameter, girth, spanning_tree
-from treelift.lift import build_lift, lifted_girth, representative_tables, sample_pair_list
+from treelift.lift import build_lift, lifted_girth, sample_pair_list
 from treelift.report import run_verify_instance
 from treelift.sweeps import (
     cut_partition_check,
@@ -22,6 +22,8 @@ from treelift.sweeps import (
     verdict_sweep,
 )
 from treelift.voltage import GroupOrbits, lifted_group
+
+from lift_reference import every_source_tables
 
 
 @contextmanager
@@ -45,7 +47,7 @@ class Bundle:
         self.td = spanning_tree(g)
         self.lg = build_lift(self.td)
         self.table = embed(self.lg)
-        self.tables = representative_tables(self.lg, self.table)
+        self.tables = every_source_tables(self.lg, self.table)
         self.base_girth = girth(g)
         self.base_diam = diameter(g)
 
@@ -81,7 +83,7 @@ def test_criterion_1_cycle_double_cover():
             assert all(len(lg.neighbors(x)) == 2 for x in range(2 * n))
             # connected + 2-regular + 2n vertices + girth 2n pins C_{2n}
             table = embed(lg)
-            tables = representative_tables(lg, table)
+            tables = every_source_tables(lg, table)
             assert lifted_girth(lg, tables) == 2 * n == 2 * girth(g)
             rep = distortion(lg, table, tables)
             assert rep.distortion == Fraction(1)

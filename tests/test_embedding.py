@@ -18,13 +18,11 @@ from treelift.lift import (
     bfs_lifted,
     build_lift,
     diameter_witness,
-    lifted_distance,
-    representative_tables,
     sample_pair_list,
 )
 from treelift.sweeps import cut_partition_check, degree_preservation_check
 
-from lift_reference import iter_orbit_reps, orbit_rep, scalar_bfs
+from lift_reference import every_source_tables, iter_orbit_reps, lifted_distance, orbit_rep, scalar_bfs
 
 # --- independent oracle: 2-color the lift after deleting one fiber -----------
 
@@ -73,7 +71,7 @@ def lift_of(spec_or_graph, strategy="bfs", root=0):
 
 def exact_distortion(lg):
     t = embed(lg)
-    return distortion(lg, t, representative_tables(lg, t))
+    return distortion(lg, t, every_source_tables(lg, t))
 
 
 # --- h_e on the hand-traced triangle lift -------------------------------------
@@ -120,7 +118,7 @@ def test_same_fiber_parity_specialization():
     # side, and every cotree bit is 0
     lg = lift_of(FamilySpec.named("petersen"))
     t = embed(lg)
-    for eid in lg.td.tree_edges:
+    for eid in set(range(lg.base.m)) - set(lg.td.cotree):
         side = oracle_sides(lg, eid)
         for u in range(10):
             x = lg.encode(u, 0)
@@ -278,7 +276,7 @@ def test_distortion_certifies_injectivity_before_the_fold(monkeypatch):
 def test_embedding_is_nonexpansive_everywhere():
     lg = lift_of(FamilySpec.named("k4"))
     t = embed(lg)
-    tables = representative_tables(lg, t)
+    tables = every_source_tables(lg, t)
     for x, y, _ in iter_orbit_reps(lg):
         assert t.l1(x, y) <= tables[x >> lg.s][y]
 
@@ -322,7 +320,7 @@ def test_distortion_brute_force_cross_check():
             dist = scalar_bfs(lg, x)
             for y in range(x + 1, nn):
                 best = max(best, Fraction(dist[y], t.l1(x, y)))
-        rep = distortion(lg, t, representative_tables(lg, t))
+        rep = distortion(lg, t, every_source_tables(lg, t))
         assert rep.colip == best
 
 
@@ -354,7 +352,7 @@ def test_colip_fold_equals_the_plain_scan(spec):
         for root in (0, g.n - 1):
             lg = lift_of(g, strategy, root)
             t = embed(lg)
-            tables = representative_tables(lg, t)
+            tables = every_source_tables(lg, t)
             want = scan_colip(lg, t, tables)
             assert (tables.colip, tables.colip_witness) == want, (strategy, root)
             rep = distortion(lg, t, tables)
@@ -374,7 +372,7 @@ def test_colip_fold_equals_the_plain_scan_on_fault_lifts(extra):
         if bfs_lifted(lg, 0).count(-1) == 0:
             connected += 1
             t = embed(lg)
-            tables = representative_tables(lg, t)
+            tables = every_source_tables(lg, t)
             assert (tables.colip, tables.colip_witness) == scan_colip(lg, t, tables), eid
     assert connected
 
@@ -401,7 +399,7 @@ def test_exact_colip_does_not_depend_on_the_tree(spec, colip):
 def test_sampled_mode_contains_adjacent_and_diameter_pairs():
     lg = lift_of(FamilySpec.named("petersen"))
     t = embed(lg)
-    tables = representative_tables(lg, t)
+    tables = every_source_tables(lg, t)
     pairs = sample_pair_list(lg, tables, 50, 9)
     reps = {orbit_rep(lg, x, y) for x, y, _ in pairs}
     assert orbit_rep(lg, *diameter_witness(lg, tables)) in reps
@@ -415,7 +413,7 @@ def test_sampled_mode_contains_adjacent_and_diameter_pairs():
 
 def test_sampled_mode_deterministic():
     lg = lift_of(FamilySpec.named("k4"))
-    tables = representative_tables(lg, embed(lg))
+    tables = every_source_tables(lg, embed(lg))
     assert sample_pair_list(lg, tables, 200, 4) == sample_pair_list(lg, tables, 200, 4)
     assert sample_pair_list(lg, tables, 200, 4) != sample_pair_list(lg, tables, 200, 5)
 
@@ -453,7 +451,7 @@ def explicit_family(lg, tables, count, seed):
 )
 def test_sample_entries_are_the_explicit_family_grouped_by_orbit(spec):
     lg = lift_of(spec)
-    tables = representative_tables(lg, embed(lg))
+    tables = every_source_tables(lg, embed(lg))
     family = explicit_family(lg, tables, 300, 11)
     orbits = {}
     for x, y in sorted(family):
@@ -485,7 +483,7 @@ def test_orbit_reps_cover_all_pairs_exactly():
 def test_orbit_invariance_of_distance_and_l1():
     lg = lift_of(FamilySpec.named("petersen"))
     t = embed(lg)
-    tables = representative_tables(lg, t)
+    tables = every_source_tables(lg, t)
     rng = random.Random(21)
     for _ in range(200):
         x = rng.randrange(lg.num_vertices)

@@ -2,13 +2,16 @@
 
 Each case builds a report with no file paths in it, so its bytes depend only
 on the code.  A digest that moves means a report changed: on purpose only
-together with a schema bump and a new digest.
+together with a schema bump and a new digest.  The regression constants in
+``data/expectations.json`` are frozen the same way: a fresh measurement must
+equal the file.
 """
 
 import hashlib
 
 import pytest
 
+from treelift import expectations
 from treelift.families import FamilySpec, make
 from treelift.graph import spanning_tree
 from treelift.lift import build_lift, lift_edge_list_text, lift_mapping_text
@@ -119,3 +122,7 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_are_frozen(case):
     assert hashlib.sha256(CASES[case]()).hexdigest() == GOLDEN[case]
+
+
+def test_the_frozen_expectations_are_what_a_fresh_run_measures():
+    assert expectations.compute() == expectations.load()

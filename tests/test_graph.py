@@ -319,10 +319,15 @@ def test_girth_matches_edge_deletion_oracle(g):
 # --- spanning trees -----------------------------------------------------------
 
 
+def tree_edges(td):
+    """The edge ids of the spanning tree: every edge off the cotree."""
+    return set(range(td.graph.m)) - set(td.cotree)
+
+
 def test_spanning_tree_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     td = spanning_tree(g, "bfs", 0)
-    assert td.tree_edges == frozenset({0, 2})
+    assert tree_edges(td) == {0, 2}
     assert td.cotree == (1,)
     assert td.rule == (0, 1 << 0, 0)
 
@@ -343,7 +348,7 @@ def test_cotree_size_is_cycle_space_dimension():
             continue
         td = spanning_tree(g)
         assert len(td.cotree) == g.m - g.n + 1
-        assert len(td.tree_edges) == g.n - 1
+        assert {eid for _, eid in filter(None, td.parent)} == tree_edges(td)
         # tree is connected and acyclic: n-1 edges reaching every vertex
         reached = {td.root}
         for v in range(g.n):
@@ -376,7 +381,7 @@ def test_spanning_tree_deterministic():
     g = build_graph(10, PETERSEN_PAIRS)
     a = spanning_tree(g, "dfs", 3)
     b = spanning_tree(g, "dfs", 3)
-    assert a.tree_edges == b.tree_edges and a.cotree == b.cotree
+    assert a.parent == b.parent and a.cotree == b.cotree
 
 
 # --- root paths ---------------------------------------------------------------
@@ -407,10 +412,11 @@ def test_tree_split_star_lower_endpoint_side():
 def test_tree_split_matches_deletion_components():
     g = build_graph(10, PETERSEN_PAIRS)
     td = spanning_tree(g)
-    for eid in sorted(td.tree_edges):
+    tree = tree_edges(td)
+    for eid in sorted(tree):
         a, b = split_by_root_paths(td, eid)
         assert a | b == set(range(10)) and not (a & b) and a and b
-        tree_pairs = [g.edges[t] for t in td.tree_edges if t != eid]
+        tree_pairs = [g.edges[t] for t in tree if t != eid]
         # the two sides are the components of T - e
         parts = oracle_2ecc_partition(build_graph(10, tree_pairs), set())
         assert {frozenset(a), frozenset(b)} == parts
@@ -430,13 +436,14 @@ def test_root_paths_match_deletion_components():
             for root in (0, g.n - 1):
                 td = spanning_tree(g, strategy, root)
                 paths = td.root_paths
+                tree = tree_edges(td)
                 assert paths[root] == 0
                 for eid in range(g.m):
-                    if eid not in td.tree_edges:
+                    if eid not in tree:
                         assert not any(p >> eid & 1 for p in paths)
                         continue
                     # the two sides of T - e, found by a plain search
-                    rest = [g.edges[t] for t in td.tree_edges if t != eid]
+                    rest = [g.edges[t] for t in tree if t != eid]
                     (near,) = [c for c in oracle_2ecc_partition(build_graph(g.n, rest), set()) if root in c]
                     for v in range(g.n):
                         assert (paths[v] >> eid) & 1 == (v not in near), (strategy, root, eid, v)

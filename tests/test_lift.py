@@ -25,15 +25,19 @@ from treelift.lift import (
     diameter_witness,
     lift_edge_list_text,
     lift_mapping_text,
-    lift_walk,
     lifted_diameter,
-    lifted_distance,
     lifted_girth,
-    representative_tables,
     two_sided_distances,
 )
 
-from lift_reference import project_edge, project_vertex, scalar_bfs
+from lift_reference import (
+    every_source_tables,
+    lift_walk,
+    lifted_distance,
+    project_edge,
+    project_vertex,
+    scalar_bfs,
+)
 
 
 def triangle():
@@ -45,7 +49,7 @@ def cycle(n):
 
 
 def tables_of(lg):
-    return representative_tables(lg, embed(lg))
+    return every_source_tables(lg, embed(lg))
 
 
 def petersen_lift():

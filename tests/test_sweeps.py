@@ -10,12 +10,12 @@ import treelift.walks as walks_mod
 from treelift.embedding import embed
 from treelift.families import FamilySpec, make
 from treelift.graph import spanning_tree
-from treelift.lift import build_lift, representative_tables
+from treelift.lift import build_lift
 from treelift.sweeps import MAX_RECORDED_FAILURES, group_orbit_reps, oracle_equivalence_checks
 from treelift.voltage import GroupOrbits, lifted_group
 from treelift.walks import PathRebuildError, shortest_lifted_path
 
-from lift_reference import scalar_bfs
+from lift_reference import every_source_tables, scalar_bfs
 
 
 def lift_of(spec):
@@ -44,7 +44,7 @@ def raise_one_entry(lg, tables):
 def test_oracle_fails_tables_with_one_entry_changed():
     lg = lift_of(FamilySpec.named("k4"))
     table = embed(lg)
-    tables = representative_tables(lg, table)
+    tables = every_source_tables(lg, table)
     _, good = oracle_equivalence_checks(lg, table, tables, 2000, 0)
     assert good.passed and good.checked == 2000
 
@@ -69,7 +69,7 @@ def raise_largest_entry(tables):
 def test_oracle_records_a_pair_whose_path_cannot_be_rebuilt():
     lg = lift_of(FamilySpec.named("k4"))
     table = embed(lg)
-    tables = representative_tables(lg, table)
+    tables = every_source_tables(lg, table)
     rows, z, d = raise_largest_entry(tables)
     with pytest.raises(PathRebuildError, match=f"vertex {z} has no neighbour one level closer to 0"):
         shortest_lifted_path(lg, 0, z, rows)
@@ -85,7 +85,7 @@ def test_oracle_records_a_pair_whose_path_cannot_be_rebuilt():
 def test_sweep_counts_an_orbit_no_path_rebuilds_through_as_failed():
     lg = lift_of(FamilySpec.named("k4"))
     table = embed(lg)
-    tables = representative_tables(lg, table)
+    tables = every_source_tables(lg, table)
     rows, z, _ = raise_largest_entry(tables)
     group = GroupOrbits(lifted_group(lg, table))
     clean = sweeps_mod.verdict_sweep(lg, table, tables, 3, 1, group_orbit_reps(lg, group))
@@ -104,7 +104,7 @@ def test_sweep_counts_an_orbit_no_path_rebuilds_through_as_failed():
 def test_oracle_searches_once_per_pooled_source_without_the_engine(monkeypatch):
     lg = lift_of(FamilySpec.named("petersen"))
     table = embed(lg)
-    tables = representative_tables(lg, table)
+    tables = every_source_tables(lg, table)
 
     # neither the engine the oracle checks nor the scalar BFS may run
     for attr in ("representative_tables", "_fiber_planes", "bfs_lifted"):

@@ -2,9 +2,10 @@
 and sampled streams normalised to the orbits of the lifted group.
 
 The guard here is independent of the group: a row off the walked sources is
-built by its own label-parallel BFS (``representative_tables`` with no
-group), and must equal the walked row read through the lifted element that
-takes its source there.  The reduced tables never hold such a row.
+built by its own label-parallel BFS (``every_source_tables``, under the
+trivial group), and must equal the walked row read through the lifted
+element that takes its source there.  The reduced tables never hold such a
+row.
 """
 
 import json
@@ -21,7 +22,6 @@ from treelift.graph import spanning_tree
 from treelift.lift import (
     build_lift,
     diameter_witness,
-    lifted_distance,
     representative_tables,
     sample_pair_list,
 )
@@ -29,7 +29,13 @@ from treelift.report import run_analysis, run_verify_instance
 from treelift.sweeps import group_orbit_reps
 from treelift.voltage import GroupOrbits, lifted_group
 
-from lift_reference import orbit_rep, reference_canonical, reference_sample_pair_list
+from lift_reference import (
+    every_source_tables,
+    lifted_distance,
+    orbit_rep,
+    reference_canonical,
+    reference_sample_pair_list,
+)
 
 #: symmetric bases: |Aut(G)| and the walked sources of a bfs tree rooted at 0
 SYMMETRIC = {"petersen": (120, [0]), "heawood": (336, [0]), "pappus": (216, [0]), "mcgee": (32, [0, 1])}
@@ -69,7 +75,7 @@ def every_source(built):
     def get(name, tree):
         if (name, tree) not in cache:
             lg, table, _, _ = built(name, tree)
-            cache[name, tree] = representative_tables(lg, table)
+            cache[name, tree] = every_source_tables(lg, table)
         return cache[name, tree]
 
     return get

@@ -17,12 +17,7 @@ import treelift.voltage as voltage
 from treelift.embedding import embed
 from treelift.families import FamilySpec, make, parse_family
 from treelift.graph import Graph, bfs_distances, diameter, girth, spanning_tree
-from treelift.lift import (
-    LiftedGraph,
-    build_lift,
-    lifted_distance,
-    representative_tables,
-)
+from treelift.lift import LiftedGraph, build_lift
 from treelift.report import CSV_HEADER, csv_collector, run_analysis, sweep_block, to_json_bytes
 from treelift.sweeps import group_orbit_reps, verdict_sweep
 from treelift.voltage import GroupOrbits, base_automorphisms, lifted_group, symmetry_applies
@@ -30,9 +25,11 @@ from treelift.walks import analyze, shortest_lifted_path
 
 from lift_reference import (
     certify,
+    every_source_tables,
     gf2_rank,
     image,
     iter_orbit_reps,
+    lifted_distance,
     linear,
     orbit_rep,
     project_edge,
@@ -135,7 +132,7 @@ def lift_of(g, strategy="bfs", fault=None):
     td = spanning_tree(g, strategy, 0 if strategy == "bfs" else g.n - 1)
     lg = build_lift(td, fault=None if fault is None else (td.cotree[0], fault))
     table = embed(lg)
-    return lg, table, representative_tables(lg, table)
+    return lg, table, every_source_tables(lg, table)
 
 
 def sweep_with_rows(lg, table, tables, pairs):
@@ -440,7 +437,7 @@ def test_the_tree_records_its_rule_and_fundamental_cycles(spec, tree):
     for i, (c, cycle) in enumerate(zip(td.cotree, td.cycles)):
         assert cycle >> c & 1
         edges = [eid for eid in range(g.m) if cycle >> eid & 1]
-        assert set(edges) - {c} <= td.tree_edges
+        assert set(edges) - {c} <= set(range(g.m)) - set(td.cotree)
         degree = [0] * g.n
         for eid in edges:
             for v in g.edges[eid]:

@@ -6,11 +6,7 @@ import treelift.sweeps as sweeps
 from treelift.embedding import embed
 from treelift.families import load_named, make, FamilySpec
 from treelift.graph import GraphError, build_graph, diameter, girth, spanning_tree
-from treelift.lift import (
-    build_lift,
-    representative_tables,
-    sample_pair_list,
-)
+from treelift.lift import build_lift, sample_pair_list
 from treelift.walks import (
     VERDICT_NAMES,
     PathRebuildError,
@@ -20,7 +16,7 @@ from treelift.walks import (
     verify_all,
 )
 
-from lift_reference import iter_orbit_reps
+from lift_reference import every_source_tables, iter_orbit_reps
 
 
 def triangle_lift():
@@ -29,7 +25,7 @@ def triangle_lift():
 
 
 def tables_of(lg):
-    return representative_tables(lg, embed(lg))
+    return every_source_tables(lg, embed(lg))
 
 
 def triangle_verdict(lg, wa, name, base_diam=1):
@@ -44,7 +40,7 @@ def petersen_lift(strategy, root, faulty):
     td = spanning_tree(g, strategy, root)
     lg = build_lift(td, fault=(td.cotree[0], 1 << 1) if faulty else None)
     table = embed(lg)
-    return lg, table, representative_tables(lg, table)
+    return lg, table, every_source_tables(lg, table)
 
 
 def petersen_bundle():
@@ -314,7 +310,7 @@ def test_verify_all_on_k4_exhaustive():
     g = load_named("k4")
     lg = build_lift(spanning_tree(g))
     t = embed(lg)
-    tables = representative_tables(lg, t)
+    tables = every_source_tables(lg, t)
     for x, y, _ in iter_orbit_reps(lg):
         wa = analyze(lg, shortest_lifted_path(lg, x, y, tables))
         for name, v in verify_all(lg, wa, t, 3, 1).items():

@@ -21,12 +21,12 @@ import treelift.walks as walks
 from treelift.embedding import embed
 from treelift.families import load_named
 from treelift.graph import Graph, bridges_and_2ecc, spanning_tree
-from treelift.lift import build_lift, lift_walk, representative_tables
+from treelift.lift import build_lift
 from treelift.report import CSV_HEADER, csv_collector, sweep_block, to_json_bytes
 from treelift.sweeps import verdict_sweep
 from treelift.walks import VERDICT_NAMES, WalkAnalysis, analyze, verify_all
 
-from lift_reference import iter_orbit_reps, project_edge, project_vertex
+from lift_reference import every_source_tables, iter_orbit_reps, lift_walk, project_edge, project_vertex
 
 
 def reference_analyze(lg, path):
@@ -306,7 +306,7 @@ def test_analyze_builds_one_graph_and_one_bridge_decomposition_per_orbit(monkeyp
     g = load_named("k4")
     lg = build_lift(spanning_tree(g))
     table = embed(lg)
-    tables = representative_tables(lg, table)
+    tables = every_source_tables(lg, table)
     family = list(iter_orbit_reps(lg))
 
     def sweep():
