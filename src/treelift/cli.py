@@ -16,11 +16,12 @@ import stat
 import sys
 import traceback
 
-from .families import FORMS, GenerationError, check_spec, make, parse_family
+from .families import FORMS, GenerationError, check_spec, make, order_and_size, parse_family
 from .graph import GraphError, diameter, girth, load_edge_list, save_edge_list, spanning_tree
 from .lift import (
     DEFAULT_MAX_VERTICES,
     build_lift,
+    check_lift_order,
     lift_edge_list_text,
     lift_mapping_text,
 )
@@ -212,8 +213,10 @@ def cmd_analyze(args):
 def instance_graphs(args):
     """(label, graph, fault) triples for the verify battery.
 
-    Every label and the random spec are parsed and checked before the first
-    graph is built, so bad input exits 2 before any instance has run.
+    Every label and the random spec are parsed and checked, and the lift
+    size of every instance is held against --max-vertices, before the first
+    random graph is generated, so bad input exits 2 before any instance has
+    run.
     """
     base = parse_family(args.random_spec)
     if base.kind != "random_regular":
@@ -222,6 +225,7 @@ def instance_graphs(args):
     check_spec(base)
     if args.fault_inject:
         g = make(parse_family("petersen"))
+        check_lift_order(g.n, g.m, args.max_vertices, "the lift of petersen[fault]")
         td = spanning_tree(g, args.tree, 0)
         # corrupt one matching: the coordinate-0 cotree edge additionally
         # flips coordinate 1, so its fiber crosses two cuts
@@ -233,6 +237,8 @@ def instance_graphs(args):
     for i in range(args.random_count):
         spec = dataclasses.replace(base, seed=args.seed + i)
         specs.append((spec.describe(), spec))
+    for label, spec in specs:
+        check_lift_order(*order_and_size(spec), args.max_vertices, f"the lift of {label}")
     return ((label, make(spec), None) for label, spec in specs)
 
 
@@ -243,7 +249,9 @@ def cmd_verify(args):
         instances = []
         all_pass = True
         for label, g, fault in graphs:
-            ctx = run_verify_instance(
+            # only the report is kept: the instance's lift, tables and sweep
+            # are freed before the next instance is built
+            inst = run_verify_instance(
                 label,
                 g,
                 tree_strategy=args.tree,
@@ -252,20 +260,20 @@ def cmd_verify(args):
                 seed=args.seed,
                 oracle_pairs=args.oracle_pairs,
                 fault=fault,
-            )
-            instances.append(ctx.report)
-            ok = ctx.report["all_pass"]
+            ).report
+            instances.append(inst)
+            ok = inst["all_pass"]
             all_pass &= ok
             detail = ""
             if not ok:
                 failing = [
                     name
-                    for name, block in ctx.report.get("checks", {}).items()
+                    for name, block in inst.get("checks", {}).items()
                     if not block["pass"]
                 ]
-                if not ctx.report["verdict_sweep"]["all_pass"]:
+                if not inst["verdict_sweep"]["all_pass"]:
                     failing.append("verdict_sweep")
-                if not ctx.report["bound"]["distortion_within_bound"]:
+                if not inst["bound"]["distortion_within_bound"]:
                     failing.append("bound")
                 detail = f" ({', '.join(failing)})" if failing else ""
             print(f"{'PASS' if ok else 'FAIL'} {label}{detail}")

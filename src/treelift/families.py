@@ -117,6 +117,19 @@ def check_spec(spec):
         raise GraphError(f"unknown family kind {spec.kind!r}")
 
 
+def order_and_size(spec):
+    """(n, m) of the graph a checked FamilySpec describes, without building
+    it; only a named graph is read, from its data file."""
+    if spec.kind == "cycle":
+        return spec.n, spec.n
+    if spec.kind == "complete":
+        return spec.n, spec.n * (spec.n - 1) // 2
+    if spec.kind == "random_regular":
+        return spec.n, spec.n * spec.k // 2
+    g = load_named(spec.name)
+    return g.n, g.m
+
+
 def make(spec):
     """Build the graph described by a FamilySpec."""
     check_spec(spec)

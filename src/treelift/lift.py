@@ -30,7 +30,10 @@ smallest of them).  The same BFS that fills the rows also measures the
 lifted girth and the exact colip of the cut embedding.  An explicit vertex
 cap guards all of them.  The verification oracle answers its pairs with
 ``two_sided_distances``, a scalar search that only grows two small balls
-per pair.  The text form of the lift is never held whole:
+per pair.  The sampled pair family of ``sample_pair_list`` holds no tuple
+per pair: a pair x < y is the one int x * nn + y, and each orbit the family
+meets is one slot of ``array`` columns, built in full before the stream is
+handed out.  The text form of the lift is never held whole:
 ``lift_edge_list_text`` and ``lift_mapping_text`` yield it one base edge
 (one base vertex) of 2^s lines at a time, for the writer to put on disk
 block by block.
@@ -52,13 +55,23 @@ DEFAULT_MAX_VERTICES = 1 << 22
 class LiftTooLargeError(GraphError):
     """The requested lift exceeds the vertex cap."""
 
-    def __init__(self, required, cap):
+    def __init__(self, required, cap, what="lift"):
         super().__init__(
-            f"lift would have {required} vertices, above the cap of {cap}; "
+            f"{what} would have {required} vertices, above the cap of {cap}; "
             f"raise --max-vertices (or TREELIFT_MAX_VERTICES) to proceed"
         )
         self.required = required
         self.cap = cap
+
+
+def check_lift_order(n, m, cap, what):
+    """Raise LiftTooLargeError unless the lift of a connected base graph
+    with n vertices and m edges, n * 2^(m - n + 1) vertices (one label
+    coordinate per cotree edge), is within the vertex cap; ``what`` names
+    the lift in the error."""
+    required = n << (m - n + 1)
+    if required > cap:
+        raise LiftTooLargeError(required, cap, what)
 
 
 @dataclass(eq=False)
@@ -479,8 +492,8 @@ def representative_tables(lg, table, orbits):
 
 
 def sample_pair_list(lg, tables, count, seed):
-    """The canonical sampled pair family, one (x, y, covered) entry per
-    orbit of the lifted group it meets.
+    """The canonical sampled pair family, as an iterator of one (x, y,
+    covered) entry per orbit of the lifted group it meets.
 
     The family is every adjacent pair, the pair realizing the lifted diameter
     and ``count`` seeded uniform pairs.  (x, y) is the orbit's smallest pair
@@ -494,31 +507,61 @@ def sample_pair_list(lg, tables, count, seed):
     entry per orbit of base edges and are never listed; a drawn pair in
     such an orbit is one of them.  With the trivial group the orbits are
     the translation orbits.
+
+    No tuple is kept per pair: a family pair x < y is the one int
+    x * nn + y, and each orbit is one slot of three ``array`` columns, its
+    packed smallest pair, its smallest family pair and its count, found
+    through a dict from the packed smallest pair.  The edge orbits take
+    their slots first.  The drawn pairs are then walked in sorted order, so
+    an orbit is first met at its smallest drawn pair; a drawn pair in an
+    edge orbit is already counted.  The drawn set is freed before that
+    walk, and all of the work is done before the iterator is returned.
     """
     nn = lg.num_vertices
     if nn < 2:
         raise GraphError("distortion requires at least two lifted vertices")
+    s = lg.s
+    canonical = tables.orbits.canonical
+    keys, firsts, counts = array("q"), array("q"), array("q")
+    slots = {}  # packed smallest pair of an orbit -> its slot in the columns
+    for (u, v), rule in zip(lg.base.edges, lg.rule):
+        pair = (min(u, v) << s) * nn + (max(u, v) << s | rule)  # the edge's translation representative
+        x, y = canonical(*divmod(pair, nn))
+        key = x * nn + y
+        i = slots.setdefault(key, len(keys))
+        if i == len(keys):
+            keys.append(key)
+            firsts.append(pair)
+            counts.append(0)
+        firsts[i] = min(firsts[i], pair)
+        counts[i] += 1 << s
+    edge_orbits = len(keys)
     rng = random.Random(seed)
-    drawn = {tuple(sorted(diameter_witness(lg, tables)))}
+    x, y = sorted(diameter_witness(lg, tables))
+    drawn = {x * nn + y}
     for _ in range(count):
         x = rng.randrange(nn)
         y = rng.randrange(nn)
         while y == x:
             y = rng.randrange(nn)
-        drawn.add((x, y) if x < y else (y, x))
-    s = lg.s
-    canonical = tables.orbits.canonical
-    orbits = {}  # smallest pair of an orbit -> [its smallest family pair, family pairs in it]
-    for pair in sorted(drawn):
-        orbits.setdefault(canonical(*pair), [pair, 0])[1] += 1
-    edges = {}
-    for (u, v), rule in zip(lg.base.edges, lg.rule):
-        pair = (min(u, v) << s, max(u, v) << s | rule)  # the edge's translation representative
-        key = canonical(*pair)
-        first, covered = edges.get(key, (pair, 0))
-        edges[key] = [min(first, pair), covered + (1 << s)]
-    orbits.update(edges)
-    return [(*key, covered) for key, (_, covered) in sorted(orbits.items(), key=lambda kv: kv[1][0])]
+        drawn.add(x * nn + y if x < y else y * nn + x)
+    drawn = array("q", sorted(drawn))  # the set is freed before the walk
+    for pair in drawn:
+        x, y = canonical(*divmod(pair, nn))
+        key = x * nn + y
+        i = slots.setdefault(key, len(keys))
+        if i == len(keys):
+            keys.append(key)
+            firsts.append(pair)
+            counts.append(1)
+        elif i >= edge_orbits:  # a drawn edge is already counted with its orbit
+            counts[i] += 1
+    del drawn, slots
+    order = array("q", sorted(range(len(keys)), key=firsts.__getitem__))
+    del firsts
+    keys = array("q", map(keys.__getitem__, order))
+    counts = array("q", map(counts.__getitem__, order))
+    return ((*divmod(key, nn), covered) for key, covered in zip(keys, counts))
 
 
 def lifted_girth(lg, tables):

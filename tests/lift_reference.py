@@ -23,6 +23,10 @@ every element before the lift was shown to satisfy it by construction.
 by the lifted group, one entry per translation orbit at the orbit's
 smallest family pair, and ``reference_canonical`` the smallest pair of a
 group orbit, found by mapping the pair through every element.
+``tuple_sample_pair_list`` is ``lift.sample_pair_list`` as it was before it
+packed each pair into one int: the same stream, built from tuples in dicts
+and returned as a list, against which the packed stream and its memory are
+checked.
 ``scalar_bfs`` is the vertex-at-a-time BFS of the lift that
 ``lift.bfs_lifted`` was before it ran on the label-parallel engine: the
 reference the engine's rows, ``bfs_lifted`` and the oracle's search are
@@ -360,3 +364,34 @@ def reference_sample_pair_list(lg, tables, count, seed):
         rep = orbit_rep(lg, u << s, (v << s) | rule)
         orbits[rep] = (*rep, 1 << s)
     return sorted(orbits.values())
+
+
+def tuple_sample_pair_list(lg, tables, count, seed):
+    """``lift.sample_pair_list`` with its pairs as tuples: the drawn set,
+    sorted, grouped by ``GroupOrbits.canonical`` in a dict of [smallest
+    family pair, count] lists, the edge orbits laid over it by
+    ``dict.update``, and the entries returned as one list."""
+    nn = lg.num_vertices
+    if nn < 2:
+        raise GraphError("distortion requires at least two lifted vertices")
+    rng = random.Random(seed)
+    drawn = {tuple(sorted(diameter_witness(lg, tables)))}
+    for _ in range(count):
+        x = rng.randrange(nn)
+        y = rng.randrange(nn)
+        while y == x:
+            y = rng.randrange(nn)
+        drawn.add((x, y) if x < y else (y, x))
+    s = lg.s
+    canonical = tables.orbits.canonical
+    orbits = {}  # smallest pair of an orbit -> [its smallest family pair, family pairs in it]
+    for pair in sorted(drawn):
+        orbits.setdefault(canonical(*pair), [pair, 0])[1] += 1
+    edges = {}
+    for (u, v), rule in zip(lg.base.edges, lg.rule):
+        pair = (min(u, v) << s, max(u, v) << s | rule)  # the edge's translation representative
+        key = canonical(*pair)
+        first, covered = edges.get(key, (pair, 0))
+        edges[key] = [min(first, pair), covered + (1 << s)]
+    orbits.update(edges)
+    return [(*key, covered) for key, (_, covered) in sorted(orbits.items(), key=lambda kv: kv[1][0])]

@@ -134,7 +134,7 @@ def test_criterion_3_heawood_sampled(bundles, expectations):
         frozen = expectations["heawood"]["sampled"]
         assert frozen["sample_count"] == HEAWOOD_SAMPLE_COUNT >= 100_000
         assert frozen["seed"] == HEAWOOD_SEED
-        pairs = sample_pair_list(lg, b.tables, HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED)
+        pairs = list(sample_pair_list(lg, b.tables, HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED))
         sweep = verdict_sweep(
             lg,
             b.table,

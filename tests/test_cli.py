@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import threading
+import weakref
 
 import pytest
 
@@ -419,6 +420,16 @@ def test_verify_random_spec_must_be_random(tmp_path, capsys, spec):
         (["--instances", "k4", "--random-count", 1, "--random-spec", "random:5:3"], "n*k must be even"),
         (["--instances", "k4", "--random-count", 1, "--random-spec", "random:3:3"], "need n > k"),
         (["--instances", "k4", "--random-count", 1, "--girth-min", 2], "girth_min must be >= 3"),
+        # one lift above the cap stops the run before any instance, even one under the cap
+        (
+            ["--instances", "petersen", "--random-count", 1, "--max-vertices", 1000],
+            "the lift of random:20:3(girth_min=5,seed=0) would have 40960 vertices, above the cap of 1000",
+        ),
+        (
+            ["--instances", "k4,heawood", "--random-count", 0, "--max-vertices", 1000],
+            "the lift of heawood would have 3584 vertices",
+        ),
+        (["--fault-inject", "--max-vertices", 600], "the lift of petersen[fault] would have 640 vertices"),
     ],
 )
 def test_verify_checks_every_instance_before_the_first_runs(tmp_path, capsys, args, message):
@@ -428,6 +439,23 @@ def test_verify_checks_every_instance_before_the_first_runs(tmp_path, capsys, ar
     assert message in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
     assert not out.exists()
+
+
+def test_verify_frees_each_instance_before_the_next_starts(monkeypatch):
+    real = cli.run_verify_instance
+    lifts = []
+
+    def wrapped(*args, **kwargs):
+        # the lift of every earlier instance is gone, without a garbage collection
+        assert [ref() for ref in lifts] == [None] * len(lifts)
+        ctx = real(*args, **kwargs)
+        lifts.append(weakref.ref(ctx.lg))
+        return ctx
+
+    monkeypatch.setattr(cli, "run_verify_instance", wrapped)
+    args = ["verify", "--instances", "k4,petersen", "--random-count", 1, "--random-spec", "random:8:3"]
+    assert run([*args, "--girth-min", 3, "--oracle-pairs", 50]) == 0
+    assert len(lifts) == 3
 
 
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from treelift.families import (
     GenerationError,
     load_named,
     make,
+    order_and_size,
     parse_family,
     random_regular,
 )
@@ -56,6 +57,15 @@ def test_named_graphs_rederived_by_oracles(name):
     assert girth(g) == gi
     assert diameter(g) == di
     assert is_connected(g)
+
+
+@pytest.mark.parametrize(
+    "text", [*NAMED, "cycle:3", "cycle:8", "complete:4", "complete:6", "random:20:3", "random:12:4"]
+)
+def test_order_and_size_are_those_of_the_built_graph(text):
+    spec = parse_family(text)
+    g = make(spec)
+    assert order_and_size(spec) == (g.n, g.m)
 
 
 def test_parse_family_strings():

@@ -10,6 +10,7 @@ row.
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -35,6 +36,7 @@ from lift_reference import (
     orbit_rep,
     reference_canonical,
     reference_sample_pair_list,
+    tuple_sample_pair_list,
 )
 
 #: symmetric bases: |Aut(G)| and the walked sources of a bfs tree rooted at 0
@@ -165,7 +167,7 @@ def explicit_family(lg, tables, count, seed):
 @pytest.mark.parametrize("name", ["petersen", "heawood", "pappus"])
 def test_sampled_entries_are_group_orbit_entries_covering_the_family(built, name, tree):
     lg, _, orbits, tables = built(name, tree)
-    entries = sample_pair_list(lg, tables, 300, 11)
+    entries = list(sample_pair_list(lg, tables, 300, 11))
     exhaustive = {(x, y): covered for x, y, covered in group_orbit_reps(lg, orbits)}
     assert all((x, y) in exhaustive for x, y, _ in entries)
     assert all(covered <= exhaustive[x, y] for x, y, covered in entries)
@@ -206,7 +208,51 @@ def test_with_the_trivial_group_the_stream_is_the_translation_orbit_stream(name)
         # pair, which the sweep analysed at its translation representative
         reference = reference_sample_pair_list(lg, tables, count, seed)
         want = [(*orbit_rep(lg, x, y), covered) for x, y, covered in reference]
-        assert sample_pair_list(lg, tables, count, seed) == want
+        assert list(sample_pair_list(lg, tables, count, seed)) == want
+
+
+#: the bases of the packed-stream checks, symmetric and trivial, as (spec, fault)
+PACKED = {name: (parse_family(name), None) for name in ("k4", "petersen", "heawood", "mcgee")} | TRIVIAL
+
+
+@pytest.fixture(scope="module")
+def packed_case():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            spec, fault = PACKED[name]
+            lg = lift_of(make(spec), fault=fault)
+            cache[name] = (lg, reduced(lg)[2])
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", PACKED)
+def test_the_packed_stream_is_the_tuple_stream(packed_case, name):
+    lg, tables = packed_case(name)
+    for count in (1, 50, 2_000):
+        for seed in (0, 3, 11):
+            want = tuple_sample_pair_list(lg, tables, count, seed)
+            assert list(sample_pair_list(lg, tables, count, seed)) == want, (count, seed)
+
+
+def traced_peak(build):
+    """The tracemalloc peak, in bytes, of one call of ``build``."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_packed_stream_peaks_at_most_half_the_tuple_stream(packed_case):
+    lg, tables = packed_case("random:20:3 seed 0")
+    packed = traced_peak(lambda: sample_pair_list(lg, tables, 20_000, 1))
+    tuples = traced_peak(lambda: tuple_sample_pair_list(lg, tables, 20_000, 1))
+    assert packed <= tuples / 2, (packed, tuples)
 
 
 def spy_on_the_plane_bfs(monkeypatch):

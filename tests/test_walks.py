@@ -151,7 +151,7 @@ def test_sweep_keeps_one_memo_per_run_of_a_source(monkeypatch, policy):
     # every translation orbit: the exhaustive sweep itself starts only from
     # the smallest vertex of each Aut(G) orbit, vertex 0 on Petersen
     if policy == "sample":
-        pairs = sample_pair_list(lg, tables, 300, 4)
+        pairs = list(sample_pair_list(lg, tables, 300, 4))
     else:
         pairs = list(iter_orbit_reps(lg))
     result = sweeps.verdict_sweep(lg, table, tables, 5, 2, pairs=pairs)
