@@ -88,7 +88,10 @@ class LiftedGraph:
     reported loudly by the CLI.  Connectivity is ``build_lift``'s check.
     ``hops[u]`` holds, for each edge e = (u, v) in adjacency order, the pair
     (v << s, rule[e]): (u, f) is adjacent to ``base | (f ^ rule)`` for each
-    ``(base, rule)`` in it.
+    ``(base, rule)`` in it.  ``edge_rule`` maps ``u * n + v`` to rule[e] for
+    each base edge e = (u, v), in both orientations (2m keys): the one
+    lookup per edge with which ``voltage.lift_automorphism`` reads the rule
+    of an edge's image.
     """
 
     td: object
@@ -98,6 +101,7 @@ class LiftedGraph:
     mask: int = field(init=False)
     rule: tuple = field(init=False, repr=False)
     hops: tuple = field(init=False, repr=False)
+    edge_rule: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         base = self.base = self.td.graph
@@ -111,6 +115,8 @@ class LiftedGraph:
             rule = rule[:eid] + (rule[eid] ^ extra,) + rule[eid + 1 :]
         self.rule = rule
         self.hops = tuple(tuple((v << s, rule[eid]) for v, eid in nbrs) for nbrs in base.adj)
+        n = base.n
+        self.edge_rule = {u * n + v: rule[eid] for u, nbrs in enumerate(base.adj) for v, eid in nbrs}
 
     @property
     def num_vertices(self):

@@ -32,9 +32,14 @@ left to certify at run time is that alpha is an automorphism, and the
 search (``_transversals``) checks that on each coset representative it
 keeps: every element is a product of representatives, and products of
 automorphisms are automorphisms.  ``lifted_group`` lifts every element
-of ``base_automorphisms`` down the tree, one at a time, and
-``GroupOrbits.images`` is the one place an element acts on a pair of
-lifted vertices.
+of ``base_automorphisms`` down the tree, one at a time, reading
+rule[alpha(e)] for each edge e = (u, v) as ``LiftedGraph.edge_rule[alpha(u)
+* n + alpha(v)]``, and ``GroupOrbits.images`` is the one place an element
+acts on a pair of lifted vertices.  It applies the elements that can take
+an end of the pair to its orbit's source all at once, each in its own lane
+of one int: the lanes are w bits wide, the smallest of 8, 16, 32 and 64
+that holds an encoded vertex, so XOR never carries between them, and one
+``array`` of w-bit items reads them back out (see ``GroupOrbits``).
 
 The verdict sweep may reduce by these automorphisms only when
 ``symmetry_applies``: the lift's rule is the tree rule and every lifted edge
@@ -49,6 +54,8 @@ group.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from typing import NamedTuple
 
 from .graph import bfs_distances
@@ -62,6 +69,8 @@ from .graph import bfs_distances
 #: base with n(n-1)/2 above the budget gets the trivial group before its
 #: distance rows are built.
 AUT_SEARCH_BUDGET = 4_000_000
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class LiftedAutomorphism(NamedTuple):
@@ -202,18 +211,20 @@ def _products(identity, transversals):
 def lift_automorphism(lg, alpha, order):
     """The lift of the base automorphism ``alpha``, with p(root) = 0;
     ``order`` lists the base vertices with each parent in the tree before
-    its children."""
+    its children.  The rule of each edge's image is one ``lg.edge_rule``
+    lookup."""
     g = lg.base
-    mapped = [lg.rule[g.edge_between(alpha[u], alpha[v])] for u, v in g.edges]
+    n = g.n
+    rule = lg.edge_rule
     parent = lg.td.parent
-    pot = [0] * g.n
+    pot = [0] * n
     for v in order[1:]:
-        above, eid = parent[v]
-        pot[v] = pot[above] ^ mapped[eid]
+        above = parent[v][0]
+        pot[v] = pot[above] ^ rule[alpha[above] * n + alpha[v]]
     cols = []
     for c in lg.td.cotree:
         a, b = g.edges[c]
-        cols.append(mapped[c] ^ pot[a] ^ pot[b])
+        cols.append(rule[alpha[a] * n + alpha[b]] ^ pot[a] ^ pot[b])
     return LiftedAutomorphism(tuple(alpha), tuple(cols), tuple(pot))
 
 
@@ -255,18 +266,47 @@ class GroupOrbits:
     alpha(v), and the walked sources are the vertices r with home[r] == r,
     one per Aut(G) vertex orbit.  ``coset[v]`` lists, in group order, the
     elements with alpha(v) == home[v]: for a walked r, its stabilizer.
+    Both come from one pass over the columns of the alpha tuples.
     ``orbit_size(r)`` is the number of lifted vertices in the orbit of
     (r, 0).  ``images`` applies the elements to a pair, and ``canonical``
     reads the orbit's smallest pair off it.  With the trivial group every
     vertex is walked and ``canonical`` is the translation representative.
+
+    ``images`` applies a whole coset at once, in packed lanes.  Lane k of
+    a packed int is its bits k*w .. k*w + w - 1 and belongs to the element
+    phi_k, the k-th of ``coset[a]``.  w is the smallest of 8, 16, 32 and
+    64 bits that holds an encoded vertex, (n - 1).bit_length() + s bits,
+    so every lane value fits and XOR never carries into the next lane.
+    Lanes go to and from an ``array`` of w-bit items through little-endian
+    bytes, byte-swapped on a big-endian host.  Per end a, the s packed
+    columns (lane k of int i is phi_k's column i, keyed by 1 << i) are
+    built on first use and kept.  Per pair of ends (a, b), the base lanes
+    (lane k is alpha_k(b) << s | p_k(a) ^ p_k(b)) are kept in ``_pairs``,
+    keyed by the second base vertex, only while the first end's base
+    vertex stays the same: the cache is cleared when it changes, so it
+    holds at most 2n base lanes.  The walk from (r, 0) asks only pairs
+    with first end r, so it is served whole, and a sampled stream asks its
+    drawn pairs in sorted order, so they change the first end at most n
+    times.
     """
 
     def __init__(self, group):
         self.group = group
-        self.s = len(group[0].cols)
+        self.s = s = len(group[0].cols)
         n = len(group[0].alpha)
-        self.home = [min(alpha[v] for alpha, _, _ in group) for v in range(n)]
-        self.coset = [[phi for phi in group if phi.alpha[v] == self.home[v]] for v in range(n)]
+        self.home = []
+        self.coset = []
+        for column in zip(*(phi.alpha for phi in group)):  # alpha(v) for every element
+            home = min(column)
+            self.home.append(home)
+            self.coset.append([phi for phi, w in zip(group, column) if w == home])
+        bits = (n - 1).bit_length() + s
+        self._code = next(code for code in "BHILQ" if 8 * array(code).itemsize >= bits)
+        self._itemsize = array(self._code).itemsize
+        self._mask = (1 << s) - 1
+        self._cols = [None] * n
+        self._first = None
+        self._pairs = {}
 
     def walked(self):
         """The walked sources, ascending."""
@@ -275,6 +315,31 @@ class GroupOrbits:
     def orbit_size(self, r):
         """|Aut(G).r| * 2^s lifted vertices, for the walked source r."""
         return len(self.group) // len(self.coset[r]) << self.s
+
+    def _pack(self, values):
+        """The ints ``values`` as the lanes of one int, the first lowest."""
+        lanes = array(self._code, values)
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        return int.from_bytes(lanes.tobytes(), "little")
+
+    def _ends(self, u, v):
+        """(r, ends) for the pairs over the base vertices u and v: one
+        (packed columns of a, base lanes of (a, b), byte length of the
+        lanes) per end a with home[a] == r, b the other end."""
+        s, home = self.s, self.home
+        r = min(home[u], home[v])
+        ends = []
+        for a, b in ((u, v), (v, u)) if u != v else ((u, v),):
+            if home[a] != r:
+                continue
+            coset = self.coset[a]
+            cols = self._cols[a]
+            if cols is None:
+                cols = self._cols[a] = {1 << i: self._pack([phi.cols[i] for phi in coset]) for i in range(s)}
+            base = self._pack([alpha[b] << s | pot[a] ^ pot[b] for alpha, _, pot in coset])
+            ends.append((cols, base, len(coset) * self._itemsize))
+        return r, ends
 
     def images(self, x, y):
         """(r, far) for the orbit of {x, y} under Z_2^s x| Aut(G), two
@@ -286,21 +351,34 @@ class GroupOrbits:
         translation by that end's new label: the end a (u or v) with
         home[a] == r goes to (r, 0) under each element of coset[a], and the
         other end b to (alpha(b), A.f ^ p(a) ^ p(b)), f the label XOR of the
-        pair.
+        pair.  All of coset[a] at once: the base lanes of (a, b) XORed
+        with a's packed column i for each set bit i of f, then read out
+        as one array (a coset of one element is its one lane).
         """
         s = self.s
         u, v = x >> s, y >> s
-        r = min(self.home[u], self.home[v])
-        bits = [i for i in range(s) if (x ^ y) >> i & 1]
+        if u != self._first:
+            self._first = u
+            self._pairs.clear()
+        pair = self._pairs.get(v)
+        if pair is None:
+            pair = self._pairs[v] = self._ends(u, v)
+        r, ends = pair
+        f = (x ^ y) & self._mask
         far = set()
-        for a, b in ((u, v), (v, u)) if u != v else ((u, v),):
-            if self.home[a] != r:
+        for cols, h, size in ends:
+            d = f
+            while d:
+                low = d & -d
+                h ^= cols[low]
+                d ^= low
+            if size == self._itemsize:
+                far.add(h)
                 continue
-            for alpha, cols, pot in self.coset[a]:
-                h = pot[a] ^ pot[b]
-                for i in bits:
-                    h ^= cols[i]
-                far.add(alpha[b] << s | h)
+            lanes = array(self._code, h.to_bytes(size, "little"))
+            if _BIG_ENDIAN:
+                lanes.byteswap()
+            far.update(lanes)
         return r, far
 
     def canonical(self, x, y):

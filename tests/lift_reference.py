@@ -23,6 +23,9 @@ every element before the lift was shown to satisfy it by construction.
 by the lifted group, one entry per translation orbit at the orbit's
 smallest family pair, and ``reference_canonical`` the smallest pair of a
 group orbit, found by mapping the pair through every element.
+``reference_images`` is ``GroupOrbits.images`` as it was before it packed
+each coset into lanes: the same far ends, one element of the coset at a
+time.
 ``tuple_sample_pair_list`` is ``lift.sample_pair_list`` as it was before it
 packed each pair into one int: the same stream, built from tuples in dicts
 and returned as a list, against which the packed stream and its memory are
@@ -329,6 +332,26 @@ def reference_canonical(lg, group, x, y):
     """The smallest pair of the orbit of {x, y} under translations and
     ``group``: the smallest translation representative of any image."""
     return min(orbit_rep(lg, image(phi, lg, x), image(phi, lg, y)) for phi in group)
+
+
+def reference_images(orbits, x, y):
+    """``orbits.images(x, y)``, one element at a time: each element of
+    coset[a], for the ends a with home[a] == r, takes the other end b to
+    (alpha(b), A.f ^ p(a) ^ p(b))."""
+    s = orbits.s
+    u, v = x >> s, y >> s
+    r = min(orbits.home[u], orbits.home[v])
+    bits = [i for i in range(s) if (x ^ y) >> i & 1]
+    far = set()
+    for a, b in ((u, v), (v, u)) if u != v else ((u, v),):
+        if orbits.home[a] != r:
+            continue
+        for alpha, cols, pot in orbits.coset[a]:
+            h = pot[a] ^ pot[b]
+            for i in bits:
+                h ^= cols[i]
+            far.add(alpha[b] << s | h)
+    return r, far
 
 
 def reference_sample_pair_list(lg, tables, count, seed):

@@ -255,6 +255,17 @@ def test_the_packed_stream_peaks_at_most_half_the_tuple_stream(packed_case):
     assert packed <= tuples / 2, (packed, tuples)
 
 
+@pytest.mark.parametrize("name", ["tutte_coxeter", "random:20:3"])
+def test_the_pair_lane_cache_holds_at_most_two_ends_per_base_vertex(name):
+    # a sampled stream asks every first end in turn; the base lanes of at
+    # most n pairs of base vertices, each with at most two ends, are kept
+    lg = lift_of(make(parse_family(name)))
+    _, orbits, tables = reduced(lg)
+    assert len(list(sample_pair_list(lg, tables, 20_000, 5))) > 1_000
+    held = sum(len(ends) for _, ends in orbits._pairs.values())
+    assert 0 < held <= 2 * lg.base.n
+
+
 def spy_on_the_plane_bfs(monkeypatch):
     sources = []
     real = lift_mod._fiber_planes

@@ -35,6 +35,7 @@ from lift_reference import (
     project_edge,
     reference_base_automorphisms,
     reference_group_orbit_reps,
+    reference_images,
     reference_lift_automorphism,
 )
 
@@ -396,6 +397,60 @@ def test_images_are_the_far_ends_of_the_orbit_at_its_source(name, tree):
         assert orbits.canonical(x, y) == min(reps)
     # McGee's two vertex orbits: pairs within each, and across in both orders
     assert len(homes) == len(orbits.walked()) ** 2
+
+
+def assert_images_are_the_reference_images(orbits, pairs):
+    for x, y in pairs:
+        r, far = reference_images(orbits, x, y)
+        assert orbits.images(x, y) == (r, far), (x, y)
+        assert orbits.canonical(x, y) == (r << orbits.s, min(far)), (x, y)
+
+
+@pytest.mark.parametrize(
+    "name,tree,root",
+    [("k4", "bfs", 0), ("petersen", "bfs", 0), ("heawood", "bfs", 0), ("heawood", "dfs", 5), ("pappus", "bfs", 0)],
+)
+def test_packed_images_are_the_reference_images_from_every_walked_source(name, tree, root):
+    lg = build_lift(spanning_tree(make(parse_family(name)), tree, root))
+    orbits = GroupOrbits(lifted_group(lg, embed(lg)))
+    assert len(orbits.group) > 1
+    s, nn = lg.s, lg.num_vertices
+    pairs = [(r << s, y) for r in orbits.walked() for y in range(nn) if y != r << s]
+    # the walk's order, then with the ends swapped, so the first end changes at every pair
+    assert_images_are_the_reference_images(orbits, pairs + [(y, x) for x, y in pairs])
+
+
+def test_packed_images_on_a_tree_with_no_label_coordinate():
+    lg = build_lift(spanning_tree(Graph(3, [(0, 1), (1, 2)])))
+    orbits = GroupOrbits(lifted_group(lg, embed(lg)))
+    assert lg.s == 0 and [phi.alpha for phi in orbits.group] == [(0, 1, 2), (2, 1, 0)]
+    assert_images_are_the_reference_images(orbits, [(x, y) for x in range(3) for y in range(3) if x != y])
+
+
+#: bases of the seeded image checks, with the bits of an encoded vertex
+#: ((n - 1).bit_length() + s) and the lane width they are packed in
+SEEDED_IMAGE_CASES = {
+    "mcgee": (18, 32),
+    "tutte_coxeter": (21, 32),
+    "petersen+fault": (10, 16),
+    "random:20:3": (16, 16),  # 5 + 11 bits fill the 16-bit lanes
+    "cycle:65": (8, 8),  # 7 + 1 bits fill the 8-bit lanes
+}
+
+
+@pytest.mark.parametrize("name", SEEDED_IMAGE_CASES)
+def test_packed_images_are_the_reference_images_on_seeded_pairs(name):
+    base, _, fault = name.partition("+")
+    td = spanning_tree(base_graph(base))
+    lg = build_lift(td, fault=(td.cotree[0], 1 << 1) if fault else None)
+    orbits = GroupOrbits(lifted_group(lg, embed(lg)))
+    bits, width = SEEDED_IMAGE_CASES[name]
+    assert ((lg.base.n - 1).bit_length() + lg.s, 8 * orbits._itemsize) == (bits, width)
+    rng = random.Random(name)
+    nn = lg.num_vertices
+    # scattered pairs, then a stream sorted by its first end, as the sampled family asks them
+    stream = sorted(tuple(rng.sample(range(nn), 2)) for _ in range(2_000))
+    assert_images_are_the_reference_images(orbits, image_test_pairs(lg, orbits, rng) + stream)
 
 
 @pytest.mark.parametrize("name", sorted(DELETED))
