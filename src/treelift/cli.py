@@ -28,7 +28,7 @@ from .lift import (
 from .report import (
     CSV_HEADER,
     base_block,
-    resolve_policy,
+    check_analysis,
     run_analysis,
     run_verify_instance,
     to_json_bytes,
@@ -75,7 +75,7 @@ def default_cap():
 
 def parse_pairs_arg(text):
     """The pair policy of --pairs: "auto", "exhaustive" or the COUNT of
-    sample:COUNT (at least 1); ``report.resolve_policy`` resolves it."""
+    sample:COUNT (at least 1); ``report.check_analysis`` resolves it."""
     if text in ("auto", "exhaustive"):
         return text
     count = text.removeprefix("sample:")
@@ -174,11 +174,10 @@ def cmd_lift(args):
 def cmd_analyze(args):
     g = load_edge_list(args.input)
     pairs = parse_pairs_arg(args.pairs)
-    # refuse a bad policy before the output is opened, and a bad output
-    # before the lift is built; this tree is dropped at once, and
-    # run_analysis builds its own
-    s = spanning_tree(g, args.tree, args.root).num_coords
-    resolve_policy(g.n << s, pairs, args.seed)
+    td = spanning_tree(g, args.tree, args.root)
+    # every refusal before the output is opened, so an output written in
+    # place keeps its bytes; a bad output is then refused before the lift
+    check_analysis(td, args.max_vertices, pairs, args.seed)
     with output(args.output) as out:
         emit_csv = None
         if args.format == "csv":
@@ -186,9 +185,7 @@ def cmd_analyze(args):
             # each line goes out as the sweep finishes it
             emit_csv = lambda line: write_text(out, (line,))
         ctx = run_analysis(
-            g,
-            tree_strategy=args.tree,
-            root=args.root,
+            td,
             max_vertices=args.max_vertices,
             pairs=pairs,
             seed=args.seed,
@@ -211,12 +208,12 @@ def cmd_analyze(args):
 
 
 def instance_graphs(args):
-    """(label, graph, fault) triples for the verify battery.
+    """(label, spanning tree, fault) triples for the verify battery.
 
-    Every label and the random spec are parsed and checked, and the lift
-    size of every instance is held against --max-vertices, before the first
-    random graph is generated, so bad input exits 2 before any instance has
-    run.
+    Every label and the random spec are checked, and every lift size held
+    against --max-vertices, before the first random graph is generated; then
+    every graph is built, so bad input, an ungenerable random graph included,
+    exits 2 before the output is opened and before any instance has run.
     """
     base = parse_family(args.random_spec)
     if base.kind != "random_regular":
@@ -230,7 +227,7 @@ def instance_graphs(args):
         # corrupt one matching: the coordinate-0 cotree edge additionally
         # flips coordinate 1, so its fiber crosses two cuts
         fault = (td.cotree[0], 1 << 1)
-        return [("petersen[fault]", g, fault)]
+        return [("petersen[fault]", td, fault)]
     specs = [(label, parse_family(label)) for label in args.instances.split(",")]
     for _, spec in specs:
         check_spec(spec)
@@ -239,22 +236,21 @@ def instance_graphs(args):
         specs.append((spec.describe(), spec))
     for label, spec in specs:
         check_lift_order(*order_and_size(spec), args.max_vertices, f"the lift of {label}")
-    return ((label, make(spec), None) for label, spec in specs)
+    return [(label, spanning_tree(make(spec), args.tree, 0), None) for label, spec in specs]
 
 
 def cmd_verify(args):
     pairs = parse_pairs_arg(args.pairs)
-    graphs = instance_graphs(args)  # every instance is checked before the output is opened
+    battery = instance_graphs(args)  # every instance is built before the output is opened
     with (output(args.output) if args.output else contextlib.nullcontext()) as out:
         instances = []
         all_pass = True
-        for label, g, fault in graphs:
+        for label, td, fault in battery:
             # only the report is kept: the instance's lift, tables and sweep
             # are freed before the next instance is built
             inst = run_verify_instance(
                 label,
-                g,
-                tree_strategy=args.tree,
+                td,
                 max_vertices=args.max_vertices,
                 pairs=pairs,
                 seed=args.seed,

@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import GraphError
-
 
 @dataclass(eq=False)
 class EmbeddingTable:
@@ -155,8 +153,6 @@ def distortion(lg, table, tables):
     (``assert_injective``), so no pair has l1 0.
     """
     nn = lg.num_vertices
-    if nn < 2:
-        raise GraphError("distortion requires at least two lifted vertices")
     assert_injective(table)
     lip = Fraction(max(flip.bit_count() for flip in table.edge_flips))
     if lip != 1:

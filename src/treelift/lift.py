@@ -46,6 +46,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import GraphError
 
@@ -91,7 +92,7 @@ class LiftedGraph:
     ``(base, rule)`` in it.  ``edge_rule`` maps ``u * n + v`` to rule[e] for
     each base edge e = (u, v), in both orientations (2m keys): the one
     lookup per edge with which ``voltage.lift_automorphism`` reads the rule
-    of an edge's image.
+    of an edge's image.  ``label_steps`` is derived on first use and kept.
     """
 
     td: object
@@ -145,6 +146,15 @@ class LiftedGraph:
         """Label as a binary string, coordinate 0 rightmost."""
         return format(label, f"0{self.s}b") if self.s else ""
 
+    @cached_property
+    def label_steps(self):
+        """(M_i per coordinate, the masked shifts of each base edge's rule),
+        for the label-parallel BFS; the masks are 2^s-bit ints, so they are
+        built once per lift."""
+        masks = _flip_masks(self.s)
+        steps = [[(1 << i, masks[i]) for i in range(self.s) if (rule >> i) & 1] for rule in self.rule]
+        return masks, steps
+
 
 def build_lift(td, max_vertices=DEFAULT_MAX_VERTICES, fault=None):
     """``LiftedGraph(td, fault)``, guarded by a vertex cap and checked to be connected.
@@ -155,9 +165,8 @@ def build_lift(td, max_vertices=DEFAULT_MAX_VERTICES, fault=None):
     build by one ``bfs_lifted`` from (0, 0), a label-parallel BFS, so a
     fault that disconnects the lift is refused here.
     """
+    check_lift_order(td.graph.n, td.graph.m, max_vertices, "lift")
     lg = LiftedGraph(td, fault)
-    if lg.num_vertices > max_vertices:
-        raise LiftTooLargeError(lg.num_vertices, max_vertices)
     if bfs_lifted(lg, 0).count(-1) != 0:
         raise GraphError("constructed lift is not connected")
     return lg
@@ -174,7 +183,7 @@ def bfs_lifted(lg, source):
     s = lg.s
     full = (1 << (1 << s)) - 1
     planes, seen, far, _ = _fiber_planes(
-        lg.base.adj, _label_steps(lg)[1], lg.base.n, source >> s, 1 << (source & lg.mask)
+        lg.base.adj, lg.label_steps[1], lg.base.n, source >> s, 1 << (source & lg.mask)
     )
     dist = list(_expand_row([_whole_lift(plane, 1 << s) for plane in planes], lg.num_vertices, far))
     for v, bits in enumerate(seen):
@@ -440,13 +449,6 @@ def _fold(whole, sides, row, x, nn):
         yield d, len(sides) - most, x + (bits & -bits).bit_length() - 1
 
 
-def _label_steps(lg):
-    """(M_i per coordinate, the masked shifts of each base edge's rule)."""
-    masks = _flip_masks(lg.s)
-    steps = [[(1 << i, masks[i]) for i in range(lg.s) if (rule >> i) & 1] for rule in lg.rule]
-    return masks, steps
-
-
 def representative_tables(lg, table, orbits):
     """Distances from the walked sources (r, 0) of ``orbits`` by
     label-parallel BFS, the lifted girth and the exact colip of the
@@ -467,7 +469,7 @@ def representative_tables(lg, table, orbits):
     s = lg.s
     n = lg.base.n
     nn = lg.num_vertices
-    masks, steps = _label_steps(lg)
+    masks, steps = lg.label_steps
     full = (1 << (1 << s)) - 1
     sides = _cut_sides(table, masks, full)
     rows = [None] * n
@@ -520,12 +522,11 @@ def sample_pair_list(lg, tables, count, seed):
     through a dict from the packed smallest pair.  The edge orbits take
     their slots first.  The drawn pairs are then walked in sorted order, so
     an orbit is first met at its smallest drawn pair; a drawn pair in an
-    edge orbit is already counted.  The drawn set is freed before that
-    walk, and all of the work is done before the iterator is returned.
+    edge orbit is already counted.  Drawing stops early once every pair of
+    the lift is drawn.  The drawn set is freed before that walk, and all of
+    the work is done before the iterator is returned.
     """
     nn = lg.num_vertices
-    if nn < 2:
-        raise GraphError("distortion requires at least two lifted vertices")
     s = lg.s
     canonical = tables.orbits.canonical
     keys, firsts, counts = array("q"), array("q"), array("q")
@@ -545,7 +546,10 @@ def sample_pair_list(lg, tables, count, seed):
     rng = random.Random(seed)
     x, y = sorted(diameter_witness(lg, tables))
     drawn = {x * nn + y}
+    every = nn * (nn - 1) >> 1
     for _ in range(count):
+        if len(drawn) >= every:  # later draws would change nothing
+            break
         x = rng.randrange(nn)
         y = rng.randrange(nn)
         while y == x:

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .embedding import distortion, distortion_bound, embed
-from .graph import GraphError, diameter, girth, spanning_tree
+from .graph import GraphError, diameter, girth
 from .lift import (
     DEFAULT_MAX_VERTICES,
     build_lift,
+    check_lift_order,
     lifted_diameter,
     lifted_girth,
     representative_tables,
@@ -48,24 +49,31 @@ def verdict_dict(v):
     return {"pass": v.passed, "violations": list(v.violations), "checked": v.checked}
 
 
-def resolve_policy(num_lifted_vertices, pairs, seed):
-    """The verdict sweep's sample count under the pair policy ``pairs``
-    ("auto", "exhaustive" or a sample count), or None when it is exhaustive.
+def check_analysis(td, max_vertices, pairs, seed):
+    """Every refusal of an analysis of the tree decomposition ``td``, made
+    before any lift work; returns the verdict sweep's sample count under
+    the pair policy ``pairs`` ("auto", "exhaustive" or a sample count), or
+    None when it is exhaustive.
 
     "auto" is exhaustive below AUTO_EXHAUSTIVE_LIMIT lifted vertices and
-    samples AUTO_SAMPLE_COUNT pairs at or above it.  This is the one place
-    the count (at least 1) and the seed of a sample are checked, before any
-    lift work.
+    samples AUTO_SAMPLE_COUNT pairs at or above it.  In this order: a
+    sample needs a count of at least 1 and a seed, the lift must be within
+    the vertex cap ``max_vertices`` (``lift.check_lift_order``), and it must
+    have two vertices for a distortion to exist.
     """
+    g = td.graph
+    nn = g.n << td.num_coords
     if pairs == "auto":
-        pairs = "exhaustive" if num_lifted_vertices < AUTO_EXHAUSTIVE_LIMIT else AUTO_SAMPLE_COUNT
-    if pairs == "exhaustive":
-        return None
-    if type(pairs) is not int or pairs < 1:
-        raise GraphError(f"unknown pair policy {pairs!r}")
-    if seed is None:
-        raise GraphError("sampled pair policy requires --seed")
-    return pairs
+        pairs = "exhaustive" if nn < AUTO_EXHAUSTIVE_LIMIT else AUTO_SAMPLE_COUNT
+    if pairs != "exhaustive":
+        if type(pairs) is not int or pairs < 1:
+            raise GraphError(f"unknown pair policy {pairs!r}")
+        if seed is None:
+            raise GraphError("sampled pair policy requires --seed")
+    check_lift_order(g.n, g.m, max_vertices, "lift")
+    if nn < 2:
+        raise GraphError("distortion requires at least two lifted vertices")
+    return None if pairs == "exhaustive" else pairs
 
 
 def base_block(g, gi, diam):
@@ -153,16 +161,10 @@ class AnalysisContext:
 
 
 def run_analysis(
-    g,
-    tree_strategy="bfs",
-    root=0,
-    max_vertices=DEFAULT_MAX_VERTICES,
-    pairs="auto",
-    seed=None,
-    emit_csv=None,
-    fault=None,
+    td, max_vertices=DEFAULT_MAX_VERTICES, pairs="auto", seed=None, emit_csv=None, fault=None
 ):
-    """Full pipeline on one base graph: lift, embed, measure, sweep.
+    """Full pipeline on one base graph and its spanning tree, the tree
+    decomposition ``td``: lift, embed, measure, sweep.
 
     The embedding block is exact over every pair of the lift at any size;
     the pair policy ``pairs`` ("auto", "exhaustive" or a sample count, which
@@ -170,14 +172,13 @@ def run_analysis(
     ``group_orbit_reps`` when exhaustive, ``sample_pair_list`` when sampled.
     The lifted group comes first in either mode: the distance tables are
     built from its walked sources only, and both streams hold one pair per
-    orbit of it.  ``resolve_policy`` checks the policy before the lift is
-    built.  Returns an
-    AnalysisContext whose ``report`` field is the JSON-ready dict.  If
-    ``emit_csv`` is given, the sweep calls it with one finished CSV line per
-    analysis, newline included, as it goes.
+    orbit of it.  ``check_analysis`` makes every refusal first, before the
+    lift is built.  Returns an AnalysisContext whose ``report`` field is the
+    JSON-ready dict.  If ``emit_csv`` is given, the sweep calls it with one
+    finished CSV line per analysis, newline included, as it goes.
     """
-    td = spanning_tree(g, tree_strategy, root)
-    count = resolve_policy(g.n << len(td.cotree), pairs, seed)
+    count = check_analysis(td, max_vertices, pairs, seed)
+    g = td.graph
     lg = build_lift(td, max_vertices=max_vertices, fault=fault)
     table = embed(lg)
     orbits = GroupOrbits(lifted_group(lg, table))
@@ -188,8 +189,8 @@ def run_analysis(
 
     report = {
         "config": {
-            "tree_strategy": tree_strategy,
-            "tree_root": root,
+            "tree_strategy": td.strategy,
+            "tree_root": td.root,
             "max_vertices": max_vertices,
             "pair_policy": "exhaustive" if count is None else f"sample:{count}",
             "seed": seed,
@@ -225,10 +226,10 @@ def run_analysis(
     return AnalysisContext(lg, table, tables, base_gi, base_di, sw, report)
 
 
-def run_verify_instance(label, g, seed=0, oracle_pairs=2_000, **options):
-    """Analysis plus the deep whole-lift checks, for the verify battery;
-    ``options`` are those of ``run_analysis``."""
-    ctx = run_analysis(g, seed=seed, **options)
+def run_verify_instance(label, td, seed=0, oracle_pairs=2_000, **options):
+    """Analysis of the tree decomposition ``td`` plus the deep whole-lift
+    checks, for the verify battery; ``options`` are those of ``run_analysis``."""
+    ctx = run_analysis(td, seed=seed, **options)
     lg, table, tables = ctx.lg, ctx.table, ctx.tables
     checks = (
         cut_partition_check(lg, table),

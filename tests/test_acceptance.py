@@ -182,7 +182,7 @@ def test_criterion_6_random_regular_robustness():
             g = random_regular(20, 3, girth_min=5, seed=seed)
             ctx = run_verify_instance(
                 f"random:20:3#{seed}",
-                g,
+                spanning_tree(g),
                 pairs=1_500,
                 seed=seed,
                 oracle_pairs=400,

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import stat
+import sys
 import threading
 import weakref
 
@@ -9,6 +10,7 @@ import pytest
 
 import treelift.cli as cli
 import treelift.graph as graph_mod
+import treelift.lift as lift_mod
 import treelift.report as report_mod
 from treelift.cli import main
 
@@ -623,3 +625,92 @@ def test_a_replaced_report_keeps_its_permission_bits(tmp_path):
     assert json.loads(out.read_text())["all_pass"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt", "r.json"]
 
+
+
+def refused_command(tmp_path, case):
+    """(argv without -o, the message) of a command that must exit 2."""
+    if case == "one-vertex lift":
+        base = tmp_path / "one.txt"
+        base.write_text("1 0\n")
+        return ["analyze", base], "distortion requires at least two lifted vertices"
+    if case == "ungenerable random instance":
+        argv = ["verify", "--instances", "k4", "--random-count", 1, "--girth-min", 9, "--max-tries", 2]
+        return argv, "no 3-regular graph on 20 vertices with girth >= 9 found in 2 attempts (seed 0)"
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    fmt = "csv" if case == "over-cap csv" else "json"
+    argv = ["analyze", base, "--format", fmt, "--max-vertices", 100]
+    return argv, "lift would have 640 vertices, above the cap of 100"
+
+
+@pytest.mark.parametrize("link", ["symlink", "hardlink"])
+@pytest.mark.parametrize(
+    "case", ["over-cap json", "over-cap csv", "one-vertex lift", "ungenerable random instance"]
+)
+def test_a_refusal_leaves_an_output_written_in_place_unchanged(
+    tmp_path, capsys, monkeypatch, case, link
+):
+    argv, message = refused_command(tmp_path, case)
+    target = tmp_path / "target.json"
+    target.write_text("an earlier report\n")
+    out = tmp_path / "out.json"
+    if link == "symlink":
+        out.symlink_to(target)
+    else:
+        os.link(target, out)
+    real = report_mod.build_lift
+    built = []
+    monkeypatch.setattr(report_mod, "build_lift", lambda *args, **kw: built.append(args) or real(*args, **kw))
+    capsys.readouterr()
+    assert run([*argv, "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert target.read_text() == "an earlier report\n"
+    assert not built
+
+
+def spy_on_spanning_tree(monkeypatch):
+    """The argument tuples of every spanning_tree call, wherever a module of
+    the package looks it up."""
+    real = graph_mod.spanning_tree
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("treelift") and getattr(mod, "spanning_tree", None) is real:
+            monkeypatch.setattr(mod, "spanning_tree", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,status,instances",
+    [
+        (["analyze", "{base}", "--pairs", "sample:50", "--seed", 1], 0, 1),
+        (["analyze", "{base}", "--tree", "dfs", "--root", 3, "--format", "csv"], 0, 1),
+        (["verify", "--instances", "k4,petersen", "--random-count", 1, "--random-spec", "random:8:3",
+          "--girth-min", 3, "--oracle-pairs", 50], 0, 3),
+        (["verify", "--fault-inject", "--pairs", "sample:200", "--seed", 1, "--oracle-pairs", 100], 1, 1),
+    ],
+    ids=["analyze sampled", "analyze dfs csv", "verify", "verify fault-inject"],
+)
+def test_one_spanning_tree_per_analysis(tmp_path, monkeypatch, argv, status, instances):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    calls = spy_on_spanning_tree(monkeypatch)
+    argv = [base if a == "{base}" else a for a in argv]
+    assert run([*argv, "-o", tmp_path / "r.out"]) == status
+    assert len(calls) == instances
+
+
+def test_the_flip_masks_are_built_once_per_analysis(tmp_path, monkeypatch):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    real = lift_mod._flip_masks
+    calls = []
+    monkeypatch.setattr(lift_mod, "_flip_masks", lambda s: calls.append(s) or real(s))
+    assert run(["analyze", base, "-o", tmp_path / "r.json"]) == 0
+    assert calls == [6]

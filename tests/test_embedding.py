@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import treelift.lift as lift_mod
 import treelift.report as report
 from treelift.embedding import (
     assert_injective,
@@ -268,7 +269,7 @@ def test_distortion_certifies_injectivity_before_the_fold(monkeypatch):
     monkeypatch.setattr(
         report, "embed", lambda lg: dataclasses.replace(embed(lg), base_rows=broken.base_rows)
     )
-    out = report.run_analysis(lg.base, pairs=20, seed=1).report
+    out = report.run_analysis(lg.td, pairs=20, seed=1).report
     assert "not injective" in out["embedding"]["error"]
     assert out["bound"]["distortion_within_bound"] is False and out["all_pass"] is False
 
@@ -418,6 +419,29 @@ def test_sampled_mode_deterministic():
     assert list(sample_pair_list(lg, tables, 200, 4)) != list(sample_pair_list(lg, tables, 200, 5))
 
 
+def test_sampling_stops_once_every_pair_is_drawn(monkeypatch):
+    lg = lift_of(FamilySpec.named("k4"))  # 32 lifted vertices, 496 pairs
+    tables = every_source_tables(lg, embed(lg))
+    draws = [0]
+
+    class Counted(random.Random):
+        def randrange(self, *args):
+            draws[0] += 1
+            assert draws[0] <= 1_000_000, "still drawing"
+            return super().randrange(*args)
+
+    monkeypatch.setattr(lift_mod.random, "Random", Counted)
+    families = []
+    for count in (10**5, 10**20):
+        draws[0] = 0
+        families.append((list(sample_pair_list(lg, tables, count, 1)), draws[0]))
+    (family, used), again = families
+    assert again == (family, used)
+    assert sum(covered for _, _, covered in family) == 496
+    # two draws make a pair, and a few more redraw a pair with equal ends
+    assert 2 * 496 <= used < 2 * 10**4
+
+
 def explicit_family(lg, tables, count, seed):
     """The sampled family spelled out pair by pair: every lifted edge, the
     diameter pair and ``count`` seeded draws, deduplicated."""
@@ -464,10 +488,11 @@ def test_sample_entries_are_the_explicit_family_grouped_by_orbit(spec):
 
 
 def test_sample_mode_needs_count_and_seed():
+    td = spanning_tree(make(FamilySpec.named("k4")))  # 32 lifted vertices
     with pytest.raises(GraphError, match="unknown pair policy 0"):
-        report.resolve_policy(32, 0, 1)
+        report.check_analysis(td, 32, 0, 1)
     with pytest.raises(GraphError, match="sampled pair policy requires --seed"):
-        report.resolve_policy(32, 5, None)
+        report.check_analysis(td, 32, 5, None)
 
 
 # --- orbit machinery ---------------------------------------------------------------

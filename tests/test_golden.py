@@ -22,52 +22,54 @@ def named(name):
     return make(FamilySpec.named(name))
 
 
+def tree(name, strategy="bfs", root=0):
+    return spanning_tree(named(name), strategy, root)
+
+
 def analysis_json(name, **kw):
-    return to_json_bytes(run_analysis(named(name), **kw).report)
+    return to_json_bytes(run_analysis(tree(name), **kw).report)
 
 
-def exhaustive_csv(g, **kw):
+def exhaustive_csv(td, **kw):
     rows = [CSV_HEADER]
-    run_analysis(g, pairs="exhaustive", emit_csv=rows.append, **kw)
+    run_analysis(td, pairs="exhaustive", emit_csv=rows.append, **kw)
     return "".join(rows).encode("ascii")
 
 
-def lift_text(name, tree, root, text):
+def lift_text(name, strategy, root, text):
     """The text form ``text`` (the edge list or the mapping) of a lift, joined."""
-    lg = build_lift(spanning_tree(named(name), tree, root))
+    lg = build_lift(tree(name, strategy, root))
     return "".join(text(lg)).encode("ascii")
 
 
 def petersen_fault():
     # the fault `verify --fault-inject` plants: the coordinate-0 cotree edge
     # also flips coordinate 1
-    g = named("petersen")
-    return g, (spanning_tree(g).cotree[0], 1 << 1)
+    td = tree("petersen")
+    return td, (td.cotree[0], 1 << 1)
 
 
 def fault_injected_petersen():
-    g, fault = petersen_fault()
-    ctx = run_verify_instance("petersen[fault]", g, pairs=300, seed=5, fault=fault)
+    td, fault = petersen_fault()
+    ctx = run_verify_instance("petersen[fault]", td, pairs=300, seed=5, fault=fault)
     return to_json_bytes(ctx.report)
 
 
 def fault_injected_petersen_csv():
-    g, fault = petersen_fault()
-    return exhaustive_csv(g, fault=fault)
+    td, fault = petersen_fault()
+    return exhaustive_csv(td, fault=fault)
 
 
 def random_cubic():
     spec = FamilySpec.random_regular(20, 3, girth_min=5, seed=0)
-    ctx = run_verify_instance(spec.describe(), make(spec), pairs=700, seed=0, oracle_pairs=400)
+    ctx = run_verify_instance(spec.describe(), spanning_tree(make(spec)), pairs=700, seed=0, oracle_pairs=400)
     return to_json_bytes(ctx.report)
 
 
 def petersen_dfs_verify():
     ctx = run_verify_instance(
         "petersen",
-        named("petersen"),
-        tree_strategy="dfs",
-        root=5,
+        tree("petersen", "dfs", 5),
         pairs="exhaustive",
         seed=3,
         oracle_pairs=500,
@@ -77,13 +79,13 @@ def petersen_dfs_verify():
 
 CASES = {
     "petersen exhaustive": lambda: analysis_json("petersen", pairs="exhaustive"),
-    "petersen exhaustive csv": lambda: exhaustive_csv(named("petersen")),
+    "petersen exhaustive csv": lambda: exhaustive_csv(tree("petersen")),
     # 3,510 translation orbits of the fault lift, which keeps the trivial
     # group, 4,097 failing verdicts
     "petersen fault-injected exhaustive csv": fault_injected_petersen_csv,
     # 128 orbits of the lifted group (26,866 translation orbits), every
     # counter and all eight verdicts of each
-    "heawood exhaustive csv": lambda: exhaustive_csv(named("heawood")),
+    "heawood exhaustive csv": lambda: exhaustive_csv(tree("heawood")),
     "petersen sample:500 seed 7": lambda: analysis_json("petersen", pairs=500, seed=7),
     "heawood sample:2000 seed 5": lambda: analysis_json("heawood", pairs=2000, seed=5),
     "mcgee sample:2000 seed 3": lambda: analysis_json("mcgee", pairs=2000, seed=3),

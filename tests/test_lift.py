@@ -114,6 +114,20 @@ def test_size_cap_reports_required():
     assert exc.value.required == 640
 
 
+def test_the_label_steps_are_derived_once_per_lift_and_never_for_a_refused_one(monkeypatch):
+    real = lift_mod._flip_masks
+    calls = []
+    monkeypatch.setattr(lift_mod, "_flip_masks", lambda s: calls.append(s) or real(s))
+    td = spanning_tree(load_named("petersen"))
+    with pytest.raises(LiftTooLargeError):
+        build_lift(td, max_vertices=639)
+    assert calls == []
+    lg = build_lift(td, max_vertices=640)
+    assert lg.label_steps is lg.label_steps
+    bfs_lifted(lg, 5)
+    assert calls == [6]
+
+
 def test_neighbor_order_deterministic_by_edge_id():
     lg = petersen_lift()
     g = lg.base

@@ -284,7 +284,7 @@ def spy_on_the_plane_bfs(monkeypatch):
 )
 def test_an_analysis_runs_the_plane_bfs_once_per_walked_source(monkeypatch, name, pairs, seed, walked):
     sources = spy_on_the_plane_bfs(monkeypatch)
-    ctx = run_analysis(make(FamilySpec.named(name)), pairs=pairs, seed=seed)
+    ctx = run_analysis(spanning_tree(make(FamilySpec.named(name))), pairs=pairs, seed=seed)
     assert ctx.report["all_pass"]
     # build_lift's connectivity check from (0, 0), then one run per walked source
     assert sources == [0] + walked
@@ -295,7 +295,8 @@ def test_an_analysis_runs_the_plane_bfs_once_per_walked_source(monkeypatch, name
 def test_verify_runs_the_plane_bfs_once_per_walked_source(monkeypatch, name, pairs, walked):
     # the oracle reads every distance through the group, so it builds no row
     sources = spy_on_the_plane_bfs(monkeypatch)
-    ctx = run_verify_instance(name, make(FamilySpec.named(name)), seed=3, oracle_pairs=2000, pairs=pairs)
+    td = spanning_tree(make(FamilySpec.named(name)))
+    ctx = run_verify_instance(name, td, seed=3, oracle_pairs=2000, pairs=pairs)
     assert ctx.report["all_pass"]
     assert sources == [0] + walked
     assert [u for u, row in enumerate(ctx.tables.rows) if row is not None] == walked
