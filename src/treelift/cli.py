@@ -159,11 +159,15 @@ def cmd_gen(args):
 def cmd_lift(args):
     td = spanning_tree(load_edge_list(args.input), args.tree, args.root)
     lg = build_lift(td, max_vertices=args.max_vertices)
-    with output(args.output) as out:
+    # both outputs are opened before either is written, so a mapping that
+    # cannot be opened stops the run before the edge list file is replaced
+    with (
+        output(args.output) as out,
+        output(args.mapping) if args.mapping else contextlib.nullcontext() as mapping,
+    ):
         write_text(out, lift_edge_list_text(lg))
-    if args.mapping:
-        with output(args.mapping) as out:
-            write_text(out, lift_mapping_text(lg))
+        if mapping:
+            write_text(mapping, lift_mapping_text(lg))
     print(
         f"lift: {lg.num_vertices} vertices, {lg.num_edges} edges, "
         f"{lg.s} label coordinates (tree={args.tree}, root={args.root})"

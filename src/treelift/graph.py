@@ -220,8 +220,11 @@ def girth(g):
 def spanning_tree(g, strategy="bfs", root=0):
     """Deterministic spanning tree; cotree coordinates ordered by edge id.
 
-    The tree depends only on (strategy, root, input edge order): both
-    traversals scan adjacency lists in edge id order.
+    The tree depends only on (strategy, root, input edge order): one search
+    keeps a deque of (vertex, adjacency iterator) entries and scans each
+    adjacency list in edge id order.  Every step extends one entry by its
+    next unseen neighbour, or drops the entry once its iterator is used up:
+    bfs extends the oldest entry, dfs the newest.
     """
     if strategy not in ("bfs", "dfs"):
         raise GraphError(f"unknown spanning tree strategy {strategy!r}")
@@ -235,33 +238,21 @@ def spanning_tree(g, strategy="bfs", root=0):
     seen[root] = True
     tree = set()
     count = 1
-    if strategy == "bfs":
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w, eid in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = (v, eid)
-                    paths[w] = paths[v] | 1 << eid
-                    tree.add(eid)
-                    count += 1
-                    queue.append(w)
-    else:
-        stack = [(root, iter(g.adj[root]))]
-        while stack:
-            v, it = stack[-1]
-            for w, eid in it:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = (v, eid)
-                    paths[w] = paths[v] | 1 << eid
-                    tree.add(eid)
-                    count += 1
-                    stack.append((w, iter(g.adj[w])))
-                    break
-            else:
-                stack.pop()
+    end = 0 if strategy == "bfs" else -1
+    entries = deque([(root, iter(g.adj[root]))])
+    while entries:
+        v, it = entries[end]
+        for w, eid in it:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = (v, eid)
+                paths[w] = paths[v] | 1 << eid
+                tree.add(eid)
+                count += 1
+                entries.append((w, iter(g.adj[w])))
+                break
+        else:
+            del entries[end]
     if count != g.n:
         raise GraphError("spanning tree requires a connected graph")
     cotree = tuple(eid for eid in range(g.m) if eid not in tree)

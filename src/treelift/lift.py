@@ -31,9 +31,10 @@ lifted girth and the exact colip of the cut embedding.  An explicit vertex
 cap guards all of them.  The verification oracle answers its pairs with
 ``two_sided_distances``, a scalar search that only grows two small balls
 per pair.  The sampled pair family of ``sample_pair_list`` holds no tuple
-per pair: a pair x < y is the one int x * nn + y, and each orbit the family
-meets is one slot of ``array`` columns, built in full before the stream is
-handed out.  The text form of the lift is never held whole:
+per pair: a pair x < y is the one int x * nn + y, the family is walked
+once in sorted order, and each orbit it meets is one entry of an
+insertion-ordered dict of counts, handed out as two ``array`` columns once
+it is built.  The text form of the lift is never held whole:
 ``lift_edge_list_text`` and ``lift_mapping_text`` yield it one base edge
 (one base vertex) of 2^s lines at a time, for the writer to put on disk
 block by block.
@@ -510,39 +511,26 @@ def sample_pair_list(lg, tables, count, seed):
     source, and ``covered`` is the number of family pairs in the orbit, so
     the ``covered`` sum is the family size.  Entries come in the order of
     each orbit's smallest family pair.  The lifted edges over base edge e
-    are one translation orbit of 2^s pairs, whose smallest pair is its
-    canonical translation representative, so the lifted edges take one
-    entry per orbit of base edges and are never listed; a drawn pair in
-    such an orbit is one of them.  With the trivial group the orbits are
-    the translation orbits.
+    are one translation orbit of 2^s pairs, and its smallest pair, the
+    edge representative, stands for them all: it counts 2^s and makes its
+    orbit an edge orbit, in which a drawn pair is one of the lifted edges
+    and already counted.  With the trivial group the orbits are the
+    translation orbits.
 
     No tuple is kept per pair: a family pair x < y is the one int
-    x * nn + y, and each orbit is one slot of three ``array`` columns, its
-    packed smallest pair, its smallest family pair and its count, found
-    through a dict from the packed smallest pair.  The edge orbits take
-    their slots first.  The drawn pairs are then walked in sorted order, so
-    an orbit is first met at its smallest drawn pair; a drawn pair in an
-    edge orbit is already counted.  Drawing stops early once every pair of
-    the lift is drawn.  The drawn set is freed before that walk, and all of
-    the work is done before the iterator is returned.
+    x * nn + y.  Drawing stops early once every pair of the lift is drawn.
+    The edge representatives then join the drawn pairs, and the family is
+    walked once in sorted order, so an orbit is first met at its smallest
+    family pair: for an edge orbit that is an edge representative, since a
+    lifted edge is never below the representative of its base edge and the
+    group maps edges to edges.  The packed smallest pair of each orbit keys
+    an insertion-ordered dict of counts, whose order is the stream order;
+    two ``array`` columns taken from it hand out the stream, all of the
+    work done before the iterator is returned.
     """
     nn = lg.num_vertices
     s = lg.s
     canonical = tables.orbits.canonical
-    keys, firsts, counts = array("q"), array("q"), array("q")
-    slots = {}  # packed smallest pair of an orbit -> its slot in the columns
-    for (u, v), rule in zip(lg.base.edges, lg.rule):
-        pair = (min(u, v) << s) * nn + (max(u, v) << s | rule)  # the edge's translation representative
-        x, y = canonical(*divmod(pair, nn))
-        key = x * nn + y
-        i = slots.setdefault(key, len(keys))
-        if i == len(keys):
-            keys.append(key)
-            firsts.append(pair)
-            counts.append(0)
-        firsts[i] = min(firsts[i], pair)
-        counts[i] += 1 << s
-    edge_orbits = len(keys)
     rng = random.Random(seed)
     x, y = sorted(diameter_witness(lg, tables))
     drawn = {x * nn + y}
@@ -555,23 +543,24 @@ def sample_pair_list(lg, tables, count, seed):
         while y == x:
             y = rng.randrange(nn)
         drawn.add(x * nn + y if x < y else y * nn + x)
+    # each base edge's smallest lifted edge, its translation representative
+    edges = {(min(u, v) << s) * nn + (max(u, v) << s | rule) for (u, v), rule in zip(lg.base.edges, lg.rule)}
+    drawn |= edges  # in place: a copy would raise the peak
     drawn = array("q", sorted(drawn))  # the set is freed before the walk
+    counts = {}  # packed smallest pair of an orbit -> its family pairs, by first meeting
+    edge_orbits = set()
     for pair in drawn:
         x, y = canonical(*divmod(pair, nn))
         key = x * nn + y
-        i = slots.setdefault(key, len(keys))
-        if i == len(keys):
-            keys.append(key)
-            firsts.append(pair)
-            counts.append(1)
-        elif i >= edge_orbits:  # a drawn edge is already counted with its orbit
-            counts[i] += 1
-    del drawn, slots
-    order = array("q", sorted(range(len(keys)), key=firsts.__getitem__))
-    del firsts
-    keys = array("q", map(keys.__getitem__, order))
-    counts = array("q", map(counts.__getitem__, order))
-    return ((*divmod(key, nn), covered) for key, covered in zip(keys, counts))
+        if pair in edges:
+            counts[key] = counts.get(key, 0) + (1 << s)
+            edge_orbits.add(key)
+        elif key not in edge_orbits:
+            counts[key] = counts.get(key, 0) + 1
+    del drawn
+    keys, covered = array("q", counts), array("q", counts.values())
+    del counts
+    return ((*divmod(key, nn), c) for key, c in zip(keys, covered))
 
 
 def lifted_girth(lg, tables):

@@ -33,6 +33,7 @@ from .sweeps import (
     verdict_sweep,
 )
 from .voltage import GroupOrbits, lifted_group
+from .walks import VERDICT_NAMES
 
 #: below this many lifted vertices the default sweep pair policy is exhaustive
 AUTO_EXHAUSTIVE_LIMIT = 10_000
@@ -264,14 +265,7 @@ CSV_COLUMNS = (
     "component_edges",
     "bridges_twice",
     "max_segment",
-    "euler_parity",
-    "repetitions",
-    "counting",
-    "segments",
-    "accounting",
-    "endpoint_degrees",
-    "component_girth",
-    "relift",
+    *VERDICT_NAMES,
 )
 #: the CSV header line, which the lines of ``csv_collector`` follow
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
@@ -301,7 +295,7 @@ def csv_collector(lg, emit):
             wa.component_edges,
             wa.bridges_twice,
             max(wa.segments) if wa.segments else 0,
-            *(("pass" if verdicts[k].passed else "fail") for k in CSV_COLUMNS[15:]),
+            *(("pass" if verdicts[k].passed else "fail") for k in VERDICT_NAMES),
         )
         emit(",".join(map(str, row)) + "\n")
 

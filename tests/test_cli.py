@@ -65,6 +65,17 @@ def test_lift_materialization_and_mapping(tmp_path):
     assert lines[-1] == "639 9 111111"
 
 
+def test_a_mapping_that_cannot_be_opened_leaves_the_lift_file_as_it_was(tmp_path, capsys):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    lifted = tmp_path / "lift.txt"
+    lifted.write_text("the old lift\n")
+    assert run(["lift", base, "-o", lifted, "--mapping", tmp_path / "nodir" / "map.txt"]) == 2
+    assert lifted.read_text() == "the old lift\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lift.txt", "p.txt"]
+    assert "nodir" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_report_on_stdout_is_the_report_file(tmp_path, capsys, fmt):
     base = tmp_path / "c6.txt"

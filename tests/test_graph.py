@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treelift.families import random_regular
+from treelift.families import make, parse_family, random_regular
 from treelift.graph import (
     GraphError,
     bfs_distances,
@@ -382,6 +382,73 @@ def test_spanning_tree_deterministic():
     a = spanning_tree(g, "dfs", 3)
     b = spanning_tree(g, "dfs", 3)
     assert a.parent == b.parent and a.cotree == b.cotree
+
+
+def two_branch_tree(g, strategy, root):
+    """(parent, root paths, cotree) of the search ``spanning_tree`` ran before
+    its two strategies shared one loop: a queue for bfs, a stack of adjacency
+    iterators for dfs."""
+    parent = [None] * g.n
+    paths = [0] * g.n
+    seen = [False] * g.n
+    seen[root] = True
+    tree = set()
+
+    def discover(v, w, eid):
+        seen[w] = True
+        parent[w] = (v, eid)
+        paths[w] = paths[v] | 1 << eid
+        tree.add(eid)
+
+    if strategy == "bfs":
+        queue = [root]  # grows while it is read
+        for v in queue:
+            for w, eid in g.adj[v]:
+                if not seen[w]:
+                    discover(v, w, eid)
+                    queue.append(w)
+    else:
+        stack = [(root, iter(g.adj[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w, eid in it:
+                if not seen[w]:
+                    discover(v, w, eid)
+                    stack.append((w, iter(g.adj[w])))
+                    break
+            else:
+                stack.pop()
+    return tuple(parent), tuple(paths), tuple(eid for eid in range(g.m) if eid not in tree)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "k4",
+        "cycle:7",
+        "petersen",
+        "heawood",
+        "mcgee",
+        "pappus",
+        "tutte_coxeter",
+        "complete:6",
+        *(f"random:20:3 seed {seed}" for seed in range(5)),
+    ],
+)
+def test_one_loop_gives_the_two_branch_trees_from_every_root(name):
+    if name.startswith("random"):
+        g = random_regular(20, 3, seed=int(name.split()[-1]))
+    else:
+        g = make(parse_family(name))
+    for strategy in ("bfs", "dfs"):
+        for root in range(g.n):
+            td = spanning_tree(g, strategy, root)
+            parent, paths, cotree = two_branch_tree(g, strategy, root)
+            assert (td.parent, td.root_paths, td.cotree) == (parent, paths, cotree), (strategy, root)
+            assert [td.rule[eid] for eid in cotree] == [1 << i for i in range(len(cotree))]
+            assert sum(td.rule) == (1 << len(cotree)) - 1
+            ends = [g.edges[eid] for eid in cotree]
+            assert td.cycles == tuple(1 << eid | paths[a] ^ paths[b] for eid, (a, b) in zip(cotree, ends))
 
 
 # --- root paths ---------------------------------------------------------------

@@ -250,9 +250,11 @@ def traced_peak(build):
 
 def test_the_packed_stream_peaks_at_most_half_the_tuple_stream(packed_case):
     lg, tables = packed_case("random:20:3 seed 0")
-    packed = traced_peak(lambda: sample_pair_list(lg, tables, 20_000, 1))
-    tuples = traced_peak(lambda: tuple_sample_pair_list(lg, tables, 20_000, 1))
-    assert packed <= tuples / 2, (packed, tuples)
+    # at 100,000 pairs the one ordered dict of the sorted walk leads the peak
+    for count, share in ((20_000, 0.5), (100_000, 0.28)):
+        packed = traced_peak(lambda: sample_pair_list(lg, tables, count, 1))
+        tuples = traced_peak(lambda: tuple_sample_pair_list(lg, tables, count, 1))
+        assert packed <= tuples * share, (count, packed, tuples)
 
 
 @pytest.mark.parametrize("name", ["tutte_coxeter", "random:20:3"])
