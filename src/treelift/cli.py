@@ -94,8 +94,10 @@ def output(path):
     so a failed run leaves no partial file.  Anything else at ``path`` (a
     symlink, a device, a FIFO, a hard-linked file, a file in a directory
     this process cannot write) is opened and written in place, so it stays
-    what it is.  Either way the output is opened on entry, so a missing
-    directory fails there.
+    what it is.  A regular file there is cut at the end of what was written
+    when the block ends, unless it raises before its first write, so a run
+    refused before it writes leaves the file as it was.  Either way the
+    output is opened on entry, so a missing directory fails there.
     """
     if path is None:
         yield sys.stdout
@@ -108,8 +110,16 @@ def output(path):
     if old is not None and not (
         stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and os.access(head or ".", os.W_OK)
     ):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+        # no O_TRUNC: "w" would empty the file before the block could refuse
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            finished = False
+            try:
+                yield fh
+                finished = True
+            finally:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and (finished or fh.tell()):
+                    fh.truncate()
         return
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:

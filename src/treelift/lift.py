@@ -16,9 +16,8 @@ fault): ``LiftedGraph(td, fault)`` reads the base graph, the coordinate count
 and the rule off ``td`` once.  Adjacency is computed on demand from (base
 adjacency, rule masks), which the step table ``LiftedGraph.hops`` pairs up
 once per lift.  All whole-lift distances come from one label-parallel BFS
-(``_fiber_planes``), which carries a fiber's reached labels as one 2^s-bit
-set.  The only objects of size n * 2^s are the list ``bfs_lifted`` returns
-(used by ``build_lift``'s connectivity check) and the distance rows of
+(``bfs_lifted``), which carries a fiber's reached labels as one 2^s-bit
+set.  The only objects of size n * 2^s are the distance rows of
 ``representative_tables``: one row of n * 2^s entries per walked source, the
 smallest vertex of each Aut(G) vertex orbit of the caller's group (all n
 sources when it is trivial), one byte each while the lifted diameter is
@@ -27,8 +26,9 @@ edge.  No other source has a row: a distance from any other source is read
 off a walked row through the lifted group, at the far ends that
 ``GroupOrbits.images`` gives its orbit (``GroupOrbits.canonical`` is the
 smallest of them).  The same BFS that fills the rows also measures the
-lifted girth and the exact colip of the cut embedding.  An explicit vertex
-cap guards all of them.  The verification oracle answers its pairs with
+lifted girth and the exact colip of the cut embedding, and its reached
+labels are the one connectivity check.  An explicit vertex cap guards all
+of them.  The verification oracle answers its pairs with
 ``two_sided_distances``, a scalar search that only grows two small balls
 per pair.  The sampled pair family of ``sample_pair_list`` holds no tuple
 per pair: a pair x < y is the one int x * nn + y, the family is walked
@@ -87,7 +87,8 @@ class LiftedGraph:
     ``fault``, if set, is (edge id, extra mask) and XORs the extra mask into
     that edge's rule (GraphError if either is out of range); it exists solely
     so verification sweeps can prove they detect a broken matching, and is
-    reported loudly by the CLI.  Connectivity is ``build_lift``'s check.
+    reported loudly by the CLI.  Connectivity is checked by
+    ``representative_tables``.
     ``hops[u]`` holds, for each edge e = (u, v) in adjacency order, the pair
     (v << s, rule[e]): (u, f) is adjacent to ``base | (f ^ rule)`` for each
     ``(base, rule)`` in it.  ``edge_rule`` maps ``u * n + v`` to rule[e] for
@@ -158,42 +159,16 @@ class LiftedGraph:
 
 
 def build_lift(td, max_vertices=DEFAULT_MAX_VERTICES, fault=None):
-    """``LiftedGraph(td, fault)``, guarded by a vertex cap and checked to be connected.
+    """``LiftedGraph(td, fault)``, guarded by a vertex cap.
 
     The tree/cotree rule always yields a connected lift of a connected base
     (the fundamental cycle of cotree edge i carries exactly the bit-i flip, so
-    the flips generate the whole label group); this is asserted on every
-    build by one ``bfs_lifted`` from (0, 0), a label-parallel BFS, so a
-    fault that disconnects the lift is refused here.
+    the flips generate the whole label group), so nothing of the lift is
+    searched here; a fault that disconnects it is refused by
+    ``representative_tables``, whose BFS must reach every label.
     """
     check_lift_order(td.graph.n, td.graph.m, max_vertices, "lift")
-    lg = LiftedGraph(td, fault)
-    if bfs_lifted(lg, 0).count(-1) != 0:
-        raise GraphError("constructed lift is not connected")
-    return lg
-
-
-def bfs_lifted(lg, source):
-    """Exact BFS distances in the lift from one encoded vertex (-1 unreachable).
-
-    The same label-parallel BFS that fills the distance rows
-    (``_fiber_planes``) starts at the source's own label, so no translation
-    is needed.  Its distance planes are expanded into one list of
-    n * 2^s entries, and every label it never reached is set to -1.
-    """
-    s = lg.s
-    full = (1 << (1 << s)) - 1
-    planes, seen, far, _ = _fiber_planes(
-        lg.base.adj, lg.label_steps[1], lg.base.n, source >> s, 1 << (source & lg.mask)
-    )
-    dist = list(_expand_row([_whole_lift(plane, 1 << s) for plane in planes], lg.num_vertices, far))
-    for v, bits in enumerate(seen):
-        missing = full ^ bits
-        while missing:
-            low = missing & -missing
-            dist[v << s | low.bit_length() - 1] = -1
-            missing ^= low
-    return dist
+    return LiftedGraph(td, fault)
 
 
 def _grow(lg, ball, frontier, level, goal=()):
@@ -296,13 +271,13 @@ def _flip_masks(s):
 _ROW_CODES = ((1 << 8, None), (1 << 16, "H"), (1 << 32, "I"))
 
 
-def _fiber_planes(adj, steps, n, u, start):
-    """Label-parallel BFS from the lifted vertex (u, f), given as ``start`` = 1 << f.
+def bfs_lifted(lg, source):
+    """Label-parallel BFS in the lift from the encoded vertex ``source`` = (u, f).
 
     The frontier and the visited set of fiber v are each one 2^s-bit int
     (bit f = label f).  Crossing base edge e XORs every label by rule[e],
-    which ``steps[e]`` spells as one masked shift per set bit.  Level d is
-    OR-ed into bit-plane k of each fiber for every set bit k of d, so
+    which ``lg.label_steps`` spells as one masked shift per set bit.  Level
+    d is OR-ed into bit-plane k of each fiber for every set bit k of d, so
     plane k holds bit k of the distance.
 
     The cycle bound is 2d for the first level d at which a newly reached
@@ -317,12 +292,18 @@ def _fiber_planes(adj, steps, n, u, start):
     hence one-to-one, so a closed lifted walk, whose projection has voltage
     0, uses every base edge an even number of times.
 
-    Returns (planes, the reached labels of each fiber, eccentricity, cycle
-    bound or math.inf); labels never reached have distance 0 in the planes.
+    Returns (the distance planes over the whole lift, fiber 0 lowest, the
+    reached labels of each fiber, eccentricity, cycle bound or math.inf);
+    labels never reached have distance 0 in the planes.
     """
+    s = lg.s
+    n = lg.base.n
+    adj = lg.base.adj
+    steps = lg.label_steps[1]
+    u = source >> s
     seen = [0] * n
-    seen[u] = start
-    frontier = {u: start}
+    seen[u] = 1 << (source & lg.mask)
+    frontier = {u: seen[u]}
     planes = []
     cycle = 0  # none found yet
     level = 0
@@ -350,7 +331,8 @@ def _fiber_planes(adj, steps, n, u, start):
                     if (level >> k) & 1:
                         plane[b] |= bits
     ecc = level - 1
-    return planes[: ecc.bit_length()], seen, ecc, cycle or math.inf
+    whole = [_whole_lift(plane, 1 << s) for plane in planes[: ecc.bit_length()]]
+    return whole, seen, ecc, cycle or math.inf
 
 
 def _whole_lift(plane, fiber):
@@ -470,22 +452,20 @@ def representative_tables(lg, table, orbits):
     s = lg.s
     n = lg.base.n
     nn = lg.num_vertices
-    masks, steps = lg.label_steps
     full = (1 << (1 << s)) - 1
-    sides = _cut_sides(table, masks, full)
+    sides = _cut_sides(table, lg.label_steps[0], full)
     rows = [None] * n
     ecc = [0] * n
     girth = math.inf
     colip, witness = (0, 1), None
     for r in orbits.walked():
-        planes, seen, ecc[r], cycle = _fiber_planes(lg.base.adj, steps, n, r, 1)
+        x = r << s
+        whole, seen, ecc[r], cycle = bfs_lifted(lg, x)
         if any(bits != full for bits in seen):
             raise GraphError("lift is not connected")
-        whole = [_whole_lift(plane, 1 << s) for plane in planes]
-        del planes, seen  # only the whole-lift planes live on through the fold
+        del seen  # only the whole-lift planes live on through the fold
         rows[r] = _expand_row(whole, nn, ecc[r])
         girth = min(girth, cycle)
-        x = r << s
         for d, h, y in _fold(whole, sides, table.base_rows[r], x, nn):
             ahead = d * colip[1] - colip[0] * h
             if ahead > 0 or (ahead == 0 and (x, y) < witness):

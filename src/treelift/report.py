@@ -99,7 +99,7 @@ def lift_block(lg, lifted_gi, lifted_diam, base_girth):
         "vertices": lg.num_vertices,
         "edges": lg.num_edges,
         "coordinates": lg.s,
-        "connected": True,  # build_lift asserts this
+        "connected": True,  # representative_tables refuses any other lift
         "girth": None if lifted_gi == math.inf else lifted_gi,
         "girth_at_least_base": lifted_gi >= base_girth,
         "diameter": lifted_diam,

@@ -33,9 +33,11 @@ checked.
 ``scalar_bfs`` is the vertex-at-a-time BFS of the lift that
 ``lift.bfs_lifted`` was before it ran on the label-parallel engine: the
 reference the engine's rows, ``bfs_lifted`` and the oracle's search are
-checked against.  ``every_source_tables`` builds the distance tables under
-the trivial group, a row from every base vertex by its own BFS, and
-``lifted_distance`` reads any distance off such tables (or the group's)
+checked against, and the tests' connectivity check of a lift.
+``expanded_bfs`` reads ``bfs_lifted``'s distance planes and reached labels
+into one list of that form.  ``every_source_tables`` builds the distance
+tables under the trivial group, a row from every base vertex by its own
+BFS, and ``lifted_distance`` reads any distance off such tables (or the group's)
 through ``GroupOrbits.canonical``.  ``lift_walk`` lifts a base walk one
 edge at a time by the tree rule.
 """
@@ -43,7 +45,7 @@ edge at a time by the tree rule.
 import random
 
 from treelift.graph import GraphError, bfs_distances
-from treelift.lift import diameter_witness, representative_tables
+from treelift.lift import bfs_lifted, diameter_witness, representative_tables
 from treelift.voltage import AUT_SEARCH_BUDGET, GroupOrbits, LiftedAutomorphism, identity_lift
 
 
@@ -110,6 +112,24 @@ def scalar_bfs(lg, source):
                     dist[y] = d
                     nxt.append(y)
         frontier = nxt
+    return dist
+
+
+def expanded_bfs(lg, source):
+    """``bfs_lifted`` from one encoded vertex as the list ``scalar_bfs``
+    returns: lane y of every distance plane read off its binary digits, and
+    -1 on every label that no reached set of its fiber holds."""
+    nn = lg.num_vertices
+    whole, seen, _, _ = bfs_lifted(lg, source)
+    dist = [0] * nn
+    for k, plane in enumerate(whole):
+        for y, bit in enumerate(reversed(format(plane, f"0{nn}b"))):
+            if bit == "1":
+                dist[y] |= 1 << k
+    for v, bits in enumerate(seen):
+        for f in range(1 << lg.s):
+            if not (bits >> f) & 1:
+                dist[v << lg.s | f] = -1
     return dist
 
 

@@ -78,7 +78,7 @@ def test_criterion_1_cycle_double_cover():
             g = make(FamilySpec.cycle(n))
             td = spanning_tree(g, "dfs", 0)  # path spanning tree, cotree = closing edge
             assert len(td.cotree) == 1
-            lg = build_lift(td)  # connectivity asserted inside
+            lg = build_lift(td)  # connectivity asserted by the tables below
             assert lg.num_vertices == 2 * n
             assert all(len(lg.neighbors(x)) == 2 for x in range(2 * n))
             # connected + 2-regular + 2n vertices + girth 2n pins C_{2n}

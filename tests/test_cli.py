@@ -76,6 +76,28 @@ def test_a_mapping_that_cannot_be_opened_leaves_the_lift_file_as_it_was(tmp_path
     assert "nodir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("link", ["symlink", "hardlink"])
+def test_a_mapping_that_cannot_be_opened_leaves_an_in_place_lift_file_as_it_was(tmp_path, capsys, link):
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    target = tmp_path / "target.txt"
+    target.write_text("the old lift\n" * 1000)
+    lifted = tmp_path / "lift.txt"
+    if link == "symlink":
+        lifted.symlink_to(target)
+    else:
+        os.link(target, lifted)
+    assert run(["lift", base, "-o", lifted, "--mapping", tmp_path / "nodir" / "map.txt"]) == 2
+    assert "nodir" in capsys.readouterr().err
+    assert target.read_text() == "the old lift\n" * 1000
+    # a run that writes cuts the longer old file at the end of its output
+    fresh = tmp_path / "fresh.txt"
+    assert run(["lift", base, "-o", fresh]) == 0
+    assert run(["lift", base, "-o", lifted]) == 0
+    assert target.read_text() == fresh.read_text()
+    assert target.stat().st_size < len("the old lift\n" * 1000)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_report_on_stdout_is_the_report_file(tmp_path, capsys, fmt):
     base = tmp_path / "c6.txt"

@@ -16,7 +16,6 @@ from treelift.families import FamilySpec, load_named, make
 from treelift.graph import GraphError, build_graph, diameter, girth, spanning_tree
 from treelift.lift import (
     LiftedGraph,
-    bfs_lifted,
     build_lift,
     diameter_witness,
     sample_pair_list,
@@ -370,7 +369,7 @@ def test_colip_fold_equals_the_plain_scan_on_fault_lifts(extra):
     connected = 0
     for eid in range(g.m):
         lg = LiftedGraph(td, (eid, extra))
-        if bfs_lifted(lg, 0).count(-1) == 0:
+        if scalar_bfs(lg, 0).count(-1) == 0:
             connected += 1
             t = embed(lg)
             tables = every_source_tables(lg, t)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,9 +30,11 @@ from treelift.lift import (
     lifted_girth,
     two_sided_distances,
 )
+from treelift.report import run_analysis
 
 from lift_reference import (
     every_source_tables,
+    expanded_bfs,
     lift_walk,
     lifted_distance,
     project_edge,
@@ -69,7 +72,7 @@ def test_triangle_lift_is_six_cycle():
     assert lg.num_vertices == 6 and lg.num_edges == 6
     # connected + 2-regular + 6 vertices + girth 6 pins C6 exactly
     assert all(len(lg.neighbors(x)) == 2 for x in range(6))
-    assert bfs_lifted(lg, 0).count(-1) == 0
+    assert scalar_bfs(lg, 0).count(-1) == 0
     assert lifted_girth(lg, tables_of(lg)) == 6
     assert lifted_diameter(lg, tables_of(lg)) == 3
 
@@ -80,7 +83,7 @@ def test_cycle_lift_doubles(n):
     lg = build_lift(spanning_tree(g))
     assert lg.num_vertices == 2 * n
     assert all(len(lg.neighbors(x)) == 2 for x in range(2 * n))
-    assert bfs_lifted(lg, 0).count(-1) == 0
+    assert scalar_bfs(lg, 0).count(-1) == 0
     assert lifted_girth(lg, tables_of(lg)) == 2 * n
 
 
@@ -350,11 +353,42 @@ def test_engine_rejects_disconnected_fault_lift():
     # the fault turns edge 2's coordinate-0 flip into a coordinate-1 flip; no
     # edge flips coordinate 0 any more, so half the labels are never reached
     lg = LiftedGraph(spanning_tree(g), (2, 0b11))
-    assert bfs_lifted(lg, 0).count(-1) == lg.num_vertices // 2
+    assert scalar_bfs(lg, 0).count(-1) == lg.num_vertices // 2
     with pytest.raises(GraphError, match="lift is not connected"):
         tables_of(lg)
-    with pytest.raises(GraphError, match="constructed lift is not connected"):
-        build_lift(spanning_tree(g), fault=(2, 0b11))
+
+
+@pytest.mark.parametrize("extra", [0b1, 0b11, 0b101, "all ones"])
+def test_an_analysis_refuses_exactly_the_disconnected_petersen_fault_lifts(extra):
+    # build_lift searches nothing: the tables' reached labels are the one check
+    g = load_named("petersen")
+    td = spanning_tree(g)
+    extra = (1 << td.num_coords) - 1 if extra == "all ones" else extra
+    connected = 0
+    for eid in range(g.m):
+        fault = (eid, extra)
+        # a small sampled sweep: only the lift block is read
+        if scalar_bfs(LiftedGraph(td, fault), 0).count(-1):
+            with pytest.raises(GraphError, match="^lift is not connected$"):
+                run_analysis(td, pairs=20, seed=1, fault=fault)
+        else:
+            connected += 1
+            report = run_analysis(td, pairs=20, seed=1, fault=fault).report
+            assert report["lift"]["connected"] is True
+    assert 0 < connected < g.m
+
+
+def test_build_lift_holds_no_whole_lift_object():
+    # the Tutte–Coxeter lift has 1,966,080 vertices; its graph is read off the base
+    td = spanning_tree(load_named("tutte_coxeter"))
+    tracemalloc.start()
+    try:
+        lg = build_lift(td)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lg.num_vertices == 1_966_080
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize(
@@ -377,6 +411,7 @@ def test_diameter_and_witness_agree_with_a_scan_of_the_rows(spec):
 
 
 # --- bfs_lifted, the plane BFS from any lifted vertex, vs the scalar reference -------
+# (its planes and reached labels read into one list by expanded_bfs)
 
 
 @pytest.mark.parametrize("tree", ["bfs", "dfs"])
@@ -385,7 +420,7 @@ def test_bfs_lifted_equals_the_scalar_bfs_from_every_vertex(name, tree):
     # every label of every fiber, not only the label-0 sources of the rows
     lg = build_lift(spanning_tree(make(parse_family(name)), tree))
     for x in range(lg.num_vertices):
-        assert bfs_lifted(lg, x) == scalar_bfs(lg, x), x
+        assert expanded_bfs(lg, x) == scalar_bfs(lg, x), x
 
 
 @pytest.mark.parametrize("tree", ["bfs", "dfs"])
@@ -394,7 +429,7 @@ def test_bfs_lifted_equals_the_scalar_bfs_on_seeded_sources(name, tree):
     lg = build_lift(spanning_tree(make(parse_family(name)), tree))
     rng = random.Random(name)
     for x in rng.sample(range(lg.num_vertices), 12):
-        assert bfs_lifted(lg, x) == scalar_bfs(lg, x), x
+        assert expanded_bfs(lg, x) == scalar_bfs(lg, x), x
 
 
 @pytest.mark.parametrize("extra", [0b1, 0b11, 0b101])
@@ -407,7 +442,7 @@ def test_bfs_lifted_marks_exactly_the_unreached_vertices_of_every_petersen_fault
         lg = LiftedGraph(td, (eid, extra))
         for x in [0, lg.num_vertices - 1] + rng.sample(range(lg.num_vertices), 4):
             want = scalar_bfs(lg, x)
-            assert bfs_lifted(lg, x) == want, (eid, x)
+            assert expanded_bfs(lg, x) == want, (eid, x)
             disconnected += -1 in want
     assert disconnected
 
@@ -436,7 +471,7 @@ def test_scalar_bfs_equals_bfs_of_the_materialised_lift(tree):
         h = parse_edge_list("".join(lift_edge_list_text(lg)))
         for x in range(0, lg.num_vertices, 23):
             want = bfs_distances(h, x)
-            assert bfs_lifted(lg, x) == want
+            assert expanded_bfs(lg, x) == want
             assert scalar_bfs(lg, x) == want
 
 
@@ -531,7 +566,7 @@ def test_engine_girth_on_every_connected_petersen_fault_lift(extra):
     connected = 0
     for eid in range(g.m):
         lg = LiftedGraph(td, (eid, extra))
-        if bfs_lifted(lg, 0).count(-1) == 0:
+        if scalar_bfs(lg, 0).count(-1) == 0:
             connected += 1
             assert_girth_matches_materialised_lift(lg)
     assert connected
@@ -546,8 +581,9 @@ def test_lifted_girth_runs_no_scalar_bfs(monkeypatch):
         calls.append(source)
         return bfs_lifted(lg, source)
 
-    monkeypatch.setattr(lift_mod, "bfs_lifted", counting_bfs)
     tables = tables_of(lg)
+    # the girth is read off the tables: no BFS runs once they exist
+    monkeypatch.setattr(lift_mod, "bfs_lifted", counting_bfs)
     assert lifted_girth(lg, tables) == 12
     assert calls == []
 

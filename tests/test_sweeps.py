@@ -106,8 +106,8 @@ def test_oracle_searches_once_per_pooled_source_without_the_engine(monkeypatch):
     table = embed(lg)
     tables = every_source_tables(lg, table)
 
-    # neither the engine the oracle checks nor the scalar BFS may run
-    for attr in ("representative_tables", "_fiber_planes", "bfs_lifted"):
+    # neither the engine the oracle checks nor its per-source BFS may run
+    for attr in ("representative_tables", "bfs_lifted"):
         original = getattr(lift_mod, attr)
 
         def refuse(*args, attr=attr, **kwargs):

@@ -270,13 +270,13 @@ def test_the_pair_lane_cache_holds_at_most_two_ends_per_base_vertex(name):
 
 def spy_on_the_plane_bfs(monkeypatch):
     sources = []
-    real = lift_mod._fiber_planes
+    real = lift_mod.bfs_lifted
 
-    def spy(adj, steps, n, u, start):
-        sources.append(u)
-        return real(adj, steps, n, u, start)
+    def spy(lg, source):
+        sources.append(lg.decode(source))
+        return real(lg, source)
 
-    monkeypatch.setattr(lift_mod, "_fiber_planes", spy)
+    monkeypatch.setattr(lift_mod, "bfs_lifted", spy)
     return sources
 
 
@@ -288,8 +288,8 @@ def test_an_analysis_runs_the_plane_bfs_once_per_walked_source(monkeypatch, name
     sources = spy_on_the_plane_bfs(monkeypatch)
     ctx = run_analysis(spanning_tree(make(FamilySpec.named(name))), pairs=pairs, seed=seed)
     assert ctx.report["all_pass"]
-    # build_lift's connectivity check from (0, 0), then one run per walked source
-    assert sources == [0] + walked
+    # one run from each walked source (r, 0), and no other
+    assert sources == [(r, 0) for r in walked]
     assert [u for u, row in enumerate(ctx.tables.rows) if row is not None] == walked
 
 
@@ -300,7 +300,7 @@ def test_verify_runs_the_plane_bfs_once_per_walked_source(monkeypatch, name, pai
     td = spanning_tree(make(FamilySpec.named(name)))
     ctx = run_verify_instance(name, td, seed=3, oracle_pairs=2000, pairs=pairs)
     assert ctx.report["all_pass"]
-    assert sources == [0] + walked
+    assert sources == [(r, 0) for r in walked]
     assert [u for u, row in enumerate(ctx.tables.rows) if row is not None] == walked
 
 
