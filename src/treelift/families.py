@@ -11,7 +11,7 @@ from importlib import resources
 
 from .graph import GraphError, build_graph, girth, is_connected, parse_edge_list
 
-NAMED = ("petersen", "heawood", "mcgee", "pappus", "tutte_coxeter", "k4")
+NAMED = ("petersen", "heawood", "mcgee", "pappus", "tutte_coxeter", "robertson", "k4")
 #: every family string ``parse_family`` accepts, by form
 FORMS = (*NAMED, "cycle:N", "complete:N", "random:N:K")
 

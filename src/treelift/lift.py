@@ -21,23 +21,26 @@ set.  The only objects of size n * 2^s are the distance rows of
 ``representative_tables``: one row of n * 2^s entries per walked source, the
 smallest vertex of each Aut(G) vertex orbit of the caller's group (all n
 sources when it is trivial), one byte each while the lifted diameter is
-under 256, plus, while those rows are built, one n * 2^s-bit set per base
-edge.  No other source has a row: a distance from any other source is read
-off a walked row through the lifted group, at the far ends that
-``GroupOrbits.images`` gives its orbit (``GroupOrbits.canonical`` is the
-smallest of them).  The same BFS that fills the rows also measures the
-lifted girth and the exact colip of the cut embedding, and its reached
-labels are the one connectivity check.  An explicit vertex cap guards all
-of them.  The verification oracle answers its pairs with
-``two_sided_distances``, a scalar search that only grows two small balls
-per pair.  The sampled pair family of ``sample_pair_list`` holds no tuple
-per pair: a pair x < y is the one int x * nn + y, the family is walked
-once in sorted order, and each orbit it meets is one entry of an
-insertion-ordered dict of counts, handed out as two ``array`` columns once
-it is built.  The text form of the lift is never held whole:
-``lift_edge_list_text`` and ``lift_mapping_text`` yield it one base edge
-(one base vertex) of 2^s lines at a time, for the writer to put on disk
-block by block.
+under 256.  Besides the rows, the tables hold only a few n * 2^s-bit sets
+per walked source, while it is folded: its distance planes, the planes of
+its adder and at most one pending part per plane.  Each base edge keeps two
+2^s-bit fiber blocks, from which its n * 2^s-bit cut side is built only as
+the adder reads it, so the m sides are never held together.  No other
+source has a row: a distance from any other source is read off a walked
+row through the lifted group, at the far ends that ``GroupOrbits.images``
+gives its orbit (``GroupOrbits.canonical`` is the smallest of them).  The
+same BFS that fills the rows also measures the lifted girth and the exact
+colip of the cut embedding, and its reached labels are the one
+connectivity check.  An explicit vertex cap guards all of them.  The
+verification oracle answers its pairs with ``two_sided_distances``, a
+scalar search that only grows two small balls per pair.  The sampled pair
+family of ``sample_pair_list`` holds no tuple per pair: a pair x < y is the
+one int x * nn + y, the family is walked once in sorted order, and each
+orbit it meets is one entry of an insertion-ordered dict of counts, handed
+out as two ``array`` columns once it is built.  The text form of the lift
+is never held whole: ``lift_edge_list_text`` and ``lift_mapping_text``
+yield it one base edge (one base vertex) of 2^s lines at a time, for the
+writer to put on disk block by block.
 """
 
 from __future__ import annotations
@@ -262,9 +265,24 @@ class DistanceTables:
 
 
 def _flip_masks(s):
-    """M_i for each coordinate i: the 2^s-bit set of labels with bit i clear."""
+    """M_i for each coordinate i: the 2^s-bit set of labels with bit i clear.
+
+    Read off a repeated byte pattern, fiber bit f being bit f % 8 of byte
+    f // 8: 0x55, 0x33 and 0x0f hold the labels with bit 0, 1 and 2 clear,
+    and from i = 3 on, labels with bit i clear fill runs of 2^(i - 3) bytes,
+    ``ff`` runs alternating with ``00`` runs.  Below s = 3 the one pattern
+    byte is cut to the 2^s bits of a fiber.
+    """
     full = (1 << (1 << s)) - 1
-    return [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(s)]
+    nbytes = max(1, (1 << s) >> 3)
+    masks = []
+    for i in range(s):
+        if i < 3:
+            pattern = (b"\x55", b"\x33", b"\x0f")[i]
+        else:
+            pattern = b"\xff" * (1 << (i - 3)) + b"\x00" * (1 << (i - 3))
+        masks.append(int.from_bytes(pattern * (nbytes // len(pattern)), "little") & full)
+    return masks
 
 
 #: row formats by the largest distance they must hold: (limit, array code)
@@ -335,16 +353,25 @@ def bfs_lifted(lg, source):
     return whole, seen, ecc, cycle or math.inf
 
 
-def _whole_lift(plane, fiber):
-    """Per-fiber bitsets of ``fiber`` bits each, end to end as one int, fiber 0 lowest."""
+def _fiber_block(bits, fiber):
+    """One fiber's ``fiber``-bit set in the form ``_join`` takes: its bytes,
+    little-endian, when fibers fill whole bytes, else the int itself."""
+    return bits.to_bytes(fiber >> 3, "little") if fiber % 8 == 0 else bits
+
+
+def _join(blocks, fiber):
+    """Fiber blocks of ``_fiber_block``, end to end as one int, fiber 0 lowest."""
     if fiber % 8 == 0:
-        return int.from_bytes(
-            b"".join(bits.to_bytes(fiber >> 3, "little") for bits in plane), "little"
-        )
+        return int.from_bytes(b"".join(blocks), "little")
     whole = 0
-    for bits in reversed(plane):
+    for bits in reversed(blocks):
         whole = (whole << fiber) | bits
     return whole
+
+
+def _whole_lift(plane, fiber):
+    """Per-fiber bitsets of ``fiber`` bits each, end to end as one int, fiber 0 lowest."""
+    return _join([_fiber_block(bits, fiber) for bits in plane], fiber)
 
 
 def _expand_row(whole, nn, ecc):
@@ -374,62 +401,81 @@ def _expand_row(whole, nn, ecc):
     return bytes(out) if code is None else array(code, out)
 
 
-def _cut_sides(table, masks, full):
-    """Bit e of every row, as one whole-lift bitset per base edge e: bit e of
-    base_rows[v] XOR the parity of the label over the coordinates whose
-    column (fundamental cycle, ``td.cycles``) has bit e, i.e. over the XOR of
-    their label sets ``full ^ masks[i]``."""
-    sides = []
+def _cut_blocks(table, masks, full):
+    """The two fiber blocks of cut e, for each base edge e: bit e of the rows
+    of fiber v is bit e of base_rows[v] XOR the parity of the label over the
+    coordinates whose column (fundamental cycle, ``td.cycles``) has bit e,
+    i.e. over the XOR of their label sets ``full ^ masks[i]``.  So the fiber
+    holds that parity set where bit e of base_rows[v] is 0 and its
+    complement where it is 1; the pair (parity, complement) is kept as two
+    ``_fiber_block`` blocks, 2^s bits each."""
+    fiber = full.bit_length()
+    blocks = []
     for e in range(table.lg.base.m):
         odd = 0
         for col, mask in zip(table.lg.td.cycles, masks):
             if (col >> e) & 1:
                 odd ^= full ^ mask
-        bits = [odd ^ full if (row >> e) & 1 else odd for row in table.base_rows]
-        sides.append(_whole_lift(bits, full.bit_length()))
-    return sides
+        blocks.append((_fiber_block(odd, fiber), _fiber_block(odd ^ full, fiber)))
+    return blocks
 
 
-def _fold(whole, sides, row, x, nn):
+def _cut_sides(blocks, base_rows, fiber):
+    """Bit e of every row, as one whole-lift bitset per base edge e, yielded
+    in edge order: for each fiber v, the block of ``_cut_blocks`` that bit e
+    of base_rows[v] picks, joined.  Each side is built only when the adder
+    reads it, so the m sides are never held together.  With
+    ``~(base_rows[v] ^ row)`` in place of base_rows[v], bit e picks the
+    other block wherever ``row`` has bit e clear: the side is then the lanes
+    that agree with ``row`` on cut e."""
+    for e, pair in enumerate(blocks):
+        yield _join([pair[(row >> e) & 1] for row in base_rows], fiber)
+
+
+def _fold(whole, agreements, x, nn):
     """(d, smallest l1, smallest y attaining it) for each distance d from the
-    source x to the vertices x < y < nn.
+    source x to the vertices x < y < nn, in ascending d.
 
-    ``whole`` and ``sides`` hold the distance planes and the cut sides of the
-    whole lift and ``row`` is row(x); the lanes below x are shifted out.  A
-    ripple-carry adder sums the m one-bit lanes "agrees with row on cut e"
-    into the planes of m - l1.  The lanes are split by distance, top plane
-    first, and a descending pass over the agreement planes keeps, whenever
-    some lanes of a part have bit k set, only those: the lanes of most
-    agreement, i.e. of least l1.
+    ``whole`` holds the distance planes of the whole lift, and
+    ``agreements`` yields, for each base edge e in turn, the whole-lift
+    lanes that agree with row(x) on cut e; each is dropped once added.  A
+    ripple-carry adder sums these m one-bit lanes into the planes of m - l1.
+    The lanes above x are then split by distance depth first, top plane
+    first, off a stack of (d, lanes, next plane) entries: a part whose lanes
+    split on plane k pushes its high part and goes on with its low part.  So
+    the stack holds at most one pending part per plane, and the parts come
+    out in ascending d.  A descending pass over the agreement planes keeps,
+    whenever some lanes of a part have bit k set, only those: the lanes of
+    most agreement, i.e. of least l1.
     """
-    ones = (1 << (nn - x)) - 1
     agree = []
-    for e, side in enumerate(sides):
-        carry = side >> x if (row >> e) & 1 else (side >> x) ^ ones
+    m = 0
+    for carry in agreements:
+        m += 1
         for k, plane in enumerate(agree):
             agree[k], carry = plane ^ carry, plane & carry
             if not carry:
                 break
         else:
             agree.append(carry)
-    sets = [(0, ones ^ 1)] if ones > 1 else []
-    for k in reversed(range(len(whole))):
-        split = []
-        plane = whole[k] >> x
-        for d, bits in sets:
-            high = bits & plane
-            if bits ^ high:
-                split.append((d, bits ^ high))
+    stack = [(0, (1 << nn) - (2 << x), len(whole))] if x + 1 < nn else []
+    while stack:
+        d, bits, k = stack.pop()
+        while k:
+            k -= 1
+            high = bits & whole[k]
             if high:
-                split.append((d | 1 << k, high))
-        sets = split
-    for d, bits in sets:
+                bits ^= high
+                if bits:
+                    stack.append((d | 1 << k, high, k))
+                else:
+                    d, bits = d | 1 << k, high
         most = 0
         for k in reversed(range(len(agree))):
             if keep := bits & agree[k]:
                 bits = keep
                 most |= 1 << k
-        yield d, len(sides) - most, x + (bits & -bits).bit_length() - 1
+        yield d, m - most, (bits & -bits).bit_length() - 1
 
 
 def representative_tables(lg, table, orbits):
@@ -452,8 +498,9 @@ def representative_tables(lg, table, orbits):
     s = lg.s
     n = lg.base.n
     nn = lg.num_vertices
-    full = (1 << (1 << s)) - 1
-    sides = _cut_sides(table, lg.label_steps[0], full)
+    fiber = 1 << s
+    full = (1 << fiber) - 1
+    blocks = _cut_blocks(table, lg.label_steps[0], full)
     rows = [None] * n
     ecc = [0] * n
     girth = math.inf
@@ -464,12 +511,16 @@ def representative_tables(lg, table, orbits):
         if any(bits != full for bits in seen):
             raise GraphError("lift is not connected")
         del seen  # only the whole-lift planes live on through the fold
-        rows[r] = _expand_row(whole, nn, ecc[r])
         girth = min(girth, cycle)
-        for d, h, y in _fold(whole, sides, table.base_rows[r], x, nn):
+        # bit e of ~(base_rows[v] ^ row(x)) picks fiber v's lanes agreeing with row(x) on cut e
+        row = table.base_rows[r]
+        agreements = _cut_sides(blocks, [~(base ^ row) for base in table.base_rows], fiber)
+        for d, h, y in _fold(whole, agreements, x, nn):
             ahead = d * colip[1] - colip[0] * h
             if ahead > 0 or (ahead == 0 and (x, y) < witness):
                 colip, witness = (d, h), (x, y)
+        # the row is built once the fold is done, so the fold never meets it
+        rows[r] = _expand_row(whole, nn, ecc[r])
     return DistanceTables(
         rows=rows,
         ecc=tuple(ecc[home] for home in orbits.home),

@@ -40,12 +40,18 @@ tables under the trivial group, a row from every base vertex by its own
 BFS, and ``lifted_distance`` reads any distance off such tables (or the group's)
 through ``GroupOrbits.canonical``.  ``lift_walk`` lifts a base walk one
 edge at a time by the tree rule.
+``division_flip_masks``, ``list_cut_sides`` and ``breadth_first_fold`` are
+the distance tables' helpers as they were before the tables ran in bounded
+memory: the flip masks by big-int division, all m whole-lift cut sides in
+one list, and the fold that split the lanes by distance a plane at a time,
+holding one set per distance.  ``lift._flip_masks``, ``lift._cut_sides`` and
+``lift._fold`` are checked against them.
 """
 
 import random
 
 from treelift.graph import GraphError, bfs_distances
-from treelift.lift import bfs_lifted, diameter_witness, representative_tables
+from treelift.lift import _whole_lift, bfs_lifted, diameter_witness, representative_tables
 from treelift.voltage import AUT_SEARCH_BUDGET, GroupOrbits, LiftedAutomorphism, identity_lift
 
 
@@ -131,6 +137,65 @@ def expanded_bfs(lg, source):
             if not (bits >> f) & 1:
                 dist[v << lg.s | f] = -1
     return dist
+
+
+def division_flip_masks(s):
+    """M_i for each coordinate i, the 2^s-bit set of labels with bit i clear,
+    as ``full // (2^(2^(i+1)) - 1) * (2^(2^i) - 1)``: the ``2^(2^i) - 1``
+    run of ones repeated every 2^(i+1) bits."""
+    full = (1 << (1 << s)) - 1
+    return [full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(s)]
+
+
+def list_cut_sides(table, masks, full):
+    """Bit e of every row, as one whole-lift bitset per base edge e, all m
+    of them in one list: bit e of base_rows[v] XOR the parity of the label
+    over the coordinates whose column has bit e."""
+    sides = []
+    for e in range(table.lg.base.m):
+        odd = 0
+        for col, mask in zip(table.lg.td.cycles, masks):
+            if (col >> e) & 1:
+                odd ^= full ^ mask
+        bits = [odd ^ full if (row >> e) & 1 else odd for row in table.base_rows]
+        sides.append(_whole_lift(bits, full.bit_length()))
+    return sides
+
+
+def breadth_first_fold(whole, sides, row, x, nn):
+    """(d, smallest l1, smallest y attaining it) for each distance d from the
+    source x to the vertices x < y < nn, the lanes below x shifted out: the
+    lanes are split by distance one plane at a time, top plane first, into
+    one set per distance, and each set keeps its lanes of most agreement
+    with ``row`` over the cut ``sides``."""
+    ones = (1 << (nn - x)) - 1
+    agree = []
+    for e, side in enumerate(sides):
+        carry = side >> x if (row >> e) & 1 else (side >> x) ^ ones
+        for k, plane in enumerate(agree):
+            agree[k], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            agree.append(carry)
+    sets = [(0, ones ^ 1)] if ones > 1 else []
+    for k in reversed(range(len(whole))):
+        split = []
+        plane = whole[k] >> x
+        for d, bits in sets:
+            high = bits & plane
+            if bits ^ high:
+                split.append((d, bits ^ high))
+            if high:
+                split.append((d | 1 << k, high))
+        sets = split
+    for d, bits in sets:
+        most = 0
+        for k in reversed(range(len(agree))):
+            if keep := bits & agree[k]:
+                bits = keep
+                most |= 1 << k
+        yield d, len(sides) - most, x + (bits & -bits).bit_length() - 1
 
 
 def every_source_tables(lg, table):

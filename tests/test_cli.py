@@ -465,6 +465,11 @@ def test_verify_random_spec_must_be_random(tmp_path, capsys, spec):
             "the lift of heawood would have 3584 vertices",
         ),
         (["--fault-inject", "--max-vertices", 600], "the lift of petersen[fault] would have 640 vertices"),
+        # the (4,5)-cage's lift, 19 * 2^20 vertices, needs the cap raised
+        (
+            ["--instances", "k4,robertson", "--random-count", 0],
+            "the lift of robertson would have 19922944 vertices, above the cap of 4194304",
+        ),
     ],
 )
 def test_verify_checks_every_instance_before_the_first_runs(tmp_path, capsys, args, message):

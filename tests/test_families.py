@@ -14,6 +14,7 @@ from treelift.families import (
 )
 from treelift.graph import GraphError, build_graph, diameter, girth, is_connected
 from treelift.report import base_block
+from treelift.voltage import base_automorphisms
 
 #: documented (degree, n, m, girth, diameter) per named graph, each entry
 #: re-derived below with the graph oracles rather than trusted
@@ -24,6 +25,7 @@ NAMED_STATS = {
     "mcgee": (3, 24, 36, 7, 4),
     "pappus": (3, 18, 27, 6, 4),
     "tutte_coxeter": (3, 30, 45, 8, 4),
+    "robertson": (4, 19, 38, 5, 3),
 }
 
 
@@ -57,6 +59,16 @@ def test_named_graphs_rederived_by_oracles(name):
     assert girth(g) == gi
     assert diameter(g) == di
     assert is_connected(g)
+
+
+def test_robertson_is_the_4_5_cage_with_24_automorphisms():
+    # the unique (4,5)-cage: 4-regular of girth 5 on the fewest vertices, 19:
+    # the cycle 0..18, then the chord from i to i + c_i mod 19
+    g = load_named("robertson")
+    chords = (8, 4, 7, 4, 8, 5, 7, 4, 7, 8, 4, 5, 7, 8, 4, 8, 4, 8, 4)
+    cycle = [(i, (i + 1) % 19) for i in range(19)]
+    assert g.edges == (*cycle, *((i, (i + c) % 19) for i, c in enumerate(chords)))
+    assert len(base_automorphisms(g)) == 24
 
 
 @pytest.mark.parametrize(

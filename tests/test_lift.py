@@ -19,7 +19,11 @@ from treelift.graph import (
 from treelift.lift import (
     LiftTooLargeError,
     LiftedGraph,
+    _cut_blocks,
+    _cut_sides,
     _expand_row,
+    _flip_masks,
+    _fold,
     _whole_lift,
     bfs_lifted,
     build_lift,
@@ -28,15 +32,20 @@ from treelift.lift import (
     lift_mapping_text,
     lifted_diameter,
     lifted_girth,
+    representative_tables,
     two_sided_distances,
 )
 from treelift.report import run_analysis
+from treelift.voltage import GroupOrbits, lifted_group
 
 from lift_reference import (
+    breadth_first_fold,
+    division_flip_masks,
     every_source_tables,
     expanded_bfs,
     lift_walk,
     lifted_distance,
+    list_cut_sides,
     project_edge,
     project_vertex,
     scalar_bfs,
@@ -346,6 +355,85 @@ def test_planes_expand_to_lane_values(s, ecc):
     row = _expand_row([_whole_lift(plane, fiber) for plane in planes], n * fiber, ecc)
     assert list(row) == want
     assert getattr(row, "typecode", "bytes") == ("bytes" if ecc < 256 else "H" if ecc < 65536 else "I")
+
+
+# --- the tables' flip masks, cut sides and fold vs their reference forms ------------
+
+
+@pytest.mark.parametrize("s", range(21))
+def test_flip_masks_are_the_division_formula(s):
+    assert _flip_masks(s) == division_flip_masks(s)
+
+
+def assert_fold_matches_the_breadth_first_fold(lg):
+    """The sides built one at a time are the listed sides, and from every
+    walked source of the lift's group the depth-first fold over the
+    agreement lanes yields the breadth-first fold's (d, l1, y) list, in the
+    same order; returns the walked sources."""
+    table = embed(lg)
+    walked = list(GroupOrbits(lifted_group(lg, table)).walked())
+    nn = lg.num_vertices
+    fiber = 1 << lg.s
+    full = (1 << fiber) - 1
+    masks = lg.label_steps[0]
+    sides = list_cut_sides(table, masks, full)
+    blocks = _cut_blocks(table, masks, full)
+    assert list(_cut_sides(blocks, table.base_rows, fiber)) == sides
+    every = (1 << nn) - 1
+    for r in walked:
+        x = r << lg.s
+        row = table.base_rows[r]
+        whole = bfs_lifted(lg, x)[0]
+        flipped = [~(base ^ row) for base in table.base_rows]
+        agreements = list(_cut_sides(blocks, flipped, fiber))
+        assert agreements == [side if (row >> e) & 1 else side ^ every for e, side in enumerate(sides)]
+        want = list(breadth_first_fold(whole, sides, row, x, nn))
+        assert list(_fold(whole, iter(agreements), x, nn)) == want, r
+    return walked
+
+
+@pytest.mark.parametrize(
+    "spec",
+    # C_5 has s = 1: fibers of 2 bits, joined as ints rather than bytes
+    [FamilySpec.cycle(5)]
+    + [FamilySpec.named(name) for name in ("k4", "petersen", "heawood", "pappus", "mcgee", "tutte_coxeter")]
+    + [FamilySpec.random_regular(20, 3, seed=seed) for seed in range(3)],
+    ids=lambda spec: spec.describe(),
+)
+def test_the_depth_first_fold_is_the_breadth_first_fold_from_every_walked_source(spec):
+    walked = assert_fold_matches_the_breadth_first_fold(build_lift(spanning_tree(make(spec))))
+    # McGee has two Aut(G) vertex orbits; random:20:3 seed 0 is rigid
+    want = {"mcgee": [0, 1], "random:20:3(girth_min=3,seed=0)": list(range(20))}
+    assert walked == want.get(spec.describe(), walked)
+
+
+def test_the_depth_first_fold_on_every_connected_petersen_fault_lift():
+    g = load_named("petersen")
+    td = spanning_tree(g)
+    connected = 0
+    for eid in range(g.m):
+        for extra in (0b1, 0b11, 0b101, (1 << td.num_coords) - 1):
+            lg = LiftedGraph(td, (eid, extra))
+            if scalar_bfs(lg, 0).count(-1) == 0:
+                connected += 1
+                # a fault lift has no lifted group beyond translations: every source is walked
+                assert assert_fold_matches_the_breadth_first_fold(lg) == list(range(g.n))
+    assert connected
+
+
+def test_tutte_coxeter_tables_peak_under_14_mb():
+    # holding all 45 whole-lift cut sides at once, or one set per distance in the fold, breaks it
+    lg = build_lift(spanning_tree(load_named("tutte_coxeter")))
+    table = embed(lg)
+    orbits = GroupOrbits(lifted_group(lg, table))
+    tracemalloc.start()
+    try:
+        tables = representative_tables(lg, table, orbits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables.girth == 16 and max(tables.ecc) == 35
+    assert peak < 14_000_000, peak
 
 
 def test_engine_rejects_disconnected_fault_lift():
