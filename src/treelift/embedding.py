@@ -24,11 +24,11 @@ endpoint:
 
 Rows are packed as m-bit integers, so l1 distances are XOR popcounts.  The
 row map is affine-linear over the label group: row(u, f) = row(u, 0) ^
-lin(f).  That form is the whole representation: n base rows plus 2^s label
-columns, with any row derived on demand; no n * 2^s table is built.  By
-linearity the row XOR across a lifted edge depends only on its base edge, so
-facts about all m * 2^s lifted edges (the cut partition, the Lipschitz
-constant) take one comparison per base edge.
+lin(f).  That form is the whole representation: n base rows, and lin read
+off two half tables of 2^ceil(s/2) and 2^floor(s/2) ints; no table of 2^s
+or n * 2^s entries is built.  By linearity the row XOR across a lifted edge
+depends only on its base edge, so facts about all m * 2^s lifted edges (the
+cut partition, the Lipschitz constant) take one comparison per base edge.
 
 The co-Lipschitz constant needs every pair.  Bit e of all rows is one bitset
 over the lift, so l1 from one vertex to all others is a bit-sliced sum of m
@@ -48,11 +48,12 @@ from fractions import Fraction
 
 @dataclass(eq=False)
 class EmbeddingTable:
-    """The embedding in affine form: row(u, f) = base_rows[u] ^ lin[f].
+    """The embedding in affine form: row(u, f) = base_rows[u] ^ lin(f).
 
     Row bit e is the vertex's side of cut e.  ``base_rows`` holds the n rows
-    of the zero-label fiber and ``lin`` the 2^s label columns; no table of
-    n * 2^s rows exists.
+    of the zero-label fiber.  lin(f) = low[f & low_mask] ^ high[f >> h], with
+    ``low[g]`` the XOR of col_i (``td.cycles``) over the set bits i of g for
+    the h = ceil(s/2) columns i < h, and ``high[g]`` that of col_(h + i).
 
     ``edge_flips[e]`` is the row XOR across the lifted edges over base edge e,
     taken at label 0 as row(u, 0) ^ row(v, rule[e]).  By linearity the XOR
@@ -63,39 +64,40 @@ class EmbeddingTable:
 
     lg: object
     base_rows: list
-    lin: list
+    h: int = field(init=False)
+    low_mask: int = field(init=False)
+    low: list = field(init=False, repr=False)
+    high: list = field(init=False, repr=False)
     edge_flips: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        base_rows = self.base_rows
-        lin = self.lin
-        self.edge_flips = tuple(
-            base_rows[u] ^ base_rows[v] ^ lin[rule]
-            for (u, v), rule in zip(self.lg.base.edges, self.lg.rule)
-        )
+        lg = self.lg
+        h = self.h = (lg.s + 1) >> 1
+        self.low_mask = (1 << h) - 1
+        self.low, self.high = [0], [0]
+        for half, cols in ((self.low, lg.td.cycles[:h]), (self.high, lg.td.cycles[h:])):
+            for col in cols:  # each column doubles its half: the XOR of every subset
+                half.extend([x ^ col for x in half])
+        rows, edges = self.base_rows, zip(lg.base.edges, lg.rule)
+        self.edge_flips = tuple(rows[u] ^ rows[v] ^ self.lin(rule) for (u, v), rule in edges)
+
+    def lin(self, f):
+        return self.low[f & self.low_mask] ^ self.high[f >> self.h]
 
     def row(self, x):
-        return self.base_rows[x >> self.lg.s] ^ self.lin[x & self.lg.mask]
+        return self.base_rows[x >> self.lg.s] ^ self.lin(x & self.lg.mask)
 
     def l1(self, x, y):
-        """The l1 distance between two rows: a Hamming distance, all coordinates are bits."""
-        return (self.row(x) ^ self.row(y)).bit_count()
+        """The l1 distance between two rows, a Hamming distance; lin is linear, so it is read once."""
+        rows, s = self.base_rows, self.lg.s
+        return (rows[x >> s] ^ rows[y >> s] ^ self.lin((x ^ y) & self.lg.mask)).bit_count()
 
 
 def embed(lg):
-    """The affine embedding of a lift: n base rows plus 2^s label columns."""
-    td = lg.td
-    flip = 0
-    for child, link in enumerate(td.parent):
-        if link is not None and child < link[0]:
-            flip |= 1 << link[1]
-    base_rows = [path ^ flip for path in td.root_paths]
-    # lin[f] is lin[f less its lowest bit] ^ that bit's cycle: all 2^s in O(2^s)
-    lin = [0] * (1 << lg.s)
-    for f in range(1, 1 << lg.s):
-        low = f & -f
-        lin[f] = lin[f ^ low] ^ td.cycles[low.bit_length() - 1]
-    return EmbeddingTable(lg=lg, base_rows=base_rows, lin=lin)
+    """The affine embedding of a lift: its n base rows, from which the table derives the rest."""
+    # each child has its own tree edge, so this sum of distinct bits is their OR
+    flip = sum(1 << link[1] for child, link in enumerate(lg.td.parent) if link and child < link[0])
+    return EmbeddingTable(lg=lg, base_rows=[path ^ flip for path in lg.td.root_paths])
 
 
 def assert_injective(table):

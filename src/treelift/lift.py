@@ -21,13 +21,13 @@ set.  The only objects of size n * 2^s are the distance rows of
 ``representative_tables``: one row of n * 2^s entries per walked source, the
 smallest vertex of each Aut(G) vertex orbit of the caller's group (all n
 sources when it is trivial), one byte each while the lifted diameter is
-under 256.  Besides the rows, the tables hold only a few n * 2^s-bit sets
-per walked source, while it is folded: its distance planes, the planes of
-its adder and at most one pending part per plane.  Each base edge keeps two
-2^s-bit fiber blocks, from which its n * 2^s-bit cut side is built only as
-the adder reads it, so the m sides are never held together.  No other
-source has a row: a distance from any other source is read off a walked
-row through the lifted group, at the far ends that ``GroupOrbits.images``
+under 256, written once.  Besides the rows, the tables hold a few sets of
+n * 2^s bits per walked source, while it is folded: its distance planes,
+its adder's planes and at most one pending part per plane.  Each base edge
+keeps two 2^s-bit fiber blocks, from which its n * 2^s-bit cut side is
+built only as the adder reads it, so the m sides are never held together.
+No other source has a row: a distance from any other source is read off a
+walked row through the lifted group, at the far ends ``GroupOrbits.images``
 gives its orbit (``GroupOrbits.canonical`` is the smallest of them).  The
 same BFS that fills the rows also measures the lifted girth and the exact
 colip of the cut embedding, and its reached labels are the one
@@ -240,10 +240,10 @@ class DistanceTables:
     """Distances from the representatives (u, 0), one compact row each.
 
     ``tables[u][y]`` is d((u, 0), y) for every encoded vertex y, stored as
-    ``bytes`` when the row's largest entry is under 256 and as an unsigned
-    ``array`` otherwise.  ``rows`` holds the rows of the walked sources of
-    ``orbits`` (a ``voltage.GroupOrbits``, one source per Aut(G) vertex
-    orbit); every other entry is None, and a distance from one of those
+    a ``bytearray`` when the row's largest entry is under 256 and as an
+    unsigned ``array`` otherwise.  ``rows`` holds the rows of the walked
+    sources of ``orbits`` (a ``voltage.GroupOrbits``, one source per Aut(G)
+    vertex orbit); every other entry is None, and a distance from one of those
     sources is read off a walked row at a far end of its pair's orbit
     (``GroupOrbits.images``; ``.canonical`` is the smallest pair).
     ``ecc[u]`` is the eccentricity of (u, 0), for every u: the group
@@ -283,10 +283,6 @@ def _flip_masks(s):
             pattern = b"\xff" * (1 << (i - 3)) + b"\x00" * (1 << (i - 3))
         masks.append(int.from_bytes(pattern * (nbytes // len(pattern)), "little") & full)
     return masks
-
-
-#: row formats by the largest distance they must hold: (limit, array code)
-_ROW_CODES = ((1 << 8, None), (1 << 16, "H"), (1 << 32, "I"))
 
 
 def bfs_lifted(lg, source):
@@ -382,13 +378,14 @@ def _expand_row(whole, nn, ecc):
     plane over the whole lift, byte i of ``(P >> j) & ones`` is bit 8i + j
     of P, i.e. the bit of lane 8i + j; OR-ing eight planes shifted by k % 8
     gives that lane byte for every i at once, and one strided slice writes
-    it into the row.
+    it into the row, which is allocated once and written in place.
     """
-    code = next(code for limit, code in _ROW_CODES if ecc < limit)
-    width = array(code).itemsize if code else 1
     nbytes = (nn + 7) >> 3
     ones = int.from_bytes(b"\x01" * nbytes, "little")
-    out = bytearray(nbytes * 8 * width)
+    out = bytearray(nn) if ecc < 256 else array("H" if ecc < 65536 else "I", [0]) * nn
+    # a bytearray takes strided writes twice as fast as a memoryview of it would
+    view = out if ecc < 256 else memoryview(out).cast("B")
+    width = len(view) // nn
     for first in range(0, len(whole), 8):
         byte = first >> 3
         off = byte if sys.byteorder == "little" else width - 1 - byte
@@ -396,9 +393,9 @@ def _expand_row(whole, nn, ecc):
             lane = 0
             for k, bits in enumerate(whole[first : first + 8]):
                 lane |= ((bits >> j) & ones) << k
-            out[j * width + off :: 8 * width] = lane.to_bytes(nbytes, "little")
-    del out[nn * width :]
-    return bytes(out) if code is None else array(code, out)
+            # the lanes y = j mod 8 below nn: all nbytes of them unless nn % 8 != 0
+            view[j * width + off :: 8 * width] = lane.to_bytes(nbytes, "little")[: (nn - j + 7) >> 3]
+    return out
 
 
 def _cut_blocks(table, masks, full):

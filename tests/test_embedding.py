@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,14 @@ from treelift.lift import (
 )
 from treelift.sweeps import cut_partition_check, degree_preservation_check
 
-from lift_reference import every_source_tables, iter_orbit_reps, lifted_distance, orbit_rep, scalar_bfs
+from lift_reference import (
+    every_source_tables,
+    iter_orbit_reps,
+    lifted_distance,
+    linear,
+    orbit_rep,
+    scalar_bfs,
+)
 
 # --- independent oracle: 2-color the lift after deleting one fiber -----------
 
@@ -102,6 +110,43 @@ def test_triangle_rows_match_hand_values():
     assert t.row(lg.encode(0, 0)) == 0b000
     assert t.row(lg.encode(0, 1)) == 0b111
     assert t.l1(lg.encode(0, 0), lg.encode(0, 1)) == 3
+
+
+def assert_rows_are_affine_in_the_label(t, vertices):
+    """row(u, f) is base_rows[u] XOR the label columns over the set bits of f
+    at each of ``vertices``, and each edge flip is the row XOR across the
+    edge at label 0."""
+    lg = t.lg
+    for x in vertices:
+        u, f = lg.decode(x)
+        assert t.row(x) == t.base_rows[u] ^ linear(lg.td.cycles, f), x
+    assert t.edge_flips == tuple(
+        t.base_rows[u] ^ t.base_rows[v] ^ linear(lg.td.cycles, rule)
+        for (u, v), rule in zip(lg.base.edges, lg.rule)
+    )
+
+
+def test_rows_are_affine_in_the_label():
+    lifts = [lift_of(FamilySpec.named(name)) for name in ("k4", "petersen", "heawood")]
+    # a fault rule of two bits: its edge flip XORs two columns
+    lifts.append(LiftedGraph(spanning_tree(load_named("petersen")), (4, 0b101)))
+    for lg in lifts:
+        assert_rows_are_affine_in_the_label(embed(lg), range(lg.num_vertices))
+
+
+def test_the_embedding_holds_no_table_of_labels():
+    # Robertson has s = 20: a table of its 2^20 labels alone would hold 40 MB
+    lg = LiftedGraph(spanning_tree(load_named("robertson")))
+    assert lg.s == 20
+    tracemalloc.start()
+    try:
+        t = embed(lg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    rng = random.Random(20)
+    assert_rows_are_affine_in_the_label(t, [rng.randrange(lg.num_vertices) for _ in range(10_000)])
 
 
 def oracle_sides(lg, eid):

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -312,7 +313,7 @@ ENGINE_SPECS = (
 def test_engine_rows_equal_scalar_bfs(spec):
     g = make(spec)
     tables = assert_rows_match_bfs(build_lift(spanning_tree(g)))
-    assert all(isinstance(row, bytes) for row in tables.rows)
+    assert all(type(row) is bytearray for row in tables.rows)
 
 
 def test_engine_on_every_petersen_fault_with_a_multi_bit_mask():
@@ -341,7 +342,7 @@ def test_engine_rows_widen_past_a_byte():
     assert lifted_diameter(lg, tables) == 300
 
 
-@pytest.mark.parametrize("s, ecc", [(1, 200), (3, 200), (3, 300), (4, 70_000)])
+@pytest.mark.parametrize("s, ecc", [(1, 200), (1, 300), (3, 200), (3, 300), (4, 70_000)])
 def test_planes_expand_to_lane_values(s, ecc):
     # synthetic planes, since no testable lift has a diameter near 2^16
     n = 3
@@ -354,7 +355,30 @@ def test_planes_expand_to_lane_values(s, ecc):
     ]
     row = _expand_row([_whole_lift(plane, fiber) for plane in planes], n * fiber, ecc)
     assert list(row) == want
-    assert getattr(row, "typecode", "bytes") == ("bytes" if ecc < 256 else "H" if ecc < 65536 else "I")
+    if ecc < 256:
+        assert type(row) is bytearray
+    else:
+        assert type(row) is array and row.typecode == ("H" if ecc < 65536 else "I")
+
+
+@pytest.mark.parametrize("ecc, width", [(255, 1), (511, 2)])
+def test_a_row_is_written_once(ecc, width):
+    # 65,536 lanes of random planes: the row's own bytes and the lane
+    # temporaries, never a second copy of the row
+    nn = 1 << 16
+    rng = random.Random(ecc)
+    whole = [rng.getrandbits(nn) for _ in range(ecc.bit_length())]
+    tracemalloc.start()
+    try:
+        row = _expand_row(whole, nn, ecc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(row) == nn and memoryview(row).itemsize == width
+    assert [row[y] for y in range(0, nn, 997)] == [
+        sum(((bits >> y) & 1) << k for k, bits in enumerate(whole)) for y in range(0, nn, 997)
+    ]
+    assert peak < 1.75 * nn * width, peak / (nn * width)
 
 
 # --- the tables' flip masks, cut sides and fold vs their reference forms ------------
