@@ -16,7 +16,6 @@ from .graph import (
     TreeDecomposition,
     bfs_distances,
     bridges_and_2ecc,
-    build_graph,
     diameter,
     girth,
     load_edge_list,

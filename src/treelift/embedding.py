@@ -30,6 +30,12 @@ or n * 2^s entries is built.  By linearity the row XOR across a lifted edge
 depends only on its base edge, so facts about all m * 2^s lifted edges (the
 cut partition, the Lipschitz constant) take one comparison per base edge.
 
+The map is injective by construction.  The cotree bits of row(u, f) are
+exactly the bits of f (the cotree edge of coordinate i is cut by label bit i
+alone, and base rows have no cotree bits), so equal rows have equal labels
+and then equal base rows; and the base rows P(u) ^ flip are distinct,
+because a root path determines its far end.
+
 The co-Lipschitz constant needs every pair.  Bit e of all rows is one bitset
 over the lift, so l1 from one vertex to all others is a bit-sliced sum of m
 bitsets, which ``lift.representative_tables`` folds into its BFS: the colip
@@ -84,9 +90,6 @@ class EmbeddingTable:
     def lin(self, f):
         return self.low[f & self.low_mask] ^ self.high[f >> self.h]
 
-    def row(self, x):
-        return self.base_rows[x >> self.lg.s] ^ self.lin(x & self.lg.mask)
-
     def l1(self, x, y):
         """The l1 distance between two rows, a Hamming distance; lin is linear, so it is read once."""
         rows, s = self.base_rows, self.lg.s
@@ -98,18 +101,6 @@ def embed(lg):
     # each child has its own tree edge, so this sum of distinct bits is their OR
     flip = sum(1 << link[1] for child, link in enumerate(lg.td.parent) if link and child < link[0])
     return EmbeddingTable(lg=lg, base_rows=[path ^ flip for path in lg.td.root_paths])
-
-
-def assert_injective(table):
-    """Hard check that no two vertices share a row (distances would silently lie).
-
-    O(n): the cotree bits of row(u, f) are exactly the bits of f (the cotree
-    edge of coordinate i is cut by label bit i alone), and base rows have no
-    cotree bits.  Equal rows therefore have equal labels and equal base rows,
-    so distinct base rows mean distinct rows for the whole lift.
-    """
-    if len(set(table.base_rows)) != len(table.base_rows):
-        raise RuntimeError("embedding is not injective: two lifted vertices share a row")
 
 
 def distortion_bound(base_girth, base_diam):
@@ -151,11 +142,10 @@ def distortion(lg, table, tables):
     and its witness, the smallest encoded pair attaining it, come from the
     bit-sliced fold in ``representative_tables``.  Every pair is covered
     through the translation orbit of some ((u, 0), y) with y > (u, 0), so the
-    counts are arithmetic.  The rows are certified injective first
-    (``assert_injective``), so no pair has l1 0.
+    counts are arithmetic.  The rows are injective by construction (see the
+    module docstring), so no pair has l1 0.
     """
     nn = lg.num_vertices
-    assert_injective(table)
     lip = Fraction(max(flip.bit_count() for flip in table.edge_flips))
     if lip != 1:
         raise RuntimeError(

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .graph import GraphError, build_graph, girth, is_connected, parse_edge_list
+from .graph import Graph, GraphError, girth, is_connected, parse_edge_list
 
 NAMED = ("petersen", "heawood", "mcgee", "pappus", "tutte_coxeter", "robertson", "k4")
 #: every family string ``parse_family`` accepts, by form
@@ -134,9 +134,9 @@ def make(spec):
     """Build the graph described by a FamilySpec."""
     check_spec(spec)
     if spec.kind == "cycle":
-        return build_graph(spec.n, [(i, (i + 1) % spec.n) for i in range(spec.n)])
+        return Graph(spec.n, [(i, (i + 1) % spec.n) for i in range(spec.n)])
     if spec.kind == "complete":
-        return build_graph(spec.n, [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)])
+        return Graph(spec.n, [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)])
     if spec.kind == "named":
         return load_named(spec.name)
     return random_regular(spec.n, spec.k, spec.girth_min, spec.seed, spec.max_tries)
@@ -176,7 +176,7 @@ def random_regular(n, k, girth_min=3, seed=0, max_tries=10_000):
             seen.add(key)
             pairs.append(key)
         else:
-            g = build_graph(n, pairs)
+            g = Graph(n, pairs)
             if is_connected(g) and girth(g) >= girth_min:
                 return g
     raise GenerationError(

@@ -89,11 +89,6 @@ def _edge_error(n, pair, index):
     return GraphError(f"duplicate edge {pair!r} (already present as edge {index[key]})")
 
 
-def build_graph(n, pairs):
-    """Validate and build a Graph; edge ids follow the input order of pairs."""
-    return Graph(n, pairs)
-
-
 @dataclass(eq=False)
 class TreeDecomposition:
     """A spanning tree T plus the ordered cotree S indexing label coordinates,
@@ -132,14 +127,12 @@ class TreeDecomposition:
 class BridgeDecomposition:
     """Bridges and 2-edge-connected components of a graph.
 
-    ``component_of[v]`` labels v's 2-edge-connected component (components are
-    numbered in order of their smallest vertex); ``component_edge_counts``
-    maps each label to its count of non-bridge edges (0 for trivial
-    components).
+    ``component_edge_counts`` maps the label of each 2-edge-connected
+    component (components are numbered in order of their smallest vertex)
+    to its count of non-bridge edges (0 for trivial components).
     """
 
     bridge_ids: frozenset
-    component_of: tuple
     component_edge_counts: dict
 
 
@@ -275,7 +268,7 @@ def spanning_tree(g, strategy="bfs", root=0):
 
 
 def bridges_and_2ecc(g):
-    """Bridges plus 2-edge-connected component labels.
+    """Bridges plus the non-bridge edge count of each 2-edge-connected component.
 
     An edge is a bridge exactly when it lies on no cycle.  Every cycle is a
     sum of fundamental cycles of a spanning forest, so the edges on some
@@ -311,7 +304,6 @@ def bridges_and_2ecc(g):
     if not cross:
         return BridgeDecomposition(
             bridge_ids=frozenset(range(len(edges))),
-            component_of=tuple(range(n)),
             component_edge_counts=dict.fromkeys(range(n), 0),
         )
 
@@ -346,7 +338,6 @@ def bridges_and_2ecc(g):
         counts[comp[edges[eid][0]]] += 1
     return BridgeDecomposition(
         bridge_ids=frozenset(range(len(edges))).difference(cyclic),
-        component_of=tuple(comp),
         component_edge_counts=counts,
     )
 
@@ -384,7 +375,7 @@ def parse_edge_list(text):
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise GraphError(f"bad edge line {ln!r}: expected two integers") from None
-    return build_graph(n, pairs)
+    return Graph(n, pairs)
 
 
 def format_edge_list(g):

@@ -65,8 +65,6 @@ class LiftTooLargeError(GraphError):
             f"{what} would have {required} vertices, above the cap of {cap}; "
             f"raise --max-vertices (or TREELIFT_MAX_VERTICES) to proceed"
         )
-        self.required = required
-        self.cap = cap
 
 
 def check_lift_order(n, m, cap, what):

@@ -149,15 +149,12 @@ def sweep_block(sw, sample_count, seed):
 
 @dataclass(eq=False)
 class AnalysisContext:
-    """Everything the pipeline built, for callers that need more than the dict;
-    the base graph and its tree are ``lg.base`` and ``lg.td``."""
+    """The lift, its embedding and distance tables, and the report dict; the
+    base graph and its tree are ``lg.base`` and ``lg.td``."""
 
     lg: object
     table: object
     tables: object
-    base_girth: float
-    base_diam: int
-    sweep: object
     report: dict
 
 
@@ -182,7 +179,7 @@ def run_analysis(
     g = td.graph
     lg = build_lift(td, max_vertices=max_vertices, fault=fault)
     table = embed(lg)
-    orbits = GroupOrbits(lifted_group(lg, table))
+    orbits = GroupOrbits(lifted_group(lg))
     tables = representative_tables(lg, table, orbits)
     base_gi = girth(g)
     base_di = diameter(g)
@@ -207,7 +204,7 @@ def run_analysis(
         rep = distortion(lg, table, tables)
         report["embedding"] = embedding_block(lg, rep)
         report["bound"] = bound_block(base_gi, base_di, rep)
-    except RuntimeError as exc:  # injectivity / Lipschitz hard failures
+    except RuntimeError as exc:  # the Lipschitz hard failure (rows are injective by construction)
         dist_error = str(exc)
         report["embedding"] = {"error": dist_error}
         report["bound"] = {"distortion_within_bound": False, "error": dist_error}
@@ -224,7 +221,7 @@ def run_analysis(
         and report["lift"]["girth_at_least_base"]
         and sw.all_pass
     )
-    return AnalysisContext(lg, table, tables, base_gi, base_di, sw, report)
+    return AnalysisContext(lg, table, tables, report)
 
 
 def run_verify_instance(label, td, seed=0, oracle_pairs=2_000, **options):

@@ -42,13 +42,16 @@ that holds an encoded vertex, so XOR never carries between them, and one
 ``array`` of w-bit items reads them back out (see ``GroupOrbits``).
 
 The verdict sweep may reduce by these automorphisms only when
-``symmetry_applies``: the lift's rule is the tree rule and every lifted edge
-over base edge e flips exactly cut e of the embedding.  Then the l1 distance
-of a pair is the number of base edges a path between them uses an odd number
-of times, which phi carries to alpha's image of that set, and re-lifting a
-walk by the tree rule is walking it, so the ``relift`` verdict cannot tell a
-path from its image.  A fault lift fails the rule test and keeps the trivial
-group.
+``symmetry_applies``: the lift's rule is the tree rule.  Every lifted edge
+over base edge e then flips exactly cut e of the embedding, by construction
+and for every base, tree and root: with P the root paths, the flip over the
+tree edge e = (u, v) is P(u) ^ P(v) = {e}, and over the cotree edge c_i =
+(a, b) it is P(a) ^ P(b) ^ td.cycles[i] = {c_i} (the embedding's ``flip``
+term cancels in both).  So the l1 distance of a pair is the number of base
+edges a path between them uses an odd number of times, which phi carries to
+alpha's image of that set, and re-lifting a walk by the tree rule is walking
+it, so the ``relift`` verdict cannot tell a path from its image.  A fault
+lift fails the rule test and keeps the trivial group.
 """
 
 from __future__ import annotations
@@ -228,12 +231,10 @@ def lift_automorphism(lg, alpha, order):
     return LiftedAutomorphism(tuple(alpha), tuple(cols), tuple(pot))
 
 
-def symmetry_applies(lg, table):
-    """The lift's rule is the tree rule and the embedding flips exactly cut e
-    across every lifted edge over e (``EmbeddingTable.edge_flips``)."""
-    return lg.rule == lg.td.rule and all(
-        flip == 1 << eid for eid, flip in enumerate(table.edge_flips)
-    )
+def symmetry_applies(lg):
+    """The lift's rule is the tree rule, so every lifted edge over e flips
+    exactly cut e of the embedding (see the module docstring)."""
+    return lg.rule == lg.td.rule
 
 
 def identity_lift(lg):
@@ -242,7 +243,7 @@ def identity_lift(lg):
     return LiftedAutomorphism(tuple(range(n)), tuple(1 << i for i in range(lg.s)), (0,) * n)
 
 
-def lifted_group(lg, table):
+def lifted_group(lg):
     """The lifted automorphisms of ``lg``, one per automorphism of the base,
     each lifted by ``lift_automorphism`` with p(root) = 0, in
     ``base_automorphisms`` order, so the identity comes first (translations
@@ -251,7 +252,7 @@ def lifted_group(lg, table):
     when the lift fails ``symmetry_applies`` or the automorphism search
     gives up.
     """
-    if not symmetry_applies(lg, table):
+    if not symmetry_applies(lg):
         return [identity_lift(lg)]
     order = sorted(range(lg.base.n), key=lg.td.root_paths.__getitem__)  # a parent's path is a proper subset
     return [lift_automorphism(lg, alpha, order) for alpha in base_automorphisms(lg.base)]

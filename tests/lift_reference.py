@@ -40,6 +40,8 @@ tables under the trivial group, a row from every base vertex by its own
 BFS, and ``lifted_distance`` reads any distance off such tables (or the group's)
 through ``GroupOrbits.canonical``.  ``lift_walk`` lifts a base walk one
 edge at a time by the tree rule.
+``row`` reads an embedding row off the base rows and the label columns,
+without the table's half tables.
 ``division_flip_masks``, ``list_cut_sides`` and ``breadth_first_fold`` are
 the distance tables' helpers as they were before the tables ran in bounded
 memory: the flip masks by big-int division, all m whole-lift cut sides in
@@ -64,6 +66,13 @@ def linear(values, mask):
         out ^= values[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def row(table, x):
+    """The embedding row of the encoded vertex x, base row XOR the label
+    columns ``td.cycles`` over the set bits of its label."""
+    lg = table.lg
+    return table.base_rows[x >> lg.s] ^ linear(lg.td.cycles, x & lg.mask)
 
 
 def gf2_rank(vectors):

@@ -8,13 +8,12 @@ import pytest
 import treelift.lift as lift_mod
 import treelift.report as report
 from treelift.embedding import (
-    assert_injective,
     distortion,
     embed,
     distortion_bound,
 )
 from treelift.families import FamilySpec, load_named, make
-from treelift.graph import GraphError, build_graph, diameter, girth, spanning_tree
+from treelift.graph import Graph, GraphError, diameter, girth, spanning_tree
 from treelift.lift import (
     LiftedGraph,
     build_lift,
@@ -29,6 +28,7 @@ from lift_reference import (
     lifted_distance,
     linear,
     orbit_rep,
+    row,
     scalar_bfs,
 )
 
@@ -86,7 +86,7 @@ def exact_distortion(lg):
 
 
 def triangle_lift():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    g = Graph(3, [(0, 1), (1, 2), (2, 0)])
     td = spanning_tree(g, "dfs", 0)  # tree {01, 12}, cotree {20}
     return build_lift(td)
 
@@ -99,7 +99,7 @@ def test_cotree_row_bit_reads_label_bit():
         for x in range(lg.num_vertices):
             _, f = lg.decode(x)
             for i, eid in enumerate(lg.td.cotree):
-                assert (t.row(x) >> eid) & 1 == (f >> i) & 1
+                assert (row(t, x) >> eid) & 1 == (f >> i) & 1
 
 
 def test_triangle_rows_match_hand_values():
@@ -107,19 +107,19 @@ def test_triangle_rows_match_hand_values():
     t = embed(lg)
     # F(a,0) = (0,0,0) and F(a,1) = (1,1,1): the lone cotree edge crosses both
     # tree splits, so flipping its bit flips every coordinate at vertex a
-    assert t.row(lg.encode(0, 0)) == 0b000
-    assert t.row(lg.encode(0, 1)) == 0b111
+    assert row(t, lg.encode(0, 0)) == 0b000
+    assert row(t, lg.encode(0, 1)) == 0b111
     assert t.l1(lg.encode(0, 0), lg.encode(0, 1)) == 3
 
 
 def assert_rows_are_affine_in_the_label(t, vertices):
-    """row(u, f) is base_rows[u] XOR the label columns over the set bits of f
-    at each of ``vertices``, and each edge flip is the row XOR across the
-    edge at label 0."""
+    """lin(f) is the XOR of the label columns over the set bits of f at the
+    label of each of ``vertices``, and each edge flip is the row XOR across
+    the edge at label 0."""
     lg = t.lg
     for x in vertices:
-        u, f = lg.decode(x)
-        assert t.row(x) == t.base_rows[u] ^ linear(lg.td.cycles, f), x
+        f = x & lg.mask
+        assert t.lin(f) == linear(lg.td.cycles, f), x
     assert t.edge_flips == tuple(
         t.base_rows[u] ^ t.base_rows[v] ^ linear(lg.td.cycles, rule)
         for (u, v), rule in zip(lg.base.edges, lg.rule)
@@ -167,11 +167,11 @@ def test_same_fiber_parity_specialization():
         side = oracle_sides(lg, eid)
         for u in range(10):
             x = lg.encode(u, 0)
-            assert (t.row(x) >> eid) & 1 == side[x]
+            assert (row(t, x) >> eid) & 1 == side[x]
     for u in range(10):
-        row = t.row(lg.encode(u, 0))
+        base = row(t, lg.encode(u, 0))
         for eid in lg.td.cotree:
-            assert (row >> eid) & 1 == 0
+            assert (base >> eid) & 1 == 0
 
 
 # --- the fiber of every edge is exactly the h_e cut ----------------------------
@@ -196,21 +196,34 @@ def test_fibers_are_cuts_oracle(spec):
         # h_e constant per side and distinct across sides
         sides = {0: set(), 1: set()}
         for x in range(lg.num_vertices):
-            sides[color[x]].add((t.row(x) >> eid) & 1)
+            sides[color[x]].add((row(t, x) >> eid) & 1)
         assert sides[0].isdisjoint(sides[1])
         assert len(sides[0]) == 1 and len(sides[1]) == 1
 
 
 def test_every_lifted_edge_crosses_exactly_its_own_cut():
-    for spec in (FamilySpec.named("petersen"), FamilySpec.cycle(6), FamilySpec.named("k4")):
-        lg = lift_of(spec)
-        t = embed(lg)
-        for eid, (u, v) in enumerate(lg.base.edges):
-            rule = lg.rule[eid]
-            for f in range(1 << lg.s):
-                x = lg.encode(u, f)
-                y = lg.encode(v, f ^ rule)
-                assert t.row(x) ^ t.row(y) == 1 << eid
+    # true by construction under the tree rule, for every base, tree and
+    # root, which is why the lifted group needs only the rule test
+    specs = (
+        FamilySpec.named("petersen"),
+        FamilySpec.cycle(6),
+        FamilySpec.named("k4"),
+        FamilySpec.named("heawood"),
+        FamilySpec.random_regular(20, 3, girth_min=5, seed=0),
+    )
+    for spec in specs:
+        g = make(spec)
+        for strategy in ("bfs", "dfs"):
+            for root in (0, g.n - 1):
+                lg = lift_of(g, strategy, root)
+                t = embed(lg)
+                for eid, (u, v) in enumerate(g.edges):
+                    assert t.edge_flips[eid] == 1 << eid, (spec, strategy, root, eid)
+                    rule = lg.rule[eid]
+                    for f in range(1 << lg.s):
+                        x = lg.encode(u, f)
+                        y = lg.encode(v, f ^ rule)
+                        assert row(t, x) ^ row(t, y) == 1 << eid
 
 
 @pytest.mark.parametrize(
@@ -235,7 +248,7 @@ def test_rows_read_cut_sides_at_every_label(spec):
             for eid in range(g.m):
                 side = oracle_sides(lg, eid)
                 for x in range(lg.num_vertices):
-                    assert (t.row(x) >> eid) & 1 == side[x], (strategy, root, eid, x)
+                    assert (row(t, x) >> eid) & 1 == side[x], (strategy, root, eid, x)
 
 
 def test_every_broken_matching_is_named_by_the_cut_check():
@@ -286,36 +299,31 @@ def test_l1_identity_and_antipodal():
 
 
 def test_injectivity():
-    for spec in (FamilySpec.cycle(8), FamilySpec.named("petersen")):
-        assert_injective(embed(lift_of(spec)))
+    # injective by construction, so no run checks it: brute force here, on
+    # the fault lift of verify --fault-inject too (its rows are the tree's)
+    td = spanning_tree(load_named("petersen"))
+    specs = [FamilySpec.named("k4"), FamilySpec.cycle(5), *map(FamilySpec.named, ("petersen", "heawood"))]
+    for lg in [*map(lift_of, specs), LiftedGraph(td, (td.cotree[0], 1 << 1))]:
+        t = embed(lg)
+        nn = lg.num_vertices
+        assert len({row(t, x) for x in range(nn)}) == nn
 
 
 def test_assert_injective_agrees_with_brute_force():
+    # the O(n) injectivity argument of the module docstring (base rows carry
+    # no cotree bits, so distinct base rows give distinct rows) agrees with
+    # brute force, on the real table and on one broken to give base vertex 0
+    # the row of base vertex 1
     for spec in (FamilySpec.named("k4"), FamilySpec.cycle(5), FamilySpec.named("petersen")):
         t = embed(lift_of(spec))
-        nn = t.lg.num_vertices
-        assert len({t.row(x) for x in range(nn)}) == nn
-        assert_injective(t)
-        # give base vertex 0 the row of base vertex 1: both checks must see it
+        lg = t.lg
+        nn = lg.num_vertices
+        cotree_bits = sum(1 << eid for eid in lg.td.cotree)
+        assert all(r & cotree_bits == 0 for r in t.base_rows)
         broken = dataclasses.replace(t, base_rows=[t.base_rows[1], *t.base_rows[1:]])
-        assert len({broken.row(x) for x in range(nn)}) < nn
-        with pytest.raises(RuntimeError, match="not injective"):
-            assert_injective(broken)
-
-
-def test_distortion_certifies_injectivity_before_the_fold(monkeypatch):
-    lg = lift_of(FamilySpec.named("petersen"))
-    t = embed(lg)
-    broken = dataclasses.replace(t, base_rows=[t.base_rows[1], *t.base_rows[1:]])
-    # no tables: the certificate must fail before the colip is read
-    with pytest.raises(RuntimeError, match="not injective"):
-        distortion(lg, broken, None)
-    monkeypatch.setattr(
-        report, "embed", lambda lg: dataclasses.replace(embed(lg), base_rows=broken.base_rows)
-    )
-    out = report.run_analysis(lg.td, pairs=20, seed=1).report
-    assert "not injective" in out["embedding"]["error"]
-    assert out["bound"]["distortion_within_bound"] is False and out["all_pass"] is False
+        for table, injective in ((t, True), (broken, False)):
+            assert (len(set(table.base_rows)) == lg.base.n) is injective
+            assert (len({row(table, x) for x in range(nn)}) == nn) is injective
 
 
 def test_embedding_is_nonexpansive_everywhere():
@@ -337,7 +345,7 @@ def test_cycle_lifts_embed_isometrically(n):
 
 
 def test_single_edge_base_distortion_one():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     lg = build_lift(spanning_tree(g))
     rep = exact_distortion(lg)
     assert rep.distortion == 1 and rep.pairs_examined == 1 and rep.orbits_examined == 1

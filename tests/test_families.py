@@ -12,7 +12,7 @@ from treelift.families import (
     parse_family,
     random_regular,
 )
-from treelift.graph import GraphError, build_graph, diameter, girth, is_connected
+from treelift.graph import Graph, GraphError, diameter, girth, is_connected
 from treelift.report import base_block
 from treelift.voltage import base_automorphisms
 
@@ -138,8 +138,8 @@ def test_girth_diam_ratio_exact():
 
 
 def test_girth_diam_ratio_is_none_for_a_forest():
-    path = build_graph(3, [(0, 1), (1, 2)])
+    path = Graph(3, [(0, 1), (1, 2)])
     block = base_block(path, girth(path), diameter(path))
     assert block["girth"] is None
     assert block["girth_diameter_ratio"] is None and block["girth_diameter_ratio_decimal"] is None
-    assert girth(build_graph(2, [(0, 1)])) == math.inf
+    assert girth(Graph(2, [(0, 1)])) == math.inf

@@ -5,10 +5,10 @@ import pytest
 
 from treelift.families import make, parse_family, random_regular
 from treelift.graph import (
+    Graph,
     GraphError,
     bfs_distances,
     bridges_and_2ecc,
-    build_graph,
     diameter,
     format_edge_list,
     girth,
@@ -133,7 +133,7 @@ def random_graph(rng, n, m):
     """Random simple graph with up to m edges (connected not guaranteed)."""
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(all_pairs)
-    return build_graph(n, all_pairs[: min(m, len(all_pairs))])
+    return Graph(n, all_pairs[: min(m, len(all_pairs))])
 
 
 PETERSEN_PAIRS = [
@@ -154,14 +154,14 @@ def kneser_petersen():
         for b in subsets[i + 1 :]:
             if not set(a) & set(b):
                 pairs.append((idx[a], idx[b]))
-    return build_graph(10, pairs)
+    return Graph(10, pairs)
 
 
 # --- construction ------------------------------------------------------------
 
 
 def test_build_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    g = Graph(3, [(0, 1), (1, 2), (2, 0)])
     assert g.n == 3 and g.m == 3
     assert g.adj[0] == ((1, 0), (2, 2))
     assert g.edge_between(2, 1) == 1
@@ -169,18 +169,18 @@ def test_build_triangle():
 
 def test_build_rejects_duplicate_and_reversed_duplicate():
     with pytest.raises(GraphError):
-        build_graph(3, [(0, 1), (1, 0)])
+        Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
-        build_graph(3, [(0, 1), (0, 1)])
+        Graph(3, [(0, 1), (0, 1)])
 
 
 def test_build_rejects_self_loop_and_out_of_range():
     with pytest.raises(GraphError):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(GraphError):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
-        build_graph(2, [(-1, 0)])
+        Graph(2, [(-1, 0)])
 
 
 @pytest.mark.parametrize(
@@ -200,12 +200,12 @@ def test_build_rejects_self_loop_and_out_of_range():
 )
 def test_graph_error_messages(n, pairs, message):
     with pytest.raises(GraphError) as exc:
-        build_graph(n, pairs)
+        Graph(n, pairs)
     assert str(exc.value) == message
 
 
 def test_petersen_pair_list_is_cubic():
-    g = build_graph(10, PETERSEN_PAIRS)
+    g = Graph(10, PETERSEN_PAIRS)
     assert g.n == 10 and g.m == 15
     assert g.regularity() == 3
 
@@ -220,20 +220,20 @@ def test_kneser_matches_standard_petersen_invariants():
 
 
 def test_bfs_triangle_and_path():
-    tri = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    tri = Graph(3, [(0, 1), (1, 2), (2, 0)])
     assert bfs_distances(tri, 0) == [0, 1, 1]
-    path = build_graph(3, [(0, 1), (1, 2)])
+    path = Graph(3, [(0, 1), (1, 2)])
     assert bfs_distances(path, 0) == [0, 1, 2]
 
 
 def test_bfs_unreachable_marked():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     assert bfs_distances(g, 0) == [0, 1, -1, -1]
     assert not is_connected(g)
 
 
 def test_petersen_distance_multiset():
-    g = build_graph(10, PETERSEN_PAIRS)
+    g = Graph(10, PETERSEN_PAIRS)
     for src in range(10):
         dist = sorted(bfs_distances(g, src))
         assert dist == [0] + [1] * 3 + [2] * 6
@@ -248,26 +248,26 @@ def test_bfs_matches_matrix_power_oracle(seed):
 
 
 def test_diameter_values():
-    tri = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    tri = Graph(3, [(0, 1), (1, 2), (2, 0)])
     assert diameter(tri) == 1
-    assert diameter(build_graph(10, PETERSEN_PAIRS)) == 2
+    assert diameter(Graph(10, PETERSEN_PAIRS)) == 2
 
 
 def test_diameter_rejects_disconnected():
     with pytest.raises(GraphError):
-        diameter(build_graph(4, [(0, 1), (2, 3)]))
+        diameter(Graph(4, [(0, 1), (2, 3)]))
 
 
 # --- girth --------------------------------------------------------------------
 
 
 def test_girth_triangle_and_tree():
-    assert girth(build_graph(3, [(0, 1), (1, 2), (2, 0)])) == 3
-    assert girth(build_graph(4, [(0, 1), (1, 2), (1, 3)])) == math.inf
+    assert girth(Graph(3, [(0, 1), (1, 2), (2, 0)])) == 3
+    assert girth(Graph(4, [(0, 1), (1, 2), (1, 3)])) == math.inf
 
 
 def test_girth_petersen():
-    assert girth(build_graph(10, PETERSEN_PAIRS)) == 5
+    assert girth(Graph(10, PETERSEN_PAIRS)) == 5
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -283,7 +283,7 @@ def deletion_girth(g):
     math.inf if no edge lies on a cycle."""
     best = math.inf
     for eid, (u, v) in enumerate(g.edges):
-        rest = build_graph(g.n, [edge for i, edge in enumerate(g.edges) if i != eid])
+        rest = Graph(g.n, [edge for i, edge in enumerate(g.edges) if i != eid])
         d = bfs_distances(rest, u)[v]
         if d >= 0:
             best = min(best, d + 1)
@@ -295,18 +295,18 @@ def disjoint_union(*graphs):
     for h in graphs:
         edges.extend((u + offset, v + offset) for u, v in h.edges)
         offset += h.n
-    return build_graph(offset, edges)
+    return Graph(offset, edges)
 
 
 def cycle_graph(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 @pytest.mark.parametrize(
     "g",
     [random_regular(n, 3, seed=seed) for n, seed in ((12, 0), (20, 1), (30, 2), (40, 3))]
     + [
-        build_graph(7, [(0, 1), (1, 2), (1, 3), (4, 5)]),  # a forest
+        Graph(7, [(0, 1), (1, 2), (1, 3), (4, 5)]),  # a forest
         # disconnected: the shortest cycle lies in the last component searched
         disjoint_union(cycle_graph(9), random_regular(16, 3, girth_min=5, seed=4), cycle_graph(4)),
     ],
@@ -325,7 +325,7 @@ def tree_edges(td):
 
 
 def test_spanning_tree_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    g = Graph(3, [(0, 1), (1, 2), (2, 0)])
     td = spanning_tree(g, "bfs", 0)
     assert tree_edges(td) == {0, 2}
     assert td.cotree == (1,)
@@ -334,7 +334,7 @@ def test_spanning_tree_triangle():
 
 def test_spanning_tree_cycle_cotree_single():
     for n in range(3, 9):
-        g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
         td = spanning_tree(g, "bfs", 0)
         assert len(td.cotree) == 1
 
@@ -364,7 +364,7 @@ def test_cotree_size_is_cycle_space_dimension():
 
 
 def test_spanning_tree_petersen_coords():
-    g = build_graph(10, PETERSEN_PAIRS)
+    g = Graph(10, PETERSEN_PAIRS)
     td = spanning_tree(g)
     assert td.num_coords == 15 - 10 + 1
     # coordinates ascend with edge id along the cotree
@@ -374,11 +374,11 @@ def test_spanning_tree_petersen_coords():
 
 def test_spanning_tree_rejects_disconnected():
     with pytest.raises(GraphError):
-        spanning_tree(build_graph(4, [(0, 1), (2, 3)]))
+        spanning_tree(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_spanning_tree_deterministic():
-    g = build_graph(10, PETERSEN_PAIRS)
+    g = Graph(10, PETERSEN_PAIRS)
     a = spanning_tree(g, "dfs", 3)
     b = spanning_tree(g, "dfs", 3)
     assert a.parent == b.parent and a.cotree == b.cotree
@@ -463,21 +463,21 @@ def split_by_root_paths(td, eid):
 
 
 def test_tree_split_path():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     td = spanning_tree(g)
     a, b = split_by_root_paths(td, 0)
     assert a == {0} and b == {1, 2}
 
 
 def test_tree_split_star_lower_endpoint_side():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     td = spanning_tree(g)
     a, b = split_by_root_paths(td, 0)
     assert a == {0, 2, 3} and b == {1}
 
 
 def test_tree_split_matches_deletion_components():
-    g = build_graph(10, PETERSEN_PAIRS)
+    g = Graph(10, PETERSEN_PAIRS)
     td = spanning_tree(g)
     tree = tree_edges(td)
     for eid in sorted(tree):
@@ -485,17 +485,17 @@ def test_tree_split_matches_deletion_components():
         assert a | b == set(range(10)) and not (a & b) and a and b
         tree_pairs = [g.edges[t] for t in tree if t != eid]
         # the two sides are the components of T - e
-        parts = oracle_2ecc_partition(build_graph(10, tree_pairs), set())
+        parts = oracle_2ecc_partition(Graph(10, tree_pairs), set())
         assert {frozenset(a), frozenset(b)} == parts
         assert min(g.edges[eid]) in a
 
 
 def test_root_paths_match_deletion_components():
     graphs = [
-        build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # path
-        build_graph(5, [(2, 0), (2, 1), (2, 3), (2, 4)]),  # star
-        build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-        build_graph(10, PETERSEN_PAIRS),
+        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # path
+        Graph(5, [(2, 0), (2, 1), (2, 3), (2, 4)]),  # star
+        Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        Graph(10, PETERSEN_PAIRS),
         random_regular(20, 3, seed=2),
     ]
     for g in graphs:
@@ -511,7 +511,7 @@ def test_root_paths_match_deletion_components():
                         continue
                     # the two sides of T - e, found by a plain search
                     rest = [g.edges[t] for t in tree if t != eid]
-                    (near,) = [c for c in oracle_2ecc_partition(build_graph(g.n, rest), set()) if root in c]
+                    (near,) = [c for c in oracle_2ecc_partition(Graph(g.n, rest), set()) if root in c]
                     for v in range(g.n):
                         assert (paths[v] >> eid) & 1 == (v not in near), (strategy, root, eid, v)
 
@@ -520,27 +520,25 @@ def test_root_paths_match_deletion_components():
 
 
 def test_bridges_path_graph():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     bd = bridges_and_2ecc(g)
     assert bd.bridge_ids == {0, 1, 2}
     assert set(bd.component_edge_counts.values()) == {0}
 
 
 def test_bridges_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    g = Graph(3, [(0, 1), (1, 2), (2, 0)])
     bd = bridges_and_2ecc(g)
     assert bd.bridge_ids == frozenset()
     assert list(bd.component_edge_counts.values()) == [3]
 
 
 def test_bridges_triangle_with_pendant():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
     bd = bridges_and_2ecc(g)
     assert bd.bridge_ids == {3}
-    nonzero = [c for c in bd.component_edge_counts.values() if c]
-    assert nonzero == [3]
-    assert bd.component_of[0] == bd.component_of[1] == bd.component_of[2]
-    assert bd.component_of[3] != bd.component_of[0]
+    # the triangle {0, 1, 2} and the pendant vertex 3, by smallest vertex
+    assert bd.component_edge_counts == {0: 3, 1: 0}
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -551,16 +549,12 @@ def test_bridges_match_deletion_oracle(seed):
     bd = bridges_and_2ecc(g)
     expected = oracle_bridges(g)
     assert bd.bridge_ids == expected
-    # endpoints of non-bridges share a label, endpoints of bridges do not
-    for eid, (u, v) in enumerate(g.edges):
-        same = bd.component_of[u] == bd.component_of[v]
-        assert same == (eid not in expected)
-    # partition matches the brute-force bridge-deletion components
-    parts = {
-        frozenset(v for v in range(g.n) if bd.component_of[v] == label)
-        for label in set(bd.component_of)
-    }
-    assert parts == oracle_2ecc_partition(g, expected)
+    # one count per brute-force bridge-deletion component, by smallest vertex
+    parts = sorted(oracle_2ecc_partition(g, expected), key=min)
+    counts = [
+        sum(1 for eid, (u, _) in enumerate(g.edges) if u in part and eid not in expected) for part in parts
+    ]
+    assert list(bd.component_edge_counts.items()) == list(enumerate(counts))
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -579,7 +573,6 @@ def test_bridges_labels_and_counts_on_sparse_graphs(seed):
     for label, part in enumerate(parts):
         for v in part:
             want[v] = label
-    assert bd.component_of == tuple(want)
     counts = {label: 0 for label in range(len(parts))}
     for eid, (u, _) in enumerate(g.edges):
         if eid not in bridges:
@@ -591,7 +584,7 @@ def test_bridges_labels_and_counts_on_sparse_graphs(seed):
 
 
 def test_edge_list_round_trip():
-    g = build_graph(10, PETERSEN_PAIRS)
+    g = Graph(10, PETERSEN_PAIRS)
     text = format_edge_list(g)
     assert text.splitlines()[0] == "10 15"
     h = parse_edge_list(text)

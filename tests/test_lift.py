@@ -9,9 +9,9 @@ import treelift.lift as lift_mod
 from treelift.embedding import embed
 from treelift.families import FamilySpec, load_named, make, parse_family
 from treelift.graph import (
+    Graph,
     GraphError,
     bfs_distances,
-    build_graph,
     girth,
     is_connected,
     parse_edge_list,
@@ -54,7 +54,7 @@ from lift_reference import (
 
 
 def triangle():
-    return build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    return Graph(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def cycle(n):
@@ -122,9 +122,8 @@ def test_a_fault_out_of_range_is_refused():
 def test_size_cap_reports_required():
     g = load_named("petersen")
     td = spanning_tree(g)
-    with pytest.raises(LiftTooLargeError) as exc:
+    with pytest.raises(LiftTooLargeError, match="would have 640 vertices, above the cap of 100;"):
         build_lift(td, max_vertices=100)
-    assert exc.value.required == 640
 
 
 def test_the_label_steps_are_derived_once_per_lift_and_never_for_a_refused_one(monkeypatch):
@@ -273,7 +272,7 @@ def test_girth_never_drops_below_base():
 
 
 def test_lift_of_tree_is_itself():
-    g = build_graph(4, [(0, 1), (1, 2), (1, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
     td = spanning_tree(g)
     lg = build_lift(td)
     assert lg.s == 0 and lg.num_vertices == 4
@@ -395,7 +394,7 @@ def assert_fold_matches_the_breadth_first_fold(lg):
     agreement lanes yields the breadth-first fold's (d, l1, y) list, in the
     same order; returns the walked sources."""
     table = embed(lg)
-    walked = list(GroupOrbits(lifted_group(lg, table)).walked())
+    walked = list(GroupOrbits(lifted_group(lg)).walked())
     nn = lg.num_vertices
     fiber = 1 << lg.s
     full = (1 << fiber) - 1
@@ -449,7 +448,7 @@ def test_tutte_coxeter_tables_peak_under_14_mb():
     # holding all 45 whole-lift cut sides at once, or one set per distance in the fold, breaks it
     lg = build_lift(spanning_tree(load_named("tutte_coxeter")))
     table = embed(lg)
-    orbits = GroupOrbits(lifted_group(lg, table))
+    orbits = GroupOrbits(lifted_group(lg))
     tracemalloc.start()
     try:
         tables = representative_tables(lg, table, orbits)

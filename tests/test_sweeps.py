@@ -87,7 +87,7 @@ def test_sweep_counts_an_orbit_no_path_rebuilds_through_as_failed():
     table = embed(lg)
     tables = every_source_tables(lg, table)
     rows, z, _ = raise_largest_entry(tables)
-    group = GroupOrbits(lifted_group(lg, table))
+    group = GroupOrbits(lifted_group(lg))
     clean = sweeps_mod.verdict_sweep(lg, table, tables, 3, 1, group_orbit_reps(lg, group))
     assert clean.all_pass
     result = sweeps_mod.verdict_sweep(lg, table, rows, 3, 1, group_orbit_reps(lg, group))

@@ -52,7 +52,7 @@ def lift_of(g, tree="bfs", fault=None):
 def reduced(lg):
     """(embedding, the group's orbits, the tables from the walked sources)."""
     table = embed(lg)
-    orbits = GroupOrbits(lifted_group(lg, table))
+    orbits = GroupOrbits(lifted_group(lg))
     return table, orbits, representative_tables(lg, table, orbits)
 
 

@@ -7,7 +7,6 @@ stream of the group walk is the image-set walk of
 """
 
 import builtins
-import dataclasses
 import random
 
 import pytest
@@ -162,7 +161,7 @@ def lifted():
         if (name, tree) not in cache:
             base, _, fault = name.partition("+")
             lg, table, tables = lift_of(base_graph(base), tree, 1 << 1 if fault else None)
-            cache[name, tree] = lg, table, tables, lifted_group(lg, table)
+            cache[name, tree] = lg, table, tables, lifted_group(lg)
         return cache[name, tree]
 
     return get
@@ -193,8 +192,8 @@ def test_base_automorphisms_are_the_whole_group(name):
     edges = {frozenset(e) for e in g.edges}
     for alpha in auts:
         assert {frozenset((alpha[u], alpha[v])) for u, v in g.edges} == edges
-    lg, table, _ = lift_of(g)
-    group = lifted_group(lg, table)
+    lg, _, _ = lift_of(g)
+    group = lifted_group(lg)
     assert [phi.alpha for phi in group] == auts
     assert all(certify(lg, phi) for phi in group)
     assert base_automorphisms(make(RIGID)) == [tuple(range(12))]
@@ -226,7 +225,7 @@ def test_every_element_is_lifted_edge_by_edge_in_search_order(monkeypatch, name)
         return real(lg, alpha, order)
 
     monkeypatch.setattr(voltage, "lift_automorphism", spy)
-    assert len(lifted_group(lg, embed(lg))) == SEARCH_ORDERS[name]
+    assert len(lifted_group(lg)) == SEARCH_ORDERS[name]
     assert calls == base_automorphisms(g)
 
 
@@ -308,9 +307,9 @@ def test_the_distance_rows_are_built_only_within_the_least_search_cost(monkeypat
 
 @pytest.mark.parametrize("name,tree", CASES)
 def test_group_sweep_covers_every_pair_once_with_the_reference_verdict(swept, name, tree):
-    lg, table, _, result, rows, reference = swept(name, tree)
+    lg, _, _, result, rows, reference = swept(name, tree)
     nn = lg.num_vertices
-    group = lifted_group(lg, table)
+    group = lifted_group(lg)
     assert len(group) == (AUT_ORDERS[name] if name in AUT_ORDERS else DELETED[name][0])
     assert all(certify(lg, phi) for phi in group)
     assert result.pairs_covered == reference.pairs_covered == nn * (nn - 1) // 2
@@ -325,9 +324,9 @@ def test_group_sweep_covers_every_pair_once_with_the_reference_verdict(swept, na
 
 @pytest.mark.parametrize("name,tree", CASES)
 def test_images_of_verified_paths_cover_every_translation_orbit(swept, name, tree):
-    lg, table, tables, _, rows, _ = swept(name, tree)
+    lg, _, tables, _, rows, _ = swept(name, tree)
     s, mask = lg.s, lg.mask
-    group = lifted_group(lg, table)
+    group = lifted_group(lg)
     cover = {}
     analyses = {}
     for row in rows:
@@ -385,7 +384,7 @@ def image_test_pairs(lg, orbits, rng):
 def test_images_are_the_far_ends_of_the_orbit_at_its_source(name, tree):
     g = make(parse_family(name))
     lg = build_lift(spanning_tree(g, tree, 0 if tree == "bfs" else g.n - 1))
-    group = lifted_group(lg, embed(lg))
+    group = lifted_group(lg)
     orbits = GroupOrbits(group)
     s = lg.s
     homes = set()
@@ -412,7 +411,7 @@ def assert_images_are_the_reference_images(orbits, pairs):
 )
 def test_packed_images_are_the_reference_images_from_every_walked_source(name, tree, root):
     lg = build_lift(spanning_tree(make(parse_family(name)), tree, root))
-    orbits = GroupOrbits(lifted_group(lg, embed(lg)))
+    orbits = GroupOrbits(lifted_group(lg))
     assert len(orbits.group) > 1
     s, nn = lg.s, lg.num_vertices
     pairs = [(r << s, y) for r in orbits.walked() for y in range(nn) if y != r << s]
@@ -422,7 +421,7 @@ def test_packed_images_are_the_reference_images_from_every_walked_source(name, t
 
 def test_packed_images_on_a_tree_with_no_label_coordinate():
     lg = build_lift(spanning_tree(Graph(3, [(0, 1), (1, 2)])))
-    orbits = GroupOrbits(lifted_group(lg, embed(lg)))
+    orbits = GroupOrbits(lifted_group(lg))
     assert lg.s == 0 and [phi.alpha for phi in orbits.group] == [(0, 1, 2), (2, 1, 0)]
     assert_images_are_the_reference_images(orbits, [(x, y) for x in range(3) for y in range(3) if x != y])
 
@@ -443,7 +442,7 @@ def test_packed_images_are_the_reference_images_on_seeded_pairs(name):
     base, _, fault = name.partition("+")
     td = spanning_tree(base_graph(base))
     lg = build_lift(td, fault=(td.cotree[0], 1 << 1) if fault else None)
-    orbits = GroupOrbits(lifted_group(lg, embed(lg)))
+    orbits = GroupOrbits(lifted_group(lg))
     bits, width = SEEDED_IMAGE_CASES[name]
     assert ((lg.base.n - 1).bit_length() + lg.s, 8 * orbits._itemsize) == (bits, width)
     rng = random.Random(name)
@@ -455,8 +454,8 @@ def test_packed_images_are_the_reference_images_on_seeded_pairs(name):
 
 @pytest.mark.parametrize("name", sorted(DELETED))
 def test_the_group_walk_marks_one_row_per_walked_source(monkeypatch, name):
-    lg, table, _ = lift_of(base_graph(name))
-    group = lifted_group(lg, table)
+    lg, _, _ = lift_of(base_graph(name))
+    group = lifted_group(lg)
     nn = lg.num_vertices
     sizes = []
 
@@ -503,7 +502,7 @@ def test_the_tree_records_its_rule_and_fundamental_cycles(spec, tree):
 
 def test_the_certificate_rejects_every_mutation():
     lg, _, _ = lift_of(make(FamilySpec.named("petersen")))
-    phi = lifted_group(lg, embed(lg))[7]
+    phi = lifted_group(lg)[7]
     assert certify(lg, phi)
     for i in range(lg.s):
         for bit in range(lg.s):
@@ -526,21 +525,18 @@ def test_the_certificate_rejects_every_mutation():
 
 def test_a_lift_failing_the_precondition_keeps_the_trivial_group(monkeypatch):
     g = make(FamilySpec.named("petersen"))
-    lg, table, _ = lift_of(g)
-    assert symmetry_applies(lg, table)
-    broken = dataclasses.replace(table, base_rows=[table.base_rows[1], *table.base_rows[1:]])
-    assert not symmetry_applies(lg, broken)
+    lg, _, _ = lift_of(g)
+    assert symmetry_applies(lg)
 
     def refuse(g):
         raise AssertionError("the search ran on a lift failing the precondition")
 
     monkeypatch.setattr(voltage, "_transversals", refuse)
-    fault_lg, fault_table, _ = lift_of(g, fault=1 << 1)  # the fault of verify --fault-inject
-    assert not symmetry_applies(fault_lg, fault_table)
-    for lift, tab in ((fault_lg, fault_table), (lg, broken)):
-        (identity,) = lifted_group(lift, tab)
-        assert identity.alpha == tuple(range(g.n)) and not any(identity.pot)
-        assert certify(lift, identity)
+    fault_lg, _, _ = lift_of(g, fault=1 << 1)  # the fault of verify --fault-inject
+    assert not symmetry_applies(fault_lg)
+    (identity,) = lifted_group(fault_lg)
+    assert identity.alpha == tuple(range(g.n)) and not any(identity.pot)
+    assert certify(fault_lg, identity)
 
 
 def reference_report(g):

@@ -5,7 +5,7 @@ import pytest
 import treelift.sweeps as sweeps
 from treelift.embedding import embed
 from treelift.families import load_named, make, FamilySpec
-from treelift.graph import GraphError, build_graph, diameter, girth, spanning_tree
+from treelift.graph import Graph, GraphError, diameter, girth, spanning_tree
 from treelift.lift import build_lift, sample_pair_list
 from treelift.walks import (
     VERDICT_NAMES,
@@ -20,7 +20,7 @@ from lift_reference import every_source_tables, iter_orbit_reps
 
 
 def triangle_lift():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    g = Graph(3, [(0, 1), (1, 2), (2, 0)])
     return build_lift(spanning_tree(g, "dfs", 0))
 
 
