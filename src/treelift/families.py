@@ -16,14 +16,6 @@ NAMED = ("petersen", "heawood", "mcgee", "pappus", "tutte_coxeter", "robertson",
 FORMS = (*NAMED, "cycle:N", "complete:N", "random:N:K")
 
 
-class GenerationError(GraphError):
-    """Random generation exhausted its attempt budget."""
-
-    def __init__(self, message, tries):
-        super().__init__(message)
-        self.tries = tries
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Which base graph to build.
@@ -93,10 +85,7 @@ def load_named(name):
     if name not in NAMED:
         raise GraphError(f"unknown named graph {name!r}")
     text = resources.files("treelift.data").joinpath(f"{name}.txt").read_text(encoding="utf-8")
-    g = parse_edge_list(text)
-    if not is_connected(g):
-        raise GraphError(f"data file for {name} is corrupt: graph not connected")
-    return g
+    return parse_edge_list(text)
 
 
 def check_spec(spec):
@@ -158,7 +147,7 @@ def random_regular(n, k, girth_min=3, seed=0, max_tries=10_000):
 
     Configuration (pairing) model with rejection: resample on self-loop,
     parallel edge, disconnection or girth violation.  Reproducible from seed;
-    raises GenerationError once max_tries attempts are exhausted rather than
+    raises GraphError once max_tries attempts are exhausted rather than
     returning a weaker graph.
     """
     _check_random_regular(n, k, girth_min)
@@ -179,9 +168,8 @@ def random_regular(n, k, girth_min=3, seed=0, max_tries=10_000):
             g = Graph(n, pairs)
             if is_connected(g) and girth(g) >= girth_min:
                 return g
-    raise GenerationError(
+    raise GraphError(
         f"no {k}-regular graph on {n} vertices with girth >= {girth_min} "
-        f"found in {max_tries} attempts (seed {seed})",
-        tries=max_tries,
+        f"found in {max_tries} attempts (seed {seed})"
     )
 

@@ -57,24 +57,17 @@ from .graph import GraphError
 DEFAULT_MAX_VERTICES = 1 << 22
 
 
-class LiftTooLargeError(GraphError):
-    """The requested lift exceeds the vertex cap."""
-
-    def __init__(self, required, cap, what="lift"):
-        super().__init__(
+def check_lift_order(n, m, cap, what):
+    """Raise GraphError unless the lift of a connected base graph with n
+    vertices and m edges, n * 2^(m - n + 1) vertices (one label coordinate
+    per cotree edge), is within the vertex cap; ``what`` names the lift in
+    the error."""
+    required = n << (m - n + 1)
+    if required > cap:
+        raise GraphError(
             f"{what} would have {required} vertices, above the cap of {cap}; "
             f"raise --max-vertices (or TREELIFT_MAX_VERTICES) to proceed"
         )
-
-
-def check_lift_order(n, m, cap, what):
-    """Raise LiftTooLargeError unless the lift of a connected base graph
-    with n vertices and m edges, n * 2^(m - n + 1) vertices (one label
-    coordinate per cotree edge), is within the vertex cap; ``what`` names
-    the lift in the error."""
-    required = n << (m - n + 1)
-    if required > cap:
-        raise LiftTooLargeError(required, cap, what)
 
 
 @dataclass(eq=False)

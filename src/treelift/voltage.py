@@ -37,9 +37,10 @@ rule[alpha(e)] for each edge e = (u, v) as ``LiftedGraph.edge_rule[alpha(u)
 * n + alpha(v)]``, and ``GroupOrbits.images`` is the one place an element
 acts on a pair of lifted vertices.  It applies the elements that can take
 an end of the pair to its orbit's source all at once, each in its own lane
-of one int: the lanes are w bits wide, the smallest of 8, 16, 32 and 64
-that holds an encoded vertex, so XOR never carries between them, and one
-``array`` of w-bit items reads them back out (see ``GroupOrbits``).
+of one int: the lanes are the w-bit items of one ``array`` (w the smallest
+of 8, 16, 32 and 64 that holds an encoded vertex), whose bytes are read as
+one int in the host's byte order.  XOR acts byte by byte, so it never mixes
+two lanes, and the same ``array`` reads them back out (see ``GroupOrbits``).
 
 The verdict sweep may reduce by these automorphisms only when
 ``symmetry_applies``: the lift's rule is the tree rule.  Every lifted edge
@@ -72,8 +73,6 @@ from .graph import bfs_distances
 #: base with n(n-1)/2 above the budget gets the trivial group before its
 #: distance rows are built.
 AUT_SEARCH_BUDGET = 4_000_000
-
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class LiftedAutomorphism(NamedTuple):
@@ -274,12 +273,13 @@ class GroupOrbits:
     vertex is walked and ``canonical`` is the translation representative.
 
     ``images`` applies a whole coset at once, in packed lanes.  Lane k of
-    a packed int is its bits k*w .. k*w + w - 1 and belongs to the element
-    phi_k, the k-th of ``coset[a]``.  w is the smallest of 8, 16, 32 and
-    64 bits that holds an encoded vertex, (n - 1).bit_length() + s bits,
-    so every lane value fits and XOR never carries into the next lane.
-    Lanes go to and from an ``array`` of w-bit items through little-endian
-    bytes, byte-swapped on a big-endian host.  Per end a, the s packed
+    a packed int is item k of an ``array`` of w-bit items, the bytes of
+    that array read as one int in the host's byte order, and belongs to
+    the element phi_k, the k-th of ``coset[a]``.  w is the smallest of 8,
+    16, 32 and 64 bits that holds an encoded vertex, (n - 1).bit_length()
+    + s bits, so every lane value fits, and XOR acts byte by byte, so it
+    never mixes two lanes.  A packed int of one lane is that lane's
+    value.  Per end a, the s packed
     columns (lane k of int i is phi_k's column i, keyed by 1 << i) are
     built on first use and kept.  Per pair of ends (a, b), the base lanes
     (lane k is alpha_k(b) << s | p_k(a) ^ p_k(b)) are kept in ``_pairs``,
@@ -318,11 +318,9 @@ class GroupOrbits:
         return len(self.group) // len(self.coset[r]) << self.s
 
     def _pack(self, values):
-        """The ints ``values`` as the lanes of one int, the first lowest."""
-        lanes = array(self._code, values)
-        if _BIG_ENDIAN:
-            lanes.byteswap()
-        return int.from_bytes(lanes.tobytes(), "little")
+        """The ints ``values`` as the lanes of one int: the bytes of their
+        ``array``, in the host's byte order."""
+        return int.from_bytes(array(self._code, values).tobytes(), sys.byteorder)
 
     def _ends(self, u, v):
         """(r, ends) for the pairs over the base vertices u and v: one
@@ -376,10 +374,7 @@ class GroupOrbits:
             if size == self._itemsize:
                 far.add(h)
                 continue
-            lanes = array(self._code, h.to_bytes(size, "little"))
-            if _BIG_ENDIAN:
-                lanes.byteswap()
-            far.update(lanes)
+            far.update(array(self._code, h.to_bytes(size, sys.byteorder)))
         return r, far
 
     def canonical(self, x, y):

@@ -674,8 +674,13 @@ def refused_command(tmp_path, case):
     if case == "ungenerable random instance":
         argv = ["verify", "--instances", "k4", "--random-count", 1, "--girth-min", 9, "--max-tries", 2]
         return argv, "no 3-regular graph on 20 vertices with girth >= 9 found in 2 attempts (seed 0)"
+    if case == "ungenerable gen":
+        argv = ["gen", "--family", "random:14:3", "--girth-min", 8, "--max-tries", 2]
+        return argv, "no 3-regular graph on 14 vertices with girth >= 8 found in 2 attempts (seed 0)"
     base = tmp_path / "p.txt"
     run(["gen", "--family", "petersen", "-o", base])
+    if case == "over-cap lift":
+        return ["lift", base, "--max-vertices", 100], "lift would have 640 vertices, above the cap of 100"
     fmt = "csv" if case == "over-cap csv" else "json"
     argv = ["analyze", base, "--format", fmt, "--max-vertices", 100]
     return argv, "lift would have 640 vertices, above the cap of 100"
@@ -683,7 +688,15 @@ def refused_command(tmp_path, case):
 
 @pytest.mark.parametrize("link", ["symlink", "hardlink"])
 @pytest.mark.parametrize(
-    "case", ["over-cap json", "over-cap csv", "one-vertex lift", "ungenerable random instance"]
+    "case",
+    [
+        "over-cap json",
+        "over-cap csv",
+        "one-vertex lift",
+        "ungenerable random instance",
+        "over-cap lift",
+        "ungenerable gen",
+    ],
 )
 def test_a_refusal_leaves_an_output_written_in_place_unchanged(
     tmp_path, capsys, monkeypatch, case, link

@@ -8,6 +8,8 @@ stream of the group walk is the image-set walk of
 
 import builtins
 import random
+import sys
+import types
 
 import pytest
 
@@ -449,6 +451,20 @@ def test_packed_images_are_the_reference_images_on_seeded_pairs(name):
     nn = lg.num_vertices
     # scattered pairs, then a stream sorted by its first end, as the sampled family asks them
     stream = sorted(tuple(rng.sample(range(nn), 2)) for _ in range(2_000))
+    assert_images_are_the_reference_images(orbits, image_test_pairs(lg, orbits, rng) + stream)
+
+
+@pytest.mark.parametrize("name", ["pappus", "mcgee"])
+def test_packed_images_do_not_depend_on_the_byte_order_the_lanes_are_read_in(monkeypatch, name):
+    # the array's bytes read as one int in the other byte order: each lane
+    # keeps its own bytes, which XOR never mixes, so the images are the same
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(voltage, "sys", types.SimpleNamespace(byteorder=other))
+    lg = build_lift(spanning_tree(make(parse_family(name))))
+    orbits = GroupOrbits(lifted_group(lg))
+    assert orbits._itemsize > 1
+    rng = random.Random(name)
+    stream = sorted(tuple(rng.sample(range(lg.num_vertices), 2)) for _ in range(2_000))
     assert_images_are_the_reference_images(orbits, image_test_pairs(lg, orbits, rng) + stream)
 
 
