@@ -152,8 +152,9 @@ def random_regular(n, k, girth_min=3, seed=0, max_tries=10_000):
     """
     _check_random_regular(n, k, girth_min)
     rng = random.Random(seed)
+    ordered = [v for v in range(n) for _ in range(k)]
     for attempt in range(max_tries):
-        stubs = [v for v in range(n) for _ in range(k)]
+        stubs = ordered.copy()
         rng.shuffle(stubs)
         pairs = []
         seen = set()

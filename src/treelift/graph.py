@@ -24,7 +24,9 @@ class Graph:
 
     Vertices are ``0..n-1``.  ``edges[i]`` is the endpoint pair of edge id
     ``i`` as given on input; ``adj[v]`` lists ``(neighbor, edge_id)`` in edge
-    id order.  Self-loops and parallel edges are rejected.
+    id order.  Self-loops and parallel edges are rejected.  ``_index`` maps
+    the int ``min(u, v) * n + max(u, v)`` of each edge (u, v) to its id, one
+    key per edge, so a lookup hashes no tuple.
     """
 
     __slots__ = ("n", "edges", "adj", "_index")
@@ -39,10 +41,10 @@ class Graph:
             u, v = pair
             # both endpoints in range and no self-loop
             if u < v:
-                key = (u, v)
+                key = u * n + v
                 ok = 0 <= u and v < n
             else:
-                key = (v, u)
+                key = v * n + u
                 ok = 0 <= v < u < n
             if not ok or key in index:
                 raise _edge_error(n, pair, index)
@@ -64,7 +66,10 @@ class Graph:
 
     def edge_between(self, u, v):
         """Edge id joining u and v, or None if they are not adjacent."""
-        return self._index.get((u, v) if u < v else (v, u))
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            return None
+        return self._index.get(u * n + v if u < v else v * n + u)
 
     def regularity(self):
         """The common degree k if the graph is k-regular, else None."""
@@ -85,7 +90,7 @@ def _edge_error(n, pair, index):
         return GraphError(f"edge {pair!r} has an endpoint outside 0..{n - 1}")
     if u == v:
         return GraphError(f"self-loop at vertex {u} is not allowed")
-    key = (u, v) if u < v else (v, u)
+    key = u * n + v if u < v else v * n + u
     return GraphError(f"duplicate edge {pair!r} (already present as edge {index[key]})")
 
 

@@ -85,10 +85,12 @@ class LiftedGraph:
     ``representative_tables``.
     ``hops[u]`` holds, for each edge e = (u, v) in adjacency order, the pair
     (v << s, rule[e]): (u, f) is adjacent to ``base | (f ^ rule)`` for each
-    ``(base, rule)`` in it.  ``edge_rule`` maps ``u * n + v`` to rule[e] for
-    each base edge e = (u, v), in both orientations (2m keys): the one
-    lookup per edge with which ``voltage.lift_automorphism`` reads the rule
-    of an edge's image.  ``label_steps`` is derived on first use and kept.
+    ``(base, rule)`` in it.  ``edge_ids`` maps ``u * n + v`` to e for each
+    base edge e = (u, v), in both orientations (2m keys): the one lookup per
+    hop with which ``walks.analyze`` projects a lifted edge, and per edge
+    with which ``voltage.lift_automorphism`` finds an edge's image.
+    ``label_steps`` and ``hops_by_id``, ``hops`` with each row ordered by
+    neighbour id, are derived on first use and kept.
     """
 
     td: object
@@ -98,7 +100,7 @@ class LiftedGraph:
     mask: int = field(init=False)
     rule: tuple = field(init=False, repr=False)
     hops: tuple = field(init=False, repr=False)
-    edge_rule: dict = field(init=False, repr=False)
+    edge_ids: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         base = self.base = self.td.graph
@@ -113,7 +115,7 @@ class LiftedGraph:
         self.rule = rule
         self.hops = tuple(tuple((v << s, rule[eid]) for v, eid in nbrs) for nbrs in base.adj)
         n = base.n
-        self.edge_rule = {u * n + v: rule[eid] for u, nbrs in enumerate(base.adj) for v, eid in nbrs}
+        self.edge_ids = {u * n + v: eid for u, nbrs in enumerate(base.adj) for v, eid in nbrs}
 
     @property
     def num_vertices(self):
@@ -150,6 +152,13 @@ class LiftedGraph:
         masks = _flip_masks(self.s)
         steps = [[(1 << i, masks[i]) for i in range(self.s) if (rule >> i) & 1] for rule in self.rule]
         return masks, steps
+
+    @cached_property
+    def hops_by_id(self):
+        """``hops`` with each row sorted: the base is simple, so the
+        neighbours of a vertex lie in distinct fibers and come out in
+        increasing id, whatever the label."""
+        return tuple(tuple(sorted(row)) for row in self.hops)
 
 
 def build_lift(td, max_vertices=DEFAULT_MAX_VERTICES, fault=None):

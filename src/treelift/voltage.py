@@ -33,14 +33,15 @@ search (``_transversals``) checks that on each coset representative it
 keeps: every element is a product of representatives, and products of
 automorphisms are automorphisms.  ``lifted_group`` lifts every element
 of ``base_automorphisms`` down the tree, one at a time, reading
-rule[alpha(e)] for each edge e = (u, v) as ``LiftedGraph.edge_rule[alpha(u)
-* n + alpha(v)]``, and ``GroupOrbits.images`` is the one place an element
-acts on a pair of lifted vertices.  It applies the elements that can take
-an end of the pair to its orbit's source all at once, each in its own lane
-of one int: the lanes are the w-bit items of one ``array`` (w the smallest
-of 8, 16, 32 and 64 that holds an encoded vertex), whose bytes are read as
-one int in the host's byte order.  XOR acts byte by byte, so it never mixes
-two lanes, and the same ``array`` reads them back out (see ``GroupOrbits``).
+rule[alpha(e)] for each edge e = (u, v) as ``rule[edge_ids[alpha(u) * n +
+alpha(v)]]`` (``LiftedGraph.edge_ids``), and ``GroupOrbits.images`` is the
+one place an element acts on a pair of lifted vertices.  It applies the
+elements that can take an end of the pair to its orbit's source all at
+once, each in its own lane of one int: the lanes are the w-bit items of one
+``array`` (w the smallest of 8, 16, 32 and 64 that holds an encoded
+vertex), whose bytes are read as one int in the host's byte order.  XOR
+acts byte by byte, so it never mixes two lanes, and the same ``array``
+reads them back out (see ``GroupOrbits``).
 
 The verdict sweep may reduce by these automorphisms only when
 ``symmetry_applies``: the lift's rule is the tree rule.  Every lifted edge
@@ -213,20 +214,21 @@ def _products(identity, transversals):
 def lift_automorphism(lg, alpha, order):
     """The lift of the base automorphism ``alpha``, with p(root) = 0;
     ``order`` lists the base vertices with each parent in the tree before
-    its children.  The rule of each edge's image is one ``lg.edge_rule``
+    its children.  The id of each edge's image is one ``lg.edge_ids``
     lookup."""
     g = lg.base
     n = g.n
-    rule = lg.edge_rule
+    rule = lg.rule
+    ids = lg.edge_ids
     parent = lg.td.parent
     pot = [0] * n
     for v in order[1:]:
         above = parent[v][0]
-        pot[v] = pot[above] ^ rule[alpha[above] * n + alpha[v]]
+        pot[v] = pot[above] ^ rule[ids[alpha[above] * n + alpha[v]]]
     cols = []
     for c in lg.td.cotree:
         a, b = g.edges[c]
-        cols.append(rule[alpha[a] * n + alpha[b]] ^ pot[a] ^ pot[b])
+        cols.append(rule[ids[alpha[a] * n + alpha[b]]] ^ pot[a] ^ pot[b])
     return LiftedAutomorphism(tuple(alpha), tuple(cols), tuple(pot))
 
 

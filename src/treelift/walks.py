@@ -27,11 +27,15 @@ pass over the induced edges and one over the induced vertices.
 Canonical paths form a tree per source.  In the frame of a source (u, 0),
 the canonical predecessor of a vertex is its smallest-id neighbour one level
 closer, so the predecessors are the parent pointers of a shortest-path tree
-rooted at (u, 0), and the canonical path to any vertex is its tree path.  A
-sweep that visits the pairs of one source in a run keeps those pointers in
-one dict (``pred`` of ``shortest_lifted_path``): each vertex's predecessor
-is found once per source, and rebuilding a path mostly follows pointers
-already found.  The dict holds only the vertices that paths visit.
+rooted at (u, 0), and the canonical path to any vertex is its tree path.
+The base is simple, so a vertex's neighbours lie over distinct base
+vertices, and their ids ``base << s | label`` order them as their bases do:
+the predecessor is the first neighbour one level closer in
+``LiftedGraph.hops_by_id``, and no hop past it is read.  A sweep that visits
+the pairs of one source in a run keeps those pointers in one dict (``pred``
+of ``shortest_lifted_path``): each vertex's predecessor is found once per
+source, and rebuilding a path mostly follows pointers already found.  The
+dict holds only the vertices that paths visit.
 
 An automorphism phi(u, f) = (alpha(u), A.f ^ p(u)) of the lift (see
 ``voltage``) maps a shortest path to a shortest path whose projection is
@@ -106,8 +110,9 @@ def shortest_lifted_path(lg, x, y, tables, pred=None):
 
     The pair is translated so the source sits at label 0 (that frame is where
     the distance tables live) and the path is rebuilt backwards, choosing at
-    each hop the predecessor with the smallest encoded id and translating it
-    back as it is appended.  One deterministic shortest path per translation
+    each hop the predecessor with the smallest encoded id (the first
+    neighbour one level closer in ``lg.hops_by_id``) and translating it back
+    as it is appended.  One deterministic shortest path per translation
     orbit; the sweeps analyse one pair per orbit of the lifted group, whose
     automorphisms carry that path to a shortest path of every pair in the
     orbit.  ``tables`` are the rows of ``lift.representative_tables``.
@@ -128,20 +133,18 @@ def shortest_lifted_path(lg, x, y, tables, pred=None):
     dist = tables[x >> s]
     if pred is None:
         pred = {}
-    hops = lg.hops
-    above = lg.num_vertices  # larger than every vertex id
+    hops = lg.hops_by_id
     path = [y]
     for _ in range(dist[cur]):
         step = pred.get(cur)
         if step is None:
             target = dist[cur] - 1
             h = cur & mask
-            step = above
             for base, rule in hops[cur >> s]:
-                w = base | (h ^ rule)
-                if w < step and dist[w] == target:
-                    step = w
-            if step == above:
+                step = base | (h ^ rule)
+                if dist[step] == target:
+                    break
+            else:
                 raise PathRebuildError(
                     f"vertex {cur ^ f} has no neighbour one level closer to {x}: "
                     f"the distance row of base vertex {x >> s} is inconsistent"
@@ -162,16 +165,18 @@ def analyze(lg, path):
     """Reconstruct the induced subgraph, multiplicities, bridge structure and
     all counters for one path."""
     g = lg.base
+    n = g.n
     s = lg.s
     mask = lg.mask
     rule = lg.rule
-    index = g._index
+    edge_ids = lg.edge_ids
     mult = {}
     a = path[0]
     u = a >> s
     for b in islice(path, 1, None):
         v = b >> s
-        eid = index.get((u, v) if u < v else (v, u))
+        # with v a base vertex, u * n + v is a key exactly when u is one too
+        eid = edge_ids.get(u * n + v) if 0 <= v < n else None
         if eid is None or (a ^ b) & mask != rule[eid]:
             raise GraphError(f"({a}, {b}) is not an edge of the lift")
         mult[eid] = mult.get(eid, 0) + 1
@@ -195,12 +200,16 @@ def analyze(lg, path):
             once += 1
         elif c == 2:
             chains[le] = [le]
-    joins = [a for a in induced.adj if len(a) == 2 and a[0][1] in bridges and a[1][1] in bridges]
-    for (_, e1), (_, e2) in joins:
-        if e1 in chains and e2 in chains:
-            merged = chains[e1] + chains[e2]
-            for le in merged:
-                chains[le] = merged
+    joins = 0
+    for nbrs in induced.adj:
+        if len(nbrs) == 2:
+            (_, e1), (_, e2) = nbrs
+            if e1 in bridges and e2 in bridges:
+                joins += 1
+                if e1 in chains and e2 in chains:
+                    merged = chains[e1] + chains[e2]
+                    for le in merged:
+                        chains[le] = merged
 
     return WalkAnalysis(
         x=path[0],
@@ -213,7 +222,7 @@ def analyze(lg, path):
         induced_edges=induced_edges,
         bridge_info=bd,
         components=sum(1 for c in bd.component_edge_counts.values() if c),
-        bridge_paths=len(bridges) - len(joins),
+        bridge_paths=len(bridges) - joins,
         bridges_once=once,
         component_edges=len(induced_edges) - len(bridges),
         bridges_twice=len(chains),

@@ -42,6 +42,9 @@ through ``GroupOrbits.canonical``.  ``lift_walk`` lifts a base walk one
 edge at a time by the tree rule.
 ``row`` reads an embedding row off the base rows and the label columns,
 without the table's half tables.
+``reference_shortest_lifted_path`` is ``walks.shortest_lifted_path`` as it
+was before it took the first match in ``lg.hops_by_id``: it reads every hop
+of a vertex in edge order and keeps the smallest id one level closer.
 ``division_flip_masks``, ``list_cut_sides`` and ``breadth_first_fold`` are
 the distance tables' helpers as they were before the tables ran in bounded
 memory: the flip masks by big-int division, all m whole-lift cut sides in
@@ -55,6 +58,7 @@ import random
 from treelift.graph import GraphError, bfs_distances
 from treelift.lift import _whole_lift, bfs_lifted, diameter_witness, representative_tables
 from treelift.voltage import AUT_SEARCH_BUDGET, GroupOrbits, LiftedAutomorphism, identity_lift
+from treelift.walks import PathRebuildError
 
 
 def linear(values, mask):
@@ -246,6 +250,49 @@ def lift_walk(td, walk, start):
         f ^= td.rule[eid]
         out.append((u, f))
     return out
+
+
+def reference_shortest_lifted_path(lg, x, y, tables, pred=None):
+    """The canonical shortest path from x to y, each predecessor the
+    smallest id over all hops one level closer; the same errors, with the
+    same texts, as ``walks.shortest_lifted_path``."""
+    if x == y:
+        return [x]
+    s = lg.s
+    mask = lg.mask
+    f = x & mask
+    x0 = x ^ f
+    cur = y ^ f
+    dist = tables[x >> s]
+    if pred is None:
+        pred = {}
+    above = lg.num_vertices  # larger than every vertex id
+    path = [y]
+    for _ in range(dist[cur]):
+        step = pred.get(cur)
+        if step is None:
+            target = dist[cur] - 1
+            h = cur & mask
+            step = above
+            for base, rule in lg.hops[cur >> s]:
+                w = base | (h ^ rule)
+                if w < step and dist[w] == target:
+                    step = w
+            if step == above:
+                raise PathRebuildError(
+                    f"vertex {cur ^ f} has no neighbour one level closer to {x}: "
+                    f"the distance row of base vertex {x >> s} is inconsistent"
+                )
+            pred[cur] = step
+        path.append(step ^ f)
+        cur = step
+    if cur != x0:
+        raise PathRebuildError(
+            f"the path from {x} to {y} reaches {cur ^ f}, not {x}, at distance 0: "
+            f"the distance row of base vertex {x >> s} or the predecessors are inconsistent"
+        )
+    path.reverse()
+    return path
 
 
 def project_vertex(lg, x):

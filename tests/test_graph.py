@@ -196,12 +196,37 @@ def test_build_rejects_self_loop_and_out_of_range():
         (3, [(0, 1), (1, 1)], "self-loop at vertex 1 is not allowed"),
         (3, [(0, 1), (1, 1), (1, 0)], "self-loop at vertex 1 is not allowed"),
         (-1, [], "vertex count must be non-negative, got -1"),
+        # the int keys min * n + max: an endpoint out of range must not alias an edge
+        (3, [(1, 2), (0, 5)], "edge (0, 5) has an endpoint outside 0..2"),
+        (3, [(0, 2), (-1, 5)], "edge (-1, 5) has an endpoint outside 0..2"),
+        (5, [(0, 4), (1, 2), (3, 4), (4, 0)], "duplicate edge (4, 0) (already present as edge 0)"),
+        (5, [(4, 3), (1, 2), (3, 4)], "duplicate edge (3, 4) (already present as edge 0)"),
     ],
 )
 def test_graph_error_messages(n, pairs, message):
     with pytest.raises(GraphError) as exc:
         Graph(n, pairs)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spec", ["k4", "petersen", "heawood", "random:20:3", "cycle:5"])
+def test_edge_between_answers_both_orientations_and_none_off_the_edges(spec):
+    g = make(parse_family(spec))
+    for eid, (u, v) in enumerate(g.edges):
+        assert g.edge_between(u, v) == eid
+        assert g.edge_between(v, u) == eid
+    edges = {frozenset(e) for e in g.edges}
+    for u in range(g.n):
+        for v in range(g.n):
+            if frozenset((u, v)) not in edges:
+                assert g.edge_between(u, v) is None
+    # endpoints out of range whose min * n + max is the key u * n + v of the edge (u, v)
+    n = g.n
+    u, v = sorted(g.edges[-1])
+    for a, b in ((u - 1, v + n), (u - 2, v + 2 * n), (-1, u * n + v + n)):
+        assert min(a, b) * n + max(a, b) == u * n + v
+        assert g.edge_between(a, b) is None
+        assert g.edge_between(b, a) is None
 
 
 def test_petersen_pair_list_is_cubic():

@@ -6,7 +6,8 @@ import treelift.sweeps as sweeps
 from treelift.embedding import embed
 from treelift.families import load_named, make, FamilySpec
 from treelift.graph import Graph, GraphError, diameter, girth, spanning_tree
-from treelift.lift import build_lift, sample_pair_list
+from treelift.lift import build_lift, representative_tables, sample_pair_list
+from treelift.voltage import GroupOrbits, lifted_group
 from treelift.walks import (
     VERDICT_NAMES,
     PathRebuildError,
@@ -16,7 +17,7 @@ from treelift.walks import (
     verify_all,
 )
 
-from lift_reference import every_source_tables, iter_orbit_reps
+from lift_reference import every_source_tables, iter_orbit_reps, reference_shortest_lifted_path
 
 
 def triangle_lift():
@@ -136,6 +137,69 @@ def test_paths_through_inconsistent_rows_or_memos_raise_a_named_error():
             shortest_lifted_path(lg, 0, y, tables, pred)
 
 
+def assert_first_match_paths_equal_the_reference(lg, tables, seed):
+    """From every walked source (r, 0), to seeded targets: the first-match
+    path, fresh and through one shared memo, is the scan-all reference's."""
+    rng = random.Random(seed)
+    for r in tables.orbits.walked():
+        x = r << lg.s
+        pred, ref_pred = {}, {}
+        for _ in range(150):
+            y = rng.randrange(lg.num_vertices)
+            want = reference_shortest_lifted_path(lg, x, y, tables)
+            assert reference_shortest_lifted_path(lg, x, y, tables, ref_pred) == want
+            assert shortest_lifted_path(lg, x, y, tables) == want
+            assert shortest_lifted_path(lg, x, y, tables, pred) == want
+        assert pred == ref_pred
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec.named(name) for name in ("k4", "petersen", "heawood", "pappus", "mcgee")]
+    + [FamilySpec.random_regular(20, 3, seed=seed) for seed in range(3)],
+    ids=lambda spec: spec.describe(),
+)
+def test_first_match_paths_equal_the_scan_all_reference(spec, strategy):
+    lg = build_lift(spanning_tree(make(spec), strategy))
+    tables = representative_tables(lg, embed(lg), GroupOrbits(lifted_group(lg)))
+    assert_first_match_paths_equal_the_reference(lg, tables, 11)
+
+
+@pytest.mark.parametrize("extra", [1, 0b11, 0b101, "all ones"])
+def test_first_match_paths_equal_the_reference_on_every_connected_petersen_fault_lift(extra):
+    td = spanning_tree(load_named("petersen"))
+    extra = (1 << td.num_coords) - 1 if extra == "all ones" else extra
+    connected = 0
+    for eid in range(td.graph.m):
+        lg = build_lift(td, fault=(eid, extra))
+        try:
+            tables = representative_tables(lg, embed(lg), GroupOrbits(lifted_group(lg)))
+        except GraphError:
+            continue  # a disconnected fault lift has no tables to rebuild paths from
+        connected += 1
+        assert_first_match_paths_equal_the_reference(lg, tables, eid)
+    assert 0 < connected < td.graph.m
+
+
+def test_first_match_and_reference_refuse_a_corrupted_row_with_the_same_text():
+    lg, _, tables = petersen_lift("bfs", 0, False)
+    row = tables.rows[0]
+    y = row.index(2)
+    rows = [list(r) for r in tables.rows]
+    rows[0][y] = max(row) + 2  # no neighbour of y sits one level closer
+    errors = []
+    for rebuild in (shortest_lifted_path, reference_shortest_lifted_path):
+        with pytest.raises(PathRebuildError) as exc:
+            rebuild(lg, 0, y, rows)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert errors[0] == (
+        f"vertex {y} has no neighbour one level closer to 0: "
+        f"the distance row of base vertex 0 is inconsistent"
+    )
+
+
 @pytest.mark.parametrize("policy", ["exhaustive", "sample"])
 def test_sweep_keeps_one_memo_per_run_of_a_source(monkeypatch, policy):
     lg, table, tables = petersen_lift("bfs", 0, False)
@@ -193,6 +257,31 @@ def test_analyze_validates_path():
     lg = triangle_lift()
     with pytest.raises(GraphError):
         analyze(lg, [lg.encode(0, 0), lg.encode(0, 1)])  # not an edge
+
+
+def test_analyze_refuses_non_adjacent_bases_and_wrong_labels_by_name():
+    lg, _, _, _, _ = petersen_bundle()
+    g = lg.base
+    u = 0
+    far = next(v for v in range(g.n) if v != u and g.edge_between(u, v) is None)
+    x, y = lg.encode(u, 5), lg.encode(far, 5)
+    with pytest.raises(GraphError, match=rf"^\({x}, {y}\) is not an edge of the lift$"):
+        analyze(lg, [x, y])
+    # adjacent bases, in either orientation, but a label that breaks the edge's rule
+    v, eid = g.adj[u][0]
+    a, b = lg.encode(u, 5), lg.encode(v, 5 ^ lg.rule[eid] ^ 1)
+    for path in ([a, b], [b, a], [a, lg.neighbors(a)[1], a, b]):
+        first, second = path[-2:]
+        with pytest.raises(GraphError, match=rf"^\({first}, {second}\) is not an edge of the lift$"):
+            analyze(lg, path)
+    # a vertex off the lift, over base w + (t - u) * n, whose key u * n + v would
+    # alias t * n + w, the key of the base edge (t, w)
+    n = g.n
+    for u, t in ((0, 1), (1, 0)):
+        w, eid = g.adj[t][0]
+        x, y = lg.encode(u, 0), (w + (t - u) * n) << lg.s | lg.rule[eid]
+        with pytest.raises(GraphError, match=rf"^\({x}, {y}\) is not an edge of the lift$"):
+            analyze(lg, [x, y])
 
 
 def test_multiplicities_sum_to_path_len_everywhere():
