@@ -149,23 +149,44 @@ def random_regular(n, k, girth_min=3, seed=0, max_tries=10_000):
     parallel edge, disconnection or girth violation.  Reproducible from seed;
     raises GraphError once max_tries attempts are exhausted rather than
     returning a weaker graph.
+
+    Each attempt pairs the stubs at positions (0, 1), (2, 3), ... of one
+    shuffle.  The shuffle is ``random.shuffle``'s, with its draws made here:
+    for positions i = nk - 1 down to 1, j = ``getrandbits((i +
+    1).bit_length())``, drawn again while j > i, then swap i and j.  Positions
+    i and up are then final, so the pair at (i, i + 1), i even, is finished
+    (and (0, 1) after i = 1).  Once a finished pair is a loop or repeats one
+    finished before it, the attempt is lost: the swaps stop, but the rest of
+    its draws are still made, so every attempt starts from the RNG state a
+    whole shuffle would leave, and each seed gives the graph
+    ``random.shuffle`` gives.
     """
     _check_random_regular(n, k, girth_min)
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     ordered = [v for v in range(n) for _ in range(k)]
+    steps = [(i, (i + 1).bit_length()) for i in range(len(ordered) - 1, 0, -1)]
     for attempt in range(max_tries):
         stubs = ordered.copy()
-        rng.shuffle(stubs)
-        pairs = []
+        pairs = []  # the last pair first
         seen = set()
-        it = iter(stubs)
-        for u, v in zip(it, it):
-            key = (u, v) if u < v else (v, u)
-            if u == v or key in seen:
-                break
-            seen.add(key)
-            pairs.append(key)
-        else:
+        ok = True
+        for i, width in steps:
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            if ok:
+                stubs[i], stubs[j] = stubs[j], stubs[i]
+                if not i & 1 or i == 1:
+                    u, v = stubs[i & -2], stubs[(i & -2) + 1]
+                    key = (u, v) if u < v else (v, u)
+                    if u == v or key in seen:
+                        ok = False
+                    else:
+                        seen.add(key)
+                        pairs.append(key)
+        if ok:
+            pairs.reverse()
             g = Graph(n, pairs)
             if is_connected(g) and girth(g) >= girth_min:
                 return g

@@ -61,6 +61,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import bfs_distances
@@ -154,9 +155,13 @@ def _transversals(g):
         nonlocal tested
         v = order[i]
         pool = range(n) if via[v] < 0 else adj[image[via[v]]]
-        placed = [(dist[t][v], image[t]) for t in order[:i]]
-        tested += len(pool) * len(placed)
-        return [w for w in pool if kind[w] == kind[v] and all(d == dist[t][w] for d, t in placed)]
+        tested += len(pool) * i
+        if not i:
+            return [w for w in pool if kind[w] == kind[v]]
+        # distance rows are symmetric: d(t, v) is dist[v][t], d(image[t], w) is dist[w][image[t]]
+        want = itemgetter(*order[:i])(dist[v])
+        placed = itemgetter(*[image[t] for t in order[:i]])
+        return [w for w in pool if kind[w] == kind[v] and placed(dist[w]) == want]
 
     def extend(i, w):
         """The first automorphism agreeing with ``image`` on order[:i] and

@@ -638,11 +638,91 @@ def test_two_sided_search_equals_bfs_on_seeded_pools(spec, monkeypatch):
 
 def test_two_sided_search_finds_no_path_across_components():
     lg = petersen_fault_lift()
+    rng = random.Random(7)
     for x in (0, 1, 77, 320, 639):
         reached = scalar_bfs(lg, x)
         assert reached.count(-1) == lg.num_vertices // 2
         targets = list(range(lg.num_vertices))
         assert two_sided_distances(lg, x, targets) == reached
+        # and in a long list drawn with repeats, both halves interleaved
+        targets = [rng.randrange(lg.num_vertices) for _ in range(2_000)]
+        assert two_sided_distances(lg, x, targets) == [reached[y] for y in targets]
+
+
+def oracle_pool(lg, rng, sources, count=2_000):
+    """``sources`` pooled sources, each with the 62 or 63 uniform targets
+    (other than itself) a pool of 32 gets under ``--oracle-pairs 2000``."""
+    per_source = -(-count // max(32, count // 64))
+    pool = {}
+    for x in rng.sample(range(lg.num_vertices), sources):
+        targets = [rng.randrange(lg.num_vertices) for _ in range(per_source)]
+        pool[x] = [y for y in targets if y != x]
+    return pool
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec.named("heawood")] + [FamilySpec.random_regular(20, 3, seed=seed) for seed in range(3)],
+    ids=lambda spec: spec.describe(),
+)
+def test_two_sided_search_equals_bfs_on_default_oracle_pools(spec):
+    # k starts near 62, so the source ball grows well ahead of each target's
+    lg = build_lift(spanning_tree(make(spec)))
+    for x, targets in oracle_pool(lg, random.Random(spec.describe()), 4).items():
+        assert len(targets) >= 60
+        want = scalar_bfs(lg, x)
+        assert two_sided_distances(lg, x, targets) == [want[y] for y in targets]
+
+
+@pytest.mark.parametrize("name", ["petersen", "heawood", "random:20:3"])
+def test_a_lone_target_grows_the_smaller_frontier(name, monkeypatch):
+    # k = 1: the source ball grows exactly when its frontier is no larger
+    lg = build_lift(spanning_tree(make(parse_family(name))))
+    grow = lift_mod._grow
+    sizes = {}  # frontier length of each ball, source and target
+
+    def spy(lg, ball, frontier, level, goal=()):
+        side = "source" if ball.get(x) == 0 else "target"
+        grows_source = sizes["source"] <= sizes["target"]
+        assert grows_source == (side == "source")
+        nxt = grow(lg, ball, frontier, level, goal)
+        sizes[side] = len(nxt) if nxt is not None else 0
+        return nxt
+
+    monkeypatch.setattr(lift_mod, "_grow", spy)
+    rng = random.Random(name)
+    for x in rng.sample(range(lg.num_vertices), 6):
+        want = scalar_bfs(lg, x)
+        for y in rng.sample(range(lg.num_vertices), 6) + [want.index(max(want))]:
+            sizes.update(source=1, target=1)
+            assert two_sided_distances(lg, x, [y]) == [want[y]]
+
+
+@pytest.mark.parametrize("name", ["petersen", "heawood", "random:20:3"])
+def test_held_and_repeated_targets_grow_no_target_ball(name, monkeypatch):
+    lg = build_lift(spanning_tree(make(parse_family(name))))
+    grow = lift_mod._grow
+    target_balls = []
+
+    def spy(lg, ball, frontier, level, goal=()):
+        if ball.get(x) != 0:
+            target_balls.append(ball)
+        return grow(lg, ball, frontier, level, goal)
+
+    monkeypatch.setattr(lift_mod, "_grow", spy)
+    for x in random.Random(name).sample(range(lg.num_vertices), 6):
+        want = scalar_bfs(lg, x)
+        far = want.index(max(want))
+        # the first step of any search grows the source, so after the far
+        # target its ball holds x and every neighbour
+        held = lg.neighbors(x) + [x]
+        targets = [far] + held + held[::-1] + [x, x]
+        target_balls.clear()
+        assert two_sided_distances(lg, x, targets) == [want[y] for y in targets]
+        assert all(ball.get(far) == 0 for ball in target_balls)
+        # a repeat of an answered target is answered again, whichever ball met
+        again = [far, far] + held
+        assert two_sided_distances(lg, x, again) == [want[y] for y in again]
 
 
 # --- lifted girth from the engine vs the materialised lift ---------------------------
