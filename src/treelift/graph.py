@@ -278,73 +278,65 @@ def bridges_and_2ecc(g):
     An edge is a bridge exactly when it lies on no cycle.  Every cycle is a
     sum of fundamental cycles of a spanning forest, so the edges on some
     cycle are the non-forest edges and the forest paths between their
-    endpoints.  One BFS per connected component builds the forest, and each
-    non-forest edge marks its forest path, climbing from the deeper endpoint;
-    a forest (the common case for the induced subgraph of a shortest path)
-    needs no second pass.  O(n + m + sum of the fundamental cycle lengths).
-    Component labels are assigned in order of each component's smallest
-    vertex; counts tally non-bridge edges only.
+    endpoints.  One BFS per connected component builds the forest and
+    records each vertex's root-path mask, ``P(w) = P(v) | 1 << e`` for the
+    forest edge e from v to w, as ``spanning_tree`` does.  Every other edge
+    e = (v, w) ORs its fundamental cycle ``P(v) ^ P(w) ^ 1 << e`` into one
+    ``cyclic`` mask once, from its larger end (a forest edge read back from
+    the child adds nothing, as its mask is 0), and the bridges are the
+    edges outside it.  One DFS per component of the graph minus its
+    bridges, over the edges in the mask, labels the components in order of
+    their smallest vertex and counts their edges as it goes; a forest
+    (``cyclic`` is 0) needs no second pass.  Each mask has m bits, so on a
+    general graph this costs O((n + m) * m / w) word operations, w bits to
+    a machine word; on the induced subgraph of a short walk every mask fits
+    in one word.  Counts tally non-bridge edges only.
     """
     n = g.n
     adj = g.adj
-    edges = g.edges
-    depth = [-1] * n
-    up = [-1] * n  # forest edge into each vertex
-    cross = []  # the edges off the forest, each once
+    m = len(g.edges)
+    paths = [-1] * n  # root-path masks, -1 while unseen
+    cyclic = 0
     for root in range(n):
-        if depth[root] >= 0:
+        if paths[root] >= 0:
             continue
-        depth[root] = 0
+        paths[root] = 0
         queue = [root]  # grows while it is read
         for v in queue:
-            dv = depth[v] + 1
-            into = up[v]
+            pv = paths[v]
             for w, eid in adj[v]:
-                if depth[w] < 0:
-                    depth[w] = dv
-                    up[w] = eid
+                pw = paths[w]
+                if pw < 0:
+                    paths[w] = pv | 1 << eid
                     queue.append(w)
-                elif w < v and eid != into:
-                    cross.append(eid)
-    if not cross:
+                elif w < v:  # each edge once more, from its larger end
+                    cyclic |= pv ^ pw ^ 1 << eid
+    if not cyclic:
         return BridgeDecomposition(
-            bridge_ids=frozenset(range(len(edges))),
+            bridge_ids=frozenset(range(m)),
             component_edge_counts=dict.fromkeys(range(n), 0),
         )
 
-    cyclic = set(cross)
-    for eid in cross:
-        a, b = edges[eid]
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            e = up[a]
-            cyclic.add(e)
-            p, q = edges[e]
-            a = p if q == a else q
-
-    # components of the graph minus its bridges
-    comp = [-1] * n
-    labels = 0
+    bridges = frozenset(eid for eid in range(m) if not cyclic >> eid & 1)
+    # components of the graph minus its bridges, one DFS each
+    labelled = [False] * n
+    counts = {}
+    stack = []
     for v in range(n):
-        if comp[v] >= 0:
+        if labelled[v]:
             continue
-        comp[v] = labels
-        stack = [v]
+        labelled[v] = True
+        stack.append(v)
+        ends = 0  # each edge of the component is met from both its ends
         while stack:
-            x = stack.pop()
-            for y, eid in adj[x]:
-                if comp[y] < 0 and eid in cyclic:
-                    comp[y] = labels
-                    stack.append(y)
-        labels += 1
-    counts = dict.fromkeys(range(labels), 0)
-    for eid in cyclic:
-        counts[comp[edges[eid][0]]] += 1
-    return BridgeDecomposition(
-        bridge_ids=frozenset(range(len(edges))).difference(cyclic),
-        component_edge_counts=counts,
-    )
+            for y, eid in adj[stack.pop()]:
+                if eid not in bridges:
+                    ends += 1
+                    if not labelled[y]:
+                        labelled[y] = True
+                        stack.append(y)
+        counts[len(counts)] = ends >> 1
+    return BridgeDecomposition(bridge_ids=bridges, component_edge_counts=counts)
 
 
 # --- edge-list text interchange format -------------------------------------

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .lift import two_sided_distances
 from .walks import (
@@ -61,6 +62,8 @@ from .walks import (
 )
 
 MAX_RECORDED_FAILURES = 5
+
+_passed = attrgetter("passed")
 
 
 @dataclass(eq=False)
@@ -160,10 +163,10 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None,
             continue
         wa = analyze(lg, path)
         verdicts = verify_all(lg, wa, table, base_girth, base_diam)
-        failed = [name for name, v in verdicts.items() if not v.passed]
-        if failed:
-            for name in failed:
-                fails[name] += 1
+        if not all(map(_passed, verdicts.values())):
+            for name, v in verdicts.items():
+                if not v.passed:
+                    fails[name] += 1
             if len(failures) < MAX_RECORDED_FAILURES:
                 failures.append(forensic_text(lg, wa, verdicts))
         if collect is not None:

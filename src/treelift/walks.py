@@ -21,8 +21,17 @@ no longer than the base diameter; and the accounting identities
     d(x, y)  = bridges_once + component_edges + 2*bridges_twice
 
 together with component_edges >= components*girth and bridges_twice <=
-bridge_paths*diameter.  ``verify_all`` computes all eight verdicts in one
-pass over the induced edges and one over the induced vertices.
+bridge_paths*diameter.
+
+Both ``analyze`` and ``verify_all`` take every edge as used once, which it
+is on most shortest paths, and touch only the edges the walk repeats
+(``len(multiplicity) < path_len`` tells whether there are any).  Repeated
+bridges are taken off ``bridges_once`` and twice-used ones start the chains
+of ``segments``; the multigraph degrees are the induced subgraph's, raised
+by c - 1 at both ends of an edge used c times; the odd-multiplicity count
+and the re-lifted label lose only the edges used an even number of times.
+Only the odd-degree vertices (the degree-1 ones among them) are tested
+against the endpoints.
 
 Canonical paths form a tree per source.  In the frame of a source (u, 0),
 the canonical predecessor of a vertex is its smallest-id neighbour one level
@@ -56,8 +65,10 @@ failures for forensic replay instead of dying mid-run.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import countOf, not_
 
 from .graph import Graph, GraphError, bridges_and_2ecc
 
@@ -163,7 +174,8 @@ def shortest_lifted_path(lg, x, y, tables, pred=None):
 
 def analyze(lg, path):
     """Reconstruct the induced subgraph, multiplicities, bridge structure and
-    all counters for one path."""
+    all counters for one path: one induced ``Graph`` and one
+    ``bridges_and_2ecc`` per call."""
     g = lg.base
     n = g.n
     s = lg.s
@@ -183,6 +195,7 @@ def analyze(lg, path):
         a = b
         u = v
 
+    path_len = len(path) - 1
     induced_edges = tuple(sorted(mult))
     # the vertices of a walk with edges are the endpoints of its edges
     verts = sorted({b >> s for b in path}) if mult else []
@@ -190,43 +203,55 @@ def analyze(lg, path):
     ends = map(g.edges.__getitem__, induced_edges)
     induced = Graph(len(verts), [(local[p], local[q]) for p, q in ends])
     bd = bridges_and_2ecc(induced)
-
     bridges = bd.bridge_ids
-    once = 0
+    adj = induced.adj
+
+    once = len(bridges)
     chains = {}  # twice-used bridge -> the bridges of its twice-used path
-    for le in bridges:
-        c = mult[induced_edges[le]]
-        if c == 1:
-            once += 1
-        elif c == 2:
-            chains[le] = [le]
+    if len(mult) < path_len:
+        for be, c in mult.items():
+            if c > 1:
+                le = bisect_left(induced_edges, be)
+                if le in bridges:
+                    once -= 1
+                    if c == 2:
+                        chains[le] = [le]
+    for le in sorted(chains):
+        for w in induced.edges[le]:
+            nbrs = adj[w]
+            if len(nbrs) == 2:
+                (_, e1), (_, e2) = nbrs
+                other = e1 + e2 - le
+                # each join of two twice-used bridges once, from its smaller edge
+                if other > le and other in chains:
+                    merged = chains[le] + chains[other]
+                    for e in merged:
+                        chains[e] = merged
     joins = 0
-    for nbrs in induced.adj:
+    for nbrs in adj:
         if len(nbrs) == 2:
             (_, e1), (_, e2) = nbrs
             if e1 in bridges and e2 in bridges:
                 joins += 1
-                if e1 in chains and e2 in chains:
-                    merged = chains[e1] + chains[e2]
-                    for le in merged:
-                        chains[le] = merged
 
+    counts = bd.component_edge_counts
+    segments = {c[0]: len(c) for c in chains.values()}.values() if chains else ()
     return WalkAnalysis(
-        x=path[0],
-        y=path[-1],
-        path=tuple(path),
-        path_len=len(path) - 1,
-        multiplicity=mult,
-        induced=induced,
-        induced_vertices=tuple(verts),
-        induced_edges=induced_edges,
-        bridge_info=bd,
-        components=sum(1 for c in bd.component_edge_counts.values() if c),
-        bridge_paths=len(bridges) - joins,
-        bridges_once=once,
-        component_edges=len(induced_edges) - len(bridges),
-        bridges_twice=len(chains),
-        segments=tuple(sorted({c[0]: len(c) for c in chains.values()}.values(), reverse=True)),
+        path[0],
+        path[-1],
+        tuple(path),
+        path_len,
+        mult,
+        induced,
+        tuple(verts),
+        induced_edges,
+        bd,
+        len(counts) - countOf(counts.values(), 0),  # components
+        len(bridges) - joins,  # bridge_paths
+        once,
+        len(induced_edges) - len(bridges),  # component_edges
+        len(chains),  # bridges_twice
+        tuple(sorted(segments, reverse=True)),
     )
 
 
@@ -267,44 +292,57 @@ def verify_all(lg, wa, table, base_girth, base_diam):
     The re-lifted walk ends over the walk's last vertex, y's, and the group
     Z_2^s is abelian, so its label is x's XOR the tree rule of each edge the
     walk uses an odd number of times; the rule is ``td.rule``, from the tree
-    decomposition, not the lift's own ``rule``.
+    decomposition, not the lift's own ``rule``.  Violations are listed in
+    edge order (repetitions), vertex order (parity, endpoints) and the
+    multiplicities' first-use order (``counting``'s repeated edges).
     """
     s = lg.s
     mask = lg.mask
     px = wa.x >> s
     py = wa.y >> s
     mult = wa.multiplicity
-    bridges = wa.bridge_info.bridge_ids
     induced = wa.induced
+    verts = wa.induced_vertices
     tree_rule = lg.td.rule
 
-    repetitions = []
-    degs = [0] * induced.n
-    odd = 0
+    # every edge counts as used once, as in the induced subgraph; only the
+    # edges the walk repeats correct the degrees, the odd count and the label
+    degs = list(map(len, induced.adj))
+    odd_vertices = {i for i, d in enumerate(degs) if d & 1}  # degree-1 ones among them
+    endpoint = [
+        f"vertex {verts[i]} has degree 1 in the induced subgraph but is not an endpoint"
+        for i in sorted(odd_vertices)
+        if degs[i] == 1 and verts[i] != px and verts[i] != py
+    ]
+    odd = len(mult)
     label = wa.x & mask
-    for le, ((a, b), be) in enumerate(zip(induced.edges, wa.induced_edges)):
-        c = mult[be]
-        degs[a] += c
-        degs[b] += c
-        if c & 1:
-            odd += 1
-            label ^= tree_rule[be]
-        if c >= 2:
+    for be in mult:
+        label ^= tree_rule[be]
+    repetitions = []
+    repeated = ()
+    if len(mult) < wa.path_len:
+        repeated = [e for e, c in mult.items() if c != 1]
+        bridges = wa.bridge_info.bridge_ids
+        induced_edges = wa.induced_edges
+        for be in sorted(repeated):
+            c = mult[be]
+            le = bisect_left(induced_edges, be)
+            a, b = induced.edges[le]
+            degs[a] += c - 1
+            degs[b] += c - 1
+            if not c & 1:
+                odd -= 1
+                label ^= tree_rule[be]
+                odd_vertices ^= {a, b}
             if le not in bridges:
                 repetitions.append(f"non-bridge edge {be} used {c} times")
             if c > 2:
                 repetitions.append(f"edge {be} used {c} times")
-
-    euler = []
-    endpoint = []
-    for v, deg, nbrs in zip(wa.induced_vertices, degs, induced.adj):
-        if v != px and v != py:
-            if deg & 1:
-                euler.append(f"vertex {v} has odd multigraph degree {deg}")
-            if len(nbrs) == 1:
-                endpoint.append(
-                    f"vertex {v} has degree 1 in the induced subgraph but is not an endpoint"
-                )
+    euler = [
+        f"vertex {verts[i]} has odd multigraph degree {degs[i]}"
+        for i in sorted(odd_vertices)
+        if verts[i] != px and verts[i] != py
+    ]
 
     l1 = table.l1(wa.x, wa.y)
     components = wa.components
@@ -313,7 +351,6 @@ def verify_all(lg, wa, table, base_girth, base_diam):
     if wa.bridge_paths > limit:
         counting.append(f"bridge_paths={wa.bridge_paths} exceeds 2*components+1={limit}")
     if components == 0:
-        repeated = [e for e, c in mult.items() if c != 1]
         if repeated:
             counting.append(f"no components but edges {repeated} are not singly used")
         if wa.path_len != l1:
@@ -336,44 +373,38 @@ def verify_all(lg, wa, table, base_girth, base_diam):
             f"path_len={wa.path_len} != "
             f"bridges_once+component_edges+2*bridges_twice={once_inside + 2 * wa.bridges_twice}"
         )
+    girth = []
     if components > 0:
+        counts = wa.bridge_info.component_edge_counts.values()
         if base_girth == math.inf:
             accounting.append(
                 "induced subgraph has a 2-edge-connected component but the base is a forest"
             )
-        elif wa.component_edges < components * base_girth:
-            accounting.append(
-                f"component_edges={wa.component_edges} < "
-                f"components*girth={components * base_girth}"
-            )
+            girth = [f"component with {c} edges in the lift of a forest" for c in counts if c]
+        else:
+            if wa.component_edges < components * base_girth:
+                accounting.append(
+                    f"component_edges={wa.component_edges} < "
+                    f"components*girth={components * base_girth}"
+                )
+            girth = [
+                f"component with only {c} edges (< girth {base_girth})"
+                for c in counts
+                if c and c < base_girth
+            ]
     if wa.bridges_twice > wa.bridge_paths * base_diam:
         accounting.append(
             f"bridges_twice={wa.bridges_twice} > "
             f"bridge_paths*diam={wa.bridge_paths * base_diam}"
         )
 
-    counts = wa.bridge_info.component_edge_counts.values()
-    if base_girth == math.inf:
-        girth = [f"component with {c} edges in the lift of a forest" for c in counts if c]
-    else:
-        girth = [
-            f"component with only {c} edges (< girth {base_girth})"
-            for c in counts
-            if c and c < base_girth
-        ]
-
     want = wa.y & mask
     relift = []
     if label != want:
         relift.append(f"re-lifted walk ends at {(py, label)}, expected {(py, want)}")
 
-    return {
-        name: Verdict(name, not bad, bad)
-        for name, bad in zip(
-            VERDICT_NAMES,
-            (euler, repetitions, counting, segments, accounting, endpoint, girth, relift),
-        )
-    }
+    bad = (euler, repetitions, counting, segments, accounting, endpoint, girth, relift)
+    return dict(zip(VERDICT_NAMES, map(Verdict, VERDICT_NAMES, map(not_, bad), bad)))
 
 
 def forensic_text(lg, wa, verdicts):

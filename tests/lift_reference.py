@@ -51,14 +51,24 @@ memory: the flip masks by big-int division, all m whole-lift cut sides in
 one list, and the fold that split the lanes by distance a plane at a time,
 holding one set per distance.  ``lift._flip_masks``, ``lift._cut_sides`` and
 ``lift._fold`` are checked against them.
+``climbing_bridges_and_2ecc`` is ``graph.bridges_and_2ecc`` as it was before
+it read the cyclic edges off root-path masks: one BFS forest with depths and
+parent edges, each non-forest edge marking its forest path by climbing from
+the deeper end into a set.  ``every_edge_analyze`` and
+``every_edge_verify_all`` are ``walks.analyze`` and ``walks.verify_all`` as
+they were before they touched only the edges a walk repeats: the first
+tallies every bridge and scans every degree-2 vertex, the second makes one
+pass over the induced edges and one over the induced vertices.
 """
 
+import math
 import random
+from itertools import islice
 
-from treelift.graph import GraphError, bfs_distances
+from treelift.graph import BridgeDecomposition, Graph, GraphError, bfs_distances
 from treelift.lift import _whole_lift, bfs_lifted, diameter_witness, representative_tables
 from treelift.voltage import AUT_SEARCH_BUDGET, GroupOrbits, LiftedAutomorphism, identity_lift
-from treelift.walks import PathRebuildError
+from treelift.walks import VERDICT_NAMES, PathRebuildError, Verdict, WalkAnalysis
 
 
 def linear(values, mask):
@@ -559,3 +569,246 @@ def tuple_sample_pair_list(lg, tables, count, seed):
         edges[key] = [min(first, pair), covered + (1 << s)]
     orbits.update(edges)
     return [(*key, covered) for key, (_, covered) in sorted(orbits.items(), key=lambda kv: kv[1][0])]
+
+
+def climbing_bridges_and_2ecc(g):
+    """Bridges and the non-bridge edge count of each 2-edge-connected
+    component, labelled in order of smallest vertex: the non-forest edges of
+    a BFS forest plus the forest paths they close, found by climbing."""
+    n = g.n
+    adj = g.adj
+    edges = g.edges
+    depth = [-1] * n
+    up = [-1] * n  # forest edge into each vertex
+    cross = []  # the edges off the forest, each once
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]  # grows while it is read
+        for v in queue:
+            dv = depth[v] + 1
+            into = up[v]
+            for w, eid in adj[v]:
+                if depth[w] < 0:
+                    depth[w] = dv
+                    up[w] = eid
+                    queue.append(w)
+                elif w < v and eid != into:
+                    cross.append(eid)
+    if not cross:
+        return BridgeDecomposition(
+            bridge_ids=frozenset(range(len(edges))),
+            component_edge_counts=dict.fromkeys(range(n), 0),
+        )
+
+    cyclic = set(cross)
+    for eid in cross:
+        a, b = edges[eid]
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            e = up[a]
+            cyclic.add(e)
+            p, q = edges[e]
+            a = p if q == a else q
+
+    comp = [-1] * n
+    labels = 0
+    for v in range(n):
+        if comp[v] >= 0:
+            continue
+        comp[v] = labels
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for y, eid in adj[x]:
+                if comp[y] < 0 and eid in cyclic:
+                    comp[y] = labels
+                    stack.append(y)
+        labels += 1
+    counts = dict.fromkeys(range(labels), 0)
+    for eid in cyclic:
+        counts[comp[edges[eid][0]]] += 1
+    return BridgeDecomposition(
+        bridge_ids=frozenset(range(len(edges))).difference(cyclic),
+        component_edge_counts=counts,
+    )
+
+
+def every_edge_analyze(lg, path):
+    """``walks.analyze`` with every bridge tallied by its use count and every
+    degree-2 vertex tested for a join."""
+    g = lg.base
+    n = g.n
+    s = lg.s
+    mask = lg.mask
+    rule = lg.rule
+    edge_ids = lg.edge_ids
+    mult = {}
+    a = path[0]
+    u = a >> s
+    for b in islice(path, 1, None):
+        v = b >> s
+        eid = edge_ids.get(u * n + v) if 0 <= v < n else None
+        if eid is None or (a ^ b) & mask != rule[eid]:
+            raise GraphError(f"({a}, {b}) is not an edge of the lift")
+        mult[eid] = mult.get(eid, 0) + 1
+        a = b
+        u = v
+
+    induced_edges = tuple(sorted(mult))
+    verts = sorted({b >> s for b in path}) if mult else []
+    local = {v: i for i, v in enumerate(verts)}
+    ends = map(g.edges.__getitem__, induced_edges)
+    induced = Graph(len(verts), [(local[p], local[q]) for p, q in ends])
+    bd = climbing_bridges_and_2ecc(induced)
+
+    bridges = bd.bridge_ids
+    once = 0
+    chains = {}  # twice-used bridge -> the bridges of its twice-used path
+    for le in bridges:
+        c = mult[induced_edges[le]]
+        if c == 1:
+            once += 1
+        elif c == 2:
+            chains[le] = [le]
+    joins = 0
+    for nbrs in induced.adj:
+        if len(nbrs) == 2:
+            (_, e1), (_, e2) = nbrs
+            if e1 in bridges and e2 in bridges:
+                joins += 1
+                if e1 in chains and e2 in chains:
+                    merged = chains[e1] + chains[e2]
+                    for le in merged:
+                        chains[le] = merged
+
+    return WalkAnalysis(
+        x=path[0],
+        y=path[-1],
+        path=tuple(path),
+        path_len=len(path) - 1,
+        multiplicity=mult,
+        induced=induced,
+        induced_vertices=tuple(verts),
+        induced_edges=induced_edges,
+        bridge_info=bd,
+        components=sum(1 for c in bd.component_edge_counts.values() if c),
+        bridge_paths=len(bridges) - joins,
+        bridges_once=once,
+        component_edges=len(induced_edges) - len(bridges),
+        bridges_twice=len(chains),
+        segments=tuple(sorted({c[0]: len(c) for c in chains.values()}.values(), reverse=True)),
+    )
+
+
+def every_edge_verify_all(lg, wa, table, base_girth, base_diam):
+    """``walks.verify_all`` in one pass over the induced edges (degrees, odd
+    count, re-lifted label, repetitions) and one over the induced vertices
+    (parity, endpoints)."""
+    s = lg.s
+    mask = lg.mask
+    px = wa.x >> s
+    py = wa.y >> s
+    mult = wa.multiplicity
+    bridges = wa.bridge_info.bridge_ids
+    induced = wa.induced
+    tree_rule = lg.td.rule
+
+    repetitions = []
+    degs = [0] * induced.n
+    odd = 0
+    label = wa.x & mask
+    for le, ((a, b), be) in enumerate(zip(induced.edges, wa.induced_edges)):
+        c = mult[be]
+        degs[a] += c
+        degs[b] += c
+        if c & 1:
+            odd += 1
+            label ^= tree_rule[be]
+        if c >= 2:
+            if le not in bridges:
+                repetitions.append(f"non-bridge edge {be} used {c} times")
+            if c > 2:
+                repetitions.append(f"edge {be} used {c} times")
+
+    euler = []
+    endpoint = []
+    for v, deg, nbrs in zip(wa.induced_vertices, degs, induced.adj):
+        if v != px and v != py:
+            if deg & 1:
+                euler.append(f"vertex {v} has odd multigraph degree {deg}")
+            if len(nbrs) == 1:
+                endpoint.append(
+                    f"vertex {v} has degree 1 in the induced subgraph but is not an endpoint"
+                )
+
+    l1 = table.l1(wa.x, wa.y)
+    components = wa.components
+    counting = []
+    limit = 2 * components + 1
+    if wa.bridge_paths > limit:
+        counting.append(f"bridge_paths={wa.bridge_paths} exceeds 2*components+1={limit}")
+    if components == 0:
+        repeated = [e for e, c in mult.items() if c != 1]
+        if repeated:
+            counting.append(f"no components but edges {repeated} are not singly used")
+        if wa.path_len != l1:
+            counting.append(f"no components but path_len={wa.path_len} != l1 distance {l1}")
+
+    segments = [
+        f"twice-used segment of length {length} exceeds diam {base_diam}"
+        for length in wa.segments
+        if length > base_diam
+    ]
+
+    accounting = []
+    once_inside = wa.bridges_once + wa.component_edges
+    if l1 != once_inside:
+        accounting.append(f"l1={l1} != bridges_once+component_edges={once_inside}")
+    if l1 != odd:
+        accounting.append(f"l1={l1} != odd-multiplicity edge count {odd}")
+    if wa.path_len != once_inside + 2 * wa.bridges_twice:
+        accounting.append(
+            f"path_len={wa.path_len} != "
+            f"bridges_once+component_edges+2*bridges_twice={once_inside + 2 * wa.bridges_twice}"
+        )
+    if components > 0:
+        if base_girth == math.inf:
+            accounting.append(
+                "induced subgraph has a 2-edge-connected component but the base is a forest"
+            )
+        elif wa.component_edges < components * base_girth:
+            accounting.append(
+                f"component_edges={wa.component_edges} < "
+                f"components*girth={components * base_girth}"
+            )
+    if wa.bridges_twice > wa.bridge_paths * base_diam:
+        accounting.append(
+            f"bridges_twice={wa.bridges_twice} > "
+            f"bridge_paths*diam={wa.bridge_paths * base_diam}"
+        )
+
+    counts = wa.bridge_info.component_edge_counts.values()
+    if base_girth == math.inf:
+        girth = [f"component with {c} edges in the lift of a forest" for c in counts if c]
+    else:
+        girth = [
+            f"component with only {c} edges (< girth {base_girth})"
+            for c in counts
+            if c and c < base_girth
+        ]
+
+    want = wa.y & mask
+    relift = []
+    if label != want:
+        relift.append(f"re-lifted walk ends at {(py, label)}, expected {(py, want)}")
+
+    return {
+        name: Verdict(name, not bad, bad)
+        for name, bad in zip(
+            VERDICT_NAMES,
+            (euler, repetitions, counting, segments, accounting, endpoint, girth, relift),
+        )
+    }

@@ -17,6 +17,8 @@ from treelift.graph import (
     spanning_tree,
 )
 
+from lift_reference import climbing_bridges_and_2ecc
+
 # --- independent oracles -----------------------------------------------------
 
 
@@ -603,6 +605,59 @@ def test_bridges_labels_and_counts_on_sparse_graphs(seed):
         if eid not in bridges:
             counts[want[u]] += 1
     assert list(bd.component_edge_counts.items()) == list(counts.items())
+
+
+
+def shaped_graph(rng):
+    """A seeded simple graph of at most 40 vertices: a forest, a cycle with
+    chords and pendant trees, or a disjoint union of such parts, with its
+    vertices relabelled, its edges shuffled and each edge's ends in random
+    order."""
+
+    def part(k):
+        shape = rng.choice(("forest", "cycle"))
+        pairs = set()
+        if shape == "cycle" and k >= 3:
+            ring = rng.randrange(3, k + 1)
+            pairs.update((i, (i + 1) % ring) for i in range(ring))
+            for _ in range(rng.randrange(0, ring)):
+                a, b = rng.sample(range(ring), 2)
+                pairs.add((a, b))
+            start = ring
+        else:
+            start = 1
+        for v in range(start, k):
+            if rng.random() < 0.9:  # else v starts a new tree
+                pairs.add((rng.randrange(v), v))
+        return {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+
+    n = 0
+    pairs = []
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        k = rng.randrange(1, 41 - n) if n < 40 else 0
+        pairs += [(a + n, b + n) for a, b in part(k)]
+        n += k
+    names = list(range(n))
+    rng.shuffle(names)
+    rng.shuffle(pairs)
+    return Graph(n, [(names[a], names[b]) if rng.random() < 0.5 else (names[b], names[a]) for a, b in pairs])
+
+
+def test_root_path_mask_bridges_equal_the_climbing_form_on_shaped_graphs():
+    rng = random.Random(36)
+    shapes = set()
+    for _ in range(500):
+        g = shaped_graph(rng)
+        got = bridges_and_2ecc(g)
+        want = climbing_bridges_and_2ecc(g)
+        assert got.bridge_ids == want.bridge_ids, g.edges
+        assert list(got.component_edge_counts.items()) == list(
+            want.component_edge_counts.items()
+        ), g.edges
+        components = sum(1 for c in want.component_edge_counts.values() if c)
+        shapes.add(("forest", "one component")[components] if components < 2 else "several")
+        shapes.add("disconnected" if g.n and not is_connected(g) else "connected")
+    assert shapes == {"forest", "one component", "several", "disconnected", "connected"}
 
 
 # --- edge-list format ----------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 import treelift.sweeps as sweeps
 from treelift.embedding import embed
-from treelift.families import load_named, make, FamilySpec
+from treelift.families import load_named, make, parse_family, FamilySpec
 from treelift.graph import Graph, GraphError, diameter, girth, spanning_tree
 from treelift.lift import build_lift, representative_tables, sample_pair_list
 from treelift.voltage import GroupOrbits, lifted_group
@@ -289,6 +289,26 @@ def test_multiplicities_sum_to_path_len_everywhere():
     for x, y, _ in iter_orbit_reps(lg):
         wa = analyze(lg, shortest_lifted_path(lg, x, y, tables))
         assert sum(wa.multiplicity.values()) == wa.path_len
+
+
+def test_a_component_of_exactly_girth_edges_fails_both_girth_checks_at_girth_plus_one():
+    # every test input passes its true base girth, and a real component has at
+    # least girth edges; at girth + 1, a component of exactly girth edges is
+    # one edge short, so a check weakened by one edge would let it pass
+    g = make(parse_family("cycle:5"))
+    lg = build_lift(spanning_tree(g))
+    table = embed(lg)
+    tables = representative_tables(lg, table, GroupOrbits(lifted_group(lg)))
+    x, y = lg.encode(0, 0), lg.encode(0, 1)  # antipodal on the 10-cycle
+    path = shortest_lifted_path(lg, x, y, tables)
+    assert path == [0, 8, 6, 5, 3, 1]
+    wa = analyze(lg, path)
+    assert (wa.components, wa.component_edges) == (1, 5) == (1, girth(g))
+    verdicts = verify_all(lg, wa, table, girth(g) + 1, diameter(g))
+    assert verdicts["component_girth"].violations == ["component with only 5 edges (< girth 6)"]
+    assert verdicts["accounting"].violations == ["component_edges=5 < components*girth=6"]
+    assert [name for name, v in verdicts.items() if not v.passed] == ["accounting", "component_girth"]
+    assert all(verify_all(lg, wa, table, girth(g), diameter(g)).values())
 
 
 # --- individual verdicts ------------------------------------------------------------

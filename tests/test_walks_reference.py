@@ -10,8 +10,14 @@ The inputs are seeded random lifted walks that are not shortest paths, so
 the counters and verdicts are exercised well outside what a sweep produces:
 backtracks, bridges used three or more times, repeated non-bridges, closed
 walks, and walks over a lift with a broken matching.
+
+``every_edge_analyze`` and ``every_edge_verify_all`` (``lift_reference``) are
+the two functions as they were before they touched only the edges a walk
+repeats; on the canonical paths of the sweeps' own streams every field,
+verdict and violation text must be theirs, on fault lifts too.
 """
 
+import dataclasses
 import math
 import random
 
@@ -19,14 +25,23 @@ import pytest
 
 import treelift.walks as walks
 from treelift.embedding import embed
-from treelift.families import load_named
-from treelift.graph import Graph, bridges_and_2ecc, spanning_tree
-from treelift.lift import build_lift
+from treelift.families import FamilySpec, load_named, make
+from treelift.graph import Graph, GraphError, bridges_and_2ecc, diameter, girth, spanning_tree
+from treelift.lift import build_lift, representative_tables, sample_pair_list
 from treelift.report import CSV_HEADER, csv_collector, sweep_block, to_json_bytes
-from treelift.sweeps import verdict_sweep
-from treelift.walks import VERDICT_NAMES, WalkAnalysis, analyze, verify_all
+from treelift.sweeps import group_orbit_reps, verdict_sweep
+from treelift.voltage import GroupOrbits, lifted_group
+from treelift.walks import VERDICT_NAMES, WalkAnalysis, analyze, shortest_lifted_path, verify_all
 
-from lift_reference import every_source_tables, iter_orbit_reps, lift_walk, project_edge, project_vertex
+from lift_reference import (
+    every_edge_analyze,
+    every_edge_verify_all,
+    every_source_tables,
+    iter_orbit_reps,
+    lift_walk,
+    project_edge,
+    project_vertex,
+)
 
 
 def reference_analyze(lg, path):
@@ -335,3 +350,94 @@ def test_analyze_builds_one_graph_and_one_bridge_decomposition_per_orbit(monkeyp
     assert calls == {"Graph": len(family), "bridges_and_2ecc": len(family)}
     assert got == want
     assert got_csv == want_csv
+
+
+# --- repeat-only analysis against the every-edge form ------------------------
+
+
+def assert_matches_every_edge_form(lg, table, tables, stream, base_girth, base_diam):
+    """Every ``WalkAnalysis`` field and every verdict (name, pass flag and
+    violation texts, in order) of each canonical path of ``stream`` equal
+    ``every_edge_analyze`` and ``every_edge_verify_all``; returns how many
+    analyses failed a verdict."""
+    failing = 0
+    source = pred = None
+    for x, y, _ in stream:
+        if x != source:
+            source, pred = x, {}
+        path = shortest_lifted_path(lg, x, y, tables, pred)
+        got = analyze(lg, path)
+        want = every_edge_analyze(lg, path)
+        for f in dataclasses.fields(WalkAnalysis):
+            if f.name not in ("induced", "bridge_info"):
+                assert getattr(got, f.name) == getattr(want, f.name), (f.name, path)
+        assert list(got.multiplicity.items()) == list(want.multiplicity.items()), path
+        assert (got.induced.n, got.induced.edges, got.induced.adj) == (
+            want.induced.n,
+            want.induced.edges,
+            want.induced.adj,
+        )
+        assert got.bridge_info.bridge_ids == want.bridge_info.bridge_ids, path
+        assert list(got.bridge_info.component_edge_counts.items()) == list(
+            want.bridge_info.component_edge_counts.items()
+        ), path
+        verdicts = verify_all(lg, got, table, base_girth, base_diam)
+        reference = every_edge_verify_all(lg, want, table, base_girth, base_diam)
+        assert [(n, v.passed, v.violations) for n, v in verdicts.items()] == [
+            (n, v.passed, v.violations) for n, v in reference.items()
+        ], path
+        failing += not all(v.passed for v in verdicts.values())
+    return failing
+
+
+def sweep_inputs(g, strategy="bfs"):
+    lg = build_lift(spanning_tree(g, strategy))
+    table = embed(lg)
+    orbits = GroupOrbits(lifted_group(lg))
+    return lg, table, representative_tables(lg, table, orbits), orbits
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", ["k4", "petersen", "heawood", "pappus"])
+def test_repeat_only_analysis_equals_the_every_edge_form_on_every_orbit(name, strategy):
+    g = load_named(name)
+    lg, table, tables, orbits = sweep_inputs(g, strategy)
+    stream = group_orbit_reps(lg, orbits)
+    assert assert_matches_every_edge_form(lg, table, tables, stream, girth(g), diameter(g)) == 0
+
+
+@pytest.mark.parametrize("extra", [1, 0b11, 0b101, "all ones"])
+def test_repeat_only_analysis_equals_the_every_edge_form_on_every_connected_petersen_fault_lift(
+    extra,
+):
+    g = load_named("petersen")
+    td = spanning_tree(g)
+    extra = (1 << td.num_coords) - 1 if extra == "all ones" else extra
+    connected = failing = 0
+    for eid in range(g.m):
+        lg = build_lift(td, fault=(eid, extra))
+        table = embed(lg)
+        orbits = GroupOrbits(lifted_group(lg))
+        try:
+            tables = representative_tables(lg, table, orbits)
+        except GraphError:
+            continue  # a disconnected fault lift has no tables to rebuild paths from
+        connected += 1
+        # a seeded family of 300 pairs: every translation orbit would be 3,200
+        stream = sample_pair_list(lg, tables, 300, eid)
+        failing += assert_matches_every_edge_form(lg, table, tables, stream, 5, 2)
+    assert 0 < connected < g.m
+    assert failing  # the broken matching fails verdicts, so their texts are compared too
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [(FamilySpec.named("mcgee"), 2000)]
+    + [(FamilySpec.random_regular(20, 3, girth_min=5, seed=seed), 1500) for seed in range(3)],
+    ids=lambda v: v.describe() if isinstance(v, FamilySpec) else str(v),
+)
+def test_repeat_only_analysis_equals_the_every_edge_form_on_sampled_streams(spec, count):
+    g = make(spec)
+    lg, table, tables, _ = sweep_inputs(g)
+    stream = sample_pair_list(lg, tables, count, 1)
+    assert assert_matches_every_edge_form(lg, table, tables, stream, girth(g), diameter(g)) == 0
