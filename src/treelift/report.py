@@ -292,7 +292,7 @@ def csv_collector(lg, emit):
             wa.component_edges,
             wa.bridges_twice,
             max(wa.segments) if wa.segments else 0,
-            *(("pass" if verdicts[k].passed else "fail") for k in VERDICT_NAMES),
+            *(("fail" if verdicts[k] else "pass") for k in VERDICT_NAMES),
         )
         emit(",".join(map(str, row)) + "\n")
 

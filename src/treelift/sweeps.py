@@ -48,12 +48,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .lift import two_sided_distances
 from .walks import (
     PathRebuildError,
-    Verdict,
     analyze,
     forensic_text,
     shortest_lifted_path,
@@ -63,7 +61,20 @@ from .walks import (
 
 MAX_RECORDED_FAILURES = 5
 
-_passed = attrgetter("passed")
+
+@dataclass(eq=False, slots=True)
+class Verdict:
+    """One whole-lift check: the violations it found (at most
+    MAX_RECORDED_FAILURES) and how many items it certified.  It passes
+    exactly when it lists no violation."""
+
+    name: str
+    violations: list
+    checked: int
+
+    @property
+    def passed(self):
+        return not self.violations
 
 
 @dataclass(eq=False)
@@ -124,8 +135,10 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None,
     canonical translation representative, x = (u, 0) with u a walked source,
     and counts ``covered`` pairs.  ``collect``, if given, is called with (x,
     y, covered, distance (the canonical path's length), l1, analysis,
-    verdicts) for every entry, in stream order; the CSV export hangs off
-    this hook.  With ``exhaustive`` set the stream must cover every pair of
+    verdicts) for every entry, in stream order, where ``verdicts`` is
+    ``verify_all``'s dict from each verdict name to its list of violation
+    texts, empty when the verdict passes; the CSV export hangs off this
+    hook.  With ``exhaustive`` set the stream must cover every pair of
     the lift exactly once, so the sweep fails unless the ``covered`` sum is
     nn(nn - 1) / 2: a group that is not the lift's would miscount its
     orbits.
@@ -163,9 +176,9 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None,
             continue
         wa = analyze(lg, path)
         verdicts = verify_all(lg, wa, table, base_girth, base_diam)
-        if not all(map(_passed, verdicts.values())):
+        if any(verdicts.values()):
             for name, v in verdicts.items():
-                if not v.passed:
+                if v:
                     fails[name] += 1
             if len(failures) < MAX_RECORDED_FAILURES:
                 failures.append(forensic_text(lg, wa, verdicts))
@@ -205,7 +218,7 @@ def cut_partition_check(lg, table):
             )
             if len(bad) >= MAX_RECORDED_FAILURES:
                 break
-    return Verdict(name="cut_partition", passed=not bad, violations=bad, checked=lg.num_edges)
+    return Verdict("cut_partition", bad, lg.num_edges)
 
 
 def degree_preservation_check(lg):
@@ -229,9 +242,7 @@ def degree_preservation_check(lg):
             bad.append(f"lifted vertex {u << s} has degree {got}, base degree is {want}")
             if len(bad) >= MAX_RECORDED_FAILURES:
                 break
-    return Verdict(
-        name="degree_preservation", passed=not bad, violations=bad, checked=lg.num_vertices
-    )
+    return Verdict("degree_preservation", bad, lg.num_vertices)
 
 
 def oracle_equivalence_checks(lg, table, tables, count, seed):
@@ -284,9 +295,7 @@ def oracle_equivalence_checks(lg, table, tables, count, seed):
                 bad_l1.append(f"pair ({x}, {y}): l1={l1} but {odd} odd-multiplicity edges")
         if len(bad_l1) >= MAX_RECORDED_FAILURES:
             break
-    l1_verdict = Verdict(
-        name="oracle_l1_odd_multiplicity", passed=not bad_l1, violations=bad_l1, checked=len(pairs)
-    )
+    l1_verdict = Verdict("oracle_l1_odd_multiplicity", bad_l1, len(pairs))
 
     bad_dist = []
     answers = (
@@ -302,7 +311,5 @@ def oracle_equivalence_checks(lg, table, tables, count, seed):
             bad_dist.append(f"pair ({x}, {y}): table distance {got}, direct BFS {want}")
             if len(bad_dist) >= MAX_RECORDED_FAILURES:
                 break
-    dist_verdict = Verdict(
-        name="oracle_distance_table", passed=not bad_dist, violations=bad_dist, checked=len(pairs)
-    )
+    dist_verdict = Verdict("oracle_distance_table", bad_dist, len(pairs))
     return l1_verdict, dist_verdict

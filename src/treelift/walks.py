@@ -59,16 +59,18 @@ each join merges two paths, and bridge_paths = bridges - joins.  Only the
 lengths of the twice-used bridge paths need the paths themselves.
 
 Verdicts are data, never asserts: a sweep must be able to aggregate and dump
-failures for forensic replay instead of dying mid-run.
+failures for forensic replay instead of dying mid-run.  ``verify_all``
+returns each verdict as its list of violation texts, keyed by name, and a
+verdict passes exactly when its list is empty.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from operator import countOf, not_
+from operator import countOf
 
 from .graph import Graph, GraphError, bridges_and_2ecc
 
@@ -76,17 +78,6 @@ from .graph import Graph, GraphError, bridges_and_2ecc
 class PathRebuildError(RuntimeError):
     """A distance row, or a predecessor dict, that does not lead back to the
     source: no shortest path can be rebuilt through it."""
-
-
-@dataclass(eq=False, slots=True)
-class Verdict:
-    name: str
-    passed: bool
-    violations: list = field(default_factory=list)
-    checked: int = 0
-
-    def __bool__(self):
-        return self.passed
 
 
 @dataclass(eq=False, slots=True)
@@ -268,7 +259,9 @@ VERDICT_NAMES = (
 
 
 def verify_all(lg, wa, table, base_girth, base_diam):
-    """All verdicts for one analysis, keyed by name in ``VERDICT_NAMES`` order.
+    """All verdicts for one analysis: a dict from each name in
+    ``VERDICT_NAMES``, in that order, to its list of violation texts.  A
+    verdict passes exactly when its list is empty.
 
     euler_parity      -- in the multiplicity multigraph every degree is even
                          except possibly at the projected endpoints;
@@ -404,7 +397,7 @@ def verify_all(lg, wa, table, base_girth, base_diam):
         relift.append(f"re-lifted walk ends at {(py, label)}, expected {(py, want)}")
 
     bad = (euler, repetitions, counting, segments, accounting, endpoint, girth, relift)
-    return dict(zip(VERDICT_NAMES, map(Verdict, VERDICT_NAMES, map(not_, bad), bad)))
+    return dict(zip(VERDICT_NAMES, bad))
 
 
 def forensic_text(lg, wa, verdicts):
@@ -426,7 +419,7 @@ def forensic_text(lg, wa, verdicts):
         f"bridges_twice={wa.bridges_twice} segments={list(wa.segments)}",
         "verdicts: "
         + "; ".join(
-            f"{name} {'PASS' if v.passed else 'FAIL ' + '; '.join(v.violations)}"
+            f"{name} {'FAIL ' + '; '.join(v) if v else 'PASS'}"
             for name, v in verdicts.items()
         ),
     ]

@@ -1,26 +1,28 @@
 """Frozen regression constants for the named instances.
 
-The constants live in ``data/expectations.json`` and are measured, never
-hand-written: ``python -m treelift.expectations`` reruns the pipeline and
-rewrites the file in place.  Every constant is read off the report of
-``report.run_analysis``: Petersen under the default pair policy and Heawood
-under the seeded ``sample:HEAWOOD_SAMPLE_COUNT`` sweep, so the constants
-come through the same lifted group, tables and sweep as every report.  The
-test suite compares fresh runs against the frozen values, so any drift in
-lift girth or measured distortion is caught as a regression rather than
-silently absorbed.  Distortion is exact at every size; only the Heawood
-sweep's covered pair count is sampled.
+The constants live in ``src/treelift/data/expectations.json`` and are
+measured, never hand-written: ``PYTHONPATH=src python tests/expectations.py``
+reruns the pipeline and rewrites the file in place.  Every constant is read
+off the report of ``report.run_analysis``: Petersen under the default pair
+policy and Heawood under the seeded ``sample:HEAWOOD_SAMPLE_COUNT`` sweep,
+so the constants come through the same lifted group, tables and sweep as
+every report.  The test suite compares fresh runs against the frozen
+values, so any drift in lift girth or measured distortion is caught as a
+regression rather than silently absorbed.  Distortion is exact at every
+size; only the Heawood sweep's covered pair count is sampled.
 """
 
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
-from .families import load_named
-from .graph import spanning_tree
-from .report import run_analysis
+from treelift.families import load_named
+from treelift.graph import spanning_tree
+from treelift.report import run_analysis
+
+#: the frozen constants, beside the named graphs they were measured on
+PATH = Path(__file__).resolve().parents[1] / "src" / "treelift" / "data" / "expectations.json"
 
 #: the sampled sweep policy the Heawood pair count is frozen under
 HEAWOOD_SAMPLE_COUNT = 100_000
@@ -28,8 +30,7 @@ HEAWOOD_SEED = 7
 
 
 def load():
-    text = resources.files("treelift.data").joinpath("expectations.json").read_text("utf-8")
-    return json.loads(text)
+    return json.loads(PATH.read_text("utf-8"))
 
 
 def compute():
@@ -37,7 +38,7 @@ def compute():
     out = {
         "_meta": {
             "note": "DERIVED regression constants measured by the bootstrap run; never edit by hand",
-            "regenerate": "python -m treelift.expectations",
+            "regenerate": "PYTHONPATH=src python tests/expectations.py",
             "tree_strategy": "bfs",
             "tree_root": 0,
         }
@@ -64,11 +65,9 @@ def compute():
 
 
 def main():
-    data_dir = Path(__file__).resolve().parent / "data"
-    target = data_dir / "expectations.json"
     payload = compute()
-    target.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {target}")
+    PATH.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {PATH}")
     for name in ("petersen", "heawood"):
         print(f"{name}: {payload[name]}")
 

@@ -68,7 +68,7 @@ from itertools import islice
 from treelift.graph import BridgeDecomposition, Graph, GraphError, bfs_distances
 from treelift.lift import _whole_lift, bfs_lifted, diameter_witness, representative_tables
 from treelift.voltage import AUT_SEARCH_BUDGET, GroupOrbits, LiftedAutomorphism, identity_lift
-from treelift.walks import VERDICT_NAMES, PathRebuildError, Verdict, WalkAnalysis
+from treelift.walks import VERDICT_NAMES, PathRebuildError, WalkAnalysis
 
 
 def linear(values, mask):
@@ -805,10 +805,5 @@ def every_edge_verify_all(lg, wa, table, base_girth, base_diam):
     if label != want:
         relift.append(f"re-lifted walk ends at {(py, label)}, expected {(py, want)}")
 
-    return {
-        name: Verdict(name, not bad, bad)
-        for name, bad in zip(
-            VERDICT_NAMES,
-            (euler, repetitions, counting, segments, accounting, endpoint, girth, relift),
-        )
-    }
+    bad = (euler, repetitions, counting, segments, accounting, endpoint, girth, relift)
+    return dict(zip(VERDICT_NAMES, bad))

@@ -10,7 +10,6 @@ import pytest
 
 from treelift.cli import main as cli_main
 from treelift.embedding import distortion, embed, distortion_bound
-from treelift.expectations import HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED, load as load_expectations
 from treelift.families import FamilySpec, load_named, make, random_regular
 from treelift.graph import diameter, girth, spanning_tree
 from treelift.lift import build_lift, lifted_girth, sample_pair_list
@@ -23,6 +22,7 @@ from treelift.sweeps import (
 )
 from treelift.voltage import GroupOrbits, lifted_group
 
+from expectations import HEAWOOD_SAMPLE_COUNT, HEAWOOD_SEED, load as load_expectations
 from lift_reference import every_source_tables, row
 
 

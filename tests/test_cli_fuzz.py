@@ -4,9 +4,12 @@ About 200 edge lists and option mixes go through ``cli.main`` as ``gen``,
 ``analyze`` and ``lift`` commands: well-formed graphs, tiny and dense ones,
 disconnected ones, self-loops, duplicate edges, endpoints out of range, bad
 headers and bad lines, with trees, roots, pair policies, seeds, formats and
-outputs drawn alongside.  Every lift is capped at 4,096 vertices.  Each run
-must end in a verdict (0 or 1) or a refusal (2), never in an internal error
-(3).
+outputs drawn alongside.  About 60 more option mixes go through ``verify``:
+small named, cycle and complete instances and bad instance strings, random
+specs good and bad with few tries and girth floors of 3 to 6, every pair
+policy, oracle pair counts, the fault injection and both trees.  Every lift
+is capped at 4,096 vertices.  Each run must end in a verdict (0 or 1) or a
+refusal (2), never in an internal error (3).
 """
 
 import random
@@ -103,6 +106,45 @@ def gen_argv(rng, out):
     return argv + ["--max-tries", str(rng.choice((1, 5, 30)))]
 
 
+def verify_argv(rng, out):
+    good = ("k4", "petersen", *(f"cycle:{n}" for n in range(3, 10)), "complete:4", "complete:5")
+    bad = ("nonsense", "cycle:2", "complete:x", "petersen:3", "mcgee", "random:8:3:1", "")
+    picks = rng.sample(good, rng.randrange(1, 3))
+    if rng.random() < 0.15:
+        picks.insert(rng.randrange(len(picks) + 1), rng.choice(bad))
+    argv = ["verify", "--instances", ",".join(picks), "--max-vertices", CAP]
+    if rng.random() < 0.15:
+        spec = rng.choice(("random:x:3", "random:8", "cycle:5", "random:7:3", "random:-4:3", "random:6:9"))
+    elif rng.random() < 0.6:
+        spec = f"random:{rng.choice((4, 6, 8, 10))}:3"
+    else:
+        spec = f"random:{rng.choice((5, 6, 7))}:4"
+    argv += ["--random-spec", spec, "--random-count", str(rng.choice((0, 0, 1, 2)))]
+    argv += ["--girth-min", str(rng.randrange(3, 7)), "--max-tries", str(rng.choice((1, 3, 10)))]
+    if rng.random() < 0.15:
+        policy = rng.choice(("sample:0", "sample:x", "some"))
+    else:
+        policy = rng.choice(("auto", "auto", "exhaustive", "sample:1", "sample:40", "sample:300"))
+    argv += ["--pairs", policy, "--oracle-pairs", str(rng.randrange(301)), "--seed", str(rng.randrange(50))]
+    if rng.random() < 0.5:
+        argv += ["--tree", rng.choice(("bfs", "dfs"))]
+    if rng.random() < 0.15:
+        argv.append("--fault-inject")
+    if rng.random() < 0.5:
+        argv += ["-o", out]
+    return argv
+
+
+def exit_status(capsys, argv, *context):
+    """``cli.main``'s exit status on ``argv``, which must be a verdict or a
+    refusal; ``context`` is shown if it is not."""
+    status = main(argv)
+    err = capsys.readouterr().err
+    assert status in (0, 1, 2) and status != EXIT_INTERNAL, (*context, argv, err)
+    assert "Traceback" not in err, (*context, argv, err)
+    return status
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_no_input_or_option_mix_ends_in_an_internal_error(tmp_path, capsys, seed):
     rng = random.Random(3600 + seed)
@@ -119,9 +161,12 @@ def test_no_input_or_option_mix_ends_in_an_internal_error(tmp_path, capsys, seed
             argv = lift_argv(rng, str(path), n, out)
         else:
             argv = gen_argv(rng, out)
-        status = main(argv)
-        err = capsys.readouterr().err
-        assert status in (0, 1, 2) and status != EXIT_INTERNAL, (shape, argv, text, err)
-        assert "Traceback" not in err, (shape, argv, text, err)
-        statuses.add(status)
+        statuses.add(exit_status(capsys, argv, shape, text))
+    assert statuses >= {0, 2}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_no_verify_option_mix_ends_in_an_internal_error(tmp_path, capsys, seed):
+    rng = random.Random(3700 + seed)
+    statuses = {exit_status(capsys, verify_argv(rng, str(tmp_path / f"v{case}.json"))) for case in range(20)}
     assert statuses >= {0, 2}

@@ -3,19 +3,20 @@
 Each case builds a report with no file paths in it, so its bytes depend only
 on the code.  A digest that moves means a report changed: on purpose only
 together with a schema bump and a new digest.  The regression constants in
-``data/expectations.json`` are frozen the same way: a fresh measurement must
-equal the file.
+``src/treelift/data/expectations.json`` (``expectations.py``) are frozen the
+same way: a fresh measurement must equal the file.
 """
 
 import hashlib
 
 import pytest
 
-from treelift import expectations
 from treelift.families import FamilySpec, make
 from treelift.graph import spanning_tree
 from treelift.lift import build_lift, lift_edge_list_text, lift_mapping_text
 from treelift.report import CSV_HEADER, run_analysis, run_verify_instance, to_json_bytes
+
+import expectations
 
 
 def named(name):
