@@ -163,6 +163,14 @@ def cmd_gen(args):
 
 
 def cmd_lift(args):
+    # one file for both would collide with its temporary name or lose the mapping
+    if args.mapping:
+        try:  # a link to the file included
+            same = os.path.samefile(args.output, args.mapping)
+        except OSError:  # either is missing
+            same = os.path.realpath(args.output) == os.path.realpath(args.mapping)
+        if same:
+            raise GraphError(f"-o and --mapping name the same file {args.mapping!r}")
     td = spanning_tree(load_edge_list(args.input), args.tree, args.root)
     lg = build_lift(td, max_vertices=args.max_vertices)
     # both outputs are opened before either is written, so a mapping that
@@ -329,7 +337,9 @@ def build_parser():
     p = sub.add_parser("lift", help="materialize the lift of an edge-list file")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--mapping", help="sidecar file: lifted_id base_vertex label_bits")
+    p.add_argument(
+        "--mapping", help="sidecar file: lifted_id base_vertex label_bits; not -o's file, nor /dev/null twice"
+    )
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--max-vertices", type=positive_int, default=cap)

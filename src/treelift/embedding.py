@@ -143,14 +143,11 @@ def distortion(lg, table, tables):
     bit-sliced fold in ``representative_tables``.  Every pair is covered
     through the translation orbit of some ((u, 0), y) with y > (u, 0), so the
     counts are arithmetic.  The rows are injective by construction (see the
-    module docstring), so no pair has l1 0.
+    module docstring), so no pair has l1 0.  A lip other than 1 (6 on the
+    fault lift) is returned, not raised: the cut partition is broken.
     """
     nn = lg.num_vertices
     lip = Fraction(max(flip.bit_count() for flip in table.edge_flips))
-    if lip != 1:
-        raise RuntimeError(
-            f"embedding is not 1-Lipschitz (measured lip = {lip}); the cut partition is broken"
-        )
     (d, h), (x, y) = tables.colip, tables.colip_witness
     n = lg.base.n
     colip = Fraction(d, h)

@@ -132,13 +132,13 @@ class TreeDecomposition:
 class BridgeDecomposition:
     """Bridges and 2-edge-connected components of a graph.
 
-    ``component_edge_counts`` maps the label of each 2-edge-connected
-    component (components are numbered in order of their smallest vertex)
-    to its count of non-bridge edges (0 for trivial components).
+    ``component_edge_counts`` holds the edge count of each 2-edge-connected
+    component that has edges, in order of its smallest vertex; a forest
+    gives ().
     """
 
     bridge_ids: frozenset
-    component_edge_counts: dict
+    component_edge_counts: tuple
 
 
 def bfs_distances(g, source):
@@ -273,7 +273,7 @@ def spanning_tree(g, strategy="bfs", root=0):
 
 
 def bridges_and_2ecc(g):
-    """Bridges plus the non-bridge edge count of each 2-edge-connected component.
+    """Bridges plus the edge count of each 2-edge-connected component with edges.
 
     An edge is a bridge exactly when it lies on no cycle.  Every cycle is a
     sum of fundamental cycles of a spanning forest, so the edges on some
@@ -285,12 +285,12 @@ def bridges_and_2ecc(g):
     ``cyclic`` mask once, from its larger end (a forest edge read back from
     the child adds nothing, as its mask is 0), and the bridges are the
     edges outside it.  One DFS per component of the graph minus its
-    bridges, over the edges in the mask, labels the components in order of
-    their smallest vertex and counts their edges as it goes; a forest
-    (``cyclic`` is 0) needs no second pass.  Each mask has m bits, so on a
-    general graph this costs O((n + m) * m / w) word operations, w bits to
-    a machine word; on the induced subgraph of a short walk every mask fits
-    in one word.  Counts tally non-bridge edges only.
+    bridges, over the edges in the mask, counts the edges of each component
+    in order of its smallest vertex, keeping the counts that are not 0; a
+    forest (``cyclic`` is 0) needs no second pass.  Each mask has m bits, so
+    on a general graph this costs O((n + m) * m / w) word operations, w bits
+    to a machine word; on the induced subgraph of a short walk every mask
+    fits in one word.  Counts tally non-bridge edges only.
     """
     n = g.n
     adj = g.adj
@@ -312,15 +312,12 @@ def bridges_and_2ecc(g):
                 elif w < v:  # each edge once more, from its larger end
                     cyclic |= pv ^ pw ^ 1 << eid
     if not cyclic:
-        return BridgeDecomposition(
-            bridge_ids=frozenset(range(m)),
-            component_edge_counts=dict.fromkeys(range(n), 0),
-        )
+        return BridgeDecomposition(bridge_ids=frozenset(range(m)), component_edge_counts=())
 
     bridges = frozenset(eid for eid in range(m) if not cyclic >> eid & 1)
     # components of the graph minus its bridges, one DFS each
     labelled = [False] * n
-    counts = {}
+    counts = []
     stack = []
     for v in range(n):
         if labelled[v]:
@@ -335,8 +332,9 @@ def bridges_and_2ecc(g):
                     if not labelled[y]:
                         labelled[y] = True
                         stack.append(y)
-        counts[len(counts)] = ends >> 1
-    return BridgeDecomposition(bridge_ids=bridges, component_edge_counts=counts)
+        if ends:
+            counts.append(ends >> 1)
+    return BridgeDecomposition(bridge_ids=bridges, component_edge_counts=tuple(counts))
 
 
 # --- edge-list text interchange format -------------------------------------

@@ -41,7 +41,9 @@ The embedding is affine in the label, so that XOR is the same for all 2^s
 lifted edges over e: one comparison per base edge certifies the cut property,
 the disjoint-cut partition property and the unit Lipschitz step for the whole
 lift.  Degrees are likewise checked once per fiber and carried to every label
-by translation.
+by translation.  Each check returns its violation texts, at most
+MAX_RECORDED_FAILURES of them, and passes exactly when that list is empty;
+``report.run_verify_instance`` adds what each certified.
 """
 
 from __future__ import annotations
@@ -62,28 +64,19 @@ from .walks import (
 MAX_RECORDED_FAILURES = 5
 
 
-@dataclass(eq=False, slots=True)
-class Verdict:
-    """One whole-lift check: the violations it found (at most
-    MAX_RECORDED_FAILURES) and how many items it certified.  It passes
-    exactly when it lists no violation."""
-
-    name: str
-    violations: list
-    checked: int
-
-    @property
-    def passed(self):
-        return not self.violations
-
-
 @dataclass(eq=False)
 class SweepResult:
+    """The tallies of one verdict sweep.  Every failure event is recorded while
+    ``failures`` is below its cap, so the first lands and ``all_pass`` is exact."""
+
     pairs_covered: int
     analyses: int
-    verdict_totals: dict  # verdict name -> [pass, fail], counted per analysis
+    fails: dict  # verdict name -> the number of analyses it failed
     failures: list  # forensic dumps, capped at MAX_RECORDED_FAILURES
-    all_pass: bool
+
+    @property
+    def all_pass(self):
+        return not self.failures
 
 
 def group_orbit_reps(lg, orbits):
@@ -145,8 +138,8 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None,
 
     An entry whose canonical path cannot be rebuilt through the distance
     rows (``PathRebuildError``) has no analysis: it counts as failed under
-    every verdict, is recorded in ``failures`` and skips ``collect``, and the
-    sweep goes on.
+    every verdict in ``fails``, is recorded in ``failures`` and skips
+    ``collect``, and the sweep goes on.
 
     The predecessors of one source's canonical-path tree are kept in one
     dict while its run of entries lasts.  Exhaustive entries come by source,
@@ -186,16 +179,9 @@ def verdict_sweep(lg, table, tables, base_girth, base_diam, pairs, collect=None,
             collect(x, y, cov, wa.path_len, l1(x, y), wa, verdicts)
 
     every = lg.num_vertices * (lg.num_vertices - 1) // 2
-    miscounted = exhaustive and covered != every
-    if miscounted and len(failures) < MAX_RECORDED_FAILURES:
+    if exhaustive and covered != every and len(failures) < MAX_RECORDED_FAILURES:
         failures.append(f"the exhaustive stream covers {covered} pairs, not all {every}")
-    return SweepResult(
-        pairs_covered=covered,
-        analyses=analyses,
-        verdict_totals={name: [analyses - fail, fail] for name, fail in fails.items()},
-        failures=failures,
-        all_pass=not any(fails.values()) and not miscounted,
-    )
+    return SweepResult(covered, analyses, fails, failures)
 
 
 def cut_partition_check(lg, table):
@@ -218,7 +204,7 @@ def cut_partition_check(lg, table):
             )
             if len(bad) >= MAX_RECORDED_FAILURES:
                 break
-    return Verdict("cut_partition", bad, lg.num_edges)
+    return bad
 
 
 def degree_preservation_check(lg):
@@ -242,7 +228,7 @@ def degree_preservation_check(lg):
             bad.append(f"lifted vertex {u << s} has degree {got}, base degree is {want}")
             if len(bad) >= MAX_RECORDED_FAILURES:
                 break
-    return Verdict("degree_preservation", bad, lg.num_vertices)
+    return bad
 
 
 def oracle_equivalence_checks(lg, table, tables, count, seed):
@@ -255,6 +241,7 @@ def oracle_equivalence_checks(lg, table, tables, count, seed):
         direct search on the lift's adjacency from both endpoints
         (``two_sided_distances``), which reads no group, table or bitset.
 
+    Returns the violation texts of (a), then of (b), ``count`` pairs each.
     Pairs are drawn as (source from a seeded pool of max(32, count // 64)
     vertices, uniform target); each pooled source runs one search, whose
     ball around the source all its targets share, while every pair stays
@@ -295,7 +282,6 @@ def oracle_equivalence_checks(lg, table, tables, count, seed):
                 bad_l1.append(f"pair ({x}, {y}): l1={l1} but {odd} odd-multiplicity edges")
         if len(bad_l1) >= MAX_RECORDED_FAILURES:
             break
-    l1_verdict = Verdict("oracle_l1_odd_multiplicity", bad_l1, len(pairs))
 
     bad_dist = []
     answers = (
@@ -311,5 +297,4 @@ def oracle_equivalence_checks(lg, table, tables, count, seed):
             bad_dist.append(f"pair ({x}, {y}): table distance {got}, direct BFS {want}")
             if len(bad_dist) >= MAX_RECORDED_FAILURES:
                 break
-    dist_verdict = Verdict("oracle_distance_table", bad_dist, len(pairs))
-    return l1_verdict, dist_verdict
+    return bad_l1, bad_dist

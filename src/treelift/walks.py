@@ -52,6 +52,9 @@ alpha's image of this one, so the induced subgraphs are isomorphic and every
 counter is the same.  That is why the sweeps analyse one canonical path
 per orbit of the lifted group, not per translation orbit.
 
+``bridges_and_2ecc`` counts the edges of only the components that have
+edges, so ``components`` is the length of that tuple.
+
 Bridge paths are counted without building them.  A join is a degree-2 vertex
 whose two edges are both bridges, and it glues them into one path.  Bridges
 lie on no cycle, so they form a forest and no chain of joins closes a loop:
@@ -61,7 +64,8 @@ lengths of the twice-used bridge paths need the paths themselves.
 Verdicts are data, never asserts: a sweep must be able to aggregate and dump
 failures for forensic replay instead of dying mid-run.  ``verify_all``
 returns each verdict as its list of violation texts, keyed by name, and a
-verdict passes exactly when its list is empty.
+verdict passes exactly when its list is empty, as do the whole-lift checks
+of ``sweeps``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from operator import countOf
 
 from .graph import Graph, GraphError, bridges_and_2ecc
 
@@ -225,7 +228,6 @@ def analyze(lg, path):
             if e1 in bridges and e2 in bridges:
                 joins += 1
 
-    counts = bd.component_edge_counts
     segments = {c[0]: len(c) for c in chains.values()}.values() if chains else ()
     return WalkAnalysis(
         path[0],
@@ -237,7 +239,7 @@ def analyze(lg, path):
         tuple(verts),
         induced_edges,
         bd,
-        len(counts) - countOf(counts.values(), 0),  # components
+        len(bd.component_edge_counts),  # components
         len(bridges) - joins,  # bridge_paths
         once,
         len(induced_edges) - len(bridges),  # component_edges
@@ -368,12 +370,12 @@ def verify_all(lg, wa, table, base_girth, base_diam):
         )
     girth = []
     if components > 0:
-        counts = wa.bridge_info.component_edge_counts.values()
+        counts = wa.bridge_info.component_edge_counts
         if base_girth == math.inf:
             accounting.append(
                 "induced subgraph has a 2-edge-connected component but the base is a forest"
             )
-            girth = [f"component with {c} edges in the lift of a forest" for c in counts if c]
+            girth = [f"component with {c} edges in the lift of a forest" for c in counts]
         else:
             if wa.component_edges < components * base_girth:
                 accounting.append(
@@ -383,7 +385,7 @@ def verify_all(lg, wa, table, base_girth, base_diam):
             girth = [
                 f"component with only {c} edges (< girth {base_girth})"
                 for c in counts
-                if c and c < base_girth
+                if c < base_girth
             ]
     if wa.bridges_twice > wa.bridge_paths * base_diam:
         accounting.append(

@@ -572,9 +572,9 @@ def tuple_sample_pair_list(lg, tables, count, seed):
 
 
 def climbing_bridges_and_2ecc(g):
-    """Bridges and the non-bridge edge count of each 2-edge-connected
-    component, labelled in order of smallest vertex: the non-forest edges of
-    a BFS forest plus the forest paths they close, found by climbing."""
+    """Bridges and the edge count of each 2-edge-connected component with
+    edges, in order of smallest vertex: the non-forest edges of a BFS forest
+    plus the forest paths they close, found by climbing."""
     n = g.n
     adj = g.adj
     edges = g.edges
@@ -597,10 +597,7 @@ def climbing_bridges_and_2ecc(g):
                 elif w < v and eid != into:
                     cross.append(eid)
     if not cross:
-        return BridgeDecomposition(
-            bridge_ids=frozenset(range(len(edges))),
-            component_edge_counts=dict.fromkeys(range(n), 0),
-        )
+        return BridgeDecomposition(bridge_ids=frozenset(range(len(edges))), component_edge_counts=())
 
     cyclic = set(cross)
     for eid in cross:
@@ -632,7 +629,7 @@ def climbing_bridges_and_2ecc(g):
         counts[comp[edges[eid][0]]] += 1
     return BridgeDecomposition(
         bridge_ids=frozenset(range(len(edges))).difference(cyclic),
-        component_edge_counts=counts,
+        component_edge_counts=tuple(c for c in counts.values() if c),
     )
 
 
@@ -694,7 +691,7 @@ def every_edge_analyze(lg, path):
         induced_vertices=tuple(verts),
         induced_edges=induced_edges,
         bridge_info=bd,
-        components=sum(1 for c in bd.component_edge_counts.values() if c),
+        components=len(bd.component_edge_counts),
         bridge_paths=len(bridges) - joins,
         bridges_once=once,
         component_edges=len(induced_edges) - len(bridges),
@@ -790,14 +787,14 @@ def every_edge_verify_all(lg, wa, table, base_girth, base_diam):
             f"bridge_paths*diam={wa.bridge_paths * base_diam}"
         )
 
-    counts = wa.bridge_info.component_edge_counts.values()
+    counts = wa.bridge_info.component_edge_counts
     if base_girth == math.inf:
-        girth = [f"component with {c} edges in the lift of a forest" for c in counts if c]
+        girth = [f"component with {c} edges in the lift of a forest" for c in counts]
     else:
         girth = [
             f"component with only {c} edges (< girth {base_girth})"
             for c in counts
-            if c and c < base_girth
+            if c < base_girth
         ]
 
     want = wa.y & mask

@@ -7,7 +7,8 @@ once it is applied.  There is at least one mutant per verdict of
 ``walks.VERDICT_NAMES``, and more for the counters, the whole-lift checks,
 both oracle halves, the engine's rows, girth and colip witness, the
 embedding's label columns, the exhaustive stream's pair count, the sweep's
-tally and the CSV column.
+tally and pass flag, the CSV column, the report's Lipschitz error branch and
+the whole-lift check blocks.
 
     python tests/mutants.py [NAME ...]
 
@@ -103,8 +104,8 @@ MUTANTS = (
     Mutant(
         "component_girth: a component of exactly girth edges fails",
         "walks.py",
-        "if c and c < base_girth\n",
-        "if c and c <= base_girth\n",
+        "if c < base_girth\n",
+        "if c <= base_girth\n",
         (GIRTH_PLUS_ONE,),
     ),
     Mutant(
@@ -118,8 +119,8 @@ MUTANTS = (
     Mutant(
         "component_girth weakened by one edge",
         "walks.py",
-        "if c and c < base_girth\n",
-        "if c and c < base_girth - 1\n",
+        "if c < base_girth\n",
+        "if c < base_girth - 1\n",
         (GIRTH_PLUS_ONE,),
     ),
     Mutant(
@@ -158,6 +159,35 @@ MUTANTS = (
         "len(far) * size >> (home[v] == r)",
         "len(far) * size",
         (f"{GOLDEN}[petersen exhaustive]",),
+    ),
+    # the report's pass flags and counts
+    Mutant(
+        "run_analysis: a lip of 2 reported as a distortion",
+        "report.py",
+        "if rep.lip == 1:",
+        "if rep.lip >= 1:",
+        (f"{GOLDEN}[petersen fault-injected sample:300 seed 5]",),
+    ),
+    Mutant(
+        "SweepResult.all_pass: every sweep passes",
+        "sweeps.py",
+        "        return not self.failures\n",
+        "        return True\n",
+        (f"{GOLDEN}[petersen fault-injected sample:300 seed 5]",),
+    ),
+    Mutant(
+        "run_verify_instance: every check block passes",
+        "report.py",
+        '{"pass": not v,',
+        '{"pass": True,',
+        (f"{GOLDEN}[petersen fault-injected sample:300 seed 5]",),
+    ),
+    Mutant(
+        "run_verify_instance: cut_partition counts base edges, not lifted ones",
+        "report.py",
+        '("cut_partition", cut, lg.num_edges)',
+        '("cut_partition", cut, lg.base.m)',
+        (f"{GOLDEN}[petersen dfs root 5 exhaustive verify]",),
     ),
     # the whole-lift checks and the two oracle halves
     Mutant(

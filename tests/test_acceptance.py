@@ -111,8 +111,8 @@ def test_criterion_2_petersen_exhaustive(bundles, expectations):
         sweep = verdict_sweep(lg, b.table, b.tables, b.base_girth, b.base_diam, group)
         assert sweep.pairs_covered == 204480
         assert sweep.all_pass, "\n\n".join(sweep.failures)
-        for name, (npass, nfail) in sweep.verdict_totals.items():
-            assert nfail == 0 and npass == sweep.analyses, name
+        for name, nfail in sweep.fails.items():
+            assert nfail == 0, name
 
 
 def test_criterion_3_heawood_sampled(bundles, expectations):
@@ -160,8 +160,7 @@ def test_criterion_4_cut_partition_properties(bundles):
             # partition the lifted edge set, and adjacent rows differ in
             # exactly one coordinate
             v = cut_partition_check(b.lg, b.table)
-            assert v.checked == b.lg.num_edges
-            assert v.passed, f"{label}: {v.violations}"
+            assert v == [], f"{label}: {v}"
 
 
 def test_criterion_5_oracle_equivalence(bundles):
@@ -171,9 +170,8 @@ def test_criterion_5_oracle_equivalence(bundles):
             l1_v, dist_v = oracle_equivalence_checks(
                 b.lg, b.table, b.tables, count=10_000, seed=91
             )
-            assert l1_v.checked == 10_000 and dist_v.checked == 10_000
-            assert l1_v.passed, f"{label}: {l1_v.violations}"
-            assert dist_v.passed, f"{label}: {dist_v.violations}"
+            assert l1_v == [], f"{label}: {l1_v}"
+            assert dist_v == [], f"{label}: {dist_v}"
 
 
 def test_criterion_6_random_regular_robustness():
@@ -194,6 +192,14 @@ def test_criterion_6_random_regular_robustness():
             assert report["verdict_sweep"]["all_pass"], f"seed {seed}:\n{dumps}"
             for name, block in report["checks"].items():
                 assert block["pass"], f"seed {seed}: {name}: {block['violations']}"
+            # every lifted edge and vertex is certified, and every oracle pair checked
+            checked = {name: block["checked"] for name, block in report["checks"].items()}
+            assert checked == {
+                "cut_partition": ctx.lg.num_edges,
+                "degree_preservation": nn,
+                "oracle_distance_table": 400,
+                "oracle_l1_odd_multiplicity": 400,
+            }
             assert report["bound"]["distortion_within_bound"], f"seed {seed}"
             assert report["all_pass"], f"seed {seed}"
 

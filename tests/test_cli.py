@@ -76,6 +76,36 @@ def test_a_mapping_that_cannot_be_opened_leaves_the_lift_file_as_it_was(tmp_path
     assert "nodir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", ["one path", "one symlink", "symlink and target", "hard link", "missing"])
+def test_a_mapping_that_names_the_lift_file_is_refused_before_either_is_written(tmp_path, capsys, names):
+    # both outputs would write one file: the same path collides with the
+    # edge list's temporary file, and an in-place output loses the mapping
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    target = tmp_path / "target.txt"
+    link = tmp_path / "link.txt"
+    if names == "missing":
+        out, mapping = tmp_path / "new.txt", tmp_path / "." / "new.txt"
+    else:
+        target.write_text("the old lift\n")
+        if names == "hard link":
+            os.link(target, link)
+        elif names != "one path":
+            link.symlink_to(target)
+        out, mapping = {
+            "one path": (target, target),
+            "one symlink": (link, link),
+            "symlink and target": (link, target),
+            "hard link": (target, link),
+        }[names]
+    assert run(["lift", base, "-o", out, "--mapping", mapping]) == 2
+    assert f"error: -o and --mapping name the same file '{mapping}'" in capsys.readouterr().err
+    if names == "missing":
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt"]
+    else:
+        assert target.read_text() == "the old lift\n"
+
+
 @pytest.mark.parametrize("link", ["symlink", "hardlink"])
 def test_a_mapping_that_cannot_be_opened_leaves_an_in_place_lift_file_as_it_was(tmp_path, capsys, link):
     base = tmp_path / "p.txt"
@@ -512,6 +542,22 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: RuntimeError: boom\n")
     assert "Traceback (most recent call last)" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_a_bug_in_the_report_layer_exits_3_and_leaves_no_report(tmp_path, capsys, monkeypatch):
+    # a bug raised while the embedding block is written is no verdict (1)
+    base = tmp_path / "p.txt"
+    run(["gen", "--family", "petersen", "-o", base])
+    capsys.readouterr()
+
+    def unfinished(*args):
+        raise NotImplementedError
+
+    monkeypatch.setattr(report_mod, "embedding_block", unfinished)
+    out = tmp_path / "r.json"
+    assert run(["analyze", base, "-o", out]) == cli.EXIT_INTERNAL == 3
+    assert capsys.readouterr().err.startswith("internal error: NotImplementedError")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -260,24 +261,41 @@ def test_every_broken_matching_is_named_by_the_cut_check():
             lg = LiftedGraph(td, (eid, extra))
             t = embed(lg)
             v = cut_partition_check(lg, t)
-            assert not v.passed
-            assert v.checked == lg.num_edges
-            assert len(v.violations) == 1
-            assert f"base edge {eid} crosses cuts" in v.violations[0]
-            # the Lipschitz check fails before the tables are read, so it
-            # needs none (some of these lifts are not even connected)
-            with pytest.raises(RuntimeError, match="not 1-Lipschitz"):
-                distortion(lg, t, None)
+            assert len(v) == 1
+            assert f"base edge {eid} crosses cuts" in v[0]
+            # the lip is read off the edge flips alone, and the tables only
+            # give the colip, so these lifts need none (some are not even
+            # connected)
+            assert distortion(lg, t, COLIP_ONLY).lip != 1
+
+
+#: the two fields ``distortion`` reads of the distance tables
+COLIP_ONLY = SimpleNamespace(colip=(1, 1), colip_witness=(0, 1))
+
+
+def test_the_fault_lift_measures_its_lip_and_its_report_names_the_error():
+    # the fault of verify --fault-inject: the coordinate-0 cotree edge also
+    # flips coordinate 1, so its fiber crosses its own cut and the five cuts
+    # of coordinate 1's fundamental cycle
+    td = spanning_tree(load_named("petersen"))
+    ctx = report.run_analysis(td, pairs=300, seed=5, fault=(td.cotree[0], 1 << 1))
+    assert distortion(ctx.lg, ctx.table, ctx.tables).lip == 6
+    error = "embedding is not 1-Lipschitz (measured lip = 6); the cut partition is broken"
+    assert ctx.report["embedding"] == {"error": error}
+    assert ctx.report["bound"] == {"distortion_within_bound": False, "error": error}
+    assert ctx.report["all_pass"] is False
 
 
 def test_whole_lift_checks_cover_large_lifts_exactly():
     # McGee: 196,608 lifted vertices and 294,912 lifted edges, all certified
     g = make(FamilySpec.named("mcgee"))
     lg = build_lift(spanning_tree(g))
-    cut = cut_partition_check(lg, embed(lg))
-    assert cut.passed and cut.checked == lg.num_edges == 294_912
-    deg = degree_preservation_check(lg)
-    assert deg.passed and deg.checked == lg.num_vertices == 196_608
+    assert cut_partition_check(lg, embed(lg)) == []
+    assert degree_preservation_check(lg) == []
+    ctx = report.run_verify_instance("mcgee", spanning_tree(g), pairs=1, seed=0, oracle_pairs=0)
+    checks = ctx.report["checks"]
+    assert checks["cut_partition"]["checked"] == lg.num_edges == 294_912
+    assert checks["degree_preservation"]["checked"] == lg.num_vertices == 196_608
 
 
 # --- distances and distortion ----------------------------------------------------

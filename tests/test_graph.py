@@ -550,22 +550,22 @@ def test_bridges_path_graph():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     bd = bridges_and_2ecc(g)
     assert bd.bridge_ids == {0, 1, 2}
-    assert set(bd.component_edge_counts.values()) == {0}
+    assert bd.component_edge_counts == ()
 
 
 def test_bridges_triangle():
     g = Graph(3, [(0, 1), (1, 2), (2, 0)])
     bd = bridges_and_2ecc(g)
     assert bd.bridge_ids == frozenset()
-    assert list(bd.component_edge_counts.values()) == [3]
+    assert bd.component_edge_counts == (3,)
 
 
 def test_bridges_triangle_with_pendant():
     g = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
     bd = bridges_and_2ecc(g)
     assert bd.bridge_ids == {3}
-    # the triangle {0, 1, 2} and the pendant vertex 3, by smallest vertex
-    assert bd.component_edge_counts == {0: 3, 1: 0}
+    # the triangle {0, 1, 2}; the pendant vertex 3 has no edges, so no count
+    assert bd.component_edge_counts == (3,)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -576,12 +576,12 @@ def test_bridges_match_deletion_oracle(seed):
     bd = bridges_and_2ecc(g)
     expected = oracle_bridges(g)
     assert bd.bridge_ids == expected
-    # one count per brute-force bridge-deletion component, by smallest vertex
+    # one count per brute-force bridge-deletion component with edges, by smallest vertex
     parts = sorted(oracle_2ecc_partition(g, expected), key=min)
     counts = [
         sum(1 for eid, (u, _) in enumerate(g.edges) if u in part and eid not in expected) for part in parts
     ]
-    assert list(bd.component_edge_counts.items()) == list(enumerate(counts))
+    assert bd.component_edge_counts == tuple(c for c in counts if c)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -604,7 +604,7 @@ def test_bridges_labels_and_counts_on_sparse_graphs(seed):
     for eid, (u, _) in enumerate(g.edges):
         if eid not in bridges:
             counts[want[u]] += 1
-    assert list(bd.component_edge_counts.items()) == list(counts.items())
+    assert bd.component_edge_counts == tuple(c for c in counts.values() if c)
 
 
 
@@ -651,10 +651,8 @@ def test_root_path_mask_bridges_equal_the_climbing_form_on_shaped_graphs():
         got = bridges_and_2ecc(g)
         want = climbing_bridges_and_2ecc(g)
         assert got.bridge_ids == want.bridge_ids, g.edges
-        assert list(got.component_edge_counts.items()) == list(
-            want.component_edge_counts.items()
-        ), g.edges
-        components = sum(1 for c in want.component_edge_counts.values() if c)
+        assert got.component_edge_counts == want.component_edge_counts, g.edges
+        components = len(want.component_edge_counts)
         shapes.add(("forest", "one component")[components] if components < 2 else "several")
         shapes.add("disconnected" if g.n and not is_connected(g) else "connected")
     assert shapes == {"forest", "one component", "several", "disconnected", "connected"}
