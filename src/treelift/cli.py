@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import stat
 import sys
-import traceback
 
 from .families import FORMS, check_spec, make, order_and_size, parse_family
 from .graph import GraphError, diameter, girth, load_edge_list, save_edge_list, spanning_tree
@@ -147,9 +145,7 @@ def write_text(out, blocks):
 def cmd_gen(args):
     spec = parse_family(args.family)
     if spec.kind == "random_regular":
-        spec = dataclasses.replace(
-            spec, girth_min=args.girth_min, seed=args.seed, max_tries=args.max_tries
-        )
+        spec = spec._replace(girth_min=args.girth_min, seed=args.seed, max_tries=args.max_tries)
     elif args.seed or args.girth_min != 3:
         print("note: --seed/--girth-min only apply to random families", file=sys.stderr)
     g = make(spec)
@@ -236,7 +232,7 @@ def instance_graphs(args):
     base = parse_family(args.random_spec)
     if base.kind != "random_regular":
         raise GraphError(f"bad --random-spec value {args.random_spec!r}: expected random:N:K")
-    base = dataclasses.replace(base, girth_min=args.girth_min, max_tries=args.max_tries)
+    base = base._replace(girth_min=args.girth_min, max_tries=args.max_tries)
     check_spec(base)
     if args.fault_inject:
         g = make(parse_family("petersen"))
@@ -250,7 +246,7 @@ def instance_graphs(args):
     for _, spec in specs:
         check_spec(spec)
     for i in range(args.random_count):
-        spec = dataclasses.replace(base, seed=args.seed + i)
+        spec = base._replace(seed=args.seed + i)
         specs.append((spec.describe(), spec))
     for label, spec in specs:
         check_lift_order(*order_and_size(spec), args.max_vertices, f"the lift of {label}")
@@ -324,7 +320,6 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    cap = default_cap()
 
     p = sub.add_parser("gen", help="generate a base graph as an edge-list file")
     p.add_argument("--family", required=True, help="|".join(FORMS))
@@ -342,7 +337,7 @@ def build_parser():
     )
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--max-vertices", type=positive_int, default=cap)
+    p.add_argument("--max-vertices", type=positive_int)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("analyze", help="lift, embed, measure distortion, sweep verdicts")
@@ -353,7 +348,7 @@ def build_parser():
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--pairs", default="auto", help="verdict sweep pairs: auto|exhaustive|sample:COUNT")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-vertices", type=positive_int, default=cap)
+    p.add_argument("--max-vertices", type=positive_int)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the property battery over an instance matrix")
@@ -379,7 +374,7 @@ def build_parser():
         help="seeded random pairs cross-checked against the direct-search oracles",
     )
     p.add_argument("--tree", choices=("bfs", "dfs"), default="bfs")
-    p.add_argument("--max-vertices", type=positive_int, default=cap)
+    p.add_argument("--max-vertices", type=positive_int)
     p.add_argument("--fault-inject", action="store_true", help="sabotage one matching bit; the battery must fail")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -389,12 +384,17 @@ def main(argv=None):
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        # only lift, analyze and verify have a cap; the flag wins over the variable
+        if "max_vertices" in args and args.max_vertices is None:
+            args.max_vertices = default_cap()
         return args.func(args)
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug: keep it apart from verdict failures (1)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback  # only a bug needs it: not loaded on every start
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

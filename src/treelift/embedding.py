@@ -48,11 +48,10 @@ anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(eq=False)
 class EmbeddingTable:
     """The embedding in affine form: row(u, f) = base_rows[u] ^ lin(f).
 
@@ -68,23 +67,18 @@ class EmbeddingTable:
     the table.
     """
 
-    lg: object
-    base_rows: list
-    h: int = field(init=False)
-    low_mask: int = field(init=False)
-    low: list = field(init=False, repr=False)
-    high: list = field(init=False, repr=False)
-    edge_flips: tuple = field(init=False, repr=False)
+    __slots__ = ("lg", "base_rows", "h", "low_mask", "low", "high", "edge_flips")
 
-    def __post_init__(self):
-        lg = self.lg
+    def __init__(self, lg, base_rows):
+        self.lg = lg
+        self.base_rows = base_rows
         h = self.h = (lg.s + 1) >> 1
         self.low_mask = (1 << h) - 1
         self.low, self.high = [0], [0]
         for half, cols in ((self.low, lg.td.cycles[:h]), (self.high, lg.td.cycles[h:])):
             for col in cols:  # each column doubles its half: the XOR of every subset
                 half.extend([x ^ col for x in half])
-        rows, edges = self.base_rows, zip(lg.base.edges, lg.rule)
+        rows, edges = base_rows, zip(lg.base.edges, lg.rule)
         self.edge_flips = tuple(rows[u] ^ rows[v] ^ self.lin(rule) for (u, v), rule in edges)
 
     def lin(self, f):
@@ -116,8 +110,7 @@ def distortion_bound(base_girth, base_diam):
     return max(Fraction(1), 1 + Fraction(6 * base_diam, base_girth))
 
 
-@dataclass(eq=False)
-class DistortionReport:
+class DistortionReport(NamedTuple):
     """Exact Lipschitz data of the embedding of one lift.
 
     lip and colip are exact rationals; distortion = lip * colip.  colip is

@@ -5,19 +5,20 @@ floor.
 
 from __future__ import annotations
 
+import os
 import random
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, girth, is_connected, parse_edge_list
 
 NAMED = ("petersen", "heawood", "mcgee", "pappus", "tutte_coxeter", "robertson", "k4")
 #: every family string ``parse_family`` accepts, by form
 FORMS = (*NAMED, "cycle:N", "complete:N", "random:N:K")
+#: the directory of the shipped edge lists, beside this module
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Which base graph to build.
 
     kind is one of "cycle", "complete", "named", "random_regular"; the other
@@ -84,8 +85,8 @@ def load_named(name):
     """Load a named graph from its golden edge-list data file."""
     if name not in NAMED:
         raise GraphError(f"unknown named graph {name!r}")
-    text = resources.files("treelift.data").joinpath(f"{name}.txt").read_text(encoding="utf-8")
-    return parse_edge_list(text)
+    with open(os.path.join(DATA, f"{name}.txt"), encoding="utf-8") as fh:
+        return parse_edge_list(fh.read())
 
 
 def check_spec(spec):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -94,8 +94,7 @@ def _edge_error(n, pair, index):
     return GraphError(f"duplicate edge {pair!r} (already present as edge {index[key]})")
 
 
-@dataclass(eq=False)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     """A spanning tree T plus the ordered cotree S indexing label coordinates,
     and the voltage algebra over Z_2^s they define.
 
@@ -128,17 +127,20 @@ class TreeDecomposition:
         return len(self.cotree)
 
 
-@dataclass(eq=False)
 class BridgeDecomposition:
     """Bridges and 2-edge-connected components of a graph.
 
+    ``bridge_ids`` is the frozenset of the bridges' edge ids.
     ``component_edge_counts`` holds the edge count of each 2-edge-connected
     component that has edges, in order of its smallest vertex; a forest
     gives ().
     """
 
-    bridge_ids: frozenset
-    component_edge_counts: tuple
+    __slots__ = ("bridge_ids", "component_edge_counts")
+
+    def __init__(self, bridge_ids, component_edge_counts):
+        self.bridge_ids = bridge_ids
+        self.component_edge_counts = component_edge_counts
 
 
 def bfs_distances(g, source):

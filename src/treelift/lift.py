@@ -50,7 +50,6 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graph import GraphError
@@ -71,7 +70,6 @@ def check_lift_order(n, m, cap, what):
         )
 
 
-@dataclass(eq=False)
 class LiftedGraph:
     """The lift along the tree decomposition ``td``, vertices encoded as ints.
 
@@ -94,24 +92,17 @@ class LiftedGraph:
     neighbour id, are derived on first use and kept.
     """
 
-    td: object
-    fault: tuple = None  # (edge id, extra xor mask) test hook
-    base: object = field(init=False, repr=False)
-    s: int = field(init=False)
-    mask: int = field(init=False)
-    rule: tuple = field(init=False, repr=False)
-    hops: tuple = field(init=False, repr=False)
-    edge_ids: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        base = self.base = self.td.graph
-        s = self.s = len(self.td.cotree)
+    def __init__(self, td, fault=None):
+        self.td = td
+        self.fault = fault  # (edge id, extra xor mask) test hook
+        base = self.base = td.graph
+        s = self.s = len(td.cotree)
         self.mask = (1 << s) - 1
-        rule = self.td.rule
-        if self.fault is not None:
-            eid, extra = self.fault
+        rule = td.rule
+        if fault is not None:
+            eid, extra = fault
             if not (0 <= eid < base.m) or not (0 <= extra <= self.mask):
-                raise GraphError(f"bad fault spec {self.fault!r}")
+                raise GraphError(f"bad fault spec {fault!r}")
             rule = rule[:eid] + (rule[eid] ^ extra,) + rule[eid + 1 :]
         self.rule = rule
         self.hops = tuple(tuple((v << s, rule[eid]) for v, eid in nbrs) for nbrs in base.adj)
@@ -252,7 +243,6 @@ def two_sided_distances(lg, source, targets):
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class DistanceTables:
     """Distances from the representatives (u, 0), one compact row each.
 
@@ -270,12 +260,15 @@ class DistanceTables:
     collides).
     """
 
-    rows: list
-    ecc: tuple
-    girth: float
-    colip: tuple
-    colip_witness: tuple
-    orbits: object
+    __slots__ = ("rows", "ecc", "girth", "colip", "colip_witness", "orbits")
+
+    def __init__(self, rows, ecc, girth, colip, colip_witness, orbits):
+        self.rows = rows
+        self.ecc = ecc
+        self.girth = girth
+        self.colip = colip
+        self.colip_witness = colip_witness
+        self.orbits = orbits
 
     def __getitem__(self, u):
         return self.rows[u]

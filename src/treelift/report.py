@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .embedding import distortion, distortion_bound, embed
 from .graph import GraphError, diameter, girth
@@ -141,8 +141,7 @@ def sweep_block(sw, sample_count, seed):
     }
 
 
-@dataclass(eq=False)
-class AnalysisContext:
+class AnalysisContext(NamedTuple):
     """The lift, its embedding and distance tables, and the report dict; the
     base graph and its tree are ``lg.base`` and ``lg.td``."""
 

@@ -49,7 +49,7 @@ MAX_RECORDED_FAILURES of them, and passes exactly when that list is empty;
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lift import two_sided_distances
 from .walks import (
@@ -64,8 +64,7 @@ from .walks import (
 MAX_RECORDED_FAILURES = 5
 
 
-@dataclass(eq=False)
-class SweepResult:
+class SweepResult(NamedTuple):
     """The tallies of one verdict sweep.  Every failure event is recorded while
     ``failures`` is below its cap, so the first lands and ``all_pass`` is exact."""
 

@@ -148,24 +148,31 @@ def _transversals(g):
                     if via[w] == -2:
                         via[w] = v
                         order.append(w)
-    image = list(identity)  # image[t] for t in order[:i] is placed at level i
+    depth_of = [0] * n
+    for d, t in enumerate(order):
+        depth_of[t] = d
+    # per level, by depth: the vertex's kind, the depth of its earlier
+    # neighbour (-1 for none) and its distances to the vertices placed before
+    # it; distance rows are symmetric, so d(t, v) is dist[v][t]
+    kinds = [kind[v] for v in order]
+    up = [depth_of[via[v]] if via[v] >= 0 else -1 for v in order]
+    wants = [itemgetter(*order[:i])(dist[v]) if i else () for i, v in enumerate(order)]
+    placed = list(order)  # placed[d] is the image of order[d]; depths below i are placed at level i
     tested = 0
 
     def candidates(i):
         nonlocal tested
-        v = order[i]
-        pool = range(n) if via[v] < 0 else adj[image[via[v]]]
+        pool = range(n) if up[i] < 0 else adj[placed[up[i]]]
         tested += len(pool) * i
+        k = kinds[i]
         if not i:
-            return [w for w in pool if kind[w] == kind[v]]
-        # distance rows are symmetric: d(t, v) is dist[v][t], d(image[t], w) is dist[w][image[t]]
-        want = itemgetter(*order[:i])(dist[v])
-        placed = itemgetter(*[image[t] for t in order[:i]])
-        return [w for w in pool if kind[w] == kind[v] and placed(dist[w]) == want]
+            return [w for w in pool if kind[w] == k]
+        want, at = wants[i], itemgetter(*placed[:i])
+        return [w for w in pool if kind[w] == k and at(dist[w]) == want]
 
     def extend(i, w):
-        """The first automorphism agreeing with ``image`` on order[:i] and
-        taking order[i] to w, or None."""
+        """The first automorphism agreeing with ``placed`` on depths below i
+        and taking order[i] to w, or None."""
         stack = [iter((w,))]
         while stack and tested <= AUT_SEARCH_BUDGET:
             w = next(stack[-1], None)
@@ -173,9 +180,9 @@ def _transversals(g):
                 stack.pop()
                 continue
             depth = i + len(stack) - 1
-            image[order[depth]] = w
+            placed[depth] = w
             if depth == n - 1:
-                return tuple(image)
+                return tuple(map(placed.__getitem__, depth_of))
             stack.append(iter(candidates(depth + 1)))
         return None
 
@@ -190,7 +197,7 @@ def _transversals(g):
                 level.append(alpha)
             if tested > AUT_SEARCH_BUDGET:
                 return None
-        image[v] = v
+        placed[i] = v
         if len(level) > 1:
             transversals.append(level)
     if math.prod(map(len, transversals)) * (n + g.m) > AUT_SEARCH_BUDGET:

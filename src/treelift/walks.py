@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice
 
 from .graph import Graph, GraphError, bridges_and_2ecc
@@ -83,7 +82,6 @@ class PathRebuildError(RuntimeError):
     source: no shortest path can be rebuilt through it."""
 
 
-@dataclass(eq=False, slots=True)
 class WalkAnalysis:
     """Everything measurable about one shortest lifted path.
 
@@ -93,21 +91,31 @@ class WalkAnalysis:
     bridge paths, longest first.
     """
 
-    x: int
-    y: int
-    path: tuple
-    path_len: int
-    multiplicity: dict
-    induced: Graph
-    induced_vertices: tuple
-    induced_edges: tuple
-    bridge_info: object
-    components: int
-    bridge_paths: int
-    bridges_once: int
-    component_edges: int
-    bridges_twice: int
-    segments: tuple
+    __slots__ = (
+        "x", "y", "path", "path_len", "multiplicity", "induced", "induced_vertices", "induced_edges",
+        "bridge_info", "components", "bridge_paths", "bridges_once", "component_edges", "bridges_twice",
+        "segments",
+    )
+
+    def __init__(
+        self, x, y, path, path_len, multiplicity, induced, induced_vertices, induced_edges,
+        bridge_info, components, bridge_paths, bridges_once, component_edges, bridges_twice, segments,
+    ):
+        self.x = x
+        self.y = y
+        self.path = path
+        self.path_len = path_len
+        self.multiplicity = multiplicity
+        self.induced = induced
+        self.induced_vertices = induced_vertices
+        self.induced_edges = induced_edges
+        self.bridge_info = bridge_info
+        self.components = components
+        self.bridge_paths = bridge_paths
+        self.bridges_once = bridges_once
+        self.component_edges = component_edges
+        self.bridges_twice = bridges_twice
+        self.segments = segments
 
 
 def shortest_lifted_path(lg, x, y, tables, pred=None):

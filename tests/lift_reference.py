@@ -66,7 +66,7 @@ import random
 from itertools import islice
 
 from treelift.graph import BridgeDecomposition, Graph, GraphError, bfs_distances
-from treelift.lift import _whole_lift, bfs_lifted, diameter_witness, representative_tables
+from treelift.lift import DistanceTables, _whole_lift, bfs_lifted, diameter_witness, representative_tables
 from treelift.voltage import AUT_SEARCH_BUDGET, GroupOrbits, LiftedAutomorphism, identity_lift
 from treelift.walks import VERDICT_NAMES, PathRebuildError, WalkAnalysis
 
@@ -224,6 +224,11 @@ def breadth_first_fold(whole, sides, row, x, nn):
 def every_source_tables(lg, table):
     """``representative_tables`` under the trivial group: every base vertex is walked."""
     return representative_tables(lg, table, GroupOrbits([identity_lift(lg)]))
+
+
+def with_rows(tables, rows):
+    """``tables`` with ``rows`` in place of its rows."""
+    return DistanceTables(rows, tables.ecc, tables.girth, tables.colip, tables.colip_witness, tables.orbits)
 
 
 def lifted_distance(lg, tables, x, y):

@@ -7,8 +7,9 @@ once it is applied.  There is at least one mutant per verdict of
 ``walks.VERDICT_NAMES``, and more for the counters, the whole-lift checks,
 both oracle halves, the engine's rows, girth and colip witness, the
 embedding's label columns, the exhaustive stream's pair count, the sweep's
-tally and pass flag, the CSV column, the report's Lipschitz error branch and
-the whole-lift check blocks.
+tally and pass flag, the CSV column, the report's Lipschitz error branch,
+the whole-lift check blocks, the automorphism search's distance constraints
+and the source of the vertex cap.
 
     python tests/mutants.py [NAME ...]
 
@@ -246,6 +247,22 @@ MUTANTS = (
         "return self.low[f & self.low_mask] ^ self.high[f >> self.h]",
         "return self.low[f & self.low_mask] ^ self.high[0]",
         (f"{GOLDEN}[petersen exhaustive]",),
+    ),
+    # the automorphism search and the command line
+    Mutant(
+        "_transversals: the last placed vertex's distance is not compared",
+        "voltage.py",
+        "        return [w for w in pool if kind[w] == k and at(dist[w]) == want]\n",
+        "        return [w for w in pool if kind[w] == k and "
+        "all(dist[w][placed[d]] == want[d] for d in range(i - 1))]\n",
+        ("tests/test_voltage.py::test_a_group_too_large_to_multiply_out_is_refused_before_any_product",),
+    ),
+    Mutant(
+        "main: the cap variable is read even when --max-vertices is given",
+        "cli.py",
+        'if "max_vertices" in args and args.max_vertices is None:',
+        'if "max_vertices" in args:',
+        ("tests/test_cli.py::test_a_bad_cap_variable_is_not_read_by_gen_or_under_an_explicit_cap",),
     ),
 )
 

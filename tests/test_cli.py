@@ -1,10 +1,11 @@
-import dataclasses
 import json
 import os
 import stat
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,11 @@ import treelift.graph as graph_mod
 import treelift.lift as lift_mod
 import treelift.report as report_mod
 from treelift.cli import main
+
+from lift_reference import with_rows
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -356,7 +362,7 @@ def test_a_row_no_path_rebuilds_through_fails_the_run(tmp_path, capsys, monkeypa
         tables = real(lg, table, orbits)
         row = list(tables.rows[0])
         row[row.index(max(row))] += 3
-        return dataclasses.replace(tables, rows=[row, *tables.rows[1:]])
+        return with_rows(tables, [row, *tables.rows[1:]])
 
     monkeypatch.setattr(report_mod, "representative_tables", corrupted)
     base = tmp_path / "k4.txt"
@@ -383,6 +389,47 @@ def test_env_var_cap_override(tmp_path, capsys, monkeypatch):
     assert run(["analyze", base, "-o", tmp_path / "r.json"]) == 2
     err = capsys.readouterr().err
     assert "640" in err and "100" in err
+
+
+def test_a_bad_cap_variable_is_not_read_by_gen_or_under_an_explicit_cap(tmp_path, capsys, monkeypatch):
+    # gen has no cap, and --max-vertices wins over the variable
+    monkeypatch.setenv("TREELIFT_MAX_VERTICES", "-5")
+    base = tmp_path / "p.txt"
+    assert run(["gen", "--family", "petersen", "-o", base]) == 0
+    cap = ["--max-vertices", 1000]
+    assert run(["lift", base, "-o", tmp_path / "l.txt", *cap]) == 0
+    assert run(["analyze", base, "-o", tmp_path / "r.json", *cap]) == 0
+    out = tmp_path / "v.json"
+    assert run(["verify", "--instances", "k4", "--random-count", 0, "-o", out, *cap]) == 0
+    assert json.loads(out.read_text())["config"]["max_vertices"] == 1000
+    assert "TREELIFT_MAX_VERTICES" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, cap", [(None, lift_mod.DEFAULT_MAX_VERTICES), ("1000", 1000)])
+def test_verify_records_the_cap_it_resolved(tmp_path, monkeypatch, value, cap):
+    if value is None:
+        monkeypatch.delenv("TREELIFT_MAX_VERTICES", raising=False)
+    else:
+        monkeypatch.setenv("TREELIFT_MAX_VERTICES", value)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--instances", "k4", "--random-count", 0, "--oracle-pairs", 0, "-o", out]) == 0
+    assert json.loads(out.read_text())["config"]["max_vertices"] == cap
+
+
+def test_a_cold_import_of_the_cli_loads_no_module_the_commands_do_not_use():
+    # dataclasses (which loads inspect), traceback and importlib.resources
+    # cost tens of milliseconds at every start; -S keeps site hooks out
+    unused = ("dataclasses", "inspect", "traceback", "importlib.resources")
+    code = f"import sys, treelift.cli; print([m for m in {unused!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_mcgee_gen_available(tmp_path):
@@ -556,7 +603,9 @@ def test_a_bug_in_the_report_layer_exits_3_and_leaves_no_report(tmp_path, capsys
     monkeypatch.setattr(report_mod, "embedding_block", unfinished)
     out = tmp_path / "r.json"
     assert run(["analyze", base, "-o", out]) == cli.EXIT_INTERNAL == 3
-    assert capsys.readouterr().err.startswith("internal error: NotImplementedError")
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: NotImplementedError")
+    assert "Traceback (most recent call last)" in err
     assert not out.exists()
 
 

@@ -1,7 +1,5 @@
 """The distance oracle of the verify battery stays independent of the engine it checks."""
 
-import dataclasses
-
 import pytest
 
 import treelift.lift as lift_mod
@@ -15,7 +13,7 @@ from treelift.sweeps import MAX_RECORDED_FAILURES, group_orbit_reps, oracle_equi
 from treelift.voltage import GroupOrbits, lifted_group
 from treelift.walks import VERDICT_NAMES, PathRebuildError, shortest_lifted_path
 
-from lift_reference import every_source_tables, scalar_bfs
+from lift_reference import every_source_tables, scalar_bfs, with_rows
 
 
 def lift_of(spec):
@@ -49,7 +47,7 @@ def test_oracle_fails_tables_with_one_entry_changed():
     assert good == []
 
     rows, z, d = raise_one_entry(lg, tables)
-    _, bad = oracle_equivalence_checks(lg, table, dataclasses.replace(tables, rows=rows), 2000, 0)
+    _, bad = oracle_equivalence_checks(lg, table, with_rows(tables, rows), 2000, 0)
     assert bad != []
     assert all(f"table distance {d + 2}, direct BFS {d}" in line for line in bad)
     assert len(bad) <= MAX_RECORDED_FAILURES
@@ -74,7 +72,7 @@ def test_oracle_records_a_pair_whose_path_cannot_be_rebuilt():
     with pytest.raises(PathRebuildError, match=f"vertex {z} has no neighbour one level closer to 0"):
         shortest_lifted_path(lg, 0, z, rows)
 
-    l1_v, dist_v = oracle_equivalence_checks(lg, table, dataclasses.replace(tables, rows=rows), 500, 0)
+    l1_v, dist_v = oracle_equivalence_checks(lg, table, with_rows(tables, rows), 500, 0)
     assert 0 < len(l1_v) <= MAX_RECORDED_FAILURES
     assert all(": no canonical path: vertex " in line for line in l1_v)
     assert 0 < len(dist_v) <= MAX_RECORDED_FAILURES

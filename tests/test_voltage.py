@@ -244,6 +244,13 @@ def test_a_group_too_large_to_multiply_out_is_refused_before_any_product(monkeyp
         assert base_automorphisms(complete_bipartite(1, k)) == [tuple(range(k + 1))]
 
 
+def test_the_search_budget_keeps_the_group_of_cycle_158_but_not_of_cycle_159():
+    # D_n has 2n elements; the tally of tested candidates passes
+    # AUT_SEARCH_BUDGET between n = 158 and n = 159
+    assert len(base_automorphisms(make(parse_family("cycle:158")))) == 316
+    assert base_automorphisms(make(parse_family("cycle:159"))) == [tuple(range(159))]
+
+
 def spy_on_the_representative_check(monkeypatch):
     """The verdicts of ``voltage._is_automorphism``, one per call."""
     verdicts = []

@@ -17,7 +17,6 @@ repeats; on the canonical paths of the sweeps' own streams every field,
 verdict and violation text must be theirs, on fault lifts too.
 """
 
-import dataclasses
 import math
 import random
 
@@ -367,9 +366,9 @@ def assert_matches_every_edge_form(lg, table, tables, stream, base_girth, base_d
         path = shortest_lifted_path(lg, x, y, tables, pred)
         got = analyze(lg, path)
         want = every_edge_analyze(lg, path)
-        for f in dataclasses.fields(WalkAnalysis):
-            if f.name not in ("induced", "bridge_info"):
-                assert getattr(got, f.name) == getattr(want, f.name), (f.name, path)
+        for name in WalkAnalysis.__slots__:
+            if name not in ("induced", "bridge_info"):
+                assert getattr(got, name) == getattr(want, name), (name, path)
         assert list(got.multiplicity.items()) == list(want.multiplicity.items()), path
         assert (got.induced.n, got.induced.edges, got.induced.adj) == (
             want.induced.n,
